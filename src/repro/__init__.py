@@ -53,7 +53,14 @@ resumes without re-running finished scenarios::
 is memoized process-wide in :mod:`repro.core.profiler.cache`
 (``cached_library_binary``, ``cached_merged_profile``, ...): the first
 controller or experiment in a process pays the assemble + disassemble + CFG
-cost, every later one shares the artifacts.  Cached objects are shared —
+cost, every later one shares the artifacts.  The call-site analysis of a
+target binary is cached there too (``cached_analysis``, behind
+:meth:`LFIController.analyze_target`): ``fault_space``, ``explore``,
+``test_automatically`` and the campaign fabric's ``build_engine`` analyze
+each image once per process, keyed by the image itself (weakly), the CFG
+budget, the ``functions`` selection and the profile's error return values.
+A cached report's ``analysis_seconds`` is the time of its first
+computation.  Cached objects — analysis reports included — are shared:
 treat them as immutable; ``clear_artifact_cache()`` resets the cache in
 tests.
 

@@ -15,12 +15,14 @@ Python-level targets (no binary) skip step 2 and instead use the scenarios
 the target declares for itself (e.g. random-injection campaigns, which is
 also how the paper found the MySQL bugs).
 
-Step 1 is served from the process-wide artifact cache
+Steps 1 and 2 are served from the process-wide artifact cache
 (:mod:`repro.core.profiler.cache`), so repeated controllers stop paying the
-assemble + disassemble + CFG cost, and steps 4-5 accept a ``parallelism=``
-spec (see :func:`repro.core.controller.executor.resolve_backend`) that
-fans scenario runs out over threads or processes with results identical to
-a serial run.
+assemble + disassemble + CFG cost and analyze each target image once per
+process (the cached :class:`AnalysisReport` is shared: treat it as
+immutable; its ``analysis_seconds`` is the time of the first computation).
+Steps 4-5 accept a ``parallelism=`` spec (see
+:func:`repro.core.controller.executor.resolve_backend`) that fans scenario
+runs out over threads or processes with results identical to a serial run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core.exploration.engine import ExplorationEngine, ExplorationReport
 from repro.core.exploration.space import FaultPoint, enumerate_fault_space
 from repro.core.exploration.store import ResultStore
 from repro.core.exploration.strategy import ExplorationStrategy
-from repro.core.profiler.cache import cached_merged_profile
+from repro.core.profiler.cache import cached_analysis, cached_merged_profile
 from repro.core.profiler.fault_profile import FaultProfile
 from repro.core.scenario.model import Scenario
 
@@ -110,10 +112,11 @@ class LFIController:
         return self._analyzer
 
     def analyze_target(self, functions: Optional[Sequence[str]] = None) -> Optional[AnalysisReport]:
+        """The target binary's call-site analysis, from the artifact cache."""
         binary = self.target.binary()
         if binary is None:
             return None
-        return self._call_site_analyzer().analyze(binary, functions=functions)
+        return cached_analysis(self._call_site_analyzer(), binary, functions=functions)
 
     # ------------------------------------------------------------------
     # step 3: scenario generation

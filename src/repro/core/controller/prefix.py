@@ -347,12 +347,7 @@ def _memo_context(
     snapshots = options.get("snapshots")
     if snapshots is None:
         snapshots = default_snapshots()
-    binary = None
-    if hasattr(target, "binary"):
-        try:
-            binary = target.binary()
-        except Exception:
-            return None
+    binary = target.binary() if hasattr(target, "binary") else None
     extra = tuple(
         sorted(
             (name, repr(value))
@@ -362,10 +357,10 @@ def _memo_context(
     )
     return (
         getattr(target, "name", str(target)),
-        # The compiled image's identity: `_binary_cache` keys images by
-        # target name and keeps them alive, so `id` is stable per name and
-        # changes when the cache is cleared and the source recompiled.
-        id(binary) if binary is not None else None,
+        # The compiled image's content identity, never its `id`: a
+        # recompile after `_binary_cache` is cleared may reuse the address
+        # of another program's image.
+        binary.content_digest() if binary is not None else None,
         workload,
         resolve_engine(options.get("engine")),
         bool(snapshots),
@@ -416,8 +411,8 @@ def member_memo_key(
     shareable fault classes, a ``prefix_shareable`` target — are
     memoizable: the key is exactly what determines such a run's
     observables.  Capture identity comes from the group base key plus the
-    binary/libc fingerprints (a mutated libc spec or recompiled target
-    misses, same as the boot-template cache); the fault identity is every
+    binary/libc fingerprints (a mutated libc spec or changed target source
+    misses; an identical recompile hits); the fault identity is every
     plan's ``(class, return value, errno, params)`` tuple; the resolved
     engine/snapshot knobs pin the execution path, and any *other* request
     option is folded in conservatively by repr.

@@ -21,12 +21,21 @@ This module computes each artifact **once per process** and shares it:
   restores boot state in O(dirty words) instead of rebuilding the OS
   fixture and machine per request.  Templates are keyed by target
   *instance* (weakly, so they die with the target) because two instances of
-  one target class may carry different fixture configurations.
+  one target class may carry different fixture configurations;
+* :func:`cached_analysis` — the call-site analyzer's
+  :class:`~repro.core.analysis.analyzer.AnalysisReport` for a target
+  binary: one per (image, CFG budget, ``functions`` selection, error return
+  values the profile gives those functions).  Reports are keyed by the
+  :class:`BinaryImage` *instance* (weakly, like boot templates), so an entry
+  lives exactly as long as its image and a recycled address never aliases
+  it.  A cached report's ``analysis_seconds`` is the time of its first
+  computation.
 
-Entries are keyed by ``(library name, spec fingerprint)`` where the
+Library entries are keyed by ``(library name, spec fingerprint)`` where the
 fingerprint hashes the library's error-return specification, so a mutated
 spec (tests do this) transparently misses the cache instead of returning a
-stale artifact.  Cached objects are **shared** — treat them as immutable.
+stale artifact.  Cached objects — analysis reports included — are
+**shared**: treat them as immutable.
 
 Sharing compounds with the VM's predecoded execution engine: the
 closure-threaded program that :mod:`repro.vm.dispatch` compiles for a
@@ -36,9 +45,9 @@ assemble → disassemble → CFG pipeline **and** instruction predecoding are
 both once-per-process costs.
 
 Thread-safe: a single lock guards the maps, so campaigns running under
-:class:`~repro.core.controller.executor.ThreadPoolBackend` profile at most
-once.  Process-pool workers forked after the first build inherit the warm
-cache for free.
+:class:`~repro.core.controller.executor.ThreadPoolBackend` profile and
+analyze at most once.  Process-pool workers forked after the first build
+inherit the warm cache for free.
 """
 
 from __future__ import annotations
@@ -46,14 +55,17 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.profiler.fault_profile import FaultProfile, merge_profiles
 from repro.core.profiler.static_profiler import profile_library
 from repro.isa.binary import BinaryImage
 from repro.oslib.libc import LIBC_FUNCTIONS
 from repro.oslib.libc_binary import build_library_binary, library_soname
+
+if TYPE_CHECKING:  # the analyzer is passed in, never imported at run time
+    from repro.core.analysis.analyzer import AnalysisReport, CallSiteAnalyzer
 
 
 @dataclass
@@ -72,16 +84,21 @@ class CacheStats:
     #: template — the cross-workload fixture-sharing wins, a subset of
     #: ``boot_hits`` (so not added into the totals below).
     boot_shared_hits: int = 0
+    analysis_hits: int = 0
+    analysis_misses: int = 0
 
     @property
     def hits(self) -> int:
-        return self.binary_hits + self.profile_hits + self.merged_hits + self.boot_hits
+        return (
+            self.binary_hits + self.profile_hits + self.merged_hits + self.boot_hits
+            + self.analysis_hits
+        )
 
     @property
     def misses(self) -> int:
         return (
             self.binary_misses + self.profile_misses + self.merged_misses
-            + self.boot_misses
+            + self.boot_misses + self.analysis_misses
         )
 
 
@@ -98,6 +115,12 @@ _BOOT_TEMPLATES: "weakref.WeakKeyDictionary[Any, Dict[Tuple, Any]]" = (
 _BOOT_CONTEXTS: "weakref.WeakKeyDictionary[Any, Dict[Tuple, set]]" = (
     weakref.WeakKeyDictionary()
 )
+#: Per binary image (weak: entries die with the image): the names of the
+#: imports it calls — the functions an unrestricted analysis reads — and
+#: its analysis reports by (budget, selection, error values).
+_ANALYSES: (
+    "weakref.WeakKeyDictionary[BinaryImage, Tuple[Tuple[str, ...], Dict[Tuple, Any]]]"
+) = weakref.WeakKeyDictionary()
 _STATS = CacheStats()
 
 
@@ -268,6 +291,46 @@ def cached_boot_template(
         return per_owner.setdefault(key, template)
 
 
+def cached_analysis(
+    analyzer: "CallSiteAnalyzer",
+    binary: BinaryImage,
+    functions: Optional[Sequence[str]] = None,
+) -> "AnalysisReport":
+    """``analyzer.analyze(binary, functions)``, computed at most once.
+
+    The key holds every input the analysis reads besides the image: the
+    analyzer's CFG budget, the *functions* selection, and the error return
+    values its profile gives each analyzed function.  A profile that
+    changes those values misses; one that changes only errnos hits, which
+    is correct because errnos are enumerated later, from the profile, on
+    every call.  The analysis runs under the cache lock, so threads racing
+    on one image share a single report.
+    """
+    with _LOCK:
+        entry = _ANALYSES.get(binary)
+        if entry is None:
+            entry = (tuple(sorted(binary.called_imports())), {})
+            _ANALYSES[binary] = entry
+        called, reports = entry
+        selection = None if functions is None else tuple(functions)
+        key = (
+            analyzer.max_instructions,
+            selection,
+            tuple(
+                (name, analyzer.profile.error_values(name))
+                for name in (called if selection is None else selection)
+            ),
+        )
+        report = reports.get(key)
+        if report is not None:
+            _STATS.analysis_hits += 1
+            return report
+        _STATS.analysis_misses += 1
+        report = analyzer.analyze(binary, functions=selection)
+        reports[key] = report
+        return report
+
+
 # ----------------------------------------------------------------------
 # maintenance
 # ----------------------------------------------------------------------
@@ -279,6 +342,7 @@ def clear_artifact_cache() -> None:
         _MERGED.clear()
         _BOOT_TEMPLATES.clear()
         _BOOT_CONTEXTS.clear()
+        _ANALYSES.clear()
         global _STATS
         _STATS = CacheStats()
 
@@ -286,23 +350,14 @@ def clear_artifact_cache() -> None:
 def artifact_cache_stats() -> CacheStats:
     """A snapshot of the current hit/miss counters."""
     with _LOCK:
-        return CacheStats(
-            binary_hits=_STATS.binary_hits,
-            binary_misses=_STATS.binary_misses,
-            profile_hits=_STATS.profile_hits,
-            profile_misses=_STATS.profile_misses,
-            merged_hits=_STATS.merged_hits,
-            merged_misses=_STATS.merged_misses,
-            boot_hits=_STATS.boot_hits,
-            boot_misses=_STATS.boot_misses,
-            boot_shared_hits=_STATS.boot_shared_hits,
-        )
+        return replace(_STATS)
 
 
 __all__ = [
     "CacheStats",
     "artifact_cache_stats",
     "cached_all_library_binaries",
+    "cached_analysis",
     "cached_boot_template",
     "cached_library_binary",
     "cached_library_profile",

@@ -348,10 +348,18 @@ class CampaignCoordinator:
             self._running = False
             self._cond.notify_all()
         if self._listener is not None:
+            # On Linux, close() alone does not wake an accept() already
+            # blocked on the listener; shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
         for stream in list(self._streams):
             stream.close()
         with self._lock:

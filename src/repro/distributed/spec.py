@@ -129,6 +129,8 @@ def build_engine(
     Both fabric roles call this: the coordinator (with its authoritative
     store) to compute schedule keys and the pending set, each worker (with
     no store — the coordinator owns persistence) to execute shard indices.
+    The call-site analysis comes from the process-wide artifact cache, so
+    two roles in one process analyze the target image once.
     Imports are local because this is the one place the distributed layer
     reaches into the analysis/controller stack.
     """

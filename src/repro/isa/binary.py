@@ -14,6 +14,7 @@ real binary:
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -108,6 +109,10 @@ class BinaryImage:
         #: function lookup; built lazily, assumes ``functions`` is not
         #: mutated after construction (nothing in the tool chain does).
         self._range_table: Optional[Tuple[List[int], List[FunctionInfo], int]] = None
+        #: Content identity, see :meth:`content_digest`.  ``compile_source``
+        #: records a digest of its inputs here; otherwise it stays ``None``
+        #: until first asked for.
+        self.digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -185,6 +190,30 @@ class BinaryImage:
 
     def source_of(self, address: int) -> Optional[SourceLocation]:
         return self.line_table.get(address)
+
+    def content_digest(self) -> str:
+        """A stable identity of the image's contents, computed at most once.
+
+        Images from ``compile_source`` already carry a digest of the
+        compilation inputs in :attr:`digest`.  Any other image hashes its
+        laid-out contents on first use, which costs milliseconds on a
+        target-sized image.  Unlike ``id()``, the digest never aliases a
+        different image that later reuses the address.
+        """
+        if self.digest is None:
+            content = (
+                self.name,
+                self.entry,
+                self.instructions,
+                sorted(self.symbols.items()),
+                self.imports,
+                sorted(self.data_words.items()),
+                sorted(self.data_symbols.items()),
+                sorted(self.line_table.items()),
+                sorted(self.functions.items()),
+            )
+            self.digest = "image:" + hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
+        return self.digest
 
     @property
     def errno_address_taken(self) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional
 
 from repro.isa.binary import BinaryImage
@@ -30,6 +31,9 @@ def compile_source(
 
     ``source_file`` is the name recorded in the debug line table (defaults to
     ``<name>.c``); ``entry`` is the exported symbol the VM starts from.
+    Compilation is deterministic, so the image's
+    :meth:`~repro.isa.binary.BinaryImage.content_digest` is a digest of
+    these four inputs, recorded here instead of hashing the laid-out image.
     """
     try:
         program = parse(source)
@@ -37,9 +41,12 @@ def compile_source(
         generator = CodeGenerator(
             program, symbols, name=name, source_file=source_file, entry=entry
         )
-        return generator.generate()
+        image = generator.generate()
     except (LexerError, ParseError, SemanticError) as error:
         raise CompilationError(name, error) from error
+    inputs = repr((source, name, source_file, entry)).encode("utf-8")
+    image.digest = "source:" + hashlib.sha256(inputs).hexdigest()
+    return image
 
 
 __all__ = ["CompilationError", "compile_source"]

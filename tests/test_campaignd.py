@@ -442,6 +442,24 @@ class TestServerFraming:
         assert errors == []
 
 
+class TestCoordinatorStop:
+    def test_stop_ends_the_accept_thread(self):
+        # On Linux, close() alone does not wake an accept() blocked on the
+        # listener, which would keep the thread and its coordinator alive.
+        coordinator = CampaignCoordinator(port=0)
+        address = coordinator.start()
+        client = CampaignClient(address)
+        try:
+            assert client.ping()["type"] == "pong"
+            coordinator.stop()
+            thread = coordinator._accept_thread
+            thread.join(timeout=2)
+            assert not thread.is_alive()
+        finally:
+            client.close()
+            coordinator.stop()
+
+
 # ----------------------------------------------------------------------
 # campaign spec
 # ----------------------------------------------------------------------

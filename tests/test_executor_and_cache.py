@@ -1,10 +1,16 @@
 """Tests for the campaign execution backends, the artifact cache, and the
 injection-gate / controller fixes that shipped with them."""
 
+import dataclasses
+import gc
 import os
+import sys
+import threading
+import weakref
 
 import pytest
 
+from repro.core.analysis.analyzer import CallSiteAnalyzer
 from repro.core.controller.campaign import TestCampaign as InjectionCampaign
 from repro.core.controller.controller import LFIController
 from repro.core.controller.executor import (
@@ -17,6 +23,7 @@ from repro.core.controller.executor import (
 )
 from repro.core.controller.monitor import OutcomeKind, RunResult, classify_exit_status
 from repro.core.controller.target import WorkloadRequest, make_gate
+from repro.core.exploration.store import ResultStore
 from repro.core.injection.gate import (
     _GATE_INTERNAL_FILES,
     _python_stack_provider,
@@ -24,17 +31,24 @@ from repro.core.injection.gate import (
 )
 from repro.core.injection.log import InjectionLog
 from repro.core.injection.runtime import InjectionRuntime
+from repro.core.profiler import cache as cache_module
 from repro.core.profiler.cache import (
     artifact_cache_stats,
     cached_all_library_binaries,
+    cached_analysis,
     cached_library_binary,
     cached_library_profile,
     cached_merged_profile,
     clear_artifact_cache,
 )
+from repro.core.profiler.fault_profile import FaultProfile
 from repro.core.scenario.builder import ScenarioBuilder
+from repro.distributed.spec import CampaignSpec, build_engine
 from repro.minicc import compile_source
 from repro.oslib.os_model import SimOS
+from repro.targets.mini_bind import MiniBindTarget
+from repro.targets.mini_git import MiniGitTarget
+from repro.targets.pbft import PBFTCheckpointTarget
 from repro.vm.machine import Machine
 
 TOY_SOURCE = """
@@ -306,6 +320,164 @@ class TestArtifactCache:
         controller.generate_scenarios(analysis)
         controller.analyze_target()
         assert controller._analyzer is analyzer
+
+
+def _fresh_analysis(controller, functions=None):
+    """The uncached analysis the cache must reproduce (the oracle)."""
+    analyzer = CallSiteAnalyzer(
+        profile=controller.profile_libraries(),
+        max_instructions=controller.max_cfg_instructions,
+    )
+    return analyzer.analyze(controller.target.binary(), functions=functions)
+
+
+def _with_first_error_return(profile, function, **changes):
+    """A copy of *profile* with *changes* made to *function*'s first error
+    return specification."""
+    first, *rest = profile.function(function).error_returns
+    functions = dict(profile.functions)
+    functions[function] = dataclasses.replace(
+        functions[function], error_returns=[dataclasses.replace(first, **changes), *rest]
+    )
+    return FaultProfile(library="custom", functions=functions)
+
+
+class TestAnalysisCache:
+    def setup_method(self):
+        clear_artifact_cache()
+
+    def teardown_method(self):
+        clear_artifact_cache()
+
+    @pytest.mark.parametrize(
+        "target_class", [MiniGitTarget, MiniBindTarget, PBFTCheckpointTarget]
+    )
+    def test_cached_report_matches_a_fresh_analysis(self, target_class):
+        controller = LFIController(target_class())
+        cached = controller.analyze_target()
+        fresh = _fresh_analysis(controller)
+        assert cached.classifications
+        assert cached.classifications == fresh.classifications
+        assert cached.call_sites_analyzed == fresh.call_sites_analyzed
+        assert controller.analyze_target() is cached
+
+    def test_controllers_over_two_instances_share_one_analysis(self):
+        first, second = LFIController(MiniGitTarget()), LFIController(MiniGitTarget())
+        assert first.target is not second.target
+        assert first.target.binary() is second.target.binary()
+        report = first.analyze_target()
+        stats = artifact_cache_stats()
+        assert (stats.analysis_misses, stats.analysis_hits) == (1, 0)
+        assert second.analyze_target() is report
+        assert second.fault_space() == first.fault_space()
+        stats = artifact_cache_stats()
+        assert (stats.analysis_misses, stats.analysis_hits) == (1, 3)
+
+    def test_budget_selection_and_error_values_key_the_cache(self):
+        target = MiniGitTarget()
+        base = LFIController(target).analyze_target()
+
+        narrow = LFIController(target, max_cfg_instructions=3)
+        assert narrow.analyze_target() is not base
+        assert narrow.analyze_target().classifications == _fresh_analysis(narrow).classifications
+
+        selection = sorted(base.classifications)[:2]
+        controller = LFIController(target)
+        selected = controller.analyze_target(functions=selection)
+        assert selected is not base
+        assert list(selected.classifications) == selection
+        assert selected.classifications == _fresh_analysis(controller, selection).classifications
+        assert artifact_cache_stats().analysis_misses == 3
+
+        merged = cached_merged_profile()
+        function = selection[0]
+        errno_only = _with_first_error_return(merged, function, errnos=("EIO",))
+        # Errnos are enumerated after analysis, so an errno-only change hits.
+        assert LFIController(target, profile=errno_only).analyze_target() is base
+
+        changed = LFIController(
+            target, profile=_with_first_error_return(merged, function, return_value=-77)
+        )
+        report = changed.analyze_target()
+        assert report is not base
+        assert report.classifications == _fresh_analysis(changed).classifications
+        assert report.classifications[function].error_codes != (
+            base.classifications[function].error_codes
+        )
+        assert artifact_cache_stats().analysis_misses == 4
+
+    def test_clear_artifact_cache_drops_analyses(self):
+        target = MiniBindTarget()
+        report = LFIController(target).analyze_target()
+        clear_artifact_cache()
+        stats = artifact_cache_stats()
+        assert (stats.analysis_misses, stats.analysis_hits) == (0, 0)
+        again = LFIController(target).analyze_target()
+        assert again is not report
+        assert artifact_cache_stats().analysis_misses == 1
+
+    def test_entries_die_with_their_image(self):
+        binary = compile_source(TOY_SOURCE, name="short-lived")
+        analyzer = CallSiteAnalyzer(profile=cached_merged_profile())
+        assert cached_analysis(analyzer, binary).classifications
+        image = weakref.ref(binary)
+        del binary
+        gc.collect()
+        # The report holds no reference to its image, so the weak key lets
+        # the image (and with it the entry) go.
+        assert image() is None
+        assert len(cache_module._ANALYSES) == 0
+
+    def test_coordinator_and_worker_engine_builds_analyze_once(self, monkeypatch):
+        calls = []
+        analyze = CallSiteAnalyzer.analyze
+
+        def counting(self, binary, functions=None):
+            calls.append(binary.name)
+            return analyze(self, binary, functions=functions)
+
+        monkeypatch.setattr(CallSiteAnalyzer, "analyze", counting)
+        spec = CampaignSpec(
+            target="mini_git", workload="status", seed=7, functions=["close", "malloc"]
+        )
+        _, coordinator_points = build_engine(spec, ResultStore())
+        _, worker_points = build_engine(spec)
+        assert [point.key for point in worker_points] == [
+            point.key for point in coordinator_points
+        ]
+        assert calls == ["mini_git"]
+
+    def test_threads_racing_on_one_image_share_one_report(self):
+        target = MiniBindTarget()
+        target.binary()  # compile outside the race
+        workers = 8
+        barrier = threading.Barrier(workers)
+        reports, errors = [], []
+
+        def analyze():
+            try:
+                barrier.wait(timeout=30)
+                reports.append(LFIController(target).analyze_target())
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=analyze) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(reports) == workers
+        assert all(report is reports[0] for report in reports)
+        stats = artifact_cache_stats()
+        assert stats.analysis_hits + stats.analysis_misses == workers
+        assert stats.analysis_misses == 1
 
 
 class TestGateFixes:

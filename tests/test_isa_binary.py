@@ -104,3 +104,20 @@ class TestInferredFunctions:
         )
         assert binary.functions["a"].size == 2
         assert binary.functions["b"].size == 3
+
+
+class TestContentDigest:
+    def test_compiled_images_digest_their_inputs(self, binary):
+        assert binary.content_digest() == compile_source(SOURCE, name="binmodel").digest
+        assert compile_source(SOURCE + "\n", name="binmodel").digest != binary.digest
+        assert compile_source(SOURCE, name="other").digest != binary.digest
+
+    def test_other_images_hash_their_contents_once(self):
+        text = ".func a\n    nop\n    ret\n.endfunc"
+        first = assemble_text(text, name="two")
+        assert first.digest is None
+        digest = first.content_digest()
+        assert first.digest == digest
+        assert assemble_text(text, name="two").content_digest() == digest
+        assert assemble_text(text.replace("nop", "ret"), name="two").content_digest() != digest
+        assert assemble_text(text, name="three").content_digest() != digest

@@ -153,7 +153,7 @@ class TestSuffixMemoContainer:
 # memo keys
 # ----------------------------------------------------------------------
 class TestMemberMemoKey:
-    def test_key_covers_fault_and_workload_but_not_seed(self):
+    def test_key_covers_fault_and_workload_but_not_seed(self, monkeypatch):
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:2]
 
@@ -171,6 +171,20 @@ class TestMemberMemoKey:
         # not split cache lines; a behaviour-bearing option must.
         assert key(scenarios[0], options={"run_seed": 99}) == first
         assert key(scenarios[0], options={"requests": 5}) != first
+
+        # The image enters the key by content, not by id(): an identical
+        # recompile after the binary cache is cleared keeps the key, and a
+        # changed source under the same target name changes it.
+        monkeypatch.setattr(targets_base.CompiledTarget, "_binary_cache", {})
+        assert key(scenarios[0]) == first
+
+        class EditedGit(MiniGitTarget):
+            def source(self):
+                return super().source() + "\nint unused_helper() { return 0; }\n"
+
+        monkeypatch.setattr(targets_base.CompiledTarget, "_binary_cache", {})
+        edited = member_memo_key(EditedGit(), "status", scenarios[0], False, {}, False)
+        assert edited is not None and edited != first
 
     def test_unshareable_scenarios_get_no_key(self):
         target = MiniGitTarget()
