@@ -1,32 +1,22 @@
 #!/usr/bin/env python3
 """Adaptive exploration benchmark — writes ``BENCH_adaptive.json``.
 
-Three measurements for the round-based feedback loop (doc/ADAPTIVE.md):
+Two measurements for the round-based feedback loop (doc/ADAPTIVE.md):
 
 1. **probes_to_plateau** — the coverage-guided strategy vs the exhaustive
    sweep on the full mini_git fault space: both must reach the *same*
    recovery-line universe (the table3 metric), and the adaptive campaign
    must get there executing **at most 60%** of the exhaustive probe
-   count (the PR 10 acceptance criterion — asserted, in smoke mode too).
-2. **cost_model_packing** — the skewed group family from the scheduling
-   benchmark packed by the fixed 0.35 suffix-fraction prior vs the
-   :class:`CostModel` trained on this machine's measured group runtimes.
-   Both packings are actually drained (fresh target per batch) and must
-   be bit-identical; the learned fraction and both makespans are
-   reported.  The learned packing should not lose.
-3. **distributed_check** — the same adaptive campaign serial vs through
-   an in-process coordinator + two protocol-v3 workers (central round
-   planning, explicit-assignment leases): merged records must be
-   bit-identical and the coordinator's planner/round counts must match
-   the serial run's.
+   count (asserted).
+2. **distributed_check** — the same adaptive campaign serial vs through
+   an in-process coordinator + two workers (central round planning,
+   explicit-assignment leases): merged records must be bit-identical and
+   the coordinator's planner/round counts must match the serial run's.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/bench_adaptive.py [--smoke] \
+    PYTHONPATH=src python benchmarks/bench_adaptive.py \
         [--output BENCH_adaptive.json]
-
-``--smoke`` shrinks the packing family for CI; the coverage-parity and
-bit-identity asserts run identically in both modes.
 """
 
 from __future__ import annotations
@@ -36,31 +26,18 @@ import json
 import os
 import sys
 import tempfile
-import time
-from dataclasses import replace as dc_replace
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core.controller.controller import LFIController  # noqa: E402
-from repro.core.controller.costmodel import (  # noqa: E402
-    CostModel,
-    set_default_cost_model,
-)
-from repro.core.controller.executor import (  # noqa: E402
-    estimate_group_cost,
-    execute_group_batch,
-    plan_group_batches,
-)
-from repro.core.controller.prefix import build_group_tasks  # noqa: E402
 from repro.core.exploration.engine import ExplorationEngine  # noqa: E402
 from repro.core.exploration.store import ResultStore  # noqa: E402
 from repro.core.exploration.strategy import (  # noqa: E402
     ExplorationStrategy,
     SingleRoundSession,
 )
-from repro.core.scenario.builder import ScenarioBuilder  # noqa: E402
 from repro.distributed.campaignd import CampaignCoordinator  # noqa: E402
 from repro.distributed.client import CampaignClient  # noqa: E402
 from repro.distributed.spec import CampaignSpec, build_engine  # noqa: E402
@@ -136,121 +113,7 @@ def bench_plateau() -> dict:
 
 
 # ----------------------------------------------------------------------
-# 2. cost_model_packing: learned vs fixed suffix fraction
-# ----------------------------------------------------------------------
-def _fault_family(function, counts, errnos, return_value):
-    scenarios = []
-    for nth in counts:
-        for errno in errnos:
-            builder = ScenarioBuilder(f"{function}-{nth}-{errno}")
-            builder.trigger("count", "CallCountTrigger", nth=nth)
-            builder.inject(function, ["count"], return_value=return_value,
-                           errno=errno)
-            scenarios.append(builder.build())
-    return scenarios
-
-
-def _skewed_scenarios(family_errnos):
-    return (
-        _fault_family("malloc", range(1, 8), family_errnos, 0)
-        + _fault_family("open", range(1, 6), ("EACCES", "ENOENT"), -1)
-        + _fault_family("close", range(1, 6), ("EIO",), -1)
-        + _fault_family("write", range(1, 4), ("ENOSPC",), -1)
-    )
-
-
-def bench_packing(shards, family_errnos, repeats) -> dict:
-    scenarios = _skewed_scenarios(family_errnos)
-    entries = [(index, s, None) for index, s in enumerate(scenarios)]
-    options = {"memo": False, "snapshots": True}
-
-    def make_tasks():
-        return build_group_tasks(
-            MiniGitTarget(), "default-tests", entries, options=options
-        )
-
-    ref_tasks = make_tasks()
-
-    def plan(model):
-        return plan_group_batches(ref_tasks, shards, policy="adaptive",
-                                  model=model)
-
-    def drain(model):
-        batches = plan(model)
-        merged = {}
-        makespan = 0.0
-        for batch in batches:
-            # Fresh target per batch: process-shard semantics, every
-            # shard owns its boot/capture caches.
-            by_index = {task.index: task for task in make_tasks()}
-            fallback = MiniGitTarget()
-            fresh = dc_replace(batch, groups=[
-                dc_replace(group, target=by_index[group.index].target
-                           if group.index in by_index else fallback)
-                for group in batch.groups
-            ])
-            start = time.perf_counter()
-            merged.update(execute_group_batch(fresh))
-            makespan = max(makespan, time.perf_counter() - start)
-        signature = [
-            (merged[i].outcome.kind.value, merged[i].outcome.detail,
-             merged[i].injections)
-            for i in sorted(merged)
-        ]
-        return makespan, signature
-
-    # Train the model on this machine's real group runtimes: one isolated
-    # warm-up drain whose direct executions feed the (swapped-in) default
-    # model — exactly what a first campaign leaves behind for the next.
-    previous = set_default_cost_model(CostModel())
-    try:
-        drain(None)  # warm process caches AND collect observations
-        learned = set_default_cost_model(CostModel())
-    finally:
-        set_default_cost_model(previous)
-
-    fixed_makespan = learned_makespan = None
-    fixed_signature = learned_signature = None
-    for _ in range(repeats):
-        makespan, fixed_signature = drain(CostModel())  # fresh = 0.35 prior
-        fixed_makespan = min(fixed_makespan or makespan, makespan)
-        makespan, learned_signature = drain(learned)
-        learned_makespan = min(learned_makespan or makespan, makespan)
-    assert fixed_signature == learned_signature, (
-        "learned cost model changed sweep results"
-    )
-
-    def modeled_makespan(batches):
-        # Both plans judged by the *trusted* (measured) model: the plan
-        # packed with accurate costs should not look worse than the plan
-        # packed with the blind prior.
-        return max(
-            sum(estimate_group_cost(group, model=learned)
-                for group in batch.groups)
-            for batch in batches
-        )
-
-    return {
-        "shards": shards,
-        "groups": len(ref_tasks),
-        "runs": len(scenarios),
-        "observations": learned.observations(),
-        "fixed_fraction": 0.35,
-        "learned_fraction": round(learned.suffix_fraction(), 4),
-        "fixed_makespan_seconds": round(fixed_makespan, 4),
-        "learned_makespan_seconds": round(learned_makespan, 4),
-        "speedup_learned_vs_fixed": round(fixed_makespan / learned_makespan, 2),
-        "modeled_makespan_fixed_plan": round(
-            modeled_makespan(plan(CostModel())), 4
-        ),
-        "modeled_makespan_learned_plan": round(
-            modeled_makespan(plan(learned)), 4
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# 3. distributed_check: serial vs coordinator + 2 v3 workers
+# 2. distributed_check: serial vs coordinator + 2 workers
 # ----------------------------------------------------------------------
 def check_distributed(tmp_store) -> dict:
     spec_kwargs = dict(
@@ -271,8 +134,7 @@ def check_distributed(tmp_store) -> dict:
     address = coordinator.start()
     client = CampaignClient(address)
     workers = [
-        CampaignWorker(address, worker_id=f"bench-w{i}", result_batch_size=2)
-        for i in range(2)
+        CampaignWorker(address, worker_id=f"bench-w{i}") for i in range(2)
     ]
     try:
         reply = client.submit(CampaignSpec(store_path=tmp_store, **spec_kwargs))
@@ -304,36 +166,21 @@ def check_distributed(tmp_store) -> dict:
         "rounds": status["planner"]["rounds"],
         "identical_to_serial": True,
         "workers": 2,
-        "cost_model_observations": status["cost_model"]["observations"],
     }
 
 
 # ----------------------------------------------------------------------
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="shrink for CI")
     parser.add_argument("--output", default="BENCH_adaptive.json")
     args = parser.parse_args()
-
-    if args.smoke:
-        family_errnos = ("ENOMEM", "EAGAIN", "EINTR", "EIO", "ENOSPC",
-                         "EACCES", "EFAULT", "EINVAL")
-        repeats = 1
-    else:
-        family_errnos = ("ENOMEM", "EAGAIN", "EINTR", "EIO", "ENOSPC",
-                         "EACCES", "EFAULT", "EINVAL", "ENFILE", "EMFILE",
-                         "ENODEV", "EPERM", "ENOENT", "EBADF", "EROFS",
-                         "EISDIR")
-        repeats = 3
 
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
             "benchmark": "adaptive",
-            "mode": "smoke" if args.smoke else "full",
             "python": sys.version.split()[0],
             "cpu_count": os.cpu_count(),
             "probes_to_plateau": bench_plateau(),
-            "cost_model_packing": bench_packing(4, family_errnos, repeats),
             "distributed_check": check_distributed(
                 os.path.join(tmp, "bench_adaptive.jsonl")
             ),
@@ -344,34 +191,16 @@ def main() -> int:
         handle.write("\n")
 
     plateau = payload["probes_to_plateau"]
-    packing = payload["cost_model_packing"]
     distributed = payload["distributed_check"]
     print(f"probes_to_plateau: adaptive {plateau['adaptive_probes']} vs "
           f"exhaustive {plateau['exhaustive_probes']} probes "
           f"({plateau['probe_fraction']:.0%}) over "
           f"{plateau['adaptive_rounds']} rounds, full parity on "
           f"{plateau['recovery_lines']} recovery lines")
-    print(f"cost_model_packing: fixed 0.35 makespan "
-          f"{packing['fixed_makespan_seconds']}s, learned "
-          f"{packing['learned_fraction']} makespan "
-          f"{packing['learned_makespan_seconds']}s -> "
-          f"{packing['speedup_learned_vs_fixed']}x "
-          f"({packing['observations']} observations)")
     print(f"distributed_check: {distributed['records']} records over "
           f"{distributed['rounds']} centrally planned rounds, bit-identical "
           f"to serial")
     print(f"wrote {args.output}")
-
-    # Both packings execute identical work and differ only in batch
-    # composition, so the measured delta on a small family is noise-bound:
-    # warn, never fail.  The correctness gates are the asserts above.
-    if packing["speedup_learned_vs_fixed"] < 1.0:
-        print("WARNING: learned cost-model packing measured slower than the "
-              "fixed prior", file=sys.stderr)
-    if (packing["modeled_makespan_learned_plan"]
-            > packing["modeled_makespan_fixed_plan"] * 1.001):
-        print("WARNING: learned-model plan looks worse than the prior plan "
-              "under its own cost model", file=sys.stderr)
     return 0
 
 

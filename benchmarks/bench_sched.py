@@ -322,7 +322,7 @@ def check_fabric(tmp_store) -> dict:
     coordinator = CampaignCoordinator(port=0, shard_size=4)
     address = coordinator.start()
     client = CampaignClient(address)
-    worker = CampaignWorker(address, worker_id="bench", result_batch_size=4)
+    worker = CampaignWorker(address, worker_id="bench")
     try:
         reply = client.submit(CampaignSpec(store_path=tmp_store, **spec_kwargs))
         while worker.run_once():

@@ -198,10 +198,11 @@ errno, and every behaviour-relevant execution knob — to pickled results,
 so re-sweeps, resumed campaigns, and overlapping specs on a long-lived
 fabric worker answer from the memo instead of re-executing the suffix
 (``memo=`` / ``REPRO_MEMO`` / ``REPRO_MEMO_BYTES``; ``memo=False`` is
-the differential oracle path).  Group batches are planned by a cost
-model (:func:`~repro.core.controller.executor.plan_group_batches`):
-skewed prefix families split into sub-groups that re-resume from the
-shared capture, and batches pack by longest-processing-time.  The full
+the differential oracle path).  Group batches are planned by a fixed
+cost estimate — a resumed suffix costs 0.35 of a full probe
+(:func:`~repro.core.controller.executor.plan_group_batches`): skewed
+prefix families split into sub-groups that re-resume from the shared
+capture, and batches pack by longest-processing-time.  The full
 pipeline — group keys → prefix tree → suffix memo → adaptive split —
 is documented in ``doc/SCHEDULING.md``; campaign runs surface
 boot-template and memo hit/miss counters in
@@ -226,12 +227,14 @@ merged results are **bit-identical** to a serial
 :meth:`ExplorationEngine.explore` run.  Worker links carry leases with
 heartbeats: a dead worker's unfinished shard re-queues automatically, and a
 slow worker whose lease was reassigned is told ``stale_lease`` (duplicate
-records are idempotent).  Every record is flushed — and fsynced, under the
-default ``durable`` knob — to the campaign's JSON-lines store *before* it
-is acknowledged, so the store is the only durable state: kill the
-coordinator (or a worker, or both) mid-campaign, restart, and resubmitting
-the same spec resumes from the checkpoint, re-running nothing already
-stored.  A torn final line (a kill mid-append) is detected and truncated;
+records are idempotent).  Coordinator, workers and clients ship together,
+so the wire has exactly one protocol version: a ``hello`` of any other
+version is refused and the connection closed.  Every record is flushed —
+and fsynced, under the default ``durable`` knob — to the campaign's
+JSON-lines store *before* it is acknowledged, so the store is the only
+durable state: kill the coordinator (or a worker, or both) mid-campaign,
+restart, and resubmitting the same spec resumes from the checkpoint,
+re-running nothing already stored.  A torn final line (a kill mid-append) is detected and truncated;
 interior store corruption raises
 :class:`~repro.core.exploration.StoreCorruptError` instead of silently
 mis-scheduling completed work.  The ``repro-campaign`` CLI wraps the client
@@ -258,16 +261,12 @@ steers rounds toward fault points whose neighbours unlocked new
 recovery-code coverage — the paper's own Table 3 metric — and stops at
 a coverage plateau instead of sweeping the full space; the static
 strategies are behaviour-identical single-round planners and remain the
-differential oracle.  The fixed suffix-cost constant that steered LPT
-group packing became a learned, serializable
-:class:`~repro.core.controller.costmodel.CostModel` (online least
-squares over measured group runtimes, blended with the 0.35 prior), and
-protocol v3 teaches the campaign fabric central round planning: the
-coordinator holds the planner, leases only the current round as
-explicit ``(index, point key)`` assignments, and aggregates cost-model
-observations fleet-wide.  Adaptive runs obey *"spec + completed results
-⇒ next round"*, so serial, pooled, and distributed explorations of the
-same store are bit-identical.  Reference: ``doc/ADAPTIVE.md``.
+differential oracle.  The campaign fabric plans adaptive rounds
+centrally: the coordinator holds the planner and leases only the
+current round as explicit ``(index, point key)`` assignments.  Adaptive
+runs obey *"spec + completed results ⇒ next round"*, so serial, pooled,
+and distributed explorations of the same store are bit-identical.
+Reference: ``doc/ADAPTIVE.md``.
 
 **Structured fault classes.**  Beyond the classic (return value, errno)
 pair, :mod:`repro.core.faults` defines a taxonomy of structured classes —

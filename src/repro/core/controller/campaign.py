@@ -45,7 +45,6 @@ from repro.core.controller.prefix import (
     resolve_sharing,
     run_scenarios_shared,
 )
-from repro.core.controller.costmodel import default_cost_model
 from repro.core.controller.memo import MemoStats, resolve_memo
 from repro.core.controller.target import TargetAdapter, WorkloadRequest
 from repro.core.profiler.cache import artifact_cache_stats
@@ -172,8 +171,6 @@ class TestCampaign:
         # Pool-children counters are invisible here (they live in the forked
         # workers); fabric workers report their own deltas via shard_done.
         cache_before = artifact_cache_stats()
-        cost_model = default_cost_model()
-        cost_before = cost_model.observations()
         # Whichever memo this run resolves (process-wide, a private instance
         # passed via ``memo=``, or none at all on the oracle path) is the one
         # whose deltas belong in the stats.
@@ -267,15 +264,6 @@ class TestCampaign:
                 "evictions": memo_after.evictions - memo_before.evictions,
                 "entries": memo_after.entries,
                 "bytes": memo_after.current_bytes,
-            },
-            # The learned group-cost model steering LPT packing: how many
-            # direct group executions this campaign contributed, and the
-            # suffix/probe fraction the packer currently uses (0.35 prior
-            # until enough observations accumulate).
-            "cost_model": {
-                "observations": cost_model.observations() - cost_before,
-                "total_observations": cost_model.observations(),
-                "suffix_fraction": round(cost_model.suffix_fraction(), 4),
             },
         }
         return campaign

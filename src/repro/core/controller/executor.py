@@ -60,11 +60,6 @@ from typing import (
     Union,
 )
 
-from repro.core.controller.costmodel import (
-    SUFFIX_COST_FRACTION,
-    CostModel,
-    default_cost_model,
-)
 from repro.core.controller.monitor import RunResult
 from repro.core.controller.target import TargetAdapter, WorkloadRequest
 
@@ -205,12 +200,10 @@ def shard_group_tasks(
 # ----------------------------------------------------------------------
 # cost-adaptive group scheduling
 # ----------------------------------------------------------------------
-# The suffix/probe cost ratio is no longer a constant: the process-wide
-# CostModel (repro.core.controller.costmodel) measures per-group
-# probe/suffix runtimes online — fed from _run_entry_group_direct — with
-# the historical 0.35 as the prior a fresh model reproduces exactly.
-# SUFFIX_COST_FRACTION is re-exported above for callers wanting the raw
-# prior.
+#: Relative cost of a resumed suffix: a group of *m* members costs one
+#: full probe plus ``m - 1`` suffixes at ~35% of a probe each.  Costs only
+#: steer packing (which worker drains which groups), never results.
+SUFFIX_COST_FRACTION = 0.35
 
 #: Accepted ``group_sched`` / ``REPRO_GROUP_SCHED`` policy names.
 GROUP_SCHEDULE_POLICIES = ("adaptive", "static")
@@ -219,44 +212,33 @@ GROUP_SCHEDULE_POLICIES = ("adaptive", "static")
 def resolve_group_schedule(policy: Optional[str] = None) -> str:
     """Normalise a group-scheduling policy name (``None`` = environment).
 
-    ``adaptive`` (the default) is cost-model-driven splitting + LPT
-    packing (:func:`plan_group_batches`); ``static`` (aliases
-    ``round-robin``/``rr``) is the historical :func:`shard_group_tasks`
-    interleaving.  ``REPRO_GROUP_SCHED`` sets the process default.
+    ``adaptive`` (the default) is cost-estimated splitting + LPT
+    packing (:func:`plan_group_batches`); ``static`` is the historical
+    round-robin :func:`shard_group_tasks` interleaving.
+    ``REPRO_GROUP_SCHED`` sets the process default.
     """
     if policy is None:
         policy = os.environ.get("REPRO_GROUP_SCHED") or "adaptive"
     name = str(policy).strip().lower()
-    if name in ("round-robin", "roundrobin", "rr"):
-        name = "static"
     if name not in GROUP_SCHEDULE_POLICIES:
         raise ValueError(
             f"unknown group schedule policy {policy!r}; known policies: "
-            f"{', '.join(GROUP_SCHEDULE_POLICIES)} (alias: round-robin)"
+            f"{', '.join(GROUP_SCHEDULE_POLICIES)}"
         )
     return name
 
 
-def estimate_group_cost(
-    task: GroupTask,
-    suffix_fraction: Optional[float] = None,
-    model: Optional[CostModel] = None,
-) -> float:
+def estimate_group_cost(task: GroupTask) -> float:
     """Estimated cost of draining *task*, in units of one full run.
 
-    One full probe run plus a fractional suffix per additional member.
-    The fraction comes from the learned :class:`CostModel` (the
-    process-wide default unless ``model`` is given) — a fresh model
-    yields the 0.35 prior — or from an explicit ``suffix_fraction``
-    override.  Workload length scales every group of one campaign
-    equally, so it cancels out of the packing decision and is left out.
+    One full probe run plus :data:`SUFFIX_COST_FRACTION` per additional
+    member.  Workload length scales every group of one campaign equally,
+    so it cancels out of the packing decision and is left out.
     """
     members = len(task.entries)
     if members <= 0:
         return 0.0
-    if suffix_fraction is None:
-        suffix_fraction = (model or default_cost_model()).suffix_fraction()
-    return 1.0 + (members - 1) * suffix_fraction
+    return 1.0 + (members - 1) * SUFFIX_COST_FRACTION
 
 
 def split_group_task(task: GroupTask, parts: int) -> List[GroupTask]:
@@ -288,23 +270,20 @@ def plan_group_batches(
     tasks: Sequence[GroupTask],
     shards: int,
     policy: Optional[str] = None,
-    model: Optional[CostModel] = None,
 ) -> List[GroupBatchTask]:
     """Plan the per-worker batches for a campaign's groups.
 
-    The ``adaptive`` policy replaces static round-robin with a cost
-    model: any group whose estimated cost exceeds the fair per-worker
-    share is split into rank-ordered sub-groups
-    (:func:`split_group_task`) so one huge errno family no longer
-    serializes a whole campaign on a single worker, and the resulting
-    tasks are LPT-packed (longest processing time first onto the least
-    loaded shard) into at most *shards* batches.  Group costs use the
-    learned :class:`CostModel`'s current suffix fraction, sampled **once
-    per plan** so concurrent observations cannot skew one plan's
-    internal consistency.  The plan is a pure function of ``(tasks,
-    shards, policy, fraction)`` — deterministic tie-breaking by task
-    index — and never emits an empty batch, so every dispatched batch
-    does real work and every member index appears exactly once.
+    The ``adaptive`` policy replaces static round-robin with cost
+    estimates (:func:`estimate_group_cost`): any group whose estimated
+    cost exceeds the fair per-worker share is split into rank-ordered
+    sub-groups (:func:`split_group_task`) so one huge errno family no
+    longer serializes a whole campaign on a single worker, and the
+    resulting tasks are LPT-packed (longest processing time first onto
+    the least loaded shard) into at most *shards* batches.  The plan is a
+    pure function of ``(tasks, shards, policy)`` — deterministic
+    tie-breaking by task index — and never emits an empty batch, so every
+    dispatched batch does real work and every member index appears
+    exactly once.
     """
     name = resolve_group_schedule(policy)
     ordered = sorted(tasks, key=lambda task: task.index)
@@ -314,18 +293,13 @@ def plan_group_batches(
     if name == "static":
         batches = shard_group_tasks(ordered, shards)
     else:
-        fraction = (model or default_cost_model()).suffix_fraction()
-
-        def cost(task: GroupTask) -> float:
-            return estimate_group_cost(task, suffix_fraction=fraction)
-
-        total = sum(cost(task) for task in ordered)
-        fair = total / shards
+        fair = sum(estimate_group_cost(task) for task in ordered) / shards
         expanded: List[GroupTask] = []
         for task in ordered:
-            if shards > 1 and len(task.entries) > 1 and cost(task) > fair:
+            cost = estimate_group_cost(task)
+            if shards > 1 and len(task.entries) > 1 and cost > fair:
                 expanded.extend(
-                    split_group_task(task, math.ceil(cost(task) / max(fair, 1e-9)))
+                    split_group_task(task, math.ceil(cost / max(fair, 1e-9)))
                 )
             else:
                 expanded.append(task)
@@ -335,10 +309,12 @@ def plan_group_batches(
         heap: List[Tuple[float, int]] = [(0.0, shard) for shard in range(shards)]
         heapq.heapify(heap)
         assignment: List[List[GroupTask]] = [[] for _ in range(shards)]
-        for task in sorted(expanded, key=lambda task: (-cost(task), task.index)):
+        for task in sorted(
+            expanded, key=lambda task: (-estimate_group_cost(task), task.index)
+        ):
             load, shard = heapq.heappop(heap)
             assignment[shard].append(task)
-            heapq.heappush(heap, (load + cost(task), shard))
+            heapq.heappush(heap, (load + estimate_group_cost(task), shard))
         batches = [
             GroupBatchTask(index=0, groups=sorted(groups, key=lambda task: task.index))
             for groups in assignment
@@ -687,7 +663,6 @@ def run_requests(
 
 
 __all__ = [
-    "CostModel",
     "ExecutionBackend",
     "ExecutionTask",
     "GROUP_SCHEDULE_POLICIES",
@@ -699,7 +674,6 @@ __all__ = [
     "SerialBackend",
     "ThreadPoolBackend",
     "backend_scope",
-    "default_cost_model",
     "derive_run_seed",
     "estimate_group_cost",
     "execute_group",

@@ -53,12 +53,9 @@ backend tasks so sharing composes with the pool backends).
 from __future__ import annotations
 
 import copy
-import time
 import weakref
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.core.controller.costmodel import observe_group_runtime
 
 from repro.core.controller.monitor import (
     Outcome,
@@ -1143,7 +1140,7 @@ def run_entry_group(
         else _memo_context(target, workload, collect_coverage, options, observe_only)
     )
     if memo is None or context is None:
-        return _run_entry_group_direct(
+        return _run_entry_group_paths(
             target, workload, members, collect_coverage, options, observe_only
         )
     results: Dict[int, RunResult] = {}
@@ -1161,7 +1158,7 @@ def run_entry_group(
         miss_keys[index] = key
         misses.append(entry)
     if misses:
-        fresh = _run_entry_group_direct(
+        fresh = _run_entry_group_paths(
             target, workload, misses, collect_coverage, options, observe_only
         )
         for index, result in fresh.items():
@@ -1171,32 +1168,6 @@ def run_entry_group(
                 # the caller does with the live result afterwards.
                 memo.store(key, result)
             results[index] = result
-    return results
-
-
-def _run_entry_group_direct(
-    target: TargetAdapter,
-    workload: str,
-    members: Sequence[Entry],
-    collect_coverage: bool,
-    options: Dict[str, Any],
-    observe_only: bool = False,
-) -> Dict[int, RunResult]:
-    """The memo-free group execution paths (probe + resume/replicate).
-
-    Every direct execution (memo hits never reach here) is timed and fed
-    to the process-wide :class:`~repro.core.controller.costmodel.CostModel`
-    as one ``(members, elapsed)`` observation — the raw material the
-    scheduler's learned suffix fraction is fitted from.
-    """
-    started = time.perf_counter()
-    try:
-        results = _run_entry_group_paths(
-            target, workload, members, collect_coverage, options,
-            observe_only=observe_only,
-        )
-    finally:
-        observe_group_runtime(len(members), time.perf_counter() - started)
     return results
 
 

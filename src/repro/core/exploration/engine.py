@@ -518,7 +518,7 @@ class ExplorationEngine:
     ) -> Iterator[StoredResult]:
         """Execute explicit ``(schedule index, point key)`` assignments.
 
-        The protocol-v3 worker entry point for **adaptive** campaigns: the
+        The fabric worker's entry point for **adaptive** campaigns: the
         coordinator plans rounds centrally (it holds the feedback), so a
         lease names its points explicitly instead of by derivable schedule
         position.  Seeds still derive from the shipped indices — the

@@ -10,8 +10,11 @@ kinds of peers:
   and cancel campaigns;
 * **workers** (`repro-campaignd worker`) pull *shard leases* — batches of
   schedule indices — execute them on their local engine/pool stack, and
-  stream result records back (batched k-per-message on protocol ≥ 2,
-  per-record against older peers).
+  stream result records back in ``result_batch`` messages.
+
+Every link opens with a ``hello`` naming
+:data:`~repro.distributed.protocol.PROTOCOL_VERSION`; a peer of any other
+version is answered ``error`` and disconnected.
 
 Shard leases are *group-aware*: :func:`plan_lease_shards` co-locates a
 prefix group's members in one lease, so the worker that drains them shares
@@ -35,24 +38,21 @@ spec (same ``store_path``), and only unfinished points are re-sharded —
 the same story as a locally interrupted ``explore()``.
 
 **Leases expire; records are idempotent.**  A shard lease carries a
-deadline, extended by every result and heartbeat from its worker.  A dead
-worker's lease expires and its unfinished indices return to the front of
-the queue for the next ``fetch``.  A *slow* (not dead) worker whose lease
-was reassigned keeps streaming records — they are acknowledged as
-``stale_lease`` and ignored, and even a racing duplicate record is
-harmless because the store keeps first-completion-wins per key.
+deadline, extended by every ``result_batch`` and heartbeat from its
+worker.  A dead worker's lease expires and its unfinished indices return
+to the front of the queue for the next ``fetch``.  A *slow* (not dead)
+worker whose lease was reassigned keeps streaming records — they are
+acknowledged as ``stale_lease`` and ignored, and even a racing duplicate
+record is harmless because the store keeps first-completion-wins per key.
 
 **Adaptive campaigns are planned here.**  A coverage-guided spec has no
 ahead-of-time schedule, so the coordinator owns the campaign's
 :class:`~repro.core.exploration.engine.RoundPlanner`: it holds the
 authoritative store, which is exactly what the determinism contract needs
 ("spec + completed results ⇒ next round", ``doc/ADAPTIVE.md``).  Adaptive
-shard leases carry explicit ``(index, point key)`` assignments — plus the
-fleet-aggregate cost-model snapshot — and only ever cover the *current*
-round; when the round's last record lands, the next round is planned
-under the lock and its shards enqueue immediately.  Only protocol ≥ 3
-workers are leased adaptive shards (``fetch`` advertises the worker's
-version); older workers keep draining static campaigns unchanged.
+shard leases carry explicit ``(index, point key)`` assignments and only
+ever cover the *current* round; when the round's last record lands, the
+next round is planned under the lock and its shards enqueue immediately.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.controller.costmodel import CostModel
 from repro.core.exploration.engine import RoundPlanner
 from repro.core.exploration.store import ResultStore, StoredResult
 from repro.distributed.protocol import (
@@ -107,8 +106,7 @@ def plan_lease_shards(
     solo points are packed together up to *shard_size*, preserving
     schedule order within and across shards as far as grouping allows.
 
-    Without keys (sharing off, or derivation failed) this degrades to the
-    plain contiguous chunking the fabric always used.
+    Without keys this degrades to plain contiguous chunking.
     """
     shard_size = max(1, int(shard_size))
     if not group_keys:
@@ -148,16 +146,6 @@ def plan_lease_shards(
     return shards
 
 
-def _adaptive_group_keys(engine, schedule_points) -> Optional[List[Optional[str]]]:
-    """Per-position prefix-group keys of an adaptive schedule (or ``None``
-    to degrade to contiguous shards when derivation fails)."""
-    try:
-        return [engine.group_key_of(point) for point in schedule_points]
-    except Exception:
-        logger.exception("group-key derivation failed; contiguous shards")
-        return None
-
-
 class _Lease:
     """One worker's claim on a batch of schedule indices."""
 
@@ -190,7 +178,7 @@ class _Campaign:
         schedule_keys: List[str],
         pending_indices: List[int],
         shard_size: int,
-        shard_plan: Optional[List[List[int]]] = None,
+        shard_plan: List[List[int]],
         planner: Optional[RoundPlanner] = None,
     ) -> None:
         self.id = campaign_id
@@ -213,17 +201,7 @@ class _Campaign:
         self.point_keys: List[str] = (
             [point.key for point in planner.schedule] if planner is not None else []
         )
-        #: Fleet-aggregate learned cost model, fed by ``shard_done`` cost
-        #: counters and shipped back to workers inside adaptive leases.
-        self.cost_model = CostModel()
-        self.queue: Deque[List[int]] = deque(
-            shard_plan
-            if shard_plan is not None
-            else (
-                pending_indices[offset : offset + shard_size]
-                for offset in range(0, len(pending_indices), shard_size)
-            )
-        )
+        self.queue: Deque[List[int]] = deque(shard_plan)
         self.leases: Dict[str, _Lease] = {}
         #: Summed worker-reported cache deltas (``shard_done`` stats).
         self.worker_cache_stats: Dict[str, float] = {}
@@ -266,10 +244,6 @@ class _Campaign:
             "active_leases": len(self.leases),
             "workers_seen": sorted(self.workers_seen),
             "cache": dict(self.worker_cache_stats),
-            "cost_model": {
-                "observations": self.cost_model.observations(),
-                "suffix_fraction": round(self.cost_model.suffix_fraction(), 4),
-            },
         }
         if self.planner is not None:
             payload["planner"] = self.planner.summary()
@@ -432,6 +406,13 @@ class CampaignCoordinator:
         """Handle one message; returns True when the connection should end."""
         kind = message.get("type")
         if kind == "hello":
+            if message.get("version") != PROTOCOL_VERSION:
+                stream.send({
+                    "type": "error",
+                    "error": f"protocol version {message.get('version')!r} "
+                    f"refused; this coordinator speaks {PROTOCOL_VERSION}",
+                })
+                return True
             stream.send({
                 "type": "welcome",
                 "server": "repro-campaignd",
@@ -462,9 +443,6 @@ class CampaignCoordinator:
             return False
         if kind == "fetch":
             stream.send(self._handle_fetch(message))
-            return False
-        if kind == "result":
-            stream.send(self._handle_result(message))
             return False
         if kind == "result_batch":
             stream.send(self._handle_result_batch(message))
@@ -523,17 +501,13 @@ class CampaignCoordinator:
             planner = RoundPlanner(engine, points)
             pending = [(index, point) for index, point in planner.replay_from_store()]
             schedule_keys = [engine.run_key(point) for point in planner.schedule]
-            group_keys = _adaptive_group_keys(engine, planner.schedule)
+            group_keys = [engine.group_key_of(point) for point in planner.schedule]
         else:
             schedule, pending = engine.plan(points)
             schedule_keys = [engine.run_key(point) for point in schedule]
-            try:
-                group_keys = engine.schedule_group_keys(points)
-            except Exception:
-                # Grouping is a throughput optimisation; a derivation failure
-                # must not reject the campaign — fall back to contiguous shards.
-                logger.exception("group-key derivation failed; contiguous shards")
-                group_keys = None
+            # No fallback: every worker derives the same keys to partition
+            # its shard, so a derivation that fails here fails there too.
+            group_keys = engine.schedule_group_keys(points)
         shard_plan = plan_lease_shards(
             [index for index, _ in pending], group_keys, shard_size
         )
@@ -699,19 +673,11 @@ class CampaignCoordinator:
 
     def _handle_fetch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         worker_id = str(message.get("worker_id", "anonymous"))
-        try:
-            # Protocol ≥ 3 workers advertise their version on fetch; a
-            # version-less fetch is an older worker and is never handed an
-            # adaptive shard (it could not interpret the assignments).
-            worker_version = int(message.get("version", 1))
-        except (TypeError, ValueError):
-            worker_version = 1
         with self._lock:
             self._reap_expired_leases()
             running = [
                 campaign for campaign in self._campaigns.values()
                 if campaign.state == "running" and campaign.queue
-                and (worker_version >= 3 or not campaign.adaptive)
             ]
             if not running:
                 return {"type": "idle", "retry_after": 0.2}
@@ -743,7 +709,6 @@ class CampaignCoordinator:
                 reply["assignments"] = [
                     [index, campaign.point_keys[index]] for index in indices
                 ]
-                reply["cost_model"] = campaign.cost_model.to_dict()
             return reply
 
     def _find_lease(self, lease_id: Optional[str]) -> Optional[Tuple[_Campaign, _Lease]]:
@@ -814,30 +779,14 @@ class CampaignCoordinator:
                 campaign.completed_count += 1
         if not pending:
             return
-        group_keys = _adaptive_group_keys(engine, planner.schedule)
+        group_keys = [engine.group_key_of(point) for point in planner.schedule]
         shards = plan_lease_shards(
             [index for index, _ in pending], group_keys, campaign.shard_size
         )
         campaign.queue.extend(shards)
 
-    def _handle_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        record_payload = message.get("record")
-        if not isinstance(record_payload, dict):
-            raise ValueError("result message carries no record object")
-        record = StoredResult.from_dict(record_payload)
-        with self._lock:
-            found = self._find_lease(message.get("lease_id"))
-            if found is None:
-                return {"type": "stale_lease"}
-            campaign, lease = found
-            self._accept_record(campaign, lease, record)
-            lease.deadline = time.monotonic() + self.lease_timeout
-            self._check_complete(campaign)
-            self._cond.notify_all()
-            return {"type": "ack", "remaining": len(lease.indices)}
-
     def _handle_result_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Accept one ``result_batch`` (protocol ≥ 2): k records, one ack.
+        """Accept one ``result_batch``: k records, one ack.
 
         Every record is parsed *before* any is stored, so a malformed
         record rejects the whole batch instead of leaving it half-ingested
@@ -885,14 +834,9 @@ class CampaignCoordinator:
             del campaign.leases[lease.lease_id]
             stats = message.get("stats")
             if isinstance(stats, dict):
-                # Protocol ≥ 3 cost-model counters (running-sum deltas)
-                # merge exactly into the campaign's fleet aggregate; the
-                # remaining numerics are cache deltas (protocol ≥ 2),
-                # summed per campaign for `repro-campaign status`.
-                self._ingest_cost_stats(campaign, stats)
+                # Cache deltas, summed per campaign for
+                # `repro-campaign status`.
                 for key, value in stats.items():
-                    if key.startswith("cost_"):
-                        continue
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
                         continue
                     campaign.worker_cache_stats[key] = (
@@ -914,24 +858,6 @@ class CampaignCoordinator:
             self._check_complete(campaign)
             self._cond.notify_all()
             return {"type": "ack"}
-
-    @staticmethod
-    def _ingest_cost_stats(campaign: _Campaign, stats: Dict[str, Any]) -> None:
-        """Merge one shard's cost-model counter deltas into the campaign's
-        fleet-aggregate model (running sums merge exactly)."""
-        try:
-            n = int(stats.get("cost_observations", 0))
-            if n <= 0:
-                return
-            campaign.cost_model.observe_sums(
-                n,
-                float(stats.get("cost_sum_k", 0.0)),
-                float(stats.get("cost_sum_kk", 0.0)),
-                float(stats.get("cost_sum_t", 0.0)),
-                float(stats.get("cost_sum_kt", 0.0)),
-            )
-        except (TypeError, ValueError):
-            return
 
     def _check_complete(self, campaign: _Campaign) -> None:
         """Flip a running campaign to complete when every key is stored

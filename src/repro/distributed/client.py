@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.distributed.protocol import MAX_MESSAGE_BYTES, MessageStream, connect
+from repro.distributed.protocol import (
+    MAX_MESSAGE_BYTES,
+    MessageStream,
+    connect,
+    handshake,
+)
 from repro.distributed.spec import CampaignSpec
 
 
@@ -38,10 +43,7 @@ class CampaignClient:
             address, retries=retries, backoff=backoff,
             max_message_bytes=max_message_bytes,
         )
-        reply = self._rpc({"type": "hello", "role": "client", "version": 1})
-        if reply.get("type") != "welcome":
-            raise CampaignServerError(f"unexpected hello reply: {reply!r}")
-        self.server_info = reply
+        self.server_info = handshake(self._stream, "client")
 
     # ------------------------------------------------------------------
     def _rpc(self, message: Dict[str, Any]) -> Dict[str, Any]:

@@ -4,7 +4,7 @@ One message is one JSON object, UTF-8 encoded, on one ``\\n``-terminated
 line — the same self-describing framing the :class:`ResultStore` uses on
 disk, so a protocol trace *is* a JSON-lines file and the standard tools
 (``jq``, ``grep``) work on both.  ``doc/PROTOCOL.md`` is the message
-reference; this module only implements framing:
+reference; this module implements framing and the opening handshake:
 
 * :class:`MessageStream` — a framed duplex channel over one socket, with a
   hard cap on message size in both directions (a peer cannot make the
@@ -15,7 +15,10 @@ reference; this module only implements framing:
   per line;
 * :func:`connect` — client-side dial with retry and exponential backoff,
   the policy every worker/client link uses so a briefly absent coordinator
-  (restart, not yet listening) is ridden out instead of fatal.
+  (restart, not yet listening) is ridden out instead of fatal;
+* :func:`handshake` — the ``hello``/``welcome`` exchange that opens every
+  worker and client link and refuses a peer of any other
+  :data:`PROTOCOL_VERSION`.
 
 All sends are locked, so multiple threads (a worker's executor loop and
 its heartbeat) can share one stream; receives are expected from a single
@@ -35,23 +38,10 @@ from typing import Any, Dict, Optional, Tuple
 #: to this is a protocol violation, not a big workload.
 MAX_MESSAGE_BYTES = 1 << 20
 
-#: Protocol revision carried in every ``hello``.
-#:
-#: * 1 — initial fabric protocol (per-record ``result`` streaming).
-#: * 2 — worker→coordinator ``result_batch`` (k records per message) and
-#:   the optional ``stats`` cache-counter field on ``shard_done``.
-#:   Workers only batch when the coordinator's ``welcome`` advertises
-#:   version ≥ 2; version-1 coordinators keep receiving per-record
-#:   ``result`` messages, and version-1 workers keep working unchanged.
-#: * 3 — adaptive (round-planned) campaigns.  ``fetch`` carries the
-#:   worker's ``version``; the coordinator leases adaptive shards only to
-#:   workers advertising ≥ 3.  An adaptive ``shard`` reply carries
-#:   ``"adaptive": true``, explicit ``assignments`` (``[index, point_key]``
-#:   pairs — an adaptive schedule is not locally derivable), and the
-#:   coordinator's aggregate ``cost_model`` snapshot.  Version-2 workers
-#:   keep serving static campaigns unchanged (their version-less ``fetch``
-#:   defaults to 1 and is never handed an adaptive shard).
-PROTOCOL_VERSION = 3
+#: Protocol revision carried in every ``hello`` and ``welcome``.  The
+#: coordinator, workers and clients ship in one package, so there is no
+#: negotiation: a peer speaking any other version is refused.
+PROTOCOL_VERSION = 4
 
 
 class ProtocolError(Exception):
@@ -191,6 +181,29 @@ def connect(
             attempt += 1
 
 
+def handshake(stream: MessageStream, role: str, **fields: Any) -> Dict[str, Any]:
+    """Open a link: send ``hello`` for *role* and return the ``welcome``.
+
+    Closes *stream* and raises :class:`ProtocolError` when the coordinator
+    answers anything but a ``welcome`` of this :data:`PROTOCOL_VERSION`
+    (a coordinator refusing our version replies ``error`` and closes the
+    connection).
+    """
+    try:
+        stream.send(
+            {"type": "hello", "role": role, "version": PROTOCOL_VERSION, **fields}
+        )
+        reply = stream.recv()
+        if reply.get("type") != "welcome" or reply.get("version") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"protocol version {PROTOCOL_VERSION} hello refused: {reply!r}"
+            )
+    except ProtocolError:
+        stream.close()
+        raise
+    return reply
+
+
 __all__ = [
     "ConnectionClosed",
     "MAX_MESSAGE_BYTES",
@@ -199,4 +212,5 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "connect",
+    "handshake",
 ]

@@ -13,7 +13,7 @@ For an *adaptive* strategy (``strategy="coverage"``) the contract weakens
 to "spec + completed results determine the next round": the schedule is
 not locally derivable, so the coordinator — which holds the authoritative
 store — runs the round planner and shard leases name their points by
-explicit ``(index, point key)`` assignment instead (protocol ≥ 3, see
+explicit ``(index, point key)`` assignment instead (see
 ``doc/ADAPTIVE.md``).  Per-run seeds still derive from the shipped index,
 so records stay byte-identical to a serial adaptive run's.
 

@@ -4,8 +4,9 @@ A :class:`CampaignWorker` pulls shard leases from the coordinator, turns
 each lease's schedule indices back into scenarios (the spec is enough —
 see :mod:`repro.distributed.spec`), executes them through the local
 engine/pool stack (boot-template cache, prefix sharing, whatever
-``parallelism`` selects), and streams one result record per completed run
-back over the same connection.
+``parallelism`` selects), and streams the result records back over the
+same connection, :data:`RESULT_BATCH_SIZE` records per ``result_batch``
+message.
 
 Failure behaviour, which is most of what a worker *is*:
 
@@ -32,35 +33,37 @@ import threading
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.controller.costmodel import default_cost_model
 from repro.core.controller.executor import ParallelismSpec
 from repro.core.controller.memo import suffix_memo_stats
 from repro.core.profiler.cache import artifact_cache_stats
 from repro.distributed.protocol import (
     MAX_MESSAGE_BYTES,
-    PROTOCOL_VERSION,
     ConnectionClosed,
     MessageStream,
     ProtocolError,
     connect,
+    handshake,
 )
 from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
 
 logger = logging.getLogger("repro.campaignd.worker")
 
+#: Records per ``result_batch`` message.  The coordinator stores every
+#: record before acking the batch, so a lost lease forfeits at most the
+#: unflushed tail, which the re-queued lease re-executes.
+RESULT_BATCH_SIZE = 8
+
 
 def _cache_stats_snapshot() -> Dict[str, float]:
-    """Current boot-template, suffix-memo, and cost-model counters of this
-    process.
+    """Current boot-template and suffix-memo counters of this process.
 
     Shard deltas of these are reported on ``shard_done`` so the
     coordinator can explain fabric throughput (memo hit rates, template
-    reuse) and aggregate measured group costs fleet-wide (the ``cost_*``
-    running sums merge exactly) without any extra round trips.
+    reuse) without any extra round trips.
     """
     cache = artifact_cache_stats()
     memo = suffix_memo_stats()
-    stats: Dict[str, float] = {
+    return {
         "boot_hits": cache.boot_hits,
         "boot_misses": cache.boot_misses,
         "boot_shared_hits": cache.boot_shared_hits,
@@ -69,8 +72,6 @@ def _cache_stats_snapshot() -> Dict[str, float]:
         "memo_stores": memo.stores,
         "memo_evictions": memo.evictions,
     }
-    stats.update(default_cost_model().snapshot_counters())
-    return stats
 
 
 class _LeaseLost(Exception):
@@ -89,7 +90,6 @@ class CampaignWorker:
         connect_retries: int = 8,
         connect_backoff: float = 0.05,
         max_message_bytes: int = MAX_MESSAGE_BYTES,
-        result_batch_size: int = 8,
     ) -> None:
         self.address = address
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
@@ -98,12 +98,8 @@ class CampaignWorker:
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self.max_message_bytes = max_message_bytes
-        #: Records per ``result_batch`` message (1 = per-record streaming).
-        #: Only engaged against coordinators speaking protocol ≥ 2.
-        self.result_batch_size = max(1, int(result_batch_size))
 
         self._stream: Optional[MessageStream] = None
-        self._coordinator_version = 1
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
         #: Engines are cached per spec fingerprint: every shard of one
@@ -125,18 +121,8 @@ class CampaignWorker:
                 backoff=self.connect_backoff,
                 max_message_bytes=self.max_message_bytes,
             )
-            reply = self._rpc({
-                "type": "hello",
-                "role": "worker",
-                "worker_id": self.worker_id,
-                "version": PROTOCOL_VERSION,
-            })
-            if reply.get("type") != "welcome":
-                raise ProtocolError(f"unexpected hello reply: {reply!r}")
-            try:
-                self._coordinator_version = int(reply.get("version", 1))
-            except (TypeError, ValueError):
-                self._coordinator_version = 1
+            with self._rpc_lock:
+                handshake(self._stream, "worker", worker_id=self.worker_id)
         return self._stream
 
     def _rpc(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -187,13 +173,7 @@ class CampaignWorker:
         """Fetch and fully process one shard; False when the coordinator
         had nothing for us (idle poll)."""
         self._ensure_stream()
-        reply = self._rpc({
-            "type": "fetch",
-            "worker_id": self.worker_id,
-            # Protocol ≥ 3: the coordinator leases adaptive shards only to
-            # workers that advertise a version able to interpret them.
-            "version": PROTOCOL_VERSION,
-        })
+        reply = self._rpc({"type": "fetch", "worker_id": self.worker_id})
         kind = reply.get("type")
         if kind == "idle":
             return False
@@ -222,12 +202,6 @@ class CampaignWorker:
         spec = CampaignSpec.from_dict(shard.get("spec"))
         engine, points = self._engine_for(spec)
         lease_timeout = float(shard.get("lease_timeout", 30.0))
-        # Adopt the coordinator's fleet-aggregate cost model *before* the
-        # shard's counter snapshot: adoption replaces local state wholesale
-        # (if better informed), and adopted observations must not appear in
-        # this shard's reported delta — the coordinator's aggregate already
-        # contains them, and merging them back would double-count.
-        default_cost_model().adopt(shard.get("cost_model"))
 
         lost = threading.Event()
         heartbeat = threading.Thread(
@@ -238,12 +212,6 @@ class CampaignWorker:
         )
         heartbeat.start()
         stats_before = _cache_stats_snapshot()
-        # Batch result records (protocol ≥ 2): one message per k records
-        # instead of one RPC round trip per record.  The coordinator stores
-        # every record before acking the batch, so abandoning a shard after
-        # a flush loses at most the unflushed tail — which the re-queued
-        # lease simply re-executes (the store is idempotent per key).
-        batching = self._coordinator_version >= 2 and self.result_batch_size > 1
         batch: List[Dict[str, Any]] = []
 
         def flush() -> None:
@@ -263,9 +231,9 @@ class CampaignWorker:
             batch.clear()
 
         if shard.get("adaptive"):
-            # Adaptive shard (protocol ≥ 3): the coordinator planned the
-            # round centrally, so the lease names its points explicitly
-            # instead of by derivable schedule position.
+            # Adaptive shard: the coordinator planned the round centrally,
+            # so the lease names its points explicitly instead of by
+            # derivable schedule position.
             assignments = [
                 (int(index), str(key))
                 for index, key in shard.get("assignments", ())
@@ -281,22 +249,9 @@ class CampaignWorker:
             for record in runs:
                 if lost.is_set() or self._stop.is_set():
                     raise _LeaseLost()
-                if batching:
-                    batch.append(record.to_dict())
-                    if len(batch) >= self.result_batch_size:
-                        flush()
-                    continue
-                reply = self._rpc({
-                    "type": "result",
-                    "lease_id": lease_id,
-                    "campaign_id": shard.get("campaign_id"),
-                    "record": record.to_dict(),
-                })
-                if reply.get("type") == "stale_lease":
-                    raise _LeaseLost()
-                if reply.get("type") != "ack":
-                    raise ProtocolError(f"unexpected result reply: {reply!r}")
-                self.results_streamed += 1
+                batch.append(record.to_dict())
+                if len(batch) >= RESULT_BATCH_SIZE:
+                    flush()
             flush()
             lost.set()
             heartbeat.join()
@@ -304,7 +259,6 @@ class CampaignWorker:
             reply = self._rpc({
                 "type": "shard_done",
                 "lease_id": lease_id,
-                # Extra field, ignored by version-1 coordinators.
                 "stats": {
                     key: stats_after[key] - stats_before[key]
                     for key in stats_after
@@ -332,4 +286,4 @@ class CampaignWorker:
                 return
 
 
-__all__ = ["CampaignWorker"]
+__all__ = ["CampaignWorker", "RESULT_BATCH_SIZE"]

@@ -4,26 +4,15 @@ Covers the tentpole acceptance criteria: the planner-session protocol
 (static strategies as behavior-identical single-round planners, the
 coverage-guided strategy steering by recovery-line deltas), determinism
 of adaptive rounds across execution shapes (serial == pooled ==
-distributed, budget-interrupted resumes converge), the learned
-:class:`CostModel` replacing the fixed 0.35 suffix fraction (hypothesis
-round-trip, exact fleet merge, adopt semantics), protocol-v3 version
-gating on the fabric, plus the satellite edge cases of
+distributed, budget-interrupted resumes converge), central round
+planning on the fabric, plus the satellite edge cases of
 :func:`identify_recovery_regions` (empty maps, overlapping regions, both
 error-successor orientations).
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.controller.campaign import TestCampaign as FaultCampaign
 from repro.core.controller.controller import LFIController
-from repro.core.controller.costmodel import (
-    SUFFIX_COST_FRACTION,
-    CostModel,
-    default_cost_model,
-    set_default_cost_model,
-)
 from repro.core.controller.executor import derive_run_seed
 from repro.core.exploration import (
     CoverageGuidedStrategy,
@@ -46,7 +35,6 @@ from repro.core.profiler.spec_profiles import combined_reference_profile
 from repro.coverage.recovery import RecoveryRegion, identify_recovery_regions
 from repro.distributed.campaignd import CampaignCoordinator
 from repro.distributed.client import CampaignClient
-from repro.distributed.protocol import connect
 from repro.distributed.spec import CampaignSpec, build_engine
 from repro.distributed.worker import CampaignWorker
 from repro.minicc import compile_source
@@ -221,136 +209,6 @@ class TestRecoveryRegionEdgeCases:
         assert recovery.region_count() == 2
         assert recovery.all_lines() == lines_before
         assert recovery.all_addresses() == addresses_before
-
-
-# ----------------------------------------------------------------------
-# the learned cost model
-# ----------------------------------------------------------------------
-_observations = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=12),
-        st.floats(min_value=0.0, max_value=100.0,
-                  allow_nan=False, allow_infinity=False),
-    ),
-    max_size=40,
-)
-
-
-class TestCostModel:
-    def test_fresh_model_reproduces_the_pr9_constant_exactly(self):
-        model = CostModel()
-        assert model.suffix_fraction() == SUFFIX_COST_FRACTION == 0.35
-        assert model.observations() == 0
-        assert model.fitted() is None
-
-    def test_fit_blends_toward_the_measured_ratio(self):
-        model = CostModel()
-        # Exact timings T(m) = 1.0 + (m - 1) * 0.5 across varied sizes.
-        sizes = [1, 2, 3, 4, 5, 6, 7, 8] * 4
-        for members in sizes:
-            model.observe_group(members, 1.0 + (members - 1) * 0.5)
-        probe, suffix = model.fitted()
-        assert probe == pytest.approx(1.0)
-        assert suffix == pytest.approx(0.5)
-        n = len(sizes)
-        expected = (8.0 * 0.35 + n * 0.5) / (8.0 + n)
-        assert model.suffix_fraction() == pytest.approx(expected)
-        assert 0.35 < model.suffix_fraction() < 0.5
-
-    def test_uniform_group_sizes_leave_the_prior(self):
-        model = CostModel()
-        for _ in range(20):
-            model.observe_group(3, 2.0)  # slope unidentifiable
-        assert model.suffix_fraction() == SUFFIX_COST_FRACTION
-
-    def test_invalid_observations_are_ignored(self):
-        model = CostModel()
-        model.observe_group(0, 1.0)
-        model.observe_group(-3, 1.0)
-        model.observe_group(2, -0.5)
-        assert model.observations() == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(_observations)
-    def test_serialization_round_trips_exactly(self, observations):
-        model = CostModel()
-        for members, elapsed in observations:
-            model.observe_group(members, elapsed)
-        clone = CostModel.from_dict(model.to_dict())
-        assert clone.to_dict() == model.to_dict()
-        assert clone.observations() == model.observations()
-        assert clone.suffix_fraction() == model.suffix_fraction()
-        assert clone.snapshot_counters() == model.snapshot_counters()
-
-    @settings(max_examples=60, deadline=None)
-    @given(_observations, _observations)
-    def test_running_sum_merge_equals_combined_observation(self, left, right):
-        separate_left, separate_right = CostModel(), CostModel()
-        for members, elapsed in left:
-            separate_left.observe_group(members, elapsed)
-        for members, elapsed in right:
-            separate_right.observe_group(members, elapsed)
-        counters = separate_right.snapshot_counters()
-        separate_left.observe_sums(
-            int(counters["cost_observations"]),
-            counters["cost_sum_k"],
-            counters["cost_sum_kk"],
-            counters["cost_sum_t"],
-            counters["cost_sum_kt"],
-        )
-        combined = CostModel()
-        for members, elapsed in left + right:
-            combined.observe_group(members, elapsed)
-        assert separate_left.observations() == combined.observations()
-        assert separate_left.suffix_fraction() == pytest.approx(
-            combined.suffix_fraction()
-        )
-
-    def test_adopt_replaces_only_better_informed_snapshots(self):
-        local = CostModel()
-        for members in (1, 2, 3, 4, 5):
-            local.observe_group(members, float(members))
-        before = local.to_dict()
-
-        worse = CostModel()
-        worse.observe_group(2, 1.0)
-        local.adopt(worse.to_dict())
-        assert local.to_dict() == before  # fewer observations: ignored
-        local.adopt(None)
-        assert local.to_dict() == before
-
-        better = CostModel()
-        for members in (1, 2, 3, 4, 5, 6, 7, 8):
-            better.observe_group(members, 2.0 * members)
-        local.adopt(better.to_dict())
-        assert local.to_dict() == better.to_dict()
-
-    def test_campaign_stats_carry_cost_model_block(self):
-        previous = set_default_cost_model(CostModel())
-        try:
-            result = FaultCampaign(MiniGitTarget(), workload="status").run(
-                [], include_baseline=False
-            )
-            block = result.stats["cost_model"]
-            assert block["observations"] == 0
-            assert block["total_observations"] == 0
-            assert block["suffix_fraction"] == SUFFIX_COST_FRACTION
-        finally:
-            set_default_cost_model(previous)
-
-    def test_shared_campaign_feeds_the_default_model(self):
-        previous = set_default_cost_model(CostModel())
-        try:
-            target = MiniGitTarget()
-            points = LFIController(target).fault_space(functions=["close"])
-            scenarios = [point.scenario() for point in points]
-            result = FaultCampaign(target, workload="status").run(
-                scenarios, seed=3, include_baseline=False, memo=False
-            )
-            assert result.stats["cost_model"]["observations"] > 0
-            assert default_cost_model().observations() > 0
-        finally:
-            set_default_cost_model(previous)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +435,7 @@ class TestAdaptiveExploration:
 
 
 # ----------------------------------------------------------------------
-# protocol v3: distributed round planning
+# distributed round planning
 # ----------------------------------------------------------------------
 ADAPTIVE_SPEC_KWARGS = dict(
     target="mini_git", workload="status", seed=7,
@@ -609,8 +467,7 @@ class TestDistributedAdaptive:
         coordinator, address = self._fabric(shard_size=3)
         client = CampaignClient(address)
         workers = [
-            CampaignWorker(address, worker_id=f"w{i}", result_batch_size=2)
-            for i in range(2)
+            CampaignWorker(address, worker_id=f"w{i}") for i in range(2)
         ]
         try:
             reply = client.submit(CampaignSpec(
@@ -641,54 +498,3 @@ class TestDistributedAdaptive:
         assert planner["adaptive"] is True
         assert planner["rounds"] == len(report.rounds)
         assert planner["new_coverage_probes"] == report.planner["new_coverage_probes"]
-        assert "cost_model" in status
-        assert status["cost_model"]["observations"] >= 0
-
-    def test_versionless_workers_never_lease_adaptive_shards(self, tmp_path):
-        coordinator, address = self._fabric()
-        client = CampaignClient(address)
-        stream = connect(address)
-        try:
-            reply = client.submit(CampaignSpec(
-                store_path=str(tmp_path / "gate.jsonl"), **ADAPTIVE_SPEC_KWARGS
-            ))
-            assert reply["type"] == "submitted"
-
-            # A protocol-2 worker (no version field) must be told "idle"
-            # even though an adaptive shard is queued...
-            stream.send({"type": "fetch", "worker_id": "legacy"})
-            assert stream.recv()["type"] == "idle"
-            stream.send({"type": "fetch", "worker_id": "legacy", "version": 2})
-            assert stream.recv()["type"] == "idle"
-
-            # ...while a v3 fetch gets the explicit-assignment lease.
-            stream.send({"type": "fetch", "worker_id": "modern", "version": 3})
-            shard = stream.recv()
-            assert shard["type"] == "shard"
-            assert shard["adaptive"] is True
-            assert shard["assignments"]
-            assert [index for index, _key in shard["assignments"]] == shard["indices"]
-            assert "cost_model" in shard
-        finally:
-            stream.close()
-            client.close()
-            coordinator.stop()
-
-    def test_versionless_workers_still_drain_static_campaigns(self, tmp_path):
-        coordinator, address = self._fabric()
-        client = CampaignClient(address)
-        stream = connect(address)
-        try:
-            client.submit(CampaignSpec(
-                target="mini_git", workload="status", seed=7,
-                functions=["close"],
-                store_path=str(tmp_path / "static.jsonl"),
-            ))
-            stream.send({"type": "fetch", "worker_id": "legacy"})
-            shard = stream.recv()
-            assert shard["type"] == "shard"
-            assert "adaptive" not in shard
-        finally:
-            stream.close()
-            client.close()
-            coordinator.stop()

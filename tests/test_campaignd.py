@@ -18,11 +18,14 @@ import time
 
 import pytest
 
+from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
+import repro.distributed.campaignd as campaignd_module
 from repro.distributed.campaignd import CampaignCoordinator
 from repro.distributed.client import CampaignClient, CampaignServerError
 from repro.distributed.central_controller import CentralController, Policy
 from repro.distributed.protocol import (
+    PROTOCOL_VERSION,
     ConnectionClosed,
     MessageStream,
     MessageTooLarge,
@@ -460,6 +463,45 @@ class TestCoordinatorStop:
             coordinator.stop()
 
 
+class TestProtocolVersion:
+    """One wire version: a mismatch is refused, never negotiated."""
+
+    @pytest.mark.parametrize("hello", [
+        {"type": "hello", "role": "worker", "version": 3},
+        {"type": "hello", "role": "worker"},
+    ], ids=["old-version", "no-version"])
+    def test_coordinator_refuses_other_versions_and_closes(
+        self, fabric_factory, hello
+    ):
+        fabric = fabric_factory()
+        stream = connect(fabric.address)
+        stream.send(hello)
+        assert stream.recv()["type"] == "error"
+        with pytest.raises(ConnectionClosed):
+            stream.recv()
+        stream.close()
+
+    def test_coordinator_welcomes_its_own_version(self, fabric_factory):
+        fabric = fabric_factory()
+        stream = connect(fabric.address)
+        stream.send({"type": "hello", "role": "worker", "version": PROTOCOL_VERSION})
+        welcome = stream.recv()
+        assert welcome["type"] == "welcome"
+        assert welcome["version"] == PROTOCOL_VERSION
+        stream.close()
+
+    def test_worker_and_client_refuse_a_mismatched_coordinator(
+        self, fabric_factory, monkeypatch
+    ):
+        monkeypatch.setattr(campaignd_module, "PROTOCOL_VERSION", 3)
+        fabric = fabric_factory()
+        worker = fabric.worker()
+        with pytest.raises(ProtocolError):
+            worker.run_once()
+        with pytest.raises(ProtocolError):
+            CampaignClient(fabric.address)
+
+
 # ----------------------------------------------------------------------
 # campaign spec
 # ----------------------------------------------------------------------
@@ -533,6 +575,36 @@ class TestCampaignFabric:
             client.submit(CampaignSpec(target="no_such_target"))
         assert client.ping()["type"] == "pong"  # connection survives
 
+    def test_group_key_failure_rejects_the_submit(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        """No silent contiguous-shard fallback: a spec whose group keys
+        cannot be derived is refused, and the coordinator keeps serving."""
+        derive = ExplorationEngine.schedule_group_keys
+
+        def failing(engine, points):
+            if engine.seed == 99:
+                raise RuntimeError("group keys unavailable")
+            return derive(engine, points)
+
+        monkeypatch.setattr(ExplorationEngine, "schedule_group_keys", failing)
+        fabric = fabric_factory()
+        client = fabric.client()
+        broken = dict(GIT_SPEC_KWARGS, seed=99)
+        with pytest.raises(CampaignServerError, match="group keys unavailable"):
+            client.submit(CampaignSpec(store_path=str(tmp_path / "b.jsonl"), **broken))
+        assert client.list_campaigns() == []
+
+        spec = CampaignSpec(store_path=str(tmp_path / "ok.jsonl"), **GIT_SPEC_KWARGS)
+        reply = client.submit(spec)
+        worker = fabric.worker()
+        while worker.run_once():
+            pass
+        assert client.status(reply["campaign_id"])["state"] == "complete"
+        assert _signature_from_records(
+            client.results(reply["campaign_id"])
+        ) == _serial_signature()
+
     def test_cancel_stops_scheduling(self, fabric_factory, tmp_path):
         fabric = fabric_factory(shard_size=2)
         client = fabric.client()
@@ -559,7 +631,7 @@ class TestCampaignFabric:
                 self._result_budget = die_after
 
             def _rpc(self, message):
-                if message.get("type") == "result":
+                if message.get("type") == "result_batch":
                     if self._result_budget <= 0:
                         # Simulated crash: drop the link mid-shard, no
                         # shard_done, no further traffic.
@@ -571,7 +643,7 @@ class TestCampaignFabric:
 
         fabric = fabric_factory(shard_size=4, lease_timeout=0.5)
         dying = DyingWorker(
-            fabric.address, die_after=2, worker_id="doomed", poll_interval=0.01
+            fabric.address, die_after=1, worker_id="doomed", poll_interval=0.01
         )
         fabric.workers.append(dying)
         survivor = fabric.worker(worker_id="survivor", poll_interval=0.01)
@@ -600,7 +672,8 @@ class TestCampaignFabric:
         client.submit(spec)
 
         stream = connect(fabric.address)
-        stream.send({"type": "hello", "role": "worker", "worker_id": "sleepy"})
+        stream.send({"type": "hello", "role": "worker", "worker_id": "sleepy",
+                     "version": PROTOCOL_VERSION})
         assert stream.recv()["type"] == "welcome"
         stream.send({"type": "fetch", "worker_id": "sleepy"})
         shard = stream.recv()
@@ -610,7 +683,8 @@ class TestCampaignFabric:
 
         # Another worker now gets the same (re-queued) indices.
         other = connect(fabric.address)
-        other.send({"type": "hello", "role": "worker", "worker_id": "fresh"})
+        other.send({"type": "hello", "role": "worker", "worker_id": "fresh",
+                    "version": PROTOCOL_VERSION})
         assert other.recv()["type"] == "welcome"
         other.send({"type": "fetch", "worker_id": "fresh"})
         reissued = other.recv()
@@ -624,8 +698,8 @@ class TestCampaignFabric:
         engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
         record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
         stream.send({
-            "type": "result", "lease_id": shard["lease_id"],
-            "record": record.to_dict(),
+            "type": "result_batch", "lease_id": shard["lease_id"],
+            "records": [record.to_dict()],
         })
         assert stream.recv()["type"] == "stale_lease"
         stream.send({"type": "shard_done", "lease_id": shard["lease_id"]})
@@ -641,7 +715,8 @@ class TestCampaignFabric:
         reply = client.submit(spec)
 
         stream = connect(fabric.address)
-        stream.send({"type": "hello", "role": "worker", "worker_id": "dupper"})
+        stream.send({"type": "hello", "role": "worker", "worker_id": "dupper",
+                     "version": PROTOCOL_VERSION})
         stream.recv()
         stream.send({"type": "fetch", "worker_id": "dupper"})
         shard = stream.recv()
@@ -649,8 +724,8 @@ class TestCampaignFabric:
         record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
         for _ in range(2):
             stream.send({
-                "type": "result", "lease_id": shard["lease_id"],
-                "record": record.to_dict(),
+                "type": "result_batch", "lease_id": shard["lease_id"],
+                "records": [record.to_dict()],
             })
             assert stream.recv()["type"] == "ack"
         stream.close()

@@ -31,7 +31,11 @@ from repro.core.controller.memo import (
     suffix_memo,
     suffix_memo_stats,
 )
-from repro.core.controller.prefix import member_memo_key, run_scenarios_shared
+from repro.core.controller.prefix import (
+    build_group_tasks,
+    member_memo_key,
+    run_scenarios_shared,
+)
 from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.store import ResultStore
 from repro.core.profiler.cache import (
@@ -420,8 +424,6 @@ class TestAdaptivePlanning:
     def test_policy_resolution_and_env_default(self, monkeypatch):
         assert resolve_group_schedule("adaptive") == "adaptive"
         assert resolve_group_schedule("static") == "static"
-        assert resolve_group_schedule("round-robin") == "static"
-        assert resolve_group_schedule("rr") == "static"
         monkeypatch.delenv("REPRO_GROUP_SCHED", raising=False)
         assert resolve_group_schedule(None) == "adaptive"
         monkeypatch.setenv("REPRO_GROUP_SCHED", "static")
@@ -493,6 +495,33 @@ class TestAdaptivePlanning:
             for b in adaptive
         ]
 
+    def test_packing_does_not_depend_on_process_history(self):
+        # A group's cost is a constant function of its size, so a campaign
+        # run earlier in the same process cannot change the next plan.
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)
+        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        tasks = build_group_tasks(target, "default-tests", entries)
+        assert any(len(task.entries) > 1 for task in tasks)
+
+        def plan():
+            return [
+                [(g.index, [e[0] for e in g.entries]) for g in batch.groups]
+                for batch in plan_group_batches(tasks, 4, policy="adaptive")
+            ]
+
+        before = plan()
+        Campaign(target, workload="default-tests").run(
+            scenarios, include_baseline=False, parallelism="serial",
+            share_prefixes=True, memo=False,
+        )
+        assert plan() == before
+        for task in tasks:
+            members = len(task.entries)
+            assert estimate_group_cost(task) == pytest.approx(
+                1 + 0.35 * (members - 1)
+            )
+
     def test_adaptive_campaign_bit_identical_on_every_backend(self):
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:20]
@@ -546,13 +575,12 @@ class TestLeasePlanning:
 
 
 class TestFabricIntegration:
-    def _run_fabric(self, tmp_path, store_name, **worker_kwargs):
+    def _run_fabric(self, tmp_path, store_name):
         coordinator = CampaignCoordinator(port=0, shard_size=4, lease_timeout=10.0)
         address = coordinator.start()
         client = CampaignClient(address)
         workers = [
-            CampaignWorker(address, worker_id=f"w{n}", **worker_kwargs)
-            for n in range(2)
+            CampaignWorker(address, worker_id=f"w{n}") for n in range(2)
         ]
         try:
             spec = CampaignSpec(
@@ -594,9 +622,7 @@ class TestFabricIntegration:
 
     def test_batched_fabric_bit_identical_to_serial(self, tmp_path):
         reference = self._serial_signature()
-        status, records, workers = self._run_fabric(
-            tmp_path, "batched.jsonl", result_batch_size=4
-        )
+        status, records, workers = self._run_fabric(tmp_path, "batched.jsonl")
         assert status["state"] == "complete"
         assert status["executed"] == status["total"]
         assert self._record_signature(records) == reference
@@ -605,29 +631,3 @@ class TestFabricIntegration:
         # prints this payload verbatim).
         assert "memo_hits" in status["cache"]
         assert "boot_hits" in status["cache"]
-
-    def test_unbatched_worker_against_new_coordinator(self, tmp_path):
-        # result_batch_size=1 keeps the per-record protocol-1 data path
-        # alive (what a version-1 worker speaks); results are identical.
-        reference = self._serial_signature()
-        status, records, _workers = self._run_fabric(
-            tmp_path, "unbatched.jsonl", result_batch_size=1
-        )
-        assert status["state"] == "complete"
-        assert self._record_signature(records) == reference
-
-    def test_worker_against_version1_coordinator_streams_per_record(
-        self, tmp_path, monkeypatch
-    ):
-        # A version-1 coordinator never advertises batching; the worker
-        # must fall back to per-record streaming (which it always accepted).
-        import repro.distributed.campaignd as campaignd_module
-
-        monkeypatch.setattr(campaignd_module, "PROTOCOL_VERSION", 1)
-        reference = self._serial_signature()
-        status, records, workers = self._run_fabric(
-            tmp_path, "v1.jsonl", result_batch_size=8
-        )
-        assert status["state"] == "complete"
-        assert all(w._coordinator_version == 1 for w in workers)
-        assert self._record_signature(records) == reference
