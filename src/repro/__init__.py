@@ -229,12 +229,12 @@ heartbeats: a dead worker's unfinished shard re-queues automatically, and a
 slow worker whose lease was reassigned is told ``stale_lease`` (duplicate
 records are idempotent).  Coordinator, workers and clients ship together,
 so the wire has exactly one protocol version: a ``hello`` of any other
-version is refused and the connection closed.  Every record is flushed —
-and fsynced, under the default ``durable`` knob — to the campaign's
-JSON-lines store *before* it is acknowledged, so the store is the only
-durable state: kill the coordinator (or a worker, or both) mid-campaign,
-restart, and resubmitting the same spec resumes from the checkpoint,
-re-running nothing already stored.  A torn final line (a kill mid-append) is detected and truncated;
+version is refused and the connection closed.  Every record is flushed to
+the campaign's JSON-lines store — and each ``result_batch`` fsynced once,
+under the default ``durable`` knob — *before* it is acknowledged, so the
+store is the only durable state: kill the coordinator (or a worker, or
+both) mid-campaign, restart, and resubmitting the same spec resumes from
+the checkpoint, re-running nothing already stored.  A torn final line (a kill mid-append) is detected and truncated;
 interior store corruption raises
 :class:`~repro.core.exploration.StoreCorruptError` instead of silently
 mis-scheduling completed work.  The ``repro-campaign`` CLI wraps the client

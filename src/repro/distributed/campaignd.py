@@ -29,9 +29,10 @@ coordinator ships only ``(spec, [schedule indices])`` and workers derive
 everything else locally.  No scenario objects, no fault points, no pickled
 targets cross the wire — just small JSON.
 
-**The result store is the only durable state.**  Every record a worker
-streams in is appended (flushed, and fsynced when ``durable_stores=True``)
-to the campaign's JSON-lines :class:`ResultStore` *before* it is
+**The result store is the only durable state.**  A ``result_batch`` is
+checked whole, then written to the campaign's JSON-lines
+:class:`ResultStore` record by record (each line flushed) and, when
+``durable_stores=True``, fsynced once — a group commit — *before* it is
 acknowledged or streamed to tailing clients.  Coordinator crash-safety is
 therefore resume, not replication: restart the daemon, resubmit the same
 spec (same ``store_path``), and only unfinished points are re-sharded —
@@ -484,7 +485,8 @@ class CampaignCoordinator:
 
         # Build outside the lock: compiling the target and loading the
         # store can take a while and must not block fetches/heartbeats.
-        store = ResultStore(spec.store_path, durable=self.durable_stores)
+        # Not fsynced per record: _handle_result_batch syncs each batch.
+        store = ResultStore(spec.store_path, durable=False)
         if store.has_torn_tail:
             # A coordinator killed mid-append leaves a partial line; the
             # run it described re-executes, the tail must go before the
@@ -721,14 +723,12 @@ class CampaignCoordinator:
     def _accept_record(
         self, campaign: _Campaign, lease: _Lease, record: StoredResult
     ) -> None:
-        """Store one streamed record and settle its accounting (under the
-        lock).  Durable first, visible second: the record hits the store
-        (flushed/fsynced) before any ack or tail event exists."""
-        index = campaign.key_to_index.get(record.key)
-        if index is None:
-            raise ValueError(
-                f"record key {record.key!r} is not part of campaign {campaign.id}"
-            )
+        """Store one streamed record of a checked batch and settle its
+        accounting (under the lock).  The record is written and flushed
+        here; its batch is fsynced once after its last record, before the
+        ack is sent and before the lock is released to tail clients, so
+        they never see a record that is not durable."""
+        index = campaign.key_to_index[record.key]
         fresh = record.key not in campaign.store
         campaign.store.record(record)
         if fresh:
@@ -786,11 +786,12 @@ class CampaignCoordinator:
         campaign.queue.extend(shards)
 
     def _handle_result_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Accept one ``result_batch``: k records, one ack.
+        """Accept one ``result_batch``: k records, one fsync, one ack.
 
-        Every record is parsed *before* any is stored, so a malformed
-        record rejects the whole batch instead of leaving it half-ingested
-        under one unacknowledged message."""
+        Every record is parsed, and its key checked against the lease's
+        campaign, *before* any is stored, so a bad record rejects the whole
+        batch instead of leaving it half-ingested under one unacknowledged
+        message."""
         payload = message.get("records")
         if not isinstance(payload, list) or not payload:
             raise ValueError("result_batch message carries no records list")
@@ -805,7 +806,14 @@ class CampaignCoordinator:
                 return {"type": "stale_lease"}
             campaign, lease = found
             for record in records:
+                if record.key not in campaign.key_to_index:
+                    raise ValueError(
+                        f"record key {record.key!r} is not part of campaign {campaign.id}"
+                    )
+            for record in records:
                 self._accept_record(campaign, lease, record)
+            if self.durable_stores:
+                campaign.store.sync()
             lease.deadline = time.monotonic() + self.lease_timeout
             self._check_complete(campaign)
             self._cond.notify_all()

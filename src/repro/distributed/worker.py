@@ -49,8 +49,9 @@ from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
 logger = logging.getLogger("repro.campaignd.worker")
 
 #: Records per ``result_batch`` message.  The coordinator stores every
-#: record before acking the batch, so a lost lease forfeits at most the
-#: unflushed tail, which the re-queued lease re-executes.
+#: record, and with durable stores fsyncs the batch once, before acking
+#: it, so a lost lease forfeits at most the unflushed tail, which the
+#: re-queued lease re-executes.
 RESULT_BATCH_SIZE = 8
 
 

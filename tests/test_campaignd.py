@@ -239,6 +239,67 @@ class TestStoreDurability:
         store.close()
         assert ResultStore(str(path)).completed_keys() == {"a", "b"}
 
+    def test_sync_fsyncs_the_open_handle_once(self, tmp_path, monkeypatch):
+        """Group commit: records of a ``durable=False`` store are fsynced
+        by one ``sync()``, which does nothing without an open handle."""
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+        ResultStore().sync()  # memory store
+        store = ResultStore(str(tmp_path / "group.jsonl"), durable=False)
+        store.sync()  # nothing appended yet
+        store.record(_stored("a"))
+        store.record(_stored("b", index=1))
+        assert calls == []
+        store.sync()
+        assert len(calls) == 1
+        store.close()
+        store.sync()  # closed
+        assert len(calls) == 1
+
+
+class TestGroupCommit:
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_one_fsync_per_acked_batch_before_its_ack(
+        self, fabric_factory, tmp_path, monkeypatch, durable
+    ):
+        """A coordinator with durable stores fsyncs each ``result_batch``
+        exactly once, before the batch's ack is sent (ack implies
+        durable); with ``durable_stores=False`` it never fsyncs."""
+        events = []
+        real_fsync = os.fsync
+        real_send = MessageStream.send
+
+        def fsync(fd):
+            events.append(("fsync", None))
+            real_fsync(fd)
+
+        def send(stream, message):
+            if message["type"] == "result_batch":
+                events.append(("batch", len(message["records"])))
+            elif message["type"] == "ack" and "accepted" in message:
+                events.append(("ack", message["accepted"]))
+            real_send(stream, message)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(MessageStream, "send", send)
+        fabric = fabric_factory(shard_size=16, durable_stores=durable)
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / "commit.jsonl"), **GIT_SPEC_KWARGS)
+        campaign_id = client.submit(spec)["campaign_id"]
+        worker = fabric.worker()
+        while worker.run_once():
+            pass
+
+        status = client.status(campaign_id)
+        assert status["state"] == "complete"
+        batches = [size for kind, size in events if kind == "batch"]
+        acked = [size for kind, size in events if kind == "ack"]
+        assert acked == batches and sum(acked) == status["total"]
+        assert max(acked) > 1  # batches really carry several records
+        commits = [kind for kind, _ in events if kind != "batch"]
+        assert commits == (["fsync", "ack"] if durable else ["ack"]) * len(acked)
+
 
 # ----------------------------------------------------------------------
 # satellite: central controller thread safety
@@ -734,6 +795,42 @@ class TestCampaignFabric:
         assert status["completed"] == status["resumed_at_submit"] + 1
         store = ResultStore(str(tmp_path / "dup.jsonl"))
         assert len([k for k in store.completed_keys() if k == record.key]) == 1
+
+    def test_batch_with_a_foreign_key_is_rejected_whole(self, fabric_factory, tmp_path):
+        """A ``result_batch`` is all-or-nothing: one record whose key is not
+        part of the campaign gets the batch an ``error``, and the valid
+        record before it is neither stored nor counted."""
+        fabric = fabric_factory(shard_size=2, lease_timeout=30.0)
+        client = fabric.client()
+        path = tmp_path / "whole.jsonl"
+        reply = client.submit(CampaignSpec(store_path=str(path), **GIT_SPEC_KWARGS))
+
+        stream = connect(fabric.address)
+        stream.send({"type": "hello", "role": "worker", "worker_id": "forger",
+                     "version": PROTOCOL_VERSION})
+        assert stream.recv()["type"] == "welcome"
+        stream.send({"type": "fetch", "worker_id": "forger"})
+        shard = stream.recv()
+        assert len(shard["indices"]) == 2
+        engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
+        first, second = engine.run_schedule_indices(points, shard["indices"])
+        stream.send({
+            "type": "result_batch", "lease_id": shard["lease_id"],
+            "records": [first.to_dict()],
+        })
+        assert stream.recv()["type"] == "ack"
+        stored = path.read_bytes()
+        completed = client.status(reply["campaign_id"])["completed"]
+
+        stream.send({
+            "type": "result_batch", "lease_id": shard["lease_id"],
+            "records": [second.to_dict(), dict(second.to_dict(), key="not-a-key")],
+        })
+        rejected = stream.recv()
+        assert rejected["type"] == "error" and "not-a-key" in rejected["error"]
+        stream.close()
+        assert path.read_bytes() == stored
+        assert client.status(reply["campaign_id"])["completed"] == completed
 
 
 class TestCoordinatorRestart:

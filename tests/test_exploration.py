@@ -6,9 +6,13 @@ interrupted exploration resumes from the result store, and bit-identical
 results between serial and parallel explorations with the same seed.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.analysis.scenario_gen import fault_candidates
 from repro.core.controller.controller import LFIController
@@ -262,6 +266,70 @@ class TestResultStore:
             handle.write(json.dumps(payload) + "\n")
         reloaded = ResultStore(str(path))
         assert reloaded.get("a").extra["future_field"] == 42
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_json_objects = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
+_stored_results = st.builds(
+    StoredResult,
+    key=st.text(max_size=12),
+    index=st.integers(min_value=0),
+    scenario=st.text(max_size=8),
+    function=st.text(max_size=8),
+    return_value=st.integers(),
+    errno=st.none() | st.integers(min_value=0, max_value=200),
+    category=st.sampled_from(["unchecked", "checked"]),
+    workload=st.text(max_size=8),
+    outcome=st.sampled_from([kind.value for kind in OutcomeKind]),
+    detail=st.text(max_size=12),
+    exit_code=st.integers(min_value=-255, max_value=255),
+    location=st.text(max_size=8),
+    injections=st.integers(min_value=0, max_value=50),
+    fingerprint=st.text(max_size=8),
+    run_seed=st.none() | st.integers(min_value=0, max_value=2**63),
+    fault_class=st.text(max_size=8),
+    fault_params=_json_objects,
+    calls=st.dictionaries(st.text(max_size=6), st.integers(min_value=0), max_size=5),
+    recovery_lines=st.lists(st.text(max_size=10), max_size=3),
+    extra=_json_objects,
+)
+
+
+def _scribble(value):
+    """Mutate every dict and list inside *value*, innermost first."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribbled")
+
+
+class TestStoredResultDict:
+    @given(_stored_results)
+    def test_to_dict_is_the_asdict_payload_and_detached(self, record):
+        expected = dataclasses.asdict(record)
+        if not record.recovery_lines:
+            del expected["recovery_lines"]
+        payload = record.to_dict()
+        # ``asdict`` names every dataclass field, in order, so a field
+        # added to the dataclass but not to ``to_dict`` fails here.
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert StoredResult.from_dict(payload) == record
+        assert StoredResult.from_dict(json.loads(json.dumps(payload))) == record
+        before = copy.deepcopy(record)
+        for value in payload.values():
+            _scribble(value)
+        assert record == before
 
 
 # ----------------------------------------------------------------------
