@@ -20,7 +20,7 @@ and machine for every scenario run:
    scenario family onto one probe run.  Must clear 2x.  An *injecting*
    variant of the same campaign is reported alongside (its runs diverge at
    the fault, so only the pre-trigger prefix is shareable via the
-   deepcopy fork path).
+   capture/restore fork path).
 4. **boot restore micro** — restores/sec of a boot template vs fresh
    session builds, plus the dirty-word count a restore actually rewinds.
 

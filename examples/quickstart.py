@@ -12,7 +12,7 @@ mini-C:
 4. run the program's workload once per scenario and report the crashes the
    injections exposed.
 
-Two knobs worth knowing about:
+Knobs and subsystems worth knowing about:
 
 * ``parallelism=`` — every campaign entry point
   (``LFIController.test_automatically`` / ``run_campaign``,
@@ -33,9 +33,7 @@ Two knobs worth knowing about:
   specialized closures, then straight-line blocks fused into single
   *superclosure* functions with dead CMP/Jcc flag work elided and a
   coverage-off hot loop for untracked runs; see
-  ``benchmarks/bench_vm_speed.py`` / ``bench_dataplane.py``),
-  ``"compiled-steps"`` (the per-instruction closure loop, kept as a second
-  oracle and benchmark baseline) and ``"reference"`` (the original
+  ``benchmarks/bench_vm_speed.py``) and ``"reference"`` (the original
   decode-as-you-go interpreter, the differential-testing ground truth).
   Compiled targets accept the same knob through
   ``WorkloadRequest(options={"engine": ...})``, and ``REPRO_ENGINE`` sets
@@ -63,33 +61,23 @@ Two knobs worth knowing about:
   win in ``BENCH_snapshot.json``.
 * **parallel prefix groups, prefix trees, errno-blind suffixes** — prefix
   sharing composes with the pool backends: ``share_prefixes=True`` with
-  ``parallelism="processes:4"`` ships each scenario group to a worker as
-  one task (``run_groups`` in ``repro.core.controller.executor``) — the
-  worker runs the probe and resumes the siblings locally, so the two
-  throughput levers multiply instead of cancelling.  Groups are
-  hierarchical: call-count variants of one site share the sub-prefix up to
-  their earliest divergence via nested mid-run captures, and suffixes that
-  never read ``errno`` (a libc errno-read counter proves it) collapse
-  errno-only variants into patched replicas of one run.  The mini_apache
-  server world forks by capture/restore instead of ``copy.deepcopy``.
-  Bit-identity across serial/threads/processes schedules is enforced by
-  ``tests/test_prefix_parallel.py``;
-  ``benchmarks/bench_prefix_parallel.py`` writes
-  ``BENCH_prefix_parallel.json``.
-* **the dataplane: run-to-completion batches + delta results** — pooled
-  shared campaigns shard their scenario groups round-robin into one batch
+  ``parallelism="processes:4"`` packs the scenario groups into one batch
   per worker (``GroupBatchTask`` / ``run_group_batches`` in
   ``repro.core.controller.executor``); each worker drains its batch
-  back-to-back on a warm boot template instead of paying a pool round trip
-  per group.  Workers publish each run's OS on the *delta result channel*:
-  a ``DeltaOSClone`` pickles only the OS subsystems the run changed since
-  boot and rehydrates lazily on the parent against its memoized boot
-  template (``WorkloadRequest(options={"os_channel": "full"})`` restores
-  the full-state clone, the differential oracle).
-  ``benchmarks/bench_dataplane.py`` writes ``BENCH_dataplane.json``;
-  ``tests/test_dataplane.py`` enforces bit-identity through the whole
-  stack.  See the "Execution pipeline architecture" section of the
-  package docstring (``repro/__init__.py``) for the five-layer walk.
+  back-to-back on a warm boot template, running every group's probe and
+  resuming its siblings locally, so the two throughput levers multiply
+  instead of cancelling.  Groups are hierarchical: call-count variants of
+  one site share the sub-prefix up to their earliest divergence via nested
+  mid-run captures, and suffixes that never read ``errno`` (a libc
+  errno-read counter proves it) collapse errno-only variants into patched
+  replicas of one run.  The mini_apache
+  server world forks by capture/restore.  Every run publishes its final
+  OS in ``stats["os"]`` as a detached, lazily hydrated ``LazyOSClone``.
+  Bit-identity across serial/threads/processes schedules is enforced by
+  ``tests/test_prefix_parallel.py`` and ``tests/test_dataplane.py``, and
+  ``e2ebench/`` measures the pooled path end to end.  See the "Execution
+  pipeline architecture" section of the package docstring
+  (``repro/__init__.py``) for the four-layer walk.
 * **the campaign fabric** — for explorations that outlive one process,
   a resident coordinator (``repro-campaignd serve``) accepts campaign
   specs over a line-oriented JSON protocol (``doc/PROTOCOL.md``),
@@ -256,16 +244,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Parallel prefix groups: sharing composes with the pool backends.
     #
-    # Each scenario group ships to a worker as one task — the worker runs
-    # the group's probe and resumes the siblings locally — so a pooled
-    # shared campaign stays bit-identical to the serial shared one.
+    # The scenario groups are packed into one batch per worker — each
+    # worker runs its groups' probes and resumes the siblings locally — so
+    # a pooled shared campaign stays bit-identical to the serial one.
     fanout = campaign.run(git_scenarios, seed=1, include_baseline=False,
                           share_prefixes=True, parallelism="threads:2")
     assert [o.outcome.kind for o in fanout.outcomes] == \
            [o.outcome.kind for o in reference.outcomes]
-    print(f"group-per-task fan-out over {len(git_scenarios)} scenarios "
-          f"(threads:2): outcomes identical to serial "
-          f"(see benchmarks/bench_prefix_parallel.py)")
+    print(f"batched pool fan-out over {len(git_scenarios)} scenarios "
+          f"(threads:2): outcomes identical to the rebuild path "
+          f"(see e2ebench/ for the pooled throughput)")
 
     # ------------------------------------------------------------------
     # The campaign fabric: a resident coordinator + worker nodes.

@@ -64,7 +64,7 @@ computation.  Cached objects — analysis reports included — are shared:
 treat them as immutable; ``clear_artifact_cache()`` resets the cache in
 tests.
 
-**VM execution engines.** The VM ships three engines behind one
+**VM execution engines.** The VM ships two engines behind one
 :class:`Machine` API.  ``engine="compiled"`` (the default) predecodes each
 instruction once per image into a specialized closure
 (:mod:`repro.vm.dispatch`) — operands become register-slot indices and
@@ -79,14 +79,13 @@ specialized loop with no per-step record branch at all; trackers expose a
 ``record_block`` batch API for the instrumented loop.  Everything is
 cached on the :class:`~repro.isa.binary.BinaryImage` so every campaign run
 sharing an image (the artifact cache, ``CompiledTarget``'s binary cache)
-reuses the compiled program and fused blocks.  ``engine="compiled-steps"``
-keeps the per-instruction closure loop (the pre-dataplane shape, and a
-second oracle); ``engine="reference"`` keeps the original decode-as-you-go
-interpreter as the behavioural ground truth.  ``tests/test_vm_dispatch.py``
-and ``tests/test_dataplane.py`` assert all engines produce identical exit
-statuses, traces, coverage, call counts, and injection logs — including on
-randomly generated mini-C programs — and ``REPRO_ENGINE`` selects the
-process-wide default (the CI oracle leg exports ``REPRO_ENGINE=reference``)::
+reuses the compiled program and fused blocks.  ``engine="reference"``
+keeps the original decode-as-you-go interpreter as the behavioural ground
+truth.  ``tests/test_vm_dispatch.py`` and ``tests/test_dataplane.py``
+assert both engines produce identical exit statuses, traces, coverage,
+call counts, and injection logs — including on randomly generated mini-C
+programs — and ``REPRO_ENGINE`` selects the process-wide default (the CI
+oracle leg exports ``REPRO_ENGINE=reference``)::
 
     machine = Machine(binary, engine="reference")   # the slow oracle
     target.run(WorkloadRequest(options={"engine": "reference"}))
@@ -115,14 +114,14 @@ points.  Suffixes that never read ``errno`` (tracked by a libc errno-read
 counter the compiled engine maintains for free via predecode
 specialization) make errno-only variants *suffix replicas*: one run, the
 logged errno patched per member.  Sharing also composes with every
-execution backend: each group ships to the pool as one
-:class:`~repro.core.controller.executor.GroupTask` (``run_groups`` /
-``run_groups_iter``), whose worker runs the probe and resumes the siblings
-locally, so ``share_prefixes=True, parallelism="processes:4"`` multiplies
-the two levers instead of silently dropping one.  The Python-level
-mini_apache target forks its server world the same way — captured once,
-restored per member in O(touched state), no ``copy.deepcopy``.  All of it
-is observably identical to the reference rebuild path —
+execution backend: the groups are packed into one
+:class:`~repro.core.controller.executor.GroupBatchTask` per worker
+(``run_group_batches``), whose worker runs each group's probe and resumes
+its siblings locally, so ``share_prefixes=True, parallelism="processes:4"``
+multiplies the two levers instead of silently dropping one.  The
+Python-level mini_apache target forks its server world the same way —
+captured once, restored per member in O(touched state).  All of it is
+observably identical to the reference rebuild path —
 ``tests/test_snapshot.py`` and ``tests/test_prefix_parallel.py`` enforce
 bit-identical exit statuses, traces, coverage, call counts, and injection
 logs across serial, threaded, and process-pooled schedules — and
@@ -130,31 +129,31 @@ selectable::
 
     target.run(WorkloadRequest(options={"snapshots": False}))   # reference path
     campaign.run(scenarios, share_prefixes=False)               # per-scenario runs
-    campaign.run(scenarios, share_prefixes=True,                # group-per-task
+    campaign.run(scenarios, share_prefixes=True,                # batched pool
                  parallelism="processes:4")                     # fan-out
 
 ``benchmarks/bench_snapshot.py`` tracks the snapshot-engine campaign
 throughput in ``BENCH_snapshot.json`` (>= 2x the rebuild path on the
-mini_git sweep and the mini_apache trigger campaign);
-``benchmarks/bench_prefix_parallel.py`` tracks the PR 5 composition in
-``BENCH_prefix_parallel.json`` (group fan-out vs the old silently-unshared
-pools, prefix-tree sweeps, and the capture/restore fork vs deepcopy).
+mini_git sweep and the mini_apache trigger campaign).
 
 **Execution pipeline architecture.** A pooled shared campaign run passes
-through five dataplane layers, each independently selectable and each with
-a slow reference oracle the differential suite holds it to:
+through four dataplane layers, each with exactly one slow reference oracle
+the differential suite holds it to:
 
 1. **Block-batched VM execution** (:mod:`repro.vm.dispatch`) — the image
    is predecoded once into per-instruction closures, straight-line blocks
    fuse into superclosures, and coverage-off runs skip per-step
    bookkeeping entirely.  Knobs: ``engine=`` / ``REPRO_ENGINE``
-   (``compiled`` | ``compiled-steps`` | ``reference``).
+   (``compiled`` | ``reference``).
 2. **Forkserver snapshots** (:mod:`repro.vm.snapshot`,
    :mod:`repro.core.profiler.cache`) — one resident boot template per
    (boot scope, engine, libc-spec fingerprint); requests restore boot
    state in O(dirty words).  The default boot scope is the shared
    fixture prefix, so every workload of a target reuses one boot+fixture
-   capture.  Knobs: ``snapshots=`` / ``REPRO_SNAPSHOTS``.
+   capture.  Every run publishes its final OS as a detached
+   :class:`~repro.oslib.os_model.LazyOSClone`, held equal to the
+   ``snapshots=False`` session's own OS.  Knobs: ``snapshots=`` /
+   ``REPRO_SNAPSHOTS``.
 3. **Prefix trees** (:mod:`repro.core.controller.prefix`) — scenario
    groups run their common pre-trigger prefix once; siblings resume from
    mid-run captures.  Knob: ``share_prefixes=``.
@@ -167,28 +166,21 @@ a slow reference oracle the differential suite holds it to:
    by modeled cost (LPT) rather than naive round-robin.  Knobs:
    ``parallelism=``, ``group_sched=`` / ``REPRO_GROUP_SCHED``
    (``adaptive`` | ``static``).
-5. **Delta result channel** (:mod:`repro.targets.base`,
-   :mod:`repro.oslib.os_model`) — workers publish each run's OS as a
-   :class:`~repro.targets.base.DeltaOSClone` carrying only the subsystems
-   the run changed since boot; the parent rehydrates lazily against its
-   memoized boot template.  Knob: ``os_channel=`` (``delta`` | ``full``).
 
 Walking the layers from a campaign entry point::
 
     campaign.run(scenarios,                      # layer 1: engine="compiled"
                  share_prefixes=True,            # layer 3: prefix groups
-                 parallelism="processes:4")      # layers 4+5: batched pool
-                                                 #   fan-out, delta results
+                 parallelism="processes:4")      # layer 4: batched pool
+                                                 #   fan-out
     campaign.run(scenarios,                      # the full reference stack:
                  share_prefixes=False,           #   per-scenario runs,
                  engine="reference",             #   decode-as-you-go VM,
-                 snapshots=False,                #   fresh builds,
-                 os_channel="full")              #   full-state results
+                 snapshots=False)                #   fresh builds
 
-``benchmarks/bench_dataplane.py`` measures the stack end to end in
-``BENCH_dataplane.json`` (block-batched VM throughput per engine, pooled
-shared-campaign throughput vs the PR 5 baseline, and published-result wire
-bytes full vs delta).
+``e2ebench/`` measures the stack end to end (its ``sweep``, ``retest``,
+``pooled`` and ``fabric`` workloads), with every record checked against
+the oracle.
 
 **Suffix memoization and cost-adaptive scheduling.**  On top of the
 pipeline, :mod:`repro.core.controller.memo` never pays for an

@@ -18,13 +18,13 @@ share prefixes (:mod:`repro.core.controller.prefix`): scenarios differing
 only in the injected fault (or in a single call-count threshold — prefix
 trees) are grouped so their common pre-trigger prefix executes once and
 only post-trigger suffixes run per fault.  Sharing **composes with the
-pool backends**: each group becomes one
-:class:`~repro.core.controller.executor.GroupTask` whose worker runs the
-probe and resumes the siblings locally, so ``share_prefixes=True`` with
-``parallelism="processes:4"`` fans groups out instead of silently
-degrading to per-scenario runs — with results still bit-identical to both
-the serial shared and the unshared paths.  ``share_prefixes=False`` forces
-the reference per-scenario path.
+pool backends**: the groups are packed into one
+:class:`~repro.core.controller.executor.GroupBatchTask` per worker, whose
+worker runs each group's probe and resumes its siblings locally, so
+``share_prefixes=True`` with ``parallelism="processes:4"`` spreads groups
+across workers instead of silently degrading to per-scenario runs — with
+results still bit-identical to both the serial shared and the unshared
+paths.  ``share_prefixes=False`` forces the reference per-scenario path.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class TestCampaign:
         ``False`` forces the reference per-scenario path; ``True`` demands
         sharing and raises on targets that do not declare deterministic
         execution.  Sharing composes with every backend: serial campaigns
-        stream groups inline, pooled campaigns fan each group out as one
-        task (results stay bit-identical either way).
+        stream groups inline, pooled campaigns drain one batch of groups
+        per worker (results stay bit-identical either way).
         """
         scenario_list = list(scenarios)
         campaign = CampaignResult(target=self.target.name)
@@ -262,6 +262,7 @@ class TestCampaign:
                 "misses": memo_after.misses - memo_before.misses,
                 "stores": memo_after.stores - memo_before.stores,
                 "evictions": memo_after.evictions - memo_before.evictions,
+                "rejected": memo_after.rejected - memo_before.rejected,
                 "entries": memo_after.entries,
                 "bytes": memo_after.current_bytes,
             },

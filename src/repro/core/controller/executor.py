@@ -26,18 +26,16 @@ Backends are context managers; pools are created lazily on first use and
 can be shared across campaigns (the experiment harnesses create one backend
 per table and reuse it for every target).
 
-Three task shapes exist.  :class:`ExecutionTask` is one scenario run — the
-plain per-scenario fan-out.  :class:`GroupTask` is one whole **prefix
-group** (see :mod:`repro.core.controller.prefix`): the worker runs the
-group's probe once and resumes every sibling locally, so prefix sharing and
-pool parallelism compose instead of cancelling — ``run_groups`` /
-``run_groups_iter`` are the group-per-task entry points.
-:class:`GroupBatchTask` is the run-to-completion shape: the campaign's
-groups are sharded round-robin into one batch per worker up front
-(:func:`shard_group_tasks`) and each worker drains its batch back-to-back —
-warm boot template, one result message — instead of paying a pool round
-trip per group; ``run_group_batches`` / ``run_group_batches_iter`` are its
-entry points.
+Two task shapes reach a backend.  :class:`ExecutionTask` is one scenario
+run — the plain per-scenario fan-out (``run_tasks`` / ``run_tasks_iter``).
+:class:`GroupBatchTask` is the run-to-completion shape for prefix sharing
+(see :mod:`repro.core.controller.prefix`): the campaign's
+:class:`GroupTask` prefix groups are planned into at most one batch per
+worker up front (:func:`plan_group_batches`) and each worker drains its
+batch back-to-back — running every group's probe once and resuming its
+siblings locally, on a warm boot template, with one result message — so
+prefix sharing and pool parallelism compose instead of cancelling;
+``run_group_batches`` / ``run_group_batches_iter`` are its entry points.
 """
 
 from __future__ import annotations
@@ -111,10 +109,10 @@ def execute_task(task: ExecutionTask) -> RunResult:
 
 @dataclass
 class GroupTask:
-    """One prefix group scheduled as a single backend task.
+    """One prefix group: the unit a :class:`GroupBatchTask` is packed from.
 
-    The group-per-task fan-out unit: the whole scenario group — probe plus
-    resumable siblings — executes inside one worker, so prefix sharing
+    The whole scenario group — probe plus resumable siblings — executes
+    inside one worker (:func:`execute_group`), so prefix sharing
     (:mod:`repro.core.controller.prefix`) composes with the pool backends
     instead of forcing a serial campaign.  ``entries`` carries the members'
     original submission indices (with per-run seeds already derived), which
@@ -132,7 +130,10 @@ class GroupTask:
 
 
 def execute_group(task: GroupTask) -> Dict[int, RunResult]:
-    """Run one prefix group (module-level so process pools can import it)."""
+    """Run one prefix group inside the current worker.
+
+    :func:`execute_group_batch` calls it once per group of its batch.
+    """
     # Imported lazily: the prefix scheduler sits above the executor in the
     # module graph (campaigns import both), so the executor must not import
     # it at module load.
@@ -152,13 +153,13 @@ def execute_group(task: GroupTask) -> Dict[int, RunResult]:
 class GroupBatchTask:
     """A batch of prefix groups one worker drains run-to-completion.
 
-    The dataplane fan-out unit: where :class:`GroupTask` costs one pool
-    round trip (submit, pickle the target, return the results, pick up the
-    next task) *per group*, a batch ships many groups in a single task and
-    the worker runs them back-to-back — warm boot template, warm predecoded
-    program, one result message.  Groups in a batch keep their submission
+    The pooled fan-out unit for shared campaigns: a batch ships many groups
+    in a single task and the worker runs them back-to-back — warm boot
+    template, warm predecoded program, one result message — instead of a
+    pool round trip (submit, pickle the target, return the results, pick
+    up the next task) per group.  Groups in a batch keep their submission
     order, so per-run seeds and member indices are untouched and the merged
-    results stay bit-identical to the group-per-task path.
+    results stay bit-identical to the serial shared path.
     """
 
     index: int
@@ -349,7 +350,7 @@ class ExecutionBackend(ABC):
         """Yield ``(item, fn(item))`` pairs incrementally.
 
         The single delivery policy behind every ``*_iter`` entry point
-        (tasks, groups, group batches): backends override *this* — the
+        (tasks, group batches): backends override *this* — the
         serial backend yields lazily after each item, pools yield in
         completion order — and the entry points stay one-liners instead of
         three near-copies per backend.  The base implementation degrades to
@@ -372,28 +373,6 @@ class ExecutionBackend(ABC):
         ordered = sorted(tasks, key=lambda task: task.index)
         return self._pair_iter(execute_task, ordered)
 
-    def run_groups(self, tasks: Sequence[GroupTask]) -> List[Dict[int, RunResult]]:
-        """Execute prefix-group tasks; results ordered by group index.
-
-        Each returned mapping pairs member submission indices with their
-        results; pooled backends run whole groups concurrently (one worker
-        executes a group's probe and resumes its siblings locally).
-        """
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self.map(execute_group, [(task,) for task in ordered])
-
-    def run_groups_iter(
-        self, tasks: Sequence[GroupTask]
-    ) -> Iterator[Tuple[GroupTask, Dict[int, RunResult]]]:
-        """Yield ``(group task, member results)`` pairs incrementally.
-
-        Pool backends yield groups in **completion** order (like
-        :meth:`run_tasks_iter`) so callers can checkpoint a finished
-        group's runs while slower groups are still executing.
-        """
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self._pair_iter(execute_group, ordered)
-
     def worker_count(self) -> int:
         """How many tasks this backend can execute concurrently.
 
@@ -408,12 +387,11 @@ class ExecutionBackend(ABC):
     ) -> Dict[int, RunResult]:
         """Drain *tasks* run-to-completion: one batch of groups per worker.
 
-        Instead of a task-per-group fan-out (pool round trip — submit,
-        pickle, result, repeat — per group), the groups are planned into
-        at most :meth:`worker_count` batches up front
-        (:func:`plan_group_batches`, cost-adaptive by default;
-        ``schedule="static"`` selects the round-robin interleave) and each
-        worker drains its whole batch before returning.  Results come back
+        Instead of a pool round trip (submit, pickle, result, repeat) per
+        group, the groups are planned into at most :meth:`worker_count`
+        batches up front (:func:`plan_group_batches`, cost-adaptive by
+        default; ``schedule="static"`` selects the round-robin interleave)
+        and each worker drains its whole batch before returning.  Results come back
         keyed by member submission index, so the merged mapping is
         deterministic regardless of batch completion order.
         """

@@ -26,7 +26,8 @@ Knobs:
   forces the process memo, a :class:`SuffixMemo` instance selects a
   private cache (tests);
 * ``REPRO_MEMO=0`` disables the process-wide default;
-* ``REPRO_MEMO_BYTES`` sets the byte budget (default 64 MiB).
+* ``REPRO_MEMO_BYTES`` sets the byte budget (default 64 MiB); a value
+  that is not a non-negative integer raises :class:`ValueError`.
 
 Correctness boundaries, enforced by the callers in
 :mod:`repro.core.controller.prefix`:
@@ -48,12 +49,15 @@ own insertions stay in the child (same story as the artifact cache).
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
+
+logger = logging.getLogger(__name__)
 
 #: Default byte budget for the process-wide memo.
 DEFAULT_MEMO_BYTES = 64 * 1024 * 1024
@@ -65,14 +69,20 @@ def default_memo_enabled() -> bool:
 
 
 def default_memo_bytes() -> int:
-    """The configured byte budget (``REPRO_MEMO_BYTES``)."""
+    """The configured byte budget (``REPRO_MEMO_BYTES``).
+
+    Raises :class:`ValueError` when the variable is set to anything but a
+    non-negative integer, rather than silently running with a budget the
+    user did not ask for.
+    """
     raw = os.environ.get("REPRO_MEMO_BYTES")
     if not raw:
         return DEFAULT_MEMO_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MEMO_BYTES
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"REPRO_MEMO_BYTES must be a non-negative integer byte count, got {raw!r}"
+        )
+    return int(raw)
 
 
 @dataclass
@@ -135,12 +145,17 @@ class SuffixMemo:
         The entry is the pickled result — what the result costs to ship
         across a pool boundary, and exactly what the cache pins in memory.
         Unpicklable results (exotic stats payloads) are rejected rather
-        than guessed at, and a single result larger than the whole budget
-        is rejected instead of evicting everything else.
+        than guessed at, with a warning naming the exception, and a single
+        result larger than the whole budget is rejected (a counted policy,
+        no warning) instead of evicting everything else.
         """
         try:
             blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        except Exception as exc:
+            logger.warning(
+                "suffix memo: not caching an unpicklable result (%s: %s)",
+                type(exc).__name__, exc,
+            )
             with self._lock:
                 self._rejected += 1
             return False

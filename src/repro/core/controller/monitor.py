@@ -71,12 +71,11 @@ class Outcome:
 class RunResult:
     """Everything a campaign records about one workload run.
 
-    ``stats["os"]`` holds the run's published post-run OS — usually not a
-    :class:`~repro.oslib.os_model.SimOS` but a lazy stand-in
-    (:class:`~repro.oslib.os_model.LazyOSClone`, or on the delta result
-    channel a :class:`~repro.targets.base.DeltaOSClone` whose pickled wire
-    form is just the subsystems the run changed since boot).  Both hydrate
-    transparently on first attribute access, so consumers read
+    ``stats["os"]`` holds the run's published post-run OS: the session's
+    own :class:`~repro.oslib.os_model.SimOS` on the plain fresh path, and a
+    detached :class:`~repro.oslib.os_model.LazyOSClone` of its captured
+    state on every snapshot-backed or prefix-shared run.  The clone
+    hydrates transparently on first attribute access, so consumers read
     ``stats["os"].stdout_text()`` etc. without caring which one they got.
     """
 

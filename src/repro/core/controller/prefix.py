@@ -45,9 +45,9 @@ triggers, no ``@shared_object`` parameters) are grouped, and only targets
 that declare ``prefix_shareable`` (deterministic modulo the injected fault)
 participate.  Everything else runs on the plain per-scenario path.  The
 differential suite asserts shared campaigns are bit-identical to unshared
-ones — serial and pooled (see ``run_groups`` in
-:mod:`repro.core.controller.executor`, which executes whole groups as
-backend tasks so sharing composes with the pool backends).
+ones — serial and pooled (see ``run_group_batches`` in
+:mod:`repro.core.controller.executor`, whose workers each drain a batch of
+whole groups so sharing composes with the pool backends).
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def build_group_tasks(
     :class:`~repro.core.controller.executor.GroupTask` each (the worker
     shares the prefix internally); ungrouped entries ride along as
     singleton groups, which :func:`run_entry_group` executes on the plain
-    per-scenario path — so one ``run_groups`` batch covers the whole
+    per-scenario path — so one ``run_group_batches`` call covers the whole
     schedule.
     """
     from repro.core.controller.executor import GroupTask
@@ -865,7 +865,6 @@ def _run_group_with_sessions(
         workload,
         engine=engine,
         snapshots=None if snapshots is None else bool(snapshots),
-        os_channel=options.get("os_channel"),
     )
     session.shared = True
     try:

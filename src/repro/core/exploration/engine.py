@@ -391,9 +391,8 @@ class ExplorationEngine:
             # Run-to-completion fan-out: groups are sharded into one
             # batch per worker and each worker drains its batch without
             # pool round trips between groups.  Checkpoint cadence is
-            # therefore one *batch* (several groups) — coarser than the
-            # old group-per-task streaming, the price of eliminating
-            # the per-group submit/result cycles.
+            # therefore one *batch* (several groups), the price of
+            # eliminating per-group submit/result cycles.
             tasks = build_group_tasks(
                 self.target, self.workload, entries,
                 collect_coverage=collect_coverage,

@@ -5,9 +5,9 @@ single-target entry point for the BIND analog, mirroring how mini_git is
 driven inside :mod:`repro.experiments.table1_bugs`.  One ``run()`` call
 exercises the whole execution pipeline end to end — automatic call-site
 analysis and scenario generation, snapshot-backed sessions, prefix-group
-scheduling, run-to-completion pooled batches, and the delta result
-channel — against a single mini_bind workload, and reports which of the
-target's known planted bugs the campaign exposed.
+scheduling and run-to-completion pooled batches — against a single
+mini_bind workload, and reports which of the target's known planted bugs
+the campaign exposed.
 
 ``exploration=True`` switches from the one-scenario-per-site automatic
 pipeline to the systematic fault-space sweep (exhaustive (site x errno)

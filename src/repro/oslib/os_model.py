@@ -187,31 +187,4 @@ class LazyOSClone:
         return f"LazyOSClone({self._state['name']!r})"
 
 
-#: Sentinel distinguishing "key absent from base" from "key maps to None".
-_MISSING = object()
-
-
-def diff_state(base: Dict[str, object], current: Dict[str, object]) -> Dict[str, object]:
-    """Subsystem-level delta between two :meth:`SimOS.capture_state` dicts.
-
-    Returns the entries of *current* that differ from *base* — the wire form
-    the delta result channel ships instead of the full captured state.  A
-    boot-identical subsystem (untouched filesystem, empty heap, ...) costs
-    nothing on the wire; :func:`merge_state` over the same base reproduces
-    *current* exactly.
-    """
-    return {
-        key: value
-        for key, value in current.items()
-        if base.get(key, _MISSING) != value
-    }
-
-
-def merge_state(base: Dict[str, object], delta: Dict[str, object]) -> Dict[str, object]:
-    """Rebuild a full captured state from *base* plus a :func:`diff_state`."""
-    merged = dict(base)
-    merged.update(delta)
-    return merged
-
-
-__all__ = ["LazyOSClone", "SimOS", "diff_state", "merge_state"]
+__all__ = ["LazyOSClone", "SimOS"]

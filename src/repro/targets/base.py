@@ -46,7 +46,7 @@ from repro.coverage.tracker import CoverageTracker
 from repro.isa.binary import BinaryImage
 from repro.minicc import compile_source
 from repro.oslib.libc import SimLibc
-from repro.oslib.os_model import SimOS, diff_state, merge_state
+from repro.oslib.os_model import SimOS
 from repro.vm.machine import Machine, resolve_engine
 from repro.vm.snapshot import BootTemplate
 
@@ -146,71 +146,6 @@ class KnownBug:
 
 
 # ----------------------------------------------------------------------
-# the delta result channel's published-OS stand-in
-# ----------------------------------------------------------------------
-class DeltaOSClone:
-    """A published OS that ships only its difference from the boot state.
-
-    The full captured OS state of a run is dominated by the boot fixture —
-    config files, zone data, environment — that every run of a workload
-    shares.  Instead of re-pickling all of it per run (the pre-dataplane
-    result channel), this stand-in keeps just the subsystem entries that
-    changed since boot and a recipe for the base: ``(target, workload,
-    engine)`` keys the process-wide boot-template cache, so the pool parent
-    rehydrates against its own memoized template rather than unpacking a
-    full state per result.  Hydration is lazy, exactly like
-    :class:`~repro.oslib.os_model.LazyOSClone`: campaigns publish far more
-    OSes than anyone inspects.
-    """
-
-    __slots__ = ("_target", "_workload", "_engine", "_delta", "_os")
-
-    def __init__(self, target, workload: str, engine: Optional[str], delta: dict) -> None:
-        self._target = target
-        self._workload = workload
-        self._engine = engine
-        self._delta = delta
-        self._os = None
-
-    def _hydrate(self) -> SimOS:
-        if self._os is None:
-            template = self._target.boot_template(self._workload, self._engine)
-            state = merge_state(template.snapshot.os_state, self._delta)
-            os = SimOS(state["name"])
-            os.restore_state(state)
-            self._os = os
-        return self._os
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            # Never resolve internals through the proxy (see LazyOSClone:
-            # unpickling would recurse before the slots exist).
-            raise AttributeError(name)
-        return getattr(self._hydrate(), name)
-
-    def __getstate__(self) -> dict:
-        return {
-            "target": self._target,
-            "workload": self._workload,
-            "engine": self._engine,
-            "delta": self._delta,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._target = state["target"]
-        self._workload = state["workload"]
-        self._engine = state["engine"]
-        self._delta = state["delta"]
-        self._os = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeltaOSClone({self._target.name!r}, {self._workload!r}, "
-            f"{len(self._delta)} changed subsystems)"
-        )
-
-
-# ----------------------------------------------------------------------
 # execution sessions (fresh-build or snapshot-backed)
 # ----------------------------------------------------------------------
 class ExecutionSession:
@@ -230,18 +165,11 @@ class ExecutionSession:
         binary: BinaryImage,
         engine: Optional[str],
         template: Optional[BootTemplate],
-        workload: Optional[str] = None,
-        os_channel: Optional[str] = None,
     ) -> None:
         self.target = target
         self.binary = binary
         self.engine = engine
         self.template = template
-        self.workload = workload
-        #: Result-channel mode: ``"delta"`` (the default) publishes the OS
-        #: as a boot-state diff; ``"full"`` keeps the pre-dataplane
-        #: full-state clone (benchmark baseline / differential oracle).
-        self.os_channel = os_channel or "delta"
         #: Set by the prefix-sharing scheduler when one session serves
         #: several scenario runs; forces :meth:`published_os` to detach.
         self.shared = False
@@ -288,22 +216,14 @@ class ExecutionSession:
 
         A snapshot session's OS is the resident template's and will be
         rewound by the next request (likewise a session shared across a
-        scenario group), so a detached clone is published instead — its
-        state captured now, its object graph hydrated lazily on first
-        access.  Template-backed sessions publish on the delta channel: a
-        :class:`DeltaOSClone` carrying only the subsystems the run changed
-        since boot, which is what keeps pool workers from re-pickling the
-        whole OS fixture per result.  The plain fresh path keeps handing
-        out its own OS.
+        scenario group), so a detached
+        :class:`~repro.oslib.os_model.LazyOSClone` is published instead —
+        its state captured now, its object graph hydrated on first access,
+        with no reference back to the target or its boot template.  The
+        plain fresh path (the ``snapshots=False`` oracle) hands out its own
+        OS, which is what every published clone is held equal to.
         """
-        if self.template is not None:
-            if self.os_channel != "full" and self.workload is not None:
-                delta = diff_state(
-                    self.template.snapshot.os_state, self.os.capture_state()
-                )
-                return DeltaOSClone(self.target, self.workload, self.engine, delta)
-            return self.os.lazy_clone()
-        if self.shared:
+        if self.template is not None or self.shared:
             return self.os.lazy_clone()
         return self.os
 
@@ -379,9 +299,7 @@ class CompiledTarget:
     def boot_template(self, workload: str, engine: Optional[str] = None) -> BootTemplate:
         """The memoized boot template for *workload*'s boot scope.
 
-        Shared by sessions (which acquire it to run) and by the delta
-        result channel (which only reads its boot OS state to rehydrate
-        published deltas on the pool parent).  Keyed by
+        Sessions acquire it to run (see :meth:`open_session`).  Keyed by
         :meth:`boot_scope` rather than the workload name, so e.g. the
         mini_git ``status``/``commit``/``merge``/``gc`` sweeps all restore
         from one boot+fixture capture instead of booting four machines.
@@ -401,7 +319,6 @@ class CompiledTarget:
         workload: str,
         engine: Optional[str] = None,
         snapshots: Optional[bool] = None,
-        os_channel: Optional[str] = None,
     ) -> ExecutionSession:
         """Open an execution session: snapshot-backed when possible.
 
@@ -423,10 +340,7 @@ class CompiledTarget:
             if not template.try_acquire():
                 template = None
         try:
-            return ExecutionSession(
-                self, binary, engine, template,
-                workload=workload, os_channel=os_channel,
-            )
+            return ExecutionSession(self, binary, engine, template)
         except BaseException:
             # A failing boot restore must not leave the template locked
             # (that would silently demote every later request to the
@@ -551,16 +465,15 @@ class CompiledTarget:
     def run(self, request: WorkloadRequest) -> RunResult:
         """Execute one workload, optionally under an injection scenario."""
         plan = self.workload_plan(request.workload)
-        # "compiled" (block-batched superclosures, the default),
-        # "compiled-steps" (per-instruction closures) or "reference" (the
-        # decode-as-you-go oracle); the differential suite runs all three.
+        # "compiled" (block-batched superclosures, the default) or
+        # "reference" (the decode-as-you-go oracle); the differential suite
+        # runs both.
         engine = request.options.get("engine")
         snapshots = request.options.get("snapshots")
         session = self.open_session(
             request.workload,
             engine=engine,
             snapshots=None if snapshots is None else bool(snapshots),
-            os_channel=request.options.get("os_channel"),
         )
         try:
             gate = make_gate(request.scenario, observe_only=request.observe_only,
@@ -577,7 +490,6 @@ class CompiledTarget:
 
 __all__ = [
     "CompiledTarget",
-    "DeltaOSClone",
     "ExecutionSession",
     "GroundTruthEntry",
     "KnownBug",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -155,8 +154,7 @@ class MiniApacheTarget:
         from repro.vm.snapshot import graft_gate_state
 
         server.os.restore_state(world["os"])
-        if world["gate"] is not None:
-            graft_gate_state(world["gate"], server.libc.gate)
+        graft_gate_state(world["gate"], server.libc.gate)
         errno, errno_reads, next_handle, mallocs, files, dirs = world["facade"]
         facade = server.libc
         facade._errno = errno
@@ -189,14 +187,16 @@ class MiniApacheTarget:
         Otherwise the deterministic prefix — requests before the trigger —
         is replayed once into a pristine world and captured **by value**
         (OS/gate/facade/server state); each sibling gets a fresh server
-        built from its own scenario, the captured world restored onto it,
-        and processes only the remaining requests.  Forking is therefore
-        O(touched state) — no ``copy.deepcopy`` over the whole object graph
-        (``options={"fork": "deepcopy"}`` keeps the legacy fork as a
-        benchmark baseline).  Siblings whose faults differ from an already-
-        run member only in errno, when that member's suffix never read
-        errno (the facade's errno-read counter), are suffix replicas: the
-        result is copied with the logged errno patched instead of re-run.
+        built from its own scenario, the captured world restored onto it
+        (the gate grafted with :func:`~repro.vm.snapshot.graft_gate_state`
+        and re-armed with
+        :func:`~repro.core.controller.prefix.rearm_member_triggers`, as on
+        the compiled targets), and processes only the remaining requests.
+        Forking is therefore O(touched state).  Siblings whose faults
+        differ from an already-run member only in errno, when that member's
+        suffix never read errno (the facade's errno-read counter), are
+        suffix replicas: the result is copied with the logged errno patched
+        instead of re-run.
         """
         from repro.core.controller.prefix import (
             patch_replica_errno,
@@ -252,14 +252,7 @@ class MiniApacheTarget:
             partial(self._request_loop, prefix_world, uri, boundary["request"],
                     post_every)
         )
-        legacy_fork = options.get("fork") == "deepcopy"
-        world = None if legacy_fork else self._capture_world(prefix_world)
-        if world is not None and world["gate"] is None:
-            # A non-standard gate cannot be captured/grafted; the deepcopy
-            # fork carries any gate, so fall back rather than dropping the
-            # prefix interception state.
-            legacy_fork = True
-            world = None
+        world = self._capture_world(prefix_world)
 
         # Completed runs usable as errno-blind suffix-replication sources:
         # (rank, scenario, result, suffix never read errno).  Suffix reads
@@ -293,23 +286,9 @@ class MiniApacheTarget:
                 collect_coverage=collect_coverage,
                 options=seeded_options(options, seed),
             )
-            if legacy_fork:
-                fork = copy.deepcopy(prefix_world)
-                runtime = fork.libc.gate.runtime
-                # The forked runtime is the probe's: swap in this member's
-                # faults and trigger parameters (group membership guarantees
-                # the structure matches position for position).
-                for plan, member_plan in zip(runtime.scenario.plans, scenario.plans):
-                    plan.fault = member_plan.fault
-                for trigger_id, declaration in scenario.triggers.items():
-                    fork_declaration = runtime.scenario.triggers.get(trigger_id)
-                    if fork_declaration is not None:
-                        fork_declaration.params = dict(declaration.params)
-                rearm_member_triggers(fork.libc.gate, scenario)
-            else:
-                fork = self.make_server(member_request, populate=False)
-                self._restore_world(fork, world)
-                rearm_member_triggers(fork.libc.gate, scenario)
+            fork = self.make_server(member_request, populate=False)
+            self._restore_world(fork, world)
+            rearm_member_triggers(fork.libc.gate, scenario)
             member_outcome = run_python_workload(
                 partial(
                     self._request_loop, fork, uri, requests, post_every,

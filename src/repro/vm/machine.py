@@ -17,7 +17,9 @@ Two execution engines share this machine state:
 * ``engine="compiled"`` (the default) drives an array of per-instruction
   closures predecoded once per image by :mod:`repro.vm.dispatch` — operands
   resolved to register slots, immediates, and precomputed addresses at load
-  time.  This is the fast path every campaign and experiment runs on.
+  time — with straight-line basic blocks fused into superclosures that run
+  a whole block per dispatch.  This is the fast path every campaign and
+  experiment runs on; a coverage tracker must provide ``record_block``.
 * ``engine="reference"`` is the original decode-as-you-go interpreter,
   kept as the behavioural oracle: the differential suite asserts both
   engines produce identical exit status, traces, coverage, and injection
@@ -72,7 +74,7 @@ from repro.vm.outcome import ExitKind, ExitStatus
 #: (the runtime itself may legitimately be ``None``).
 _NO_RUNTIME = object()
 
-_ENGINES = ("compiled", "compiled-steps", "reference")
+_ENGINES = ("compiled", "reference")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -80,10 +82,8 @@ def resolve_engine(engine: Optional[str]) -> str:
 
     ``None`` falls back to the ``REPRO_ENGINE`` environment variable — the
     CI oracle leg runs the whole suite under ``REPRO_ENGINE=reference`` to
-    keep the slow paths exercised — and then to the block-batched compiled
-    engine.  ``"compiled-steps"`` selects the per-instruction compiled loop
-    without superclosure fusion (the PR 5 dataplane baseline, kept both as a
-    benchmark yardstick and as a second differential oracle).
+    keep the slow path exercised — and then to the block-batched compiled
+    engine.  :class:`Machine` rejects any name outside ``_ENGINES``.
     """
     return engine or _os_module.environ.get("REPRO_ENGINE") or "compiled"
 
@@ -126,14 +126,11 @@ class Machine:
         # Bound-method caches for the compiled engine's hot path.
         self._mem_load = self.memory.load
         self._mem_store = self.memory.store
-        self._program = (
-            compiled_program(binary) if self.engine != "reference" else None
-        )
         if self.engine == "compiled":
+            self._program = compiled_program(binary)
             self._fused, self._lengths = compiled_blocks(binary)
         else:
-            self._fused = None
-            self._lengths = None
+            self._program = self._fused = self._lengths = None
         #: Published by a trapping superclosure: how many of its instructions
         #: executed (including the trapping one) before the exception.
         self._block_executed = 0
@@ -223,19 +220,13 @@ class Machine:
 
     def _run_to_exit(self) -> ExitStatus:
         try:
-            if self._fused is not None:
-                if self.coverage is None and self.trace is None:
-                    # Coverage-off hot loop: no tracker, no trace — the
-                    # whole record/append machinery compiles out.
-                    return self._loop_blocks_plain()
-                if self.coverage is None or hasattr(self.coverage, "record_block"):
-                    return self._loop_blocks_instrumented()
-                # Duck-typed tracker without the batch-record API: fall
-                # back to the per-step loop so it sees every instruction.
-                return self._loop_compiled()
-            if self._program is not None:
-                return self._loop_compiled()
-            return self._loop()
+            if self._fused is None:
+                return self._loop()
+            if self.coverage is None and self.trace is None:
+                # Coverage-off hot loop: no tracker, no trace — the
+                # whole record/append machinery compiles out.
+                return self._loop_blocks_plain()
+            return self._loop_blocks_instrumented()
         except SimExit as exit_request:
             kind = ExitKind.ABORT if exit_request.aborted else (
                 ExitKind.NORMAL if exit_request.code == 0 else ExitKind.ERROR_EXIT
@@ -384,58 +375,6 @@ class Machine:
                 kind, code, reason = result
                 return self._status(kind, code=code, reason=reason)
         finally:
-            self.steps = steps
-
-    # ------------------------------------------------------------------
-    # compiled main loop (per-step closure-threaded dispatch)
-    # ------------------------------------------------------------------
-    def _loop_compiled(self) -> ExitStatus:
-        program = self._program
-        size = len(program)
-        max_steps = self.max_steps
-        coverage = self.coverage
-        record = coverage.record if coverage is not None else None
-        if record is not None:
-            reserve = getattr(coverage, "reserve", None)
-            if reserve is not None:
-                reserve(size)
-        trace = self.trace
-        append = trace.append if trace is not None else None
-        pc = self.pc
-        steps = self.steps
-        try:
-            while True:
-                self.pc = pc
-                if steps >= max_steps:
-                    self.steps = steps
-                    return self._status(
-                        ExitKind.MAX_STEPS, code=124, reason=f"exceeded {max_steps} steps"
-                    )
-                if pc < 0 or pc >= size:
-                    self.steps = steps
-                    return self._status(
-                        ExitKind.SEGFAULT, code=139,
-                        reason=f"jump outside code segment ({pc:#x})",
-                    )
-                steps += 1
-                # Mirrored into the instance (like ``pc`` above) so a
-                # mid-run snapshot taken inside a library call sees the
-                # true executed-instruction count.
-                self.steps = steps
-                if record is not None:
-                    record(pc)
-                if append is not None:
-                    append(pc)
-                result = program[pc](self)
-                if type(result) is int:
-                    pc = result
-                    continue
-                self.steps = steps
-                kind, code, reason = result
-                return self._status(kind, code=code, reason=reason)
-        finally:
-            # Traps (memory faults, SimExit, ...) unwind through here before
-            # run()'s handlers build the final status from machine state.
             self.steps = steps
 
     # ------------------------------------------------------------------

@@ -1,23 +1,22 @@
-"""Differential tests for the dataplane execution core (PR 6).
+"""Differential tests for the dataplane execution core.
 
-Four fast paths, each held bit-identical to its slow reference oracle:
+Three fast paths, each held bit-identical to its one slow oracle:
 
 * **superclosure block batching** — the ``compiled`` engine fuses
   straight-line basic blocks into generated functions (dead CMP/Jcc flag
-  work elided); oracles: ``compiled-steps`` (per-instruction closures) and
-  ``reference`` (decode-as-you-go);
+  work elided); oracle: the ``reference`` engine (decode-as-you-go);
 * **coverage-off hot loops** — runs without a tracker/trace skip per-step
-  bookkeeping entirely;
-* **the delta result channel** — pool workers publish each run's OS as a
-  boot-state diff (:class:`~repro.targets.base.DeltaOSClone`), rehydrated
-  lazily against the parent's memoized boot template; oracle:
-  ``os_channel="full"``;
+  bookkeeping entirely; oracles: the instrumented loop and the
+  ``reference`` engine;
 * **run-to-completion group scheduling** — pooled shared campaigns drain
-  one batch of prefix groups per worker; oracles: the group-per-task path
-  and the serial shared/plain paths.
-"""
+  one batch of prefix groups per worker; oracles: the serial shared and
+  plain paths.
 
-import pickle
+Every snapshot-backed, prefix-shared or pooled run publishes its final OS
+as a detached :class:`~repro.oslib.os_model.LazyOSClone`; the tests hold it
+equal to the OS a serial ``snapshots=False`` campaign publishes, memo hits
+included.
+"""
 
 import pytest
 
@@ -33,19 +32,20 @@ from repro.core.controller.executor import (
     execute_group_batch,
     shard_group_tasks,
 )
+from repro.core.controller.memo import SuffixMemo
 from repro.core.controller.prefix import build_group_tasks
 from repro.core.controller.target import WorkloadRequest, make_gate
+from repro.core.profiler.cache import artifact_cache_stats
 from repro.core.scenario.builder import ScenarioBuilder
 from repro.coverage.tracker import CoverageTracker
 from repro.minicc import compile_source
-from repro.oslib.os_model import SimOS, diff_state, merge_state
-from repro.targets.base import DeltaOSClone, default_snapshots
+from repro.oslib.os_model import SimOS
+from repro.targets.base import default_snapshots
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
 from repro.targets.pbft import PBFTCheckpointTarget
 from repro.vm.machine import Machine, resolve_engine
 
-ENGINES = ("reference", "compiled-steps", "compiled")
 COMPILED_TARGETS = (MiniGitTarget, MiniBindTarget, PBFTCheckpointTarget)
 
 
@@ -91,8 +91,7 @@ def _observe(binary, engine, scenario=None, max_steps=200_000, coverage=True,
 def assert_all_engines_agree(source, **kwargs):
     binary = compile_source(source, name="dataplane-diff")
     reference = _observe(binary, "reference", **kwargs)
-    for engine in ("compiled-steps", "compiled"):
-        assert _observe(binary, engine, **kwargs) == reference, engine
+    assert _observe(binary, "compiled", **kwargs) == reference
     return reference
 
 
@@ -119,7 +118,7 @@ def _fault_space_scenarios(target):
 
 
 # ----------------------------------------------------------------------
-# superclosure block batching vs both oracles
+# superclosure block batching vs the reference engine
 # ----------------------------------------------------------------------
 class TestSuperclosureParity:
     def test_straight_line_arithmetic_and_branches(self):
@@ -176,7 +175,7 @@ class TestSuperclosureParity:
     def test_max_steps_expires_mid_block(self):
         # Sweep the budget across every phase of a loop whose body fuses
         # into one block: wherever the budget lands, the hang must report
-        # identical pc/steps on all three engines.
+        # identical pc/steps on both engines.
         source = r"""
             int main() {
                 int i;
@@ -190,10 +189,7 @@ class TestSuperclosureParity:
         binary = compile_source(source, name="dataplane-hang")
         for budget in (7, 8, 9, 10, 11, 12, 13, 50, 51):
             reference = _observe(binary, "reference", max_steps=budget)
-            for engine in ("compiled-steps", "compiled"):
-                assert _observe(binary, engine, max_steps=budget) == reference, (
-                    engine, budget,
-                )
+            assert _observe(binary, "compiled", max_steps=budget) == reference, budget
 
     def test_injected_faults_identical(self):
         scenario = (
@@ -253,9 +249,7 @@ class TestSuperclosureParity:
                 })
             return observed
 
-        reference = run_all("reference")
-        assert run_all("compiled-steps") == reference
-        assert run_all("compiled") == reference
+        assert run_all("compiled") == run_all("reference")
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +276,7 @@ class TestCoverageOffLoop:
     def test_plain_run_matches_reference(self):
         binary = compile_source(self.SOURCE, name="dataplane-plain")
         reference = _observe(binary, "reference", coverage=False, trace=False)
-        for engine in ("compiled-steps", "compiled"):
-            assert _observe(binary, engine, coverage=False, trace=False) == \
-                reference, engine
+        assert _observe(binary, "compiled", coverage=False, trace=False) == reference
 
     def test_plain_and_instrumented_agree_on_status(self):
         binary = compile_source(self.SOURCE, name="dataplane-plain2")
@@ -292,34 +284,6 @@ class TestCoverageOffLoop:
         instrumented = _observe(binary, "compiled", coverage=True, trace=True)
         assert plain["status"] == instrumented["status"]
         assert plain["steps"] == instrumented["steps"]
-
-    def test_duck_typed_tracker_without_record_block_sees_every_step(self):
-        # A tracker lacking the batch API must still observe each executed
-        # instruction exactly once per execution (the machine falls back to
-        # the per-step loop).
-        class LegacyTracker:
-            def __init__(self):
-                self.hits = {}
-
-            def record(self, address):
-                self.hits[address] = self.hits.get(address, 0) + 1
-
-            def reserve(self, size):
-                pass
-
-            def finish_run(self):
-                pass
-
-        binary = compile_source(self.SOURCE, name="dataplane-duck")
-        legacy = LegacyTracker()
-        machine = Machine(binary, coverage=legacy, engine="compiled")
-        machine.run()
-        modern = CoverageTracker()
-        other = Machine(binary, coverage=modern, engine="reference")
-        other.run()
-        assert legacy.hits == {
-            a: modern.hit_count(a) for a in modern.covered_addresses
-        }
 
 
 # ----------------------------------------------------------------------
@@ -407,19 +371,6 @@ class TestRunToCompletionDifferential:
         merged = execute_group_batch(batch)
         assert sorted(merged) == sorted(per_group) == list(range(len(scenarios)))
 
-    def test_serial_batches_equal_run_groups(self):
-        target = MiniGitTarget()
-        scenarios = _fault_space_scenarios(target)[:8]
-        entries = [(i, s, None) for i, s in enumerate(scenarios)]
-        tasks = build_group_tasks(target, "status", entries)
-        backend = SerialBackend()
-        grouped = {}
-        for results in backend.run_groups(tasks):
-            grouped.update(results)
-        batched = backend.run_group_batches(tasks)
-        assert {i: r.outcome.kind for i, r in batched.items()} == \
-            {i: r.outcome.kind for i, r in grouped.items()}
-
     def test_worker_counts(self):
         assert SerialBackend().worker_count() == 1
         assert ThreadPoolBackend(3).worker_count() == 3
@@ -449,91 +400,49 @@ class TestRunToCompletionDifferential:
 
 
 # ----------------------------------------------------------------------
-# the delta result channel
+# the published OS
 # ----------------------------------------------------------------------
-class TestDeltaStateHelpers:
-    def test_diff_and_merge_round_trip(self):
-        base = {"a": 1, "b": [1, 2], "c": {"x": 0}}
-        current = {"a": 1, "b": [1, 2, 3], "c": {"x": 0}, "d": "new"}
-        delta = diff_state(base, current)
-        assert delta == {"b": [1, 2, 3], "d": "new"}
-        assert merge_state(base, delta) == current
-
-    def test_none_values_are_not_confused_with_absence(self):
-        base = {"a": None}
-        assert diff_state(base, {"a": None}) == {}
-        assert diff_state({}, {"a": None}) == {"a": None}
-
-
 class TestDeltaResultChannel:
-    def _run(self, target, scenario, **options):
-        # Pin snapshots on: the delta channel rides the boot template, and
-        # these assertions must hold regardless of the REPRO_SNAPSHOTS
-        # default (the CI oracle leg runs the whole suite with it off).
-        options.setdefault("snapshots", True)
-        return target.run(WorkloadRequest(
-            workload="status", scenario=scenario, options=options
-        ))
-
-    def _scenario(self):
-        return (
-            ScenarioBuilder("delta-diff")
-            .trigger("second_open", "CallCountTrigger", nth=2)
-            .inject("open", ["second_open"], return_value=-1, errno="EMFILE")
-            .build()
-        )
-
-    def test_delta_channel_publishes_delta_clone(self):
-        target = MiniGitTarget()
-        result = self._run(target, self._scenario())
-        assert isinstance(result.stats["os"], DeltaOSClone)
-
-    def test_full_channel_keeps_the_oracle_shape(self):
-        target = MiniGitTarget()
-        result = self._run(target, self._scenario(), os_channel="full")
-        assert not isinstance(result.stats["os"], DeltaOSClone)
-
-    def test_hydrated_delta_state_identical_to_full_channel(self):
-        target = MiniGitTarget()
-        scenario = self._scenario()
-        delta_os = self._run(target, scenario).stats["os"]
-        full_os = self._run(target, scenario, os_channel="full").stats["os"]
-        assert delta_os.capture_state() == full_os.capture_state()
-        assert delta_os.stdout_text() == full_os.stdout_text()
-
-    def test_delta_clone_pickle_round_trip(self):
-        target = MiniGitTarget()
-        result = self._run(target, self._scenario())
-        original = result.stats["os"]
-        restored = pickle.loads(pickle.dumps(original))
-        assert isinstance(restored, DeltaOSClone)
-        assert restored.capture_state() == original.capture_state()
-
-    def test_wire_form_is_smaller_than_full_state(self):
-        target = MiniGitTarget()
-        scenario = self._scenario()
-        delta_result = self._run(target, scenario)
-        full_result = self._run(target, scenario, os_channel="full")
-        delta_bytes = len(pickle.dumps(delta_result))
-        full_bytes = len(pickle.dumps(full_result))
-        assert delta_bytes < full_bytes
+    """What a run publishes in ``stats["os"]``, held to the OS a serial
+    ``snapshots=False`` per-scenario campaign publishes (the session's own
+    :class:`SimOS`)."""
 
     @pytest.mark.parametrize("spec", ["threads:2", "processes:2"])
     def test_pooled_published_os_identical_to_serial_full(self, spec):
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:8]
         campaign = Campaign(target, workload="status")
-        serial_full = campaign.run(
+        oracle = campaign.run(
             scenarios, seed=2, include_baseline=False,
-            snapshots=True, os_channel="full",
+            snapshots=False, share_prefixes=False, memo=False,
         )
         pooled = campaign.run(
             scenarios, seed=2, include_baseline=False,
             snapshots=True, parallelism=spec,
         )
-        for reference, outcome in zip(serial_full.outcomes, pooled.outcomes):
+        for reference, outcome in zip(oracle.outcomes, pooled.outcomes):
             assert outcome.result.stats["os"].capture_state() == \
                 reference.result.stats["os"].capture_state()
+
+    def test_memo_hit_publishes_the_fresh_os_without_a_boot_build(self):
+        # A memo hit unpickles its result; its published OS must carry the
+        # fresh run's state by itself, not rebuild a boot template to get it.
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)[:8]
+        campaign = Campaign(target, workload="status")
+        memo = SuffixMemo()
+        fresh = campaign.run(
+            scenarios, seed=2, include_baseline=False, snapshots=True, memo=memo,
+        )
+        replayed = campaign.run(
+            scenarios, seed=2, include_baseline=False, snapshots=True, memo=memo,
+        )
+        assert replayed.stats["suffix_memo"]["hits"] == len(scenarios)
+        boot_misses = artifact_cache_stats().boot_misses
+        for reference, outcome in zip(fresh.outcomes, replayed.outcomes):
+            assert outcome.result.stats["os"].capture_state() == \
+                reference.result.stats["os"].capture_state()
+        assert artifact_cache_stats().boot_misses == boot_misses
 
 
 # ----------------------------------------------------------------------

@@ -366,16 +366,11 @@ class TestParallelSharedDifferential:
         shared = campaign.run(
             scenarios, include_baseline=False, share_prefixes=True, requests=12
         )
-        legacy = campaign.run(
-            scenarios, include_baseline=False, share_prefixes=True, requests=12,
-            fork="deepcopy",
-        )
         pooled = campaign.run(
             scenarios, include_baseline=False, share_prefixes=True, requests=12,
             parallelism="processes:2",
         )
         assert _campaign_observables(shared) == reference
-        assert _campaign_observables(legacy) == reference
         assert _campaign_observables(pooled) == reference
 
     def test_pooled_shared_exploration_identical_and_resumable(self):

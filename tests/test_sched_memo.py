@@ -11,6 +11,8 @@ exactly.
 """
 
 import dataclasses
+import logging
+import pickle
 
 import pytest
 
@@ -27,10 +29,12 @@ from repro.core.controller.executor import (
 from repro.core.controller.memo import (
     SuffixMemo,
     clear_suffix_memo,
+    default_memo_bytes,
     resolve_memo,
     suffix_memo,
     suffix_memo_stats,
 )
+from repro.core.controller.monitor import Outcome, OutcomeKind, RunResult
 from repro.core.controller.prefix import (
     build_group_tasks,
     member_memo_key,
@@ -132,6 +136,30 @@ class TestSuffixMemoContainer:
         assert memo.store("bad", lambda: None) is False  # unpicklable
         assert len(memo) == 0
         assert memo.stats().rejected == 2
+
+    def test_unpicklable_result_is_logged_and_counted(self, caplog):
+        memo = SuffixMemo()
+        result = RunResult(
+            outcome=Outcome(kind=OutcomeKind.NORMAL), stats={"hook": lambda: None}
+        )
+        with pytest.raises(Exception) as expected:
+            pickle.dumps(result)
+        with caplog.at_level(logging.WARNING, logger="repro.core.controller.memo"):
+            assert memo.store("bad", result) is False
+        assert memo.lookup("bad") is None
+        assert memo.stats().rejected == 1
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert type(expected.value).__name__ in record.getMessage()
+
+    def test_memo_bytes_env_rejects_what_it_cannot_parse(self, monkeypatch):
+        for bad in ("64MB", "-1"):
+            monkeypatch.setenv("REPRO_MEMO_BYTES", bad)
+            with pytest.raises(ValueError, match=f"REPRO_MEMO_BYTES.*'{bad}'"):
+                default_memo_bytes()
+        monkeypatch.setenv("REPRO_MEMO_BYTES", "4096")
+        assert default_memo_bytes() == 4096
+        assert SuffixMemo().max_bytes == 4096
 
     def test_restore_same_key_replaces_without_leaking_bytes(self):
         memo = SuffixMemo(max_bytes=1 << 20)
@@ -282,6 +310,19 @@ class TestMemoizedCampaigns:
             second.stats["boot_template"]
         )
         clear_suffix_memo()
+
+    def test_campaign_stats_count_over_budget_rejections_silently(self, caplog):
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)[:4]
+        campaign = Campaign(target, workload="status")
+        with caplog.at_level(logging.WARNING, logger="repro.core.controller.memo"):
+            result = campaign.run(
+                scenarios, seed=1, include_baseline=False,
+                memo=SuffixMemo(max_bytes=1),
+            )
+        assert result.stats["suffix_memo"]["rejected"] == len(scenarios)
+        assert result.stats["suffix_memo"]["stores"] == 0
+        assert not caplog.records
 
     def test_eviction_pressure_keeps_results_identical(self):
         target = MiniGitTarget()

@@ -341,8 +341,9 @@ class TestTargetSmokeDifferentials:
 class TestEngineSelection:
     def test_invalid_engine_rejected(self):
         binary = compile_source("int main() { return 0; }", name="sel")
-        with pytest.raises(VMError):
-            Machine(binary, engine="jit")
+        for engine in ("jit", "compiled-steps"):
+            with pytest.raises(VMError):
+                Machine(binary, engine=engine)
 
     def test_default_engine_is_compiled(self, monkeypatch):
         # The built-in default, with the env override out of the picture

@@ -145,6 +145,9 @@ class TestLibraryCalls:
             def record(self, address):
                 self.addresses.append(address)
 
+            def record_block(self, start, length):
+                self.addresses.extend(range(start, start + length))
+
         recorder = Recorder()
         machine = Machine(binary, coverage=recorder)
         machine.enable_trace()
