@@ -77,6 +77,12 @@ def main() -> int:
     os.makedirs(options.log_dir, exist_ok=True)
     store = os.path.abspath(os.path.join(options.log_dir, "campaign-store.jsonl"))
     port_file = os.path.join(options.log_dir, "port.txt")
+    # A rerun with the same --log-dir starts clean: phase 2 leaves a port
+    # file naming a coordinator that is gone, and a store phase 1 would
+    # resume instead of running.  The logs keep appending.
+    for stale in (port_file, store):
+        if os.path.exists(stale):
+            os.unlink(stale)
     processes = []
 
     def coordinator_cmd():

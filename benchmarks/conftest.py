@@ -5,9 +5,13 @@ Each benchmark regenerates one table or figure from the paper's evaluation
 reproduced rows, and asserts the qualitative properties that should carry
 over from the paper (who wins, rough factors, orderings).
 
-Run with::
+Run from the repository root with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest -q --benchmark-disable benchmarks/bench_*.py
+
+Name the files: no pytest setting maps ``bench_*.py`` to test modules, so a
+bare ``pytest benchmarks/`` collects nothing.  Add ``-s`` to see the
+reproduced tables.
 """
 
 import os

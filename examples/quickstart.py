@@ -33,7 +33,7 @@ Knobs and subsystems worth knowing about:
   specialized closures, then straight-line blocks fused into single
   *superclosure* functions with dead CMP/Jcc flag work elided and a
   coverage-off hot loop for untracked runs; see
-  ``benchmarks/bench_vm_speed.py``) and ``"reference"`` (the original
+  ``tests/test_dataplane.py``) and ``"reference"`` (the original
   decode-as-you-go interpreter, the differential-testing ground truth).
   Compiled targets accept the same knob through
   ``WorkloadRequest(options={"engine": ...})``, and ``REPRO_ENGINE`` sets
@@ -56,9 +56,8 @@ Knobs and subsystems worth knowing about:
   result).  Results are bit-identical to the per-scenario rebuild path
   (``tests/test_snapshot.py``), which stays selectable via
   ``WorkloadRequest(options={"snapshots": False})`` and
-  ``campaign.run(..., share_prefixes=False)``;
-  ``benchmarks/bench_snapshot.py`` tracks the >= 2x campaign-throughput
-  win in ``BENCH_snapshot.json``.
+  ``campaign.run(..., share_prefixes=False)``; the end-to-end benchmark's
+  ``sweep`` workload (``e2ebench/``) times the campaign-throughput win.
 * **parallel prefix groups, prefix trees, errno-blind suffixes** — prefix
   sharing composes with the pool backends: ``share_prefixes=True`` with
   ``parallelism="processes:4"`` packs the scenario groups into one batch
@@ -239,7 +238,7 @@ def main() -> None:
            [o.outcome.kind for o in reference.outcomes]
     print(f"\nsnapshot-accelerated campaign over {len(git_scenarios)} mini_git "
           f"scenarios: outcomes identical to the rebuild path "
-          f"(see benchmarks/bench_snapshot.py for the throughput win)")
+          f"(e2ebench's sweep workload times the throughput win)")
 
     # ------------------------------------------------------------------
     # Parallel prefix groups: sharing composes with the pool backends.

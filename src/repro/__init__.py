@@ -132,9 +132,13 @@ selectable::
     campaign.run(scenarios, share_prefixes=True,                # batched pool
                  parallelism="processes:4")                     # fan-out
 
-``benchmarks/bench_snapshot.py`` tracks the snapshot-engine campaign
-throughput in ``BENCH_snapshot.json`` (>= 2x the rebuild path on the
-mini_git sweep and the mini_apache trigger campaign).
+The end-to-end benchmark's ``sweep`` workload (``e2ebench/``) holds the
+snapshot engine's campaign throughput to its bound; tier-1 counts the
+work it saves (a restored boot template in
+``test_boot_template_cache_hits_and_clear``, one execution for an
+errno family in ``test_errno_blind_family_collapses_onto_one_suffix``
+and, for the mini_apache trigger campaign, one server per prefix group
+in ``test_apache_observe_only_campaign_identical_and_collapsed``).
 
 **Execution pipeline architecture.** A pooled shared campaign run passes
 through four dataplane layers, each with exactly one slow reference oracle
@@ -199,10 +203,12 @@ pipeline — group keys → prefix tree → suffix memo → adaptive split —
 is documented in ``doc/SCHEDULING.md``; campaign runs surface
 boot-template and memo hit/miss counters in
 :attr:`CampaignResult.stats <repro.core.controller.campaign.CampaignResult>`
-and ``repro-campaign status``.  ``benchmarks/bench_sched.py`` tracks the
-layer in ``BENCH_sched.json`` (warm-memo re-sweeps, cross-workload
-boot-template reuse, adaptive vs round-robin makespan — every leg
-asserted bit-identical to the memo-free serial oracle).
+and ``repro-campaign status``.  ``tests/test_sched_memo.py`` holds every
+leg bit-identical to the memo-free serial oracle and counts what it
+saves (a warm re-sweep executes nothing, one boot template serves every
+workload, the adaptive plan splits a skewed family); e2ebench's
+``retest`` and ``pooled`` workloads time the warm re-sweep and the
+packing end to end.
 
 **The campaign fabric: a resident coordinator and worker nodes.**  For
 explorations that outlive one process, :mod:`repro.distributed` runs the
@@ -274,8 +280,7 @@ deduplicated along the class axis, serialized through injection logs and
 result stores (old errno-only stores load and resume unchanged), swept via
 ``CampaignSpec(fault_classes=[...])`` (validated at submit time), and held
 to the same differential contract — compiled == reference engine, serial
-== pooled == distributed (``tests/test_faults.py``,
-``benchmarks/bench_faults.py`` writing ``BENCH_faults.json``).  Campaign
+== pooled == distributed (``tests/test_faults.py``).  Campaign
 traces carry per-function call counts, and
 :func:`repro.coverage.report.build_usage_profile` turns any trace into a
 BEACON-style per-target usage profile (call volume per library function,

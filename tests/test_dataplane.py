@@ -251,6 +251,47 @@ class TestSuperclosureParity:
 
         assert run_all("compiled") == run_all("reference")
 
+    def test_loop_body_dispatches_as_fused_blocks(self):
+        # The compiled engine's speed rests on running a whole basic block
+        # per dispatch; count dispatches through the coverage hooks, which
+        # get one call per block (record_block) or per instruction (record).
+        class DispatchCounter:
+            def __init__(self):
+                self.dispatches = 0
+                self.steps = 0
+
+            def record(self, address):
+                self.dispatches += 1
+                self.steps += 1
+
+            def record_block(self, start, length):
+                self.dispatches += 1
+                self.steps += length
+
+        binary = compile_source(r"""
+            int main() {
+                int i;
+                int total;
+                total = 0;
+                i = 0;
+                while (i < 200) {
+                    total = total + i;
+                    i = i + 1;
+                }
+                return total % 7;
+            }
+        """, name="dataplane-fused")
+        counted = {}
+        for engine in ("reference", "compiled"):
+            counter = DispatchCounter()
+            machine = Machine(binary, coverage=counter, engine=engine)
+            machine.run()
+            assert counter.steps == machine.steps
+            counted[engine] = counter
+        reference, compiled = counted["reference"], counted["compiled"]
+        assert compiled.steps == reference.steps == reference.dispatches
+        assert compiled.dispatches * 4 < compiled.steps
+
 
 # ----------------------------------------------------------------------
 # coverage-off hot loop

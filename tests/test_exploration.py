@@ -414,6 +414,9 @@ class TestExplorationEngine:
     def test_exploration_finds_binds_planted_unchecked_bugs(self):
         report = LFIController(MiniBindTarget()).explore(seed=7)
         assert report.complete
+        # Exhaustive: every enumerated point runs, and runs exactly once.
+        keys = [outcome.point.key for outcome in report.outcomes]
+        assert len(set(keys)) == len(keys) == report.selected == report.space_size
         failing = {failure.function for failure in report.unique_failures}
         assert "malloc" in failing
         assert "xmlNewTextWriterDoc" in failing

@@ -131,6 +131,22 @@ class TestFaultClassRegistry:
         ordered = priority_order(points)
         assert sorted(p.key for p in ordered) == sorted(keys)
 
+    def test_every_class_space_sweeps_to_completion(self):
+        # Each class's whole enumerated space, on the target that can
+        # express it: the network classes need the PBFT cluster's wire.
+        net_classes = {name for name, _ in NET_CLASS_PROBES}
+        for klass in class_names():
+            if klass in net_classes:
+                target, workload = PBFTTarget(), "simple"
+            else:
+                target, workload = MiniGitTarget(), "commit"
+            points = enumerate_structured_space(target.name, [klass])
+            report = ExplorationEngine(
+                target, seed=13, workload=workload, store=ResultStore()
+            ).explore(points)
+            assert report.complete, klass
+            assert report.executed == len(points) > 0, klass
+
     def test_unknown_class_enumeration_raises(self):
         with pytest.raises(ValueError, match="unknown fault class"):
             enumerate_structured_space("mini_git", ["bogus"])
@@ -283,11 +299,11 @@ class TestCrashPoints:
 SWEEP_CLASSES = ["crash_point", "partial_write"]
 
 
-def _sweep_engine(parallelism=None, store=None):
+def _sweep_engine(parallelism=None, store=None, request_options=None):
     engine = ExplorationEngine(
         MiniGitTarget(), seed=13, workload="commit",
         store=store if store is not None else ResultStore(),
-        parallelism=parallelism,
+        parallelism=parallelism, request_options=request_options,
     )
     points = enumerate_structured_space("mini_git", SWEEP_CLASSES)
     return engine, points
@@ -301,6 +317,19 @@ class TestExecutionPathIdentity:
         pooled = pooled_engine.explore(points)
         assert serial.executed == len(points) > 0
         assert _report_signature(pooled) == _report_signature(serial)
+
+    def test_reference_engine_sweep_bit_identical_to_compiled(self):
+        # TestDifferentialEngines checks one probe per class; this holds
+        # every point of the sweep (write#1 and fraction=0.0 included) to
+        # the reference engine, memo off so both engines really run.
+        compiled_engine, points = _sweep_engine(
+            request_options={"engine": "compiled", "memo": False})
+        compiled = compiled_engine.explore(points)
+        reference_engine, points = _sweep_engine(
+            request_options={"engine": "reference", "memo": False})
+        reference = reference_engine.explore(points)
+        assert compiled.executed == len(points) > 0
+        assert _report_signature(reference) == _report_signature(compiled)
 
     def test_distributed_sweep_bit_identical_to_serial(self, tmp_path):
         spec = CampaignSpec(

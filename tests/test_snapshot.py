@@ -13,6 +13,7 @@ import pytest
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
 from repro.core.controller.prefix import (
+    partition_entries,
     run_scenarios_shared,
     scenario_group_key,
 )
@@ -616,20 +617,37 @@ class TestPrefixSharingDifferentials:
                               share_prefixes=True, requests=12)
         assert _campaign_observables(shared) == _campaign_observables(plain)
 
-    def test_apache_observe_only_campaign_identical_and_collapsed(self):
+    def test_apache_observe_only_campaign_identical_and_collapsed(self, monkeypatch):
         target = MiniApacheTarget()
         scenarios = self._apache_scenarios()
+        builds = {"n": 0}
+        make_server = MiniApacheTarget.make_server
+
+        def counting_make_server(self, *args, **kwargs):
+            builds["n"] += 1
+            return make_server(self, *args, **kwargs)
+
+        monkeypatch.setattr(MiniApacheTarget, "make_server", counting_make_server)
         plain = [
             target.run(WorkloadRequest(workload="ab-static", scenario=scenario,
                                        observe_only=True,
                                        options={"requests": 12}))
             for scenario in scenarios
         ]
+        assert builds["n"] == len(scenarios)
+        builds["n"] = 0
         shared = run_scenarios_shared(target, "ab-static", scenarios,
                                       options={"requests": 12},
                                       observe_only=True)
         assert [_apache_observables(r) for r in shared] == \
                [_apache_observables(r) for r in plain]
+        # An observe-only gate never injects, so each prefix group's probe
+        # answers all of its members: one server per group, not per scenario.
+        groups, ungrouped = partition_entries(
+            [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        )
+        assert ungrouped == []
+        assert builds["n"] == len(groups) < len(scenarios)
 
     def test_mysql_replication_identical_to_plain(self):
         target = MiniMySQLTarget()
