@@ -7,7 +7,10 @@ then proves crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
 prefix, repair the torn tail, and re-run only the remainder — ending with
-results identical to the first pass.
+results identical to the first pass.  It does this twice, each spec with
+its own store: once for the exhaustive strategy and once for a
+coverage-guided one, whose resubmit replays its rounds through the
+coordinator's planner.
 
 Everything the daemons print lands in ``--log-dir`` (uploaded as a CI
 artifact).  Exits non-zero on any failed assertion.
@@ -29,6 +32,11 @@ ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 SPEC_ARGS = [
     "--target", "mini_git", "--workload", "status", "--seed", "7",
     "--functions", "close,malloc",
+]
+#: (name, extra submit arguments) of every spec the smoke runs.
+SPECS = [
+    ("static", []),
+    ("coverage", ["--strategy", "coverage:round=4,patience=1"]),
 ]
 
 
@@ -70,13 +78,11 @@ def campaign(port: int, *args: str) -> list:
     return [json.loads(line) for line in out.stdout.splitlines() if line.strip()]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--log-dir", default="campaignd-logs")
-    options = parser.parse_args()
-    os.makedirs(options.log_dir, exist_ok=True)
-    store = os.path.abspath(os.path.join(options.log_dir, "campaign-store.jsonl"))
-    port_file = os.path.join(options.log_dir, "port.txt")
+def smoke(name: str, extra_args: list, log_dir: str) -> None:
+    """Run, kill, tear and resume one spec's campaign."""
+    spec_args = SPEC_ARGS + extra_args
+    store = os.path.abspath(os.path.join(log_dir, f"{name}-store.jsonl"))
+    port_file = os.path.join(log_dir, "port.txt")
     # A rerun with the same --log-dir starts clean: phase 2 leaves a port
     # file naming a coordinator that is gone, and a store phase 1 would
     # resume instead of running.  The logs keep appending.
@@ -92,25 +98,25 @@ def main() -> int:
     try:
         # ------------------------------------------------------------------
         # Phase 1: coordinator + 2 workers, full campaign through the CLI.
-        log("phase 1: boot coordinator + 2 workers, run the campaign")
+        log(f"[{name}] phase 1: boot coordinator + 2 workers, run the campaign")
         coordinator = start(coordinator_cmd(),
-                            os.path.join(options.log_dir, "coordinator-1.log"))
+                            os.path.join(log_dir, f"{name}-coordinator-1.log"))
         processes.append(coordinator)
         port = wait_for_port(port_file)
         for i in range(2):
             processes.append(start(
                 ["repro.cli.campaignd", "worker", "--port", str(port),
                  "--poll-interval", "0.05"],
-                os.path.join(options.log_dir, f"worker-{i}.log"),
+                os.path.join(log_dir, f"{name}-worker-{i}.log"),
             ))
 
         submitted, final = campaign(
-            port, "submit", *SPEC_ARGS, "--store", store, "--wait")
+            port, "submit", *spec_args, "--store", store, "--wait")
         total = final["total"]
         assert final["state"] == "complete", final
         assert final["completed"] == total, final
         assert submitted["resumed"] == 0, submitted
-        log(f"phase 1 complete: {total} points, "
+        log(f"[{name}] phase 1 complete: {total} points, "
             f"workers seen: {final['workers_seen']}")
 
         first_pass = campaign(port, "results", submitted["campaign_id"])
@@ -118,7 +124,7 @@ def main() -> int:
 
         # ------------------------------------------------------------------
         # Phase 2: kill everything, tear the store mid-record, resume.
-        log("phase 2: kill the coordinator, simulate a crash mid-append")
+        log(f"[{name}] phase 2: kill the coordinator, simulate a crash mid-append")
         for process in processes:
             process.send_signal(signal.SIGKILL)
         for process in processes:
@@ -132,30 +138,35 @@ def main() -> int:
         with open(store, "wb") as handle:
             handle.writelines(lines[:keep])
             handle.write(lines[keep][: len(lines[keep]) // 2])  # torn tail
-        log(f"store truncated to {keep} records plus a torn partial line")
+        log(f"[{name}] store truncated to {keep} records plus a torn partial line")
 
         coordinator = start(coordinator_cmd(),
-                            os.path.join(options.log_dir, "coordinator-2.log"))
+                            os.path.join(log_dir, f"{name}-coordinator-2.log"))
         processes.append(coordinator)
         port = wait_for_port(port_file)
         processes.append(start(
             ["repro.cli.campaignd", "worker", "--port", str(port),
              "--poll-interval", "0.05"],
-            os.path.join(options.log_dir, "worker-resume.log"),
+            os.path.join(log_dir, f"{name}-worker-resume.log"),
         ))
 
         submitted, final = campaign(
-            port, "submit", *SPEC_ARGS, "--store", store, "--wait")
-        assert submitted["resumed"] == keep, submitted
+            port, "submit", *spec_args, "--store", store, "--wait")
+        if extra_args:
+            # Stored records past the first incomplete round count only
+            # once the planner reaches their round, after the submit.
+            assert submitted["resumed"] <= keep, submitted
+        else:
+            assert submitted["resumed"] == keep, submitted
         assert final["state"] == "complete", final
         assert final["executed"] == total - keep, final
-        log(f"resume OK: {keep} checkpointed runs skipped, "
-            f"{total - keep} re-executed")
+        log(f"[{name}] resume OK: {keep} checkpointed runs skipped "
+            f"({submitted['resumed']} at submit), {total - keep} re-executed")
 
         second_pass = campaign(port, "results", submitted["campaign_id"])
         assert second_pass == first_pass, "resumed results differ from phase 1"
-        log(f"merged results identical across the restart ({total} records)")
-        return 0
+        log(f"[{name}] merged results identical across the restart "
+            f"({total} records)")
     finally:
         for process in processes:
             if process.poll() is None:
@@ -165,6 +176,16 @@ def main() -> int:
                 process.wait(timeout=15)
             except subprocess.TimeoutExpired:
                 process.kill()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--log-dir", default="campaignd-logs")
+    options = parser.parse_args()
+    os.makedirs(options.log_dir, exist_ok=True)
+    for name, extra_args in SPECS:
+        smoke(name, extra_args, options.log_dir)
+    return 0
 
 
 if __name__ == "__main__":

@@ -216,12 +216,13 @@ same campaigns as a service.  A resident coordinator daemon
 (``repro-campaignd serve``) accepts :class:`~repro.distributed.CampaignSpec`
 submissions over a line-oriented JSON wire protocol (one JSON object per
 newline-terminated line — the result store's own format; reference:
-``doc/PROTOCOL.md``), shards the schedule across pull-model worker nodes
-(``repro-campaignd worker``, each wrapping the local engine/pool stack
-above), and streams results to tailing clients as they complete.  Because
-the schedule is a pure function of the spec, coordinator and workers derive
-it independently and exchange only ``(spec, schedule indices)`` — and the
-merged results are **bit-identical** to a serial
+``doc/PROTOCOL.md``), plans every campaign through its round planner,
+leases each round to pull-model worker nodes (``repro-campaignd worker``,
+each wrapping the local engine/pool stack above) as explicit
+``(schedule index, point key)`` assignments, and streams results to
+tailing clients as they complete.  Workers only look the keys up in the
+fault space they enumerate from the spec and derive each run's seed from
+its index, so the merged results are **bit-identical** to a serial
 :meth:`ExplorationEngine.explore` run.  Worker links carry leases with
 heartbeats: a dead worker's unfinished shard re-queues automatically, and a
 slow worker whose lease was reassigned is told ``stale_lease`` (duplicate
@@ -259,9 +260,9 @@ steers rounds toward fault points whose neighbours unlocked new
 recovery-code coverage — the paper's own Table 3 metric — and stops at
 a coverage plateau instead of sweeping the full space; the static
 strategies are behaviour-identical single-round planners and remain the
-differential oracle.  The campaign fabric plans adaptive rounds
-centrally: the coordinator holds the planner and leases only the
-current round as explicit ``(index, point key)`` assignments.  Adaptive
+differential oracle.  The campaign fabric plans rounds centrally: the
+coordinator holds each campaign's planner and leases only the current
+round.  Adaptive
 runs obey *"spec + completed results ⇒ next round"*, so serial, pooled,
 and distributed explorations of the same store are bit-identical.
 Reference: ``doc/ADAPTIVE.md``.

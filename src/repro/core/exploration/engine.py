@@ -30,7 +30,7 @@ ahead-of-time behavior — and its determinism contract — bit-identical:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.controller.executor import (
     ExecutionTask,
@@ -203,38 +203,9 @@ class ExplorationEngine:
         """Adaptive explorations run with coverage on — the feedback source."""
         return self.adaptive
 
-    # ------------------------------------------------------------------
-    def schedule(self, points: Sequence[FaultPoint]) -> List[FaultPoint]:
-        """The deterministic static schedule: priority order, then selection.
-
-        Only static strategies have one — an adaptive strategy's schedule
-        depends on execution feedback, so asking for it ahead of time
-        would silently produce the wrong (feedback-free) projection.
-        """
-        if self.adaptive:
-            raise RuntimeError(
-                f"strategy {self.strategy.describe()!r} plans adaptively; "
-                "there is no ahead-of-time schedule — drive it through "
-                "explore() or a RoundPlanner"
-            )
-        return self.strategy.select(priority_order(points))
-
-    def _run_key(self, point: FaultPoint) -> str:
-        return f"{self.workload}|{point.key}"
-
     def run_key(self, point: FaultPoint) -> str:
         """The store/resume key of *point* under this engine's workload."""
-        return self._run_key(point)
-
-    def schedule_keys(self, points: Sequence[FaultPoint]) -> List[str]:
-        """Store keys of the full schedule, in schedule order.
-
-        What a campaign coordinator needs to shard and track an exploration
-        without holding the points themselves: the key list is a pure
-        function of (fault space, strategy, workload), so every party that
-        can enumerate the space derives the identical list.
-        """
-        return [self._run_key(point) for point in self.schedule(points)]
+        return f"{self.workload}|{point.key}"
 
     def _fingerprint(self, result: RunResult, point: FaultPoint) -> str:
         record = result.log.last_injection() if result.log is not None else None
@@ -244,34 +215,12 @@ class ExplorationEngine:
         return stack_fingerprint([], fallback=fallback)
 
     # ------------------------------------------------------------------
-    def plan(
-        self, points: Sequence[FaultPoint]
-    ) -> Tuple[List[FaultPoint], List[Tuple[int, FaultPoint]]]:
-        """Compute ``(schedule, pending)`` against the current store.
-
-        *pending* is the list of ``(schedule index, point)`` pairs with no
-        completed record yet.  Every already-completed point is validated
-        for resumability here — a replayed result must carry exactly the
-        seed this schedule would derive, otherwise the merged report would
-        be reproducible by no seed — so callers (the engine itself, the
-        campaign coordinator at submit time) fail fast on a store that was
-        written under a different seed or strategy.  Static strategies
-        only; adaptive plans live in :class:`RoundPlanner`.
-        """
-        schedule = self.schedule(points)
-        completed = self.store.completed_keys()
-        pending: List[Tuple[int, FaultPoint]] = []
-        for index, point in enumerate(schedule):
-            key = self._run_key(point)
-            if key not in completed:
-                pending.append((index, point))
-                continue
-            self._validate_stored_seed(key, self.store.get(key), index)
-        return schedule, pending
-
     def _validate_stored_seed(
         self, key: str, stored: StoredResult, index: int
     ) -> None:
+        """Fail fast on a store written under another seed or strategy: a
+        replayed result must carry exactly the seed this schedule derives,
+        or the merged report would be reproducible by no seed."""
         expected_seed = derive_run_seed(self.seed, index)
         if stored.run_seed != expected_seed:
             raise ValueError(
@@ -348,7 +297,7 @@ class ExplorationEngine:
         a local run would have.
         """
         return StoredResult(
-            key=self._run_key(point),
+            key=self.run_key(point),
             index=index,
             scenario=scenario_name,
             function=point.function,
@@ -424,27 +373,16 @@ class ExplorationEngine:
     def group_key_of(self, point: FaultPoint) -> Optional[str]:
         """The prefix-group base key of one point (``None`` = solo).
 
-        The per-point form of :meth:`schedule_group_keys`, usable without
-        a static schedule — the coordinator calls it per planned round to
-        co-locate an adaptive round's group members in one shard lease.
+        Derived from the point alone — the same derivation on every node —
+        so a campaign coordinator can co-locate a planned round's group
+        members in one shard lease: the worker that drains them shares
+        their boot+prefix capture and suffix memo instead of probing the
+        same prefix on k machines.  Unshareable scenarios (or sharing off
+        entirely) map to ``None``.
         """
         if not resolve_sharing(self.share_prefixes, self.target):
             return None
         return scenario_group_key(point.scenario(once=self.once))
-
-    def schedule_group_keys(
-        self, points: Sequence[FaultPoint]
-    ) -> List[Optional[str]]:
-        """Per-schedule-position prefix-group base keys (``None`` = solo).
-
-        Derived purely from the spec-determined schedule — the same
-        derivation on every node — so a campaign coordinator can co-locate
-        a prefix group's members in one shard lease: the worker that drains
-        them shares their boot+prefix capture and suffix memo instead of
-        probing the same prefix on k machines.  Positions whose scenario is
-        unshareable (or when sharing is off entirely) map to ``None``.
-        """
-        return [self.group_key_of(point) for point in self.schedule(points)]
 
     def _run_wanted(
         self,
@@ -478,58 +416,27 @@ class ExplorationEngine:
             if owned:
                 backend.close()
 
-    def run_schedule_indices(
-        self,
-        points: Sequence[FaultPoint],
-        indices: Sequence[int],
-        parallelism: ParallelismSpec = None,
-    ) -> Iterator[StoredResult]:
-        """Execute the given schedule positions, yielding one
-        :class:`StoredResult` per completed run (in completion order).
-
-        The worker-shard entry point for **static** campaigns: a
-        coordinator ships only ``(campaign spec, schedule indices)`` over
-        the wire, and each worker — which derives the identical schedule
-        from the spec — turns its indices back into scenarios, executes
-        them on its local backend, and streams the records home.  Records
-        are exactly the ones a local :meth:`explore` would have
-        checkpointed (same keys, seeds, fingerprints), so merged shards
-        are bit-identical to a serial run.  Adaptive campaigns cannot
-        derive a schedule locally; their shards arrive as explicit
-        assignments (:meth:`run_assignments`).
-        """
-        schedule = self.schedule(points)
-        wanted = []
-        for index in sorted(set(indices)):
-            if not 0 <= index < len(schedule):
-                raise IndexError(
-                    f"schedule index {index} out of range for a schedule of "
-                    f"{len(schedule)} points"
-                )
-            wanted.append((index, schedule[index]))
-        return self._run_wanted(wanted, parallelism)
-
     def run_assignments(
         self,
-        points: Sequence[FaultPoint],
+        points_by_key: Mapping[str, FaultPoint],
         assignments: Sequence[Tuple[int, str]],
         parallelism: ParallelismSpec = None,
     ) -> Iterator[StoredResult]:
         """Execute explicit ``(schedule index, point key)`` assignments.
 
-        The fabric worker's entry point for **adaptive** campaigns: the
-        coordinator plans rounds centrally (it holds the feedback), so a
-        lease names its points explicitly instead of by derivable schedule
-        position.  Seeds still derive from the shipped indices — the
-        point's position in the coordinator's cumulative planned schedule —
-        so records are byte-identical to a serial adaptive run's.
+        The fabric worker's entry point: the coordinator plans every round
+        (it holds the feedback), so a lease names its points by key and
+        the worker looks them up in *points_by_key*, its fault space keyed
+        by :attr:`FaultPoint.key`.  Seeds derive from the shipped indices —
+        each point's position in the coordinator's cumulative planned
+        schedule — so records are byte-identical to the ones a serial
+        :meth:`explore` checkpoints.  A repeated index runs once.
         """
-        by_key = {point.key: point for point in priority_order(points)}
         wanted: List[Tuple[int, FaultPoint]] = []
         seen: Set[int] = set()
         for raw_index, key in assignments:
             index = int(raw_index)
-            point = by_key.get(key)
+            point = points_by_key.get(key)
             if point is None:
                 raise KeyError(
                     f"assignment names unknown fault point {key!r} for this spec"
@@ -552,8 +459,7 @@ class ExplorationEngine:
         The unified round loop: plan a round, replay what the store already
         holds (validating seeds), execute the rest (checkpointing every
         completed run the moment it lands), feed the round's results back,
-        replan.  Static strategies make exactly one round, reproducing the
-        historical ahead-of-time behavior bit for bit.
+        replan.  Static strategies make exactly one round.
 
         ``max_runs`` bounds how many *new* scenario runs this call performs
         — completed work replayed from the store is free — which both
@@ -569,39 +475,26 @@ class ExplorationEngine:
         resolve_sharing(self.share_prefixes, self.target)
         planner = RoundPlanner(self, points)
         budget = max_runs
-        fresh: Dict[int, Tuple[FaultPoint, RunResult, StoredResult]] = {}
+        fresh: Set[int] = set()
         backend, owned = backend_scope(self.parallelism)
         try:
             while True:
                 pending = planner.replay_from_store()
                 if not pending:
                     break
-                truncated = False
-                if budget is not None and len(pending) > budget:
-                    pending = pending[:budget]
-                    truncated = True
+                truncated = budget is not None and len(pending) > budget
                 if budget is not None:
+                    pending = pending[:budget]
                     budget -= len(pending)
-
-                points_by_index = dict(pending)
-                scenarios_by_index = {
-                    index: point.scenario(once=self.once) for index, point in pending
-                }
-                entries = [
-                    (index, scenarios_by_index[index], derive_run_seed(self.seed, index))
-                    for index, _ in pending
-                ]
-                # Stream results and checkpoint each one in the store the
-                # moment it is available: a kill mid-campaign loses only
-                # in-flight work.
-                for index, result in self._iter_entry_results(entries, backend):
-                    point = points_by_index[index]
-                    stored = self.stored_result(
-                        index, point, scenarios_by_index[index].name, result
-                    )
+                # Checkpoint each result the moment it is available: a kill
+                # mid-campaign loses only in-flight work.
+                for stored in self._run_wanted(pending, backend):
                     self.store.record(stored)
-                    fresh[index] = (point, result, stored)
-                    planner.record_result(index, point, stored, resumed=False)
+                    fresh.add(stored.index)
+                    planner.record_result(
+                        stored.index, planner.schedule[stored.index], stored,
+                        resumed=False,
+                    )
 
                 missing = [index for index, _ in pending if index not in fresh]
                 if missing:
@@ -619,41 +512,24 @@ class ExplorationEngine:
             if owned:
                 backend.close()
 
-        # Assemble outcomes in schedule order, merging store replays with
-        # fresh runs; later duplicates of one key collapse onto the store.
+        # Assemble outcomes in schedule order from the store, fresh runs
+        # and replays alike.
         outcomes: List[ExplorationOutcome] = []
-        executed = resumed = still_pending = 0
         deduplicator = FailureDeduplicator()
         for index, point in enumerate(planner.schedule):
-            if index in fresh:
-                _, result, stored = fresh[index]
-                outcome = ExplorationOutcome(
-                    point=point,
-                    index=index,
-                    outcome=result.outcome,
-                    injections=result.injections,
-                    fingerprint=stored.fingerprint,
-                    resumed=False,
-                    run_seed=stored.run_seed,
-                    scenario_name=stored.scenario,
-                )
-                executed += 1
-            else:
-                stored = self.store.get(self._run_key(point))
-                if stored is None:
-                    still_pending += 1
-                    continue
-                outcome = ExplorationOutcome(
-                    point=point,
-                    index=index,
-                    outcome=stored.to_outcome(),
-                    injections=stored.injections,
-                    fingerprint=stored.fingerprint,
-                    resumed=True,
-                    run_seed=stored.run_seed,
-                    scenario_name=stored.scenario,
-                )
-                resumed += 1
+            stored = self.store.get(self.run_key(point))
+            if stored is None:
+                continue
+            outcome = ExplorationOutcome(
+                point=point,
+                index=index,
+                outcome=stored.to_outcome(),
+                injections=stored.injections,
+                fingerprint=stored.fingerprint,
+                resumed=index not in fresh,
+                run_seed=stored.run_seed,
+                scenario_name=stored.scenario,
+            )
             outcomes.append(outcome)
             # Only *injection-exposed* failures count — a run that fails
             # without its fault ever being injected is a workload problem,
@@ -674,9 +550,9 @@ class ExplorationEngine:
             strategy=self.strategy.describe(),
             space_size=len(points),
             selected=len(planner.schedule),
-            executed=executed,
-            resumed=resumed,
-            pending=still_pending,
+            executed=len(fresh),
+            resumed=len(outcomes) - len(fresh),
+            pending=len(planner.schedule) - len(outcomes),
             outcomes=outcomes,
             unique_failures=deduplicator.unique(),
             store=self.store,

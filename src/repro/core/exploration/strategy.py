@@ -30,7 +30,6 @@ pooled, and distributed drivers must derive the same next round.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
@@ -476,15 +475,10 @@ def resolve_strategy(spec) -> ExplorationStrategy:
     ``"boundary-sample"``, ``"random"``/``"random-sample"`` (seed 0),
     ``"coverage"``/``"coverage-guided"``/``"adaptive"`` (optionally with
     knobs, e.g. ``"coverage:round=6,patience=3"``), or an
-    :class:`ExplorationStrategy` instance (returned unchanged).  ``None``
-    falls back to the ``REPRO_STRATEGY`` environment variable before
-    defaulting to exhaustive.
+    :class:`ExplorationStrategy` instance (returned unchanged).
     """
     if spec is None:
-        env = os.environ.get("REPRO_STRATEGY", "").strip()
-        if not env:
-            return ExhaustiveStrategy()
-        spec = env
+        return ExhaustiveStrategy()
     if isinstance(spec, ExplorationStrategy):
         return spec
     if isinstance(spec, str):

@@ -9,8 +9,9 @@ kinds of peers:
   status, stream results (`tail`), fetch completed snapshots (`results`),
   and cancel campaigns;
 * **workers** (`repro-campaignd worker`) pull *shard leases* — batches of
-  schedule indices — execute them on their local engine/pool stack, and
-  stream result records back in ``result_batch`` messages.
+  ``(schedule index, point key)`` assignments — execute them on their
+  local engine/pool stack, and stream result records back in
+  ``result_batch`` messages.
 
 Every link opens with a ``hello`` naming
 :data:`~repro.distributed.protocol.PROTOCOL_VERSION`; a peer of any other
@@ -23,10 +24,18 @@ each probing the same prefix.
 
 Design points, in the order they matter for correctness:
 
-**The schedule is the shared coordinate system.**  A campaign's schedule is
-a pure function of its spec (see :mod:`repro.distributed.spec`), so the
-coordinator ships only ``(spec, [schedule indices])`` and workers derive
-everything else locally.  No scenario objects, no fault points, no pickled
+**The coordinator plans; workers resolve keys.**  Every campaign owns a
+:class:`~repro.core.exploration.engine.RoundPlanner` — a static strategy is
+a single-round planner, a coverage-guided one plans round after round —
+and the coordinator is its only driver: it holds the authoritative store,
+which is exactly what the determinism contract needs ("spec + completed
+results ⇒ next round", ``doc/ADAPTIVE.md``).  A lease names its points
+explicitly as ``(schedule index, point key)`` pairs and only ever covers
+the *current* round; when the round's last record lands, the next round is
+planned under the lock and its shards enqueue immediately.  A worker needs
+to agree with the coordinator only on the fault space (see
+:mod:`repro.distributed.spec`): it looks each key up in its own space and
+derives the run seed from the index.  No scenario objects or pickled
 targets cross the wire — just small JSON.
 
 **The result store is the only durable state.**  A ``result_batch`` is
@@ -35,25 +44,17 @@ checked whole, then written to the campaign's JSON-lines
 ``durable_stores=True``, fsynced once — a group commit — *before* it is
 acknowledged or streamed to tailing clients.  Coordinator crash-safety is
 therefore resume, not replication: restart the daemon, resubmit the same
-spec (same ``store_path``), and only unfinished points are re-sharded —
-the same story as a locally interrupted ``explore()``.
+spec (same ``store_path``), and the planner replays the store and
+re-shards only unfinished points — the same story as a locally
+interrupted ``explore()``.
 
 **Leases expire; records are idempotent.**  A shard lease carries a
 deadline, extended by every ``result_batch`` and heartbeat from its
-worker.  A dead worker's lease expires and its unfinished indices return
+worker.  A dead worker's lease expires and its unfinished points return
 to the front of the queue for the next ``fetch``.  A *slow* (not dead)
 worker whose lease was reassigned keeps streaming records — they are
 acknowledged as ``stale_lease`` and ignored, and even a racing duplicate
 record is harmless because the store keeps first-completion-wins per key.
-
-**Adaptive campaigns are planned here.**  A coverage-guided spec has no
-ahead-of-time schedule, so the coordinator owns the campaign's
-:class:`~repro.core.exploration.engine.RoundPlanner`: it holds the
-authoritative store, which is exactly what the determinism contract needs
-("spec + completed results ⇒ next round", ``doc/ADAPTIVE.md``).  Adaptive
-shard leases carry explicit ``(index, point key)`` assignments and only
-ever cover the *current* round; when the round's last record lands, the
-next round is planned under the lock and its shards enqueue immediately.
 """
 
 from __future__ import annotations
@@ -92,34 +93,27 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 
 def plan_lease_shards(
     pending_indices: List[int],
-    group_keys: Optional[List[Optional[str]]],
+    group_keys: List[Optional[str]],
     shard_size: int,
 ) -> List[List[int]]:
     """Partition pending schedule indices into lease-sized shards.
 
-    With *group_keys* (one base prefix-group key per schedule position,
-    ``None`` marking solo points), a group's members land in the same
-    shard so the executing worker shares their boot+prefix capture and
-    suffix memo.  Groups larger than *shard_size* are split into
-    ``shard_size`` chunks — each chunk's first member re-probes the shared
-    prefix locally, and the subset invariant of the prefix scheduler keeps
-    every chunk's results identical to the unsplit run.  Small groups and
-    solo points are packed together up to *shard_size*, preserving
-    schedule order within and across shards as far as grouping allows.
-
-    Without keys this degrades to plain contiguous chunking.
+    ``group_keys[i]`` is the base prefix-group key of
+    ``pending_indices[i]`` (``None`` marks a solo point).  A group's
+    members land in the same shard so the executing worker shares their
+    boot+prefix capture and suffix memo.  Groups larger than *shard_size*
+    are split into ``shard_size`` chunks — each chunk's first member
+    re-probes the shared prefix locally, and the subset invariant of the
+    prefix scheduler keeps every chunk's results identical to the unsplit
+    run.  Small groups and solo points are packed together up to
+    *shard_size*, preserving schedule order within and across shards as
+    far as grouping allows; all-``None`` keys give contiguous chunks.
     """
     shard_size = max(1, int(shard_size))
-    if not group_keys:
-        return [
-            pending_indices[offset : offset + shard_size]
-            for offset in range(0, len(pending_indices), shard_size)
-        ]
     # Bucket by group key in first-appearance order; None points are solo.
     buckets: List[List[int]] = []
     by_key: Dict[str, List[int]] = {}
-    for index in pending_indices:
-        key = group_keys[index] if 0 <= index < len(group_keys) else None
+    for index, key in zip(pending_indices, group_keys, strict=True):
         if key is None:
             buckets.append([index])
             continue
@@ -148,7 +142,7 @@ def plan_lease_shards(
 
 
 class _Lease:
-    """One worker's claim on a batch of schedule indices."""
+    """One worker's claim on a batch of planned schedule positions."""
 
     __slots__ = ("lease_id", "campaign_id", "worker_id", "indices", "deadline")
 
@@ -168,59 +162,78 @@ class _Lease:
 
 
 class _Campaign:
-    """Coordinator-side state of one submitted campaign."""
+    """Coordinator-side state of one submitted campaign.
+
+    Construction replays the store through *planner* and leases the first
+    round with unfinished points, so a resubmitted campaign resumes.
+    """
 
     def __init__(
         self,
-        campaign_id: str,
         spec: CampaignSpec,
         fingerprint: str,
         store: ResultStore,
-        schedule_keys: List[str],
-        pending_indices: List[int],
+        planner: RoundPlanner,
         shard_size: int,
-        shard_plan: List[List[int]],
-        planner: Optional[RoundPlanner] = None,
     ) -> None:
-        self.id = campaign_id
+        self.id = ""  # assigned when the campaign is registered
         self.spec = spec
         self.fingerprint = fingerprint
         self.store = store
-        self.schedule_keys = schedule_keys
-        self.key_to_index = {key: index for index, key in enumerate(schedule_keys)}
-        self.completed_count = len(schedule_keys) - len(pending_indices)
-        self.resumed_at_submit = self.completed_count
-        self.executed = 0  # fresh records accepted over the fabric
-        self.shard_size = max(1, int(shard_size))
-        #: The round planner of an adaptive campaign (``None`` = static).
-        #: The coordinator is its only driver: it replays feedback from the
-        #: authoritative store and plans each next round under the lock.
+        #: The campaign's round planner.  The coordinator is its only
+        #: driver: it replays feedback from the authoritative store and
+        #: plans each next round under the lock.
         self.planner = planner
-        #: Per-schedule-position fault-point keys (adaptive only): the
-        #: explicit assignments shipped in shard leases, since workers
-        #: cannot derive an adaptive schedule locally.
-        self.point_keys: List[str] = (
-            [point.key for point in planner.schedule] if planner is not None else []
-        )
-        self.queue: Deque[List[int]] = deque(shard_plan)
+        self.shard_size = max(1, int(shard_size))
+        #: Store key of every planned schedule position, synced from the
+        #: planner by :meth:`advance`.
+        self.schedule_keys: List[str] = []
+        self.key_to_index: Dict[str, int] = {}
+        self.completed_count = 0
+        self.executed = 0  # fresh records accepted over the fabric
+        self.queue: Deque[List[int]] = deque()
         self.leases: Dict[str, _Lease] = {}
         #: Summed worker-reported cache deltas (``shard_done`` stats).
         self.worker_cache_stats: Dict[str, float] = {}
         #: Fresh results in arrival order, for `tail` streaming.
         self.events: List[Dict[str, Any]] = []
-        if planner is not None:
-            self.state = "complete" if planner.done else "running"
-        else:
-            self.state = "complete" if not pending_indices else "running"
         self.workers_seen: Set[str] = set()
-
-    @property
-    def adaptive(self) -> bool:
-        return self.planner is not None
+        self.advance()
+        self.resumed_at_submit = self.completed_count
+        self.state = "complete" if planner.done else "running"
 
     @property
     def total(self) -> int:
         return len(self.schedule_keys)
+
+    def advance(self) -> None:
+        """Replay the store through the planner and lease what it leaves.
+
+        Serves both submit and round close.  ``replay_from_store`` may
+        advance through several rounds at once when the store already
+        answers them (a resumed campaign); every newly planned position is
+        synced into the campaign's coordinate system — schedule keys,
+        key→index map, completed count — before the pending
+        points of the open round are cut into shard leases.
+        """
+        planner = self.planner
+        engine = planner.engine
+        pending = planner.replay_from_store()
+        for index in range(len(self.schedule_keys), len(planner.schedule)):
+            point = planner.schedule[index]
+            key = engine.run_key(point)
+            self.schedule_keys.append(key)
+            self.key_to_index[key] = index
+            if key in self.store:
+                self.completed_count += 1
+        if pending:
+            # No fallback: a group key that cannot be derived fails the
+            # submit (or the round close) instead of leasing blind.
+            self.queue.extend(plan_lease_shards(
+                [index for index, _ in pending],
+                [engine.group_key_of(point) for _, point in pending],
+                self.shard_size,
+            ))
 
     def queued_count(self) -> int:
         return sum(len(shard) for shard in self.queue)
@@ -229,7 +242,7 @@ class _Campaign:
         return sum(len(lease.indices) for lease in self.leases.values())
 
     def status_payload(self) -> Dict[str, Any]:
-        payload = {
+        return {
             "type": "status",
             "campaign_id": self.id,
             "state": self.state,
@@ -245,10 +258,8 @@ class _Campaign:
             "active_leases": len(self.leases),
             "workers_seen": sorted(self.workers_seen),
             "cache": dict(self.worker_cache_stats),
+            "planner": self.planner.summary(),
         }
-        if self.planner is not None:
-            payload["planner"] = self.planner.summary()
-        return payload
 
 
 class CampaignCoordinator:
@@ -493,26 +504,15 @@ class CampaignCoordinator:
             # first new record anyway — do it eagerly so it is logged.
             store.repair()
             logger.info("repaired torn tail in %s", spec.store_path)
-        engine, points = build_engine(spec, store=store)
-        shard_size = max(1, int(spec.shard_size or self.shard_size))
-        planner: Optional[RoundPlanner] = None
-        if engine.adaptive:
-            # Adaptive campaigns have no ahead-of-time schedule: build the
-            # round planner here (replaying any completed rounds from the
-            # store — resume) and shard only the first incomplete round.
-            planner = RoundPlanner(engine, points)
-            pending = [(index, point) for index, point in planner.replay_from_store()]
-            schedule_keys = [engine.run_key(point) for point in planner.schedule]
-            group_keys = [engine.group_key_of(point) for point in planner.schedule]
-        else:
-            schedule, pending = engine.plan(points)
-            schedule_keys = [engine.run_key(point) for point in schedule]
-            # No fallback: every worker derives the same keys to partition
-            # its shard, so a derivation that fails here fails there too.
-            group_keys = engine.schedule_group_keys(points)
-        shard_plan = plan_lease_shards(
-            [index for index, _ in pending], group_keys, shard_size
-        )
+        try:
+            engine, points = build_engine(spec, store=store)
+            campaign = _Campaign(
+                spec, fingerprint, store, RoundPlanner(engine, points),
+                spec.shard_size or self.shard_size,
+            )
+        except Exception:
+            store.close()
+            raise
 
         with self._lock:
             # Re-check under the lock: a racing identical submit may have
@@ -522,25 +522,14 @@ class CampaignCoordinator:
                 store.close()
                 campaign = self._campaigns[existing_id]
                 return self._submitted_payload(campaign, resubmitted=True)
-            campaign_id = f"c{self._next_campaign}"
+            campaign.id = f"c{self._next_campaign}"
             self._next_campaign += 1
-            campaign = _Campaign(
-                campaign_id,
-                spec,
-                fingerprint,
-                store,
-                schedule_keys,
-                [index for index, _ in pending],
-                shard_size,
-                shard_plan=shard_plan,
-                planner=planner,
-            )
-            self._campaigns[campaign_id] = campaign
-            self._by_fingerprint[fingerprint] = campaign_id
+            self._campaigns[campaign.id] = campaign
+            self._by_fingerprint[fingerprint] = campaign.id
             self._cond.notify_all()
             logger.info(
                 "campaign %s submitted: %s total=%d resumed=%d",
-                campaign_id, spec.target, campaign.total, campaign.resumed_at_submit,
+                campaign.id, spec.target, campaign.total, campaign.resumed_at_submit,
             )
             return self._submitted_payload(campaign, resubmitted=False)
 
@@ -698,20 +687,17 @@ class CampaignCoordinator:
             )
             campaign.leases[lease_id] = lease
             campaign.workers_seen.add(worker_id)
-            reply = {
+            return {
                 "type": "shard",
                 "campaign_id": campaign.id,
                 "lease_id": lease_id,
                 "lease_timeout": self.lease_timeout,
                 "spec": campaign.spec.to_dict(),
-                "indices": list(indices),
+                "assignments": [
+                    [index, campaign.planner.schedule[index].key]
+                    for index in indices
+                ],
             }
-            if campaign.adaptive:
-                reply["adaptive"] = True
-                reply["assignments"] = [
-                    [index, campaign.point_keys[index]] for index in indices
-                ]
-            return reply
 
     def _find_lease(self, lease_id: Optional[str]) -> Optional[Tuple[_Campaign, _Lease]]:
         for campaign in self._campaigns.values():
@@ -740,50 +726,19 @@ class CampaignCoordinator:
                 "seq": len(campaign.events),
                 "record": record.to_dict(),
             })
-        if campaign.planner is not None:
-            # Feed the round planner.  Duplicate deliveries (stale leases
-            # re-executing a member) are ignored by the planner itself —
-            # only the first record per index counts, mirroring the store's
-            # first-completion-wins.  The planner buffers feedback and
-            # ingests it in schedule-index order at round close, so the
-            # arrival order of records over the fabric cannot change the
-            # next round.
-            campaign.planner.record_result(
-                index, campaign.planner.schedule[index], record, resumed=False
-            )
-            if campaign.planner.current is None:
-                self._advance_adaptive(campaign)
+        # Feed the round planner.  Duplicate deliveries (stale leases
+        # re-executing a member) are ignored by the planner itself — only
+        # the first record per index counts, mirroring the store's
+        # first-completion-wins.  The planner buffers feedback and ingests
+        # it in schedule-index order at round close, so the arrival order
+        # of records over the fabric cannot change the next round.
+        campaign.planner.record_result(
+            index, campaign.planner.schedule[index], record, resumed=False
+        )
+        if campaign.planner.current is None:
+            campaign.advance()
         if index in lease.indices:
             lease.indices.remove(index)
-
-    def _advance_adaptive(self, campaign: _Campaign) -> None:
-        """Plan the next adaptive round(s) and enqueue their shards (called
-        under the lock, after a round closed).
-
-        ``replay_from_store`` may advance through several rounds at once
-        when the store already answers them (a resumed campaign whose store
-        holds records beyond the round that was incomplete at submit); the
-        campaign's coordinate system — schedule keys, key→index map,
-        per-position point keys — is synced with every newly planned
-        position before any shard is enqueued."""
-        planner = campaign.planner
-        pending = planner.replay_from_store()
-        engine = planner.engine
-        for index in range(len(campaign.schedule_keys), len(planner.schedule)):
-            point = planner.schedule[index]
-            key = engine.run_key(point)
-            campaign.schedule_keys.append(key)
-            campaign.key_to_index[key] = index
-            campaign.point_keys.append(point.key)
-            if key in campaign.store:
-                campaign.completed_count += 1
-        if not pending:
-            return
-        group_keys = [engine.group_key_of(point) for point in planner.schedule]
-        shards = plan_lease_shards(
-            [index for index, _ in pending], group_keys, campaign.shard_size
-        )
-        campaign.queue.extend(shards)
 
     def _handle_result_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Accept one ``result_batch``: k records, one fsync, one ack.
@@ -868,13 +823,10 @@ class CampaignCoordinator:
             return {"type": "ack"}
 
     def _check_complete(self, campaign: _Campaign) -> None:
-        """Flip a running campaign to complete when every key is stored
-        (called under the lock).  An adaptive campaign additionally needs
-        its planner exhausted — more rounds may follow a fully-stored
-        schedule."""
-        if campaign.state != "running":
-            return
-        if campaign.planner is not None and not campaign.planner.done:
+        """Flip a running campaign to complete when its planner is
+        exhausted and every planned key is stored (called under the lock);
+        more rounds may follow a fully-stored schedule."""
+        if campaign.state != "running" or not campaign.planner.done:
             return
         if campaign.completed_count >= campaign.total:
             campaign.state = "complete"

@@ -1,21 +1,16 @@
 """Campaign specifications: the unit the fabric ships between processes.
 
 A :class:`CampaignSpec` is everything needed to *independently* reconstruct
-one exploration — target (by registry name), workload, strategy spec, seed,
-space filters — and nothing that is execution-local (no backends, no pools,
-no store handles).  The determinism contract of the exploration engine
-makes this sufficient: the fault space enumeration, priority order,
-strategy selection, and per-run seeds are all pure functions of the spec,
-so the coordinator and every worker derive the *identical* schedule from
-the same spec and can talk about points purely by schedule index.
-
-For an *adaptive* strategy (``strategy="coverage"``) the contract weakens
-to "spec + completed results determine the next round": the schedule is
-not locally derivable, so the coordinator — which holds the authoritative
-store — runs the round planner and shard leases name their points by
-explicit ``(index, point key)`` assignment instead (see
-``doc/ADAPTIVE.md``).  Per-run seeds still derive from the shipped index,
-so records stay byte-identical to a serial adaptive run's.
+one exploration's fault space and engine — target (by registry name),
+workload, strategy spec, seed, space filters — and nothing that is
+execution-local (no backends, no pools, no store handles).  The
+coordinator plans every campaign through a round planner from the spec and
+its authoritative store ("spec + completed results determine the next
+round", ``doc/ADAPTIVE.md``) and leases points as explicit
+``(schedule index, point key)`` assignments; a worker only enumerates the
+same fault space from the same spec and looks the keys up.  Per-run seeds
+derive from the shipped index, so records stay byte-identical to a serial
+run's.
 
 :func:`spec_fingerprint` canonicalises a spec into a stable hash used to
 deduplicate submissions and key worker-side engine caches.
@@ -127,8 +122,8 @@ def build_engine(
     """Materialise (engine, fault space) from a spec.
 
     Both fabric roles call this: the coordinator (with its authoritative
-    store) to compute schedule keys and the pending set, each worker (with
-    no store — the coordinator owns persistence) to execute shard indices.
+    store) to plan rounds and resume, each worker (with no store — the
+    coordinator owns persistence) to execute shard assignments.
     The call-site analysis comes from the process-wide artifact cache, so
     two roles in one process analyze the target image once.
     Imports are local because this is the one place the distributed layer

@@ -1,12 +1,14 @@
 """``repro-campaignd worker``: the fabric's data plane node.
 
-A :class:`CampaignWorker` pulls shard leases from the coordinator, turns
-each lease's schedule indices back into scenarios (the spec is enough —
-see :mod:`repro.distributed.spec`), executes them through the local
-engine/pool stack (boot-template cache, prefix sharing, whatever
-``parallelism`` selects), and streams the result records back over the
-same connection, :data:`RESULT_BATCH_SIZE` records per ``result_batch``
-message.
+A :class:`CampaignWorker` pulls shard leases from the coordinator, looks
+each lease's ``(schedule index, point key)`` assignments up in the fault
+space it enumerates from the spec (see :mod:`repro.distributed.spec`),
+executes them through the local engine/pool stack (boot-template cache,
+prefix sharing, whatever ``parallelism`` selects), and streams the result
+records back over the same connection, :data:`RESULT_BATCH_SIZE` records
+per ``result_batch`` message.  The coordinator plans every round, so a
+worker agrees with it only on the fault space, never on how a schedule is
+derived.
 
 Failure behaviour, which is most of what a worker *is*:
 
@@ -103,9 +105,9 @@ class CampaignWorker:
         self._stream: Optional[MessageStream] = None
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
-        #: Engines are cached per spec fingerprint: every shard of one
-        #: campaign shares the target artifacts, boot templates, and
-        #: enumerated fault space.
+        #: ``(engine, fault space keyed by point key)`` per spec
+        #: fingerprint: every shard of one campaign shares the target
+        #: artifacts, boot templates, and enumerated fault space.
         self._engines: Dict[str, tuple] = {}
         #: Shards fully executed by this worker (observable for tests/CLI).
         self.shards_completed = 0
@@ -191,17 +193,22 @@ class CampaignWorker:
         cached = self._engines.get(fingerprint)
         if cached is None:
             # No store: the coordinator owns persistence; the worker-side
-            # engine only derives schedules and executes.
+            # engine only executes.
             engine, points = build_engine(spec, store=None)
-            cached = (engine, points)
+            cached = (engine, {point.key: point for point in points})
             self._engines[fingerprint] = cached
         return cached
 
     def _execute_shard(self, shard: Dict[str, Any]) -> None:
         lease_id = shard["lease_id"]
-        indices: List[int] = list(shard.get("indices", ()))
         spec = CampaignSpec.from_dict(shard.get("spec"))
-        engine, points = self._engine_for(spec)
+        engine, points_by_key = self._engine_for(spec)
+        # Resolved before the heartbeat starts: a key outside this worker's
+        # fault space raises here instead of running a wrong point.
+        runs = engine.run_assignments(
+            points_by_key, shard.get("assignments", ()),
+            parallelism=self.parallelism,
+        )
         lease_timeout = float(shard.get("lease_timeout", 30.0))
 
         lost = threading.Event()
@@ -231,21 +238,6 @@ class CampaignWorker:
             self.results_streamed += len(batch)
             batch.clear()
 
-        if shard.get("adaptive"):
-            # Adaptive shard: the coordinator planned the round centrally,
-            # so the lease names its points explicitly instead of by
-            # derivable schedule position.
-            assignments = [
-                (int(index), str(key))
-                for index, key in shard.get("assignments", ())
-            ]
-            runs = engine.run_assignments(
-                points, assignments, parallelism=self.parallelism
-            )
-        else:
-            runs = engine.run_schedule_indices(
-                points, indices, parallelism=self.parallelism
-            )
         try:
             for record in runs:
                 if lost.is_set() or self._stop.is_set():

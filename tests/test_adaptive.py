@@ -240,6 +240,7 @@ class TestPlannerProtocol:
         assert first == [point.key for point in points]
         assert session.propose([], []) == []
         assert session.propose(points, []) == []
+        assert resolve_strategy("coverage").adaptive is True
 
     def test_coverage_session_is_deterministic(self):
         points = priority_order(_synthetic_space())
@@ -423,15 +424,6 @@ class TestAdaptiveExploration:
             stored = engine.store.get(engine.run_key(outcome.point))
             assert stored.recovery_lines == []
             assert "recovery_lines" not in stored.to_dict()
-
-    def test_schedule_raises_for_adaptive_strategies(self):
-        engine = ExplorationEngine(
-            MiniGitTarget(), strategy="coverage", store=ResultStore(),
-            workload="status",
-        )
-        with pytest.raises(RuntimeError):
-            engine.schedule([])
-        assert resolve_strategy("coverage").adaptive is True
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,12 @@ def _serial_signature(spec_kwargs=GIT_SPEC_KWARGS):
     return _signature_from_outcomes(engine.explore(points))
 
 
+def _shard_engine(spec_kwargs=GIT_SPEC_KWARGS):
+    """A worker-side engine and its fault space keyed by point key."""
+    engine, points = build_engine(CampaignSpec(**spec_kwargs))
+    return engine, {point.key: point for point in points}
+
+
 # ----------------------------------------------------------------------
 # satellite: store corruption semantics
 # ----------------------------------------------------------------------
@@ -528,7 +534,7 @@ class TestProtocolVersion:
     """One wire version: a mismatch is refused, never negotiated."""
 
     @pytest.mark.parametrize("hello", [
-        {"type": "hello", "role": "worker", "version": 3},
+        {"type": "hello", "role": "worker", "version": PROTOCOL_VERSION - 1},
         {"type": "hello", "role": "worker"},
     ], ids=["old-version", "no-version"])
     def test_coordinator_refuses_other_versions_and_closes(
@@ -641,14 +647,14 @@ class TestCampaignFabric:
     ):
         """No silent contiguous-shard fallback: a spec whose group keys
         cannot be derived is refused, and the coordinator keeps serving."""
-        derive = ExplorationEngine.schedule_group_keys
+        derive = ExplorationEngine.group_key_of
 
-        def failing(engine, points):
+        def failing(engine, point):
             if engine.seed == 99:
                 raise RuntimeError("group keys unavailable")
-            return derive(engine, points)
+            return derive(engine, point)
 
-        monkeypatch.setattr(ExplorationEngine, "schedule_group_keys", failing)
+        monkeypatch.setattr(ExplorationEngine, "group_key_of", failing)
         fabric = fabric_factory()
         client = fabric.client()
         broken = dict(GIT_SPEC_KWARGS, seed=99)
@@ -742,7 +748,7 @@ class TestCampaignFabric:
 
         time.sleep(0.5)  # outlive the lease without a heartbeat
 
-        # Another worker now gets the same (re-queued) indices.
+        # Another worker now gets the same (re-queued) assignments.
         other = connect(fabric.address)
         other.send({"type": "hello", "role": "worker", "worker_id": "fresh",
                     "version": PROTOCOL_VERSION})
@@ -750,14 +756,14 @@ class TestCampaignFabric:
         other.send({"type": "fetch", "worker_id": "fresh"})
         reissued = other.recv()
         assert reissued["type"] == "shard"
-        assert reissued["indices"] == shard["indices"]
+        assert reissued["assignments"] == shard["assignments"]
         assert reissued["lease_id"] != shard["lease_id"]
 
         # The sleeper's lease is rejected on every verb.
         stream.send({"type": "heartbeat", "lease_id": shard["lease_id"]})
         assert stream.recv()["type"] == "stale_lease"
-        engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
-        record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
+        engine, by_key = _shard_engine()
+        record = next(iter(engine.run_assignments(by_key, shard["assignments"][:1])))
         stream.send({
             "type": "result_batch", "lease_id": shard["lease_id"],
             "records": [record.to_dict()],
@@ -781,8 +787,8 @@ class TestCampaignFabric:
         stream.recv()
         stream.send({"type": "fetch", "worker_id": "dupper"})
         shard = stream.recv()
-        engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
-        record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
+        engine, by_key = _shard_engine()
+        record = next(iter(engine.run_assignments(by_key, shard["assignments"][:1])))
         for _ in range(2):
             stream.send({
                 "type": "result_batch", "lease_id": shard["lease_id"],
@@ -811,9 +817,13 @@ class TestCampaignFabric:
         assert stream.recv()["type"] == "welcome"
         stream.send({"type": "fetch", "worker_id": "forger"})
         shard = stream.recv()
-        assert len(shard["indices"]) == 2
-        engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
-        first, second = engine.run_schedule_indices(points, shard["indices"])
+        # One shard shape for every campaign: explicit assignments only.
+        assert set(shard) == {
+            "type", "campaign_id", "lease_id", "lease_timeout", "spec", "assignments",
+        }
+        assert len(shard["assignments"]) == 2
+        engine, by_key = _shard_engine()
+        first, second = engine.run_assignments(by_key, shard["assignments"])
         stream.send({
             "type": "result_batch", "lease_id": shard["lease_id"],
             "records": [first.to_dict()],
@@ -834,11 +844,16 @@ class TestCampaignFabric:
 
 
 class TestCoordinatorRestart:
-    def test_resume_after_coordinator_and_worker_restart(self, tmp_path):
+    @pytest.mark.parametrize("strategy", [None, "coverage:round=4,patience=2"],
+                             ids=["static", "coverage"])
+    def test_resume_after_coordinator_and_worker_die(self, tmp_path, strategy):
         """The acceptance criterion: kill the coordinator (and the worker)
         mid-campaign, restart both, resubmit the same spec — the campaign
         resumes from the store, re-runs nothing already checkpointed, and
-        the merged results are bit-identical to a serial run."""
+        the merged results are bit-identical to a serial run.  The
+        coverage-guided spec plans three rounds of four, one shard each:
+        it dies after two, so the resubmit replays both through the
+        planner before it leases the third."""
         runs = {"count": 0}
 
         class CountingGitTarget:
@@ -858,13 +873,19 @@ class TestCoordinatorRestart:
 
         register_target("counting_git", CountingGitTarget)
         try:
-            store_path = str(tmp_path / "restart.jsonl")
-            spec = CampaignSpec(
-                target="counting_git", workload="status", seed=11,
-                store_path=store_path,
+            spec_kwargs = dict(
+                target="counting_git", workload="status", seed=11, strategy=strategy,
             )
-            total = len(build_engine(spec)[1])
+            engine, points = build_engine(
+                CampaignSpec(**spec_kwargs), store=ResultStore()
+            )
+            serial = _signature_from_outcomes(engine.explore(points))
+            total = len(serial)
             assert total > 8  # the test needs a partial first phase
+            runs["count"] = 0
+
+            store_path = str(tmp_path / "restart.jsonl")
+            spec = CampaignSpec(store_path=store_path, **spec_kwargs)
 
             # Phase 1: run exactly two shards, then everything dies.
             coordinator = CampaignCoordinator(port=0, shard_size=4)
@@ -893,6 +914,7 @@ class TestCoordinatorRestart:
                     worker.close()
                     status = client.status(second["campaign_id"])
                     assert status["state"] == "complete"
+                    assert status["total"] == total
                     assert status["executed"] == total - checkpointed
                     records = client.results(second["campaign_id"])
             finally:
@@ -901,11 +923,6 @@ class TestCoordinatorRestart:
             # Nothing already checkpointed re-ran.
             assert runs["count"] == total
             # And the merged records are bit-identical to one serial run.
-            oracle_spec = CampaignSpec(
-                target="counting_git", workload="status", seed=11,
-            )
-            engine, points = build_engine(oracle_spec, store=ResultStore())
-            serial = _signature_from_outcomes(engine.explore(points))
             assert _signature_from_records(records) == serial
         finally:
             unregister_target("counting_git")
@@ -930,26 +947,47 @@ class TestCoordinatorRestart:
 # ----------------------------------------------------------------------
 # engine shard API
 # ----------------------------------------------------------------------
-class TestRunScheduleIndices:
-    def test_shard_records_match_explore_checkpoints(self, tmp_path):
-        spec = CampaignSpec(**GIT_SPEC_KWARGS)
+class TestRunAssignments:
+    @pytest.mark.parametrize("strategy", [None, "coverage:round=4,patience=1"],
+                             ids=["static", "coverage"])
+    def test_shard_records_match_explore_checkpoints(self, tmp_path, strategy):
+        spec_kwargs = dict(GIT_SPEC_KWARGS, strategy=strategy)
+        oracle_path = tmp_path / "oracle.jsonl"
         engine, points = build_engine(
-            spec, store=ResultStore(str(tmp_path / "oracle.jsonl"))
+            CampaignSpec(**spec_kwargs), store=ResultStore(str(oracle_path))
         )
         report = engine.explore(points)
-        by_key = {r.key: r for r in engine.store.results()}
+        assert report.executed == len(report.outcomes) > 0
 
-        shard_engine, shard_points = build_engine(spec)
-        indices = list(range(len(report.outcomes)))
-        records = list(shard_engine.run_schedule_indices(shard_points, indices))
-        assert len(records) == len(report.outcomes)
-        for record in records:
-            assert record.to_dict() == by_key[record.key].to_dict()
+        shard_engine, by_key = _shard_engine(spec_kwargs)
+        records = {
+            record.key: record
+            for record in shard_engine.run_assignments(
+                by_key, [(o.index, o.point.key) for o in report.outcomes]
+            )
+        }
+        shard_path = tmp_path / "shard.jsonl"
+        shard_store = ResultStore(str(shard_path))
+        for stored in engine.store.results():
+            shard_store.record(records.pop(stored.key))
+        assert records == {}
+        assert shard_path.read_bytes() == oracle_path.read_bytes()
 
-    def test_out_of_range_index_raises(self):
-        engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
+    def test_unknown_key_raises(self):
+        engine, by_key = _shard_engine()
+        with pytest.raises(KeyError):
+            engine.run_assignments(by_key, [(0, "no-such-point")])
+
+    def test_negative_index_raises(self):
+        engine, by_key = _shard_engine()
         with pytest.raises(IndexError):
-            list(engine.run_schedule_indices(points, [10_000]))
+            engine.run_assignments(by_key, [(-1, next(iter(by_key)))])
+
+    def test_repeated_index_runs_once(self):
+        engine, by_key = _shard_engine()
+        key = next(iter(by_key))
+        records = list(engine.run_assignments(by_key, [(3, key), (3, key)]))
+        assert [record.index for record in records] == [3]
 
 
 # ----------------------------------------------------------------------

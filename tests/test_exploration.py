@@ -30,7 +30,7 @@ from repro.core.exploration import (
     resolve_strategy,
     stack_fingerprint,
 )
-from repro.core.exploration.engine import ExplorationEngine
+from repro.core.exploration.engine import ExplorationEngine, RoundPlanner
 from repro.common.frames import StackFrame
 from repro.core.controller.monitor import Outcome
 from repro.targets.mini_bind import MiniBindTarget
@@ -549,6 +549,7 @@ class TestExplorationEngine:
         controller = LFIController(MiniBindTarget())
         points = controller.fault_space(include_checked=True)
         engine = ExplorationEngine(MiniBindTarget())
-        schedule = engine.schedule(points)
+        schedule = [point for _, point in RoundPlanner(engine, points).next_round()]
+        assert len(schedule) == len(points)
         ranks = [{"unchecked": 0, "partial": 1, "checked": 2}[p.category] for p in schedule]
         assert ranks == sorted(ranks)

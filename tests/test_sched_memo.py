@@ -545,18 +545,18 @@ class TestAdaptivePlanning:
         tasks = build_group_tasks(target, "default-tests", entries)
         assert any(len(task.entries) > 1 for task in tasks)
 
-        def plan():
+        def batch_plan():
             return [
                 [(g.index, [e[0] for e in g.entries]) for g in batch.groups]
                 for batch in plan_group_batches(tasks, 4, policy="adaptive")
             ]
 
-        before = plan()
+        before = batch_plan()
         Campaign(target, workload="default-tests").run(
             scenarios, include_baseline=False, parallelism="serial",
             share_prefixes=True, memo=False,
         )
-        assert plan() == before
+        assert batch_plan() == before
         for task in tasks:
             members = len(task.entries)
             assert estimate_group_cost(task) == pytest.approx(
@@ -595,9 +595,9 @@ GIT_SPEC_KWARGS = dict(
 
 class TestLeasePlanning:
     def test_without_keys_degrades_to_contiguous_chunks(self):
-        plan = plan_lease_shards(list(range(7)), None, 3)
+        plan = plan_lease_shards(list(range(7)), [None] * 7, 3)
         assert plan == [[0, 1, 2], [3, 4, 5], [6]]
-        assert plan_lease_shards([], None, 3) == []
+        assert plan_lease_shards([], [], 3) == []
 
     def test_group_members_are_colocated(self):
         keys = ["a", "b", "a", None, "b", "a"]
