@@ -2,8 +2,9 @@
 """CI smoke test for the campaign fabric, exercised through the CLIs.
 
 Boots a real ``repro-campaignd`` coordinator and two worker processes on
-localhost, runs a small mini_git exploration through ``repro-campaign``,
-then proves crash-safe resume: the coordinator is killed, the store is
+localhost (one serial, one running its leases on a ``processes:2`` pool),
+runs a small mini_git exploration through ``repro-campaign``, then proves
+crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
 prefix, repair the torn tail, and re-run only the remainder — ending with
@@ -45,11 +46,20 @@ def log(message: str) -> None:
 
 
 def start(args, logfile):
+    """Start one daemon in its own process group, so that a kill reaches
+    its pool children too: they outlive a SIGKILLed parent otherwise."""
     handle = open(logfile, "ab", buffering=0)
     return subprocess.Popen(
         [sys.executable, "-m", *args], env=ENV, cwd=REPO,
-        stdout=handle, stderr=subprocess.STDOUT,
+        stdout=handle, stderr=subprocess.STDOUT, start_new_session=True,
     )
+
+
+def signal_group(process, signum) -> None:
+    try:
+        os.killpg(process.pid, signum)
+    except ProcessLookupError:
+        pass
 
 
 def wait_for_port(port_file: str, timeout: float = 30.0) -> int:
@@ -98,15 +108,17 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
     try:
         # ------------------------------------------------------------------
         # Phase 1: coordinator + 2 workers, full campaign through the CLI.
+        # Worker 1 runs its leases on a process pool, so the identical-
+        # results checks below also cover merged pooled and serial records.
         log(f"[{name}] phase 1: boot coordinator + 2 workers, run the campaign")
         coordinator = start(coordinator_cmd(),
                             os.path.join(log_dir, f"{name}-coordinator-1.log"))
         processes.append(coordinator)
         port = wait_for_port(port_file)
-        for i in range(2):
+        for i, extra in enumerate(([], ["--parallelism", "processes:2"])):
             processes.append(start(
                 ["repro.cli.campaignd", "worker", "--port", str(port),
-                 "--poll-interval", "0.05"],
+                 "--poll-interval", "0.05", *extra],
                 os.path.join(log_dir, f"{name}-worker-{i}.log"),
             ))
 
@@ -126,7 +138,7 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
         # Phase 2: kill everything, tear the store mid-record, resume.
         log(f"[{name}] phase 2: kill the coordinator, simulate a crash mid-append")
         for process in processes:
-            process.send_signal(signal.SIGKILL)
+            signal_group(process, signal.SIGKILL)
         for process in processes:
             process.wait(timeout=30)
         processes.clear()
@@ -169,13 +181,12 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
             f"({total} records)")
     finally:
         for process in processes:
-            if process.poll() is None:
-                process.terminate()
+            signal_group(process, signal.SIGTERM)
         for process in processes:
             try:
                 process.wait(timeout=15)
             except subprocess.TimeoutExpired:
-                process.kill()
+                signal_group(process, signal.SIGKILL)
 
 
 def main() -> int:

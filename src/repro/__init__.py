@@ -76,16 +76,21 @@ materialization elided (guarded by a bounded flag-liveness scan), and trap
 attribution recovered from the traceback line number only when a trap
 actually propagates.  Runs without a coverage tracker take a further
 specialized loop with no per-step record branch at all; trackers expose a
-``record_block`` batch API for the instrumented loop.  Everything is
-cached on the :class:`~repro.isa.binary.BinaryImage` so every campaign run
-sharing an image (the artifact cache, ``CompiledTarget``'s binary cache)
-reuses the compiled program and fused blocks.  ``engine="reference"``
-keeps the original decode-as-you-go interpreter as the behavioural ground
-truth.  ``tests/test_vm_dispatch.py`` and ``tests/test_dataplane.py``
-assert both engines produce identical exit statuses, traces, coverage,
-call counts, and injection logs — including on randomly generated mini-C
-programs — and ``REPRO_ENGINE`` selects the process-wide default (the CI
-oracle leg exports ``REPRO_ENGINE=reference``)::
+``record_block`` batch API for the instrumented loop.  The closures and
+bound blocks are cached on the :class:`~repro.isa.binary.BinaryImage`, so
+every campaign run sharing an image (the artifact cache,
+``CompiledTarget``'s binary cache) reuses them.  The superclosure *code*
+is generated once per process and image content
+(``BinaryImage.content_digest()``): a process that fans work out to a
+process pool keeps it marshalled, and the pool's children inherit it at
+fork or receive it with their batch, so they only bind it.
+``engine="reference"`` keeps the original decode-as-you-go interpreter as
+the behavioural ground truth.  ``tests/test_vm_dispatch.py`` and
+``tests/test_dataplane.py`` assert both engines produce identical exit
+statuses, traces, coverage, call counts, and injection logs — including on
+randomly generated mini-C programs — and ``REPRO_ENGINE`` selects the
+process-wide default (the CI oracle leg exports
+``REPRO_ENGINE=reference``)::
 
     machine = Machine(binary, engine="reference")   # the slow oracle
     target.run(WorkloadRequest(options={"engine": "reference"}))

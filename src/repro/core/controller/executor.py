@@ -50,6 +50,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -60,6 +61,13 @@ from typing import (
 
 from repro.core.controller.monitor import RunResult
 from repro.core.controller.target import TargetAdapter, WorkloadRequest
+from repro.isa.binary import BinaryImage
+from repro.vm.dispatch import (
+    block_code_digests,
+    install_block_code,
+    marshalled_block_code,
+)
+from repro.vm.machine import resolve_engine
 
 #: Spec values accepted wherever a ``parallelism=`` knob is exposed.
 ParallelismSpec = Union[None, int, str, "ExecutionBackend"]
@@ -164,10 +172,20 @@ class GroupBatchTask:
 
     index: int
     groups: List[GroupTask] = field(default_factory=list)
+    #: Marshalled superclosure code by image content digest, for images the
+    #: receiving pool's children did not inherit at fork (see
+    #: :class:`ProcessPoolBackend`); installed before the groups run.
+    block_code: Dict[str, bytes] = field(default_factory=dict)
 
 
 def execute_group_batch(batch: GroupBatchTask) -> Dict[int, RunResult]:
-    """Drain one batch of groups (module-level for process pools)."""
+    """Drain one batch of groups (module-level for process pools).
+
+    The batch's block code is installed first, so its groups bind their
+    image's superclosures instead of generating them.
+    """
+    for digest, code in batch.block_code.items():
+        install_block_code(digest, code)
     merged: Dict[int, RunResult] = {}
     for group in batch.groups:
         merged.update(execute_group(group))
@@ -382,6 +400,13 @@ class ExecutionBackend(ABC):
         """
         return 1
 
+    def _planned_batches(
+        self, tasks: Sequence[GroupTask], schedule: Optional[str]
+    ) -> List[GroupBatchTask]:
+        """The batches :meth:`run_group_batches` and its streaming face
+        dispatch: one per worker (:func:`plan_group_batches`)."""
+        return plan_group_batches(tasks, self.worker_count(), policy=schedule)
+
     def run_group_batches(
         self, tasks: Sequence[GroupTask], schedule: Optional[str] = None
     ) -> Dict[int, RunResult]:
@@ -395,7 +420,7 @@ class ExecutionBackend(ABC):
         keyed by member submission index, so the merged mapping is
         deterministic regardless of batch completion order.
         """
-        batches = plan_group_batches(tasks, self.worker_count(), policy=schedule)
+        batches = self._planned_batches(tasks, schedule)
         merged: Dict[int, RunResult] = {}
         for results in self.map(execute_group_batch, [(batch,) for batch in batches]):
             merged.update(results)
@@ -410,7 +435,7 @@ class ExecutionBackend(ABC):
         is one batch (several groups) rather than one group — the price of
         eliminating the per-group pool round trips.
         """
-        batches = plan_group_batches(tasks, self.worker_count(), policy=schedule)
+        batches = self._planned_batches(tasks, schedule)
         return self._pair_iter(execute_group_batch, batches)
 
     def close(self) -> None:
@@ -512,7 +537,7 @@ class ThreadPoolBackend(_PoolBackend):
     name = "threads"
 
     def worker_count(self) -> int:
-        return self.workers or min(32, (os.cpu_count() or 1) * 2)
+        return self.workers or min(32, _available_cpus() * 2)
 
     def _make_pool(self) -> futures.Executor:
         return futures.ThreadPoolExecutor(
@@ -524,14 +549,33 @@ class ProcessPoolBackend(_PoolBackend):
     """Process-pool execution for CPU-bound campaigns.
 
     Targets, requests, and results cross process boundaries, so they must be
-    picklable (every shipped target is).  Fork start method is preferred so
-    workers inherit already-built artifacts (compiled binaries, profiles).
+    picklable (every shipped target is).  The fork start method is preferred
+    so workers inherit already-built artifacts: compiled binaries, profiles,
+    and the superclosure code this process generated for each image (see
+    :mod:`repro.vm.dispatch`).
+
+    Group batches are how children get that code.  Before dispatching
+    batches, this process generates, once, the marshalled block code of
+    every image their groups run on the compiled engine, then starts the
+    pool if it has none, noting at fork which codes the children inherit.
+    Each batch carries only the codes its pool did not inherit (all of them
+    for a pool forked earlier, none for one forked now, all for a pool not
+    started with ``fork``), and :func:`execute_group_batch` installs them
+    before draining.  Children therefore only bind superclosures; they still
+    build their own per-instruction closures, which cannot be marshalled.
+    Per-scenario tasks carry no code: the children of a pool forked before
+    this process generated an image's code generate it themselves.
     """
 
     name = "processes"
 
+    def __init__(self, workers: Optional[int] = None) -> None:
+        super().__init__(workers)
+        #: Content digests of the block code this pool's children inherited.
+        self._inherited: FrozenSet[str] = frozenset()
+
     def worker_count(self) -> int:
-        return self.workers or (os.cpu_count() or 1)
+        return self.workers or _available_cpus()
 
     def _make_pool(self) -> futures.Executor:
         workers = self.worker_count()
@@ -543,7 +587,52 @@ class ProcessPoolBackend(_PoolBackend):
                 mp_context = multiprocessing.get_context("fork")
         except (ImportError, ValueError):  # pragma: no cover - exotic platforms
             mp_context = None
+        # Children fork from the pool's first submit on, which follows at
+        # once: they inherit at least the code this process holds now.
+        self._inherited = block_code_digests() if mp_context is not None else frozenset()
         return futures.ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+
+    def _planned_batches(
+        self, tasks: Sequence[GroupTask], schedule: Optional[str]
+    ) -> List[GroupBatchTask]:
+        batches = super()._planned_batches(tasks, schedule)
+        if not batches:
+            return batches
+        # Generated before the pool exists, so a pool forked now inherits it.
+        codes = [
+            {
+                image.content_digest(): marshalled_block_code(image)
+                for image in map(_superclosure_image, batch.groups)
+                if image is not None
+            }
+            for batch in batches
+        ]
+        self._ensure_pool()
+        for batch, code in zip(batches, codes):
+            batch.block_code = {
+                digest: data for digest, data in code.items()
+                if digest not in self._inherited
+            }
+        return batches
+
+
+def _superclosure_image(group: GroupTask) -> Optional[BinaryImage]:
+    """The image whose superclosures *group*'s runs bind: only a VM target
+    on the compiled engine has one."""
+    target = group.target
+    engine = resolve_engine(group.options.get("engine"))
+    if engine != "compiled" or not hasattr(target, "binary"):
+        return None
+    image = target.binary()
+    return image if isinstance(image, BinaryImage) else None
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a process pinned to one CPU gets one), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------

@@ -38,16 +38,20 @@ stale artifact.  Cached objects — analysis reports included — are
 **shared**: treat them as immutable.
 
 Sharing compounds with the VM's predecoded execution engine: the
-closure-threaded program that :mod:`repro.vm.dispatch` compiles for a
-:class:`BinaryImage` is cached *on the image*, so every campaign run that
-receives a cached image also inherits its compiled program — the
-assemble → disassemble → CFG pipeline **and** instruction predecoding are
-both once-per-process costs.
+closure-threaded program and the bound superclosures that
+:mod:`repro.vm.dispatch` builds for a :class:`BinaryImage` are cached *on
+the image*, so every campaign run that receives a cached image also
+inherits them — the assemble → disassemble → CFG pipeline **and**
+instruction predecoding are both once-per-process costs.  The superclosure
+code behind the bound blocks is generated once per process *and image
+content* (:meth:`BinaryImage.content_digest`); process-pool children
+inherit it or are sent it and only bind it.  :func:`clear_artifact_cache`
+drops that generated code too.
 
 Thread-safe: a single lock guards the maps, so campaigns running under
 :class:`~repro.core.controller.executor.ThreadPoolBackend` profile and
 analyze at most once.  Process-pool workers forked after the first build
-inherit the warm cache for free.
+inherit the warm cache for free; their own builds stay in the child.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from repro.core.profiler.static_profiler import profile_library
 from repro.isa.binary import BinaryImage
 from repro.oslib.libc import LIBC_FUNCTIONS
 from repro.oslib.libc_binary import build_library_binary, library_soname
+from repro.vm.dispatch import clear_block_code
 
 if TYPE_CHECKING:  # the analyzer is passed in, never imported at run time
     from repro.core.analysis.analyzer import AnalysisReport, CallSiteAnalyzer
@@ -335,7 +340,8 @@ def cached_analysis(
 # maintenance
 # ----------------------------------------------------------------------
 def clear_artifact_cache() -> None:
-    """Drop every cached artifact and reset the counters (tests)."""
+    """Drop every cached artifact, the VM's generated superclosure code
+    included, and reset the counters (tests)."""
     with _LOCK:
         _BINARIES.clear()
         _PROFILES.clear()
@@ -343,6 +349,7 @@ def clear_artifact_cache() -> None:
         _BOOT_TEMPLATES.clear()
         _BOOT_CONTEXTS.clear()
         _ANALYSES.clear()
+        clear_block_code()
         global _STATS
         _STATS = CacheStats()
 

@@ -4,7 +4,8 @@ A :class:`CampaignWorker` pulls shard leases from the coordinator, looks
 each lease's ``(schedule index, point key)`` assignments up in the fault
 space it enumerates from the spec (see :mod:`repro.distributed.spec`),
 executes them through the local engine/pool stack (boot-template cache,
-prefix sharing, whatever ``parallelism`` selects), and streams the result
+prefix sharing, and the one backend ``parallelism`` selects for the
+worker's lifetime, so a pool spec forks one pool), and streams the result
 records back over the same connection, :data:`RESULT_BATCH_SIZE` records
 per ``result_batch`` message.  The coordinator plans every round, so a
 worker agrees with it only on the fault space, never on how a schedule is
@@ -35,7 +36,7 @@ import threading
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.controller.executor import ParallelismSpec
+from repro.core.controller.executor import ParallelismSpec, backend_scope
 from repro.core.controller.memo import suffix_memo_stats
 from repro.core.profiler.cache import artifact_cache_stats
 from repro.distributed.protocol import (
@@ -97,6 +98,9 @@ class CampaignWorker:
         self.address = address
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.parallelism = parallelism
+        #: Every lease runs on this one backend; a pool it owns is forked
+        #: once and closed by :meth:`close`.
+        self._backend, self._owns_backend = backend_scope(parallelism)
         self.poll_interval = poll_interval
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
@@ -145,6 +149,8 @@ class CampaignWorker:
     def close(self) -> None:
         self.stop()
         self._drop_stream()
+        if self._owns_backend:
+            self._backend.close()
 
     def stop(self) -> None:
         """Ask a running loop to exit after the current scenario."""
@@ -207,7 +213,7 @@ class CampaignWorker:
         # fault space raises here instead of running a wrong point.
         runs = engine.run_assignments(
             points_by_key, shard.get("assignments", ()),
-            parallelism=self.parallelism,
+            parallelism=self._backend,
         )
         lease_timeout = float(shard.get("lease_timeout", 30.0))
 

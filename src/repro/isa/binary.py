@@ -136,8 +136,12 @@ class BinaryImage:
     # pickling (images cross process boundaries under ProcessPoolBackend)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Drop derived caches: the VM's compiled closure array is not
-        picklable, and the range table is cheap to rebuild on first use."""
+        """Drop derived caches: the range table is cheap to rebuild, and the
+        VM's per-instruction closures and bound superclosures cannot be
+        pickled.  The receiving process rebuilds the closures and binds the
+        superclosure code it holds for this image's :meth:`content_digest`
+        (inherited at fork or sent with a pool batch), generating that code
+        only if it holds none (see :mod:`repro.vm.dispatch`)."""
         state = dict(self.__dict__)
         state.pop("_compiled_program", None)
         state.pop("_compiled_blocks", None)

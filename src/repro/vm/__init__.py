@@ -9,10 +9,12 @@ aborts and explicit exits into the process outcomes that the LFI controller
 monitors (normal exit, crash, abort).
 
 Execution engines: ``Machine(..., engine="compiled")`` (the default) runs a
-program predecoded by :mod:`repro.vm.dispatch` into an array of
-per-instruction closures, cached on the image so campaigns compile each
-binary once per process; ``engine="reference"`` is the original interpreter
-kept as a behavioural oracle for differential testing.
+program predecoded by :mod:`repro.vm.dispatch` into per-instruction
+closures and fused-block superclosures, cached on the image so campaigns
+build them once per binary and process (a process pool's children bind
+superclosure code their parent generated); ``engine="reference"`` is the
+original interpreter kept as a behavioural oracle for differential
+testing.
 
 Snapshot/restore: :mod:`repro.vm.snapshot` adds forkserver-style execution
 on top — :class:`MachineSnapshot` captures full run state (registers, pc,
@@ -23,7 +25,6 @@ boot snapshot replaces per-request target rebuilds.
 
 from repro.vm.dispatch import (
     RegisterFile,
-    compile_blocks,
     compile_program,
     compiled_blocks,
     compiled_program,
@@ -51,7 +52,6 @@ __all__ = [
     "RegisterFile",
     "VMError",
     "capture_gate_state",
-    "compile_blocks",
     "compile_program",
     "compiled_blocks",
     "compiled_program",

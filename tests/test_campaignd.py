@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.controller.executor import ProcessPoolBackend
 from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
 import repro.distributed.campaignd as campaignd_module
@@ -625,6 +626,30 @@ class TestCampaignFabric:
         # Tail events carry the same records, in completion order.
         tailed = [e["record"] for e in events if e["type"] == "result"]
         assert {r["key"] for r in tailed} == {r["key"] for r in records}
+
+    def test_pooled_worker_forks_one_pool_for_all_its_leases(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        pools = []
+        make_pool = ProcessPoolBackend._make_pool
+
+        def counted(backend):
+            pools.append(backend)
+            return make_pool(backend)
+
+        monkeypatch.setattr(ProcessPoolBackend, "_make_pool", counted)
+        fabric = fabric_factory(shard_size=4, lease_timeout=30.0)
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / "git.jsonl"), **GIT_SPEC_KWARGS)
+        campaign_id = client.submit(spec)["campaign_id"]
+        worker = fabric.worker(worker_id="pooled", parallelism="processes:2")
+        while worker.run_once():
+            pass
+        assert worker.shards_completed >= 3
+        assert len(pools) == 1
+        assert _signature_from_records(client.results(campaign_id)) == _serial_signature()
+        worker.close()
+        assert pools[0]._pool is None  # close() reaps the pool
 
     def test_submit_is_idempotent_per_spec(self, fabric_factory, tmp_path):
         fabric = fabric_factory()

@@ -4,7 +4,9 @@ Three fast paths, each held bit-identical to its one slow oracle:
 
 * **superclosure block batching** — the ``compiled`` engine fuses
   straight-line basic blocks into generated functions (dead CMP/Jcc flag
-  work elided); oracle: the ``reference`` engine (decode-as-you-go);
+  work elided), also when it binds code another process generated and
+  marshalled, as pool children do; oracle: the ``reference`` engine
+  (decode-as-you-go);
 * **coverage-off hot loops** — runs without a tracker/trace skip per-step
   bookkeeping entirely; oracles: the instrumented loop and the
   ``reference`` engine;
@@ -17,6 +19,8 @@ as a detached :class:`~repro.oslib.os_model.LazyOSClone`; the tests hold it
 equal to the OS a serial ``snapshots=False`` campaign publishes, memo hits
 included.
 """
+
+import marshal
 
 import pytest
 
@@ -44,7 +48,10 @@ from repro.targets.base import default_snapshots
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
 from repro.targets.pbft import PBFTCheckpointTarget
+from repro.vm import dispatch
+from repro.vm.dispatch import compiled_blocks, generate_blocks, install_block_code
 from repro.vm.machine import Machine, resolve_engine
+from repro.vm.outcome import ExitKind
 
 COMPILED_TARGETS = (MiniGitTarget, MiniBindTarget, PBFTCheckpointTarget)
 
@@ -118,107 +125,138 @@ def _fault_space_scenarios(target):
 
 
 # ----------------------------------------------------------------------
+# the differential corpus
+# ----------------------------------------------------------------------
+ARITHMETIC_SOURCE = r"""
+    int accumulate(int n) {
+        int total;
+        int i;
+        total = 0;
+        i = 0;
+        while (i < n) {
+            if (i % 3 == 0) {
+                total = total + i * 2;
+            } else {
+                total = total - 1;
+            }
+            i = i + 1;
+        }
+        return total;
+    }
+    int main() {
+        return accumulate(50) % 10;
+    }
+"""
+
+#: The divide sits mid straight-line block.
+DIVISION_TRAP_SOURCE = r"""
+    int main() {
+        int a;
+        int b;
+        int c;
+        a = 7;
+        b = a - 7;
+        c = a / b;
+        return c;
+    }
+"""
+
+NULL_STORE_TRAP_SOURCE = r"""
+    int main() {
+        int p;
+        int v;
+        p = 0;
+        v = 41;
+        *p = v;
+        return 0;
+    }
+"""
+
+#: A loop whose body fuses into one block, and budgets landing in every
+#: phase of it.
+HANG_SOURCE = r"""
+    int main() {
+        int i;
+        i = 0;
+        while (i < 100000) {
+            i = i + 1;
+        }
+        return i;
+    }
+"""
+HANG_BUDGETS = (7, 8, 9, 10, 11, 12, 13, 50, 51)
+
+FAULTS_SOURCE = r"""
+    int main() {
+        int fd;
+        int p;
+        int buffer[16];
+        p = malloc(8);
+        if (p == 0) {
+            puts("oom");
+        }
+        fd = open("/tmp/x", 64);
+        read(fd, buffer, 4);
+        if (read(fd, buffer, 4) < 0) {
+            puts("read failed");
+            return 2;
+        }
+        close(fd);
+        return 0;
+    }
+"""
+
+
+FAULTS_SCENARIO = (
+    ScenarioBuilder("dataplane-faults")
+    .trigger("first_malloc", "CallCountTrigger", nth=1)
+    .inject("malloc", ["first_malloc"], return_value=0, errno="ENOMEM")
+    .trigger("second_read", "CallCountTrigger", nth=2)
+    .inject("read", ["second_read"], return_value=-1, errno="EIO")
+    .build()
+)
+
+
+#: Every corpus run: ``pytest.param(source, run keyword arguments)``.
+DIFFERENTIAL_CORPUS = [
+    pytest.param(ARITHMETIC_SOURCE, {}, id="arithmetic"),
+    pytest.param(DIVISION_TRAP_SOURCE, {}, id="division-trap"),
+    pytest.param(NULL_STORE_TRAP_SOURCE, {}, id="null-store-trap"),
+    *(
+        pytest.param(HANG_SOURCE, {"max_steps": budget}, id=f"hang-{budget}")
+        for budget in HANG_BUDGETS
+    ),
+    pytest.param(FAULTS_SOURCE, {"scenario": FAULTS_SCENARIO}, id="faults"),
+]
+
+
+# ----------------------------------------------------------------------
 # superclosure block batching vs the reference engine
 # ----------------------------------------------------------------------
 class TestSuperclosureParity:
     def test_straight_line_arithmetic_and_branches(self):
-        reference = assert_all_engines_agree(r"""
-            int accumulate(int n) {
-                int total;
-                int i;
-                total = 0;
-                i = 0;
-                while (i < n) {
-                    if (i % 3 == 0) {
-                        total = total + i * 2;
-                    } else {
-                        total = total - 1;
-                    }
-                    i = i + 1;
-                }
-                return total;
-            }
-            int main() {
-                return accumulate(50) % 10;
-            }
-        """)
+        reference = assert_all_engines_agree(ARITHMETIC_SOURCE)
         assert reference["status"][0].value == "error-exit" or reference["status"][1] >= 0
 
     def test_trap_mid_block_division_by_zero(self):
-        # The divide sits mid straight-line block: the superclosure must
-        # attribute the trap to the exact instruction (same pc, same steps,
-        # same partial trace/coverage as executing step by step).
-        assert_all_engines_agree(r"""
-            int main() {
-                int a;
-                int b;
-                int c;
-                a = 7;
-                b = a - 7;
-                c = a / b;
-                return c;
-            }
-        """)
+        # The superclosure must attribute the trap to the exact instruction
+        # (same pc, same steps, same partial trace/coverage as executing
+        # step by step).
+        assert_all_engines_agree(DIVISION_TRAP_SOURCE)
 
     def test_trap_mid_block_null_store(self):
-        assert_all_engines_agree(r"""
-            int main() {
-                int p;
-                int v;
-                p = 0;
-                v = 41;
-                *p = v;
-                return 0;
-            }
-        """)
+        assert_all_engines_agree(NULL_STORE_TRAP_SOURCE)
 
     def test_max_steps_expires_mid_block(self):
-        # Sweep the budget across every phase of a loop whose body fuses
-        # into one block: wherever the budget lands, the hang must report
-        # identical pc/steps on both engines.
-        source = r"""
-            int main() {
-                int i;
-                i = 0;
-                while (i < 100000) {
-                    i = i + 1;
-                }
-                return i;
-            }
-        """
-        binary = compile_source(source, name="dataplane-hang")
-        for budget in (7, 8, 9, 10, 11, 12, 13, 50, 51):
+        # Wherever the budget lands, the hang must report identical
+        # pc/steps on both engines.
+        binary = compile_source(HANG_SOURCE, name="dataplane-hang")
+        for budget in HANG_BUDGETS:
             reference = _observe(binary, "reference", max_steps=budget)
             assert _observe(binary, "compiled", max_steps=budget) == reference, budget
 
     def test_injected_faults_identical(self):
-        scenario = (
-            ScenarioBuilder("dataplane-faults")
-            .trigger("first_malloc", "CallCountTrigger", nth=1)
-            .inject("malloc", ["first_malloc"], return_value=0, errno="ENOMEM")
-            .trigger("second_read", "CallCountTrigger", nth=2)
-            .inject("read", ["second_read"], return_value=-1, errno="EIO")
-            .build()
-        )
-        assert_all_engines_agree(r"""
-            int main() {
-                int fd;
-                int p;
-                int buffer[16];
-                p = malloc(8);
-                if (p == 0) {
-                    puts("oom");
-                }
-                fd = open("/tmp/x", 64);
-                read(fd, buffer, 4);
-                if (read(fd, buffer, 4) < 0) {
-                    puts("read failed");
-                    return 2;
-                }
-                close(fd);
-                return 0;
-            }
-        """, scenario=scenario)
+        assert_all_engines_agree(FAULTS_SOURCE, scenario=FAULTS_SCENARIO)
 
     @pytest.mark.parametrize("target_class", COMPILED_TARGETS)
     def test_targets_identical_across_engines(self, target_class):
@@ -291,6 +329,50 @@ class TestSuperclosureParity:
         reference, compiled = counted["reference"], counted["compiled"]
         assert compiled.steps == reference.steps == reference.dispatches
         assert compiled.dispatches * 4 < compiled.steps
+
+
+# ----------------------------------------------------------------------
+# superclosure code shipped between processes
+# ----------------------------------------------------------------------
+def _child_image(source, monkeypatch):
+    """A fresh image of *source* that can only bind the code a parent image
+    of the same source generated and marshalled — what a pool child does."""
+    parent = compile_source(source, name="dataplane-marshal")
+    install_block_code(parent.content_digest(), marshal.dumps(generate_blocks(parent)))
+
+    def generate(binary):
+        raise AssertionError("the child generated its own block code")
+
+    monkeypatch.setattr(dispatch, "generate_blocks", generate)
+    return compile_source(source, name="dataplane-marshal")
+
+
+class TestMarshalledBlockCode:
+    @pytest.mark.parametrize("source, kwargs", DIFFERENTIAL_CORPUS)
+    def test_round_tripped_blocks_match_the_reference(self, source, kwargs, monkeypatch):
+        binary = _child_image(source, monkeypatch)
+        reference = _observe(binary, "reference", **kwargs)
+        assert _observe(binary, "compiled", **kwargs) == reference
+
+    @pytest.mark.parametrize(
+        "source", [DIVISION_TRAP_SOURCE, NULL_STORE_TRAP_SOURCE],
+        ids=["division-trap", "null-store-trap"],
+    )
+    def test_mid_block_trap_attribution_survives_the_round_trip(self, source, monkeypatch):
+        # Trap attribution maps the traceback's line number back to an
+        # instruction, so the marshalled code must keep its line numbers.
+        binary = _child_image(source, monkeypatch)
+        reference = _observe(binary, "reference")
+        compiled = _observe(binary, "compiled")
+        assert reference["status"][0] is ExitKind.SEGFAULT
+        assert (compiled["pc"], compiled["steps"]) == (reference["pc"], reference["steps"])
+        fused, lengths = compiled_blocks(binary)
+        pc = compiled["pc"]
+        assert any(
+            start < pc < start + lengths[start]
+            for start in range(len(fused))
+            if fused[start] is not None
+        ), "the trap is not mid-block"
 
 
 # ----------------------------------------------------------------------

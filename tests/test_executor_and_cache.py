@@ -21,7 +21,9 @@ from repro.core.controller.executor import (
     derive_run_seed,
     resolve_backend,
 )
+from repro.core.controller.memo import clear_suffix_memo
 from repro.core.controller.monitor import OutcomeKind, RunResult, classify_exit_status
+from repro.core.controller.prefix import build_group_tasks
 from repro.core.controller.target import WorkloadRequest, make_gate
 from repro.core.exploration.store import ResultStore
 from repro.core.injection.gate import (
@@ -46,9 +48,12 @@ from repro.core.scenario.builder import ScenarioBuilder
 from repro.distributed.spec import CampaignSpec, build_engine
 from repro.minicc import compile_source
 from repro.oslib.os_model import SimOS
+from repro.targets.base import CompiledTarget
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
 from repro.targets.pbft import PBFTCheckpointTarget
+from repro.vm import dispatch
+from repro.vm.dispatch import block_code_digests, compiled_blocks, marshalled_block_code
 from repro.vm.machine import Machine
 
 TOY_SOURCE = """
@@ -147,6 +152,20 @@ class TestBackends:
             resolve_backend("threads:-2")
         with pytest.raises(TypeError):
             resolve_backend(3.5)
+
+    def test_default_worker_counts_honour_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU gets one pool worker, however many
+        # CPUs the machine has.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ProcessPoolBackend().worker_count() == 1
+        assert resolve_backend("processes").worker_count() == 1
+        assert ThreadPoolBackend().worker_count() == 2
+        assert ProcessPoolBackend(3).worker_count() == 3
+        # Without an affinity API the CPU count decides.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ProcessPoolBackend().worker_count() == 8
+        assert ThreadPoolBackend().worker_count() == 16
 
     def test_map_preserves_submission_order(self):
         with ThreadPoolBackend(4) as backend:
@@ -570,6 +589,128 @@ class TestGateFixes:
         internal_basenames = {os.path.basename(path) for path in _GATE_INTERNAL_FILES}
         assert record.stack, "stack should have been captured"
         assert all(frame.file not in internal_basenames for frame in record.stack)
+
+
+def _log_calls(monkeypatch, name, path):
+    """Make every call of ``dispatch.<name>`` append its pid to *path*
+    (pool children inherit the patch through fork); returns a reader."""
+    original = getattr(dispatch, name)
+
+    def logged(*args):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(dispatch, name, logged)
+    return lambda: [int(pid) for pid in path.read_text().split()] if path.exists() else []
+
+
+def _explore_signature(parallelism, engine="compiled"):
+    report = LFIController(MiniGitTarget()).explore(
+        workload="status", functions=["close", "malloc"], seed=7,
+        store=ResultStore(), parallelism=parallelism,
+        request_options={"engine": engine},
+    )
+    return [
+        (o.point.key, o.outcome.kind, o.outcome.detail, o.outcome.exit_code,
+         o.injections, o.fingerprint, o.run_seed)
+        for o in report.outcomes
+    ]
+
+
+class TestBlockCodeShipping:
+    """Superclosure code is generated once per process and content; pool
+    children inherit it at fork or receive it with a batch, and only bind."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_images(self, monkeypatch):
+        # Images with nothing bound and no code anywhere: a child that
+        # binds without generating can only have got the parent's code.
+        # An empty memo makes the children run, not answer from memory.
+        monkeypatch.setattr(CompiledTarget, "_binary_cache", {})
+        clear_artifact_cache()
+        clear_suffix_memo()
+        yield
+        clear_artifact_cache()
+        clear_suffix_memo()
+
+    @pytest.mark.parametrize(
+        "fork_first", [False, True], ids=["forked-after", "forked-before"]
+    )
+    def test_pool_children_never_generate_block_code(
+        self, tmp_path, monkeypatch, fork_first
+    ):
+        generations = _log_calls(monkeypatch, "generate_blocks", tmp_path / "generations.log")
+        binds = _log_calls(monkeypatch, "bind_blocks", tmp_path / "binds.log")
+        with ProcessPoolBackend(2) as backend:
+            if fork_first:
+                # Fork the pool before this process has generated anything:
+                # its children must get the code with their batches.
+                assert backend.map(os.getpid, [(), ()])
+            pooled = _explore_signature(backend)
+        assert generations() == [os.getpid()]
+        assert binds() and os.getpid() not in binds()  # the children bound it
+        assert pooled == _explore_signature(None)
+        # The serial run bound the code this process already held.
+        assert generations() == [os.getpid()]
+
+    def test_batches_carry_only_code_their_pool_did_not_inherit(self):
+        target = MiniGitTarget()
+        scenarios = [point.scenario() for point in LFIController(target).fault_space()]
+        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        tasks = build_group_tasks(target, "status", entries, options={"engine": "compiled"})
+        digest = target.binary().content_digest()
+        with ProcessPoolBackend(2) as early:
+            early.map(os.getpid, [()])
+            batches = early._planned_batches(tasks, None)
+            assert len(batches) == 2
+            assert all(list(batch.block_code) == [digest] for batch in batches)
+        with ProcessPoolBackend(2) as late:
+            assert all(not batch.block_code for batch in late._planned_batches(tasks, None))
+        reference_tasks = build_group_tasks(
+            target, "status", entries, options={"engine": "reference"}
+        )
+        clear_artifact_cache()
+        with ProcessPoolBackend(2) as early:
+            early.map(os.getpid, [()])
+            batches = early._planned_batches(reference_tasks, None)
+            assert all(not batch.block_code for batch in batches)
+        assert block_code_digests() == frozenset()
+
+    def test_reference_engine_campaigns_generate_nothing(self, tmp_path, monkeypatch):
+        generations = _log_calls(monkeypatch, "generate_blocks", tmp_path / "generations.log")
+        with ProcessPoolBackend(2) as backend:
+            pooled = _explore_signature(backend, engine="reference")
+        assert pooled == _explore_signature(None, engine="reference")
+        assert generations() == []
+        assert block_code_digests() == frozenset()
+
+    def test_code_is_keyed_by_image_content(self, tmp_path, monkeypatch):
+        generations = _log_calls(monkeypatch, "generate_blocks", tmp_path / "generations.log")
+        first = compile_source(TOY_SOURCE, name="keyed")
+        again = compile_source(TOY_SOURCE, name="keyed")
+        other = compile_source(TOY_SOURCE.replace("malloc(16)", "malloc(32)"), name="keyed")
+        assert first is not again and first.instructions == again.instructions
+        assert other.instructions != first.instructions
+        # The same source compiled twice generates once, and a process that
+        # only binds keeps no marshalled copy.
+        compiled_blocks(first)
+        compiled_blocks(again)
+        assert len(generations()) == 1
+        assert not dispatch._MARSHALLED
+        assert block_code_digests() == {first.content_digest()}
+        # Marshalling reuses the generated code; a different instruction
+        # stream never shares it.
+        assert marshalled_block_code(first) is marshalled_block_code(again)
+        assert len(generations()) == 1
+        assert marshalled_block_code(other) != marshalled_block_code(first)
+        assert len(generations()) == 2
+        assert block_code_digests() == {first.content_digest(), other.content_digest()}
+        # clear_artifact_cache() drops the code: the next request generates.
+        clear_artifact_cache()
+        assert block_code_digests() == frozenset()
+        marshalled_block_code(first)
+        assert len(generations()) == 3
 
 
 class TestProcessPoolArtifactInheritance:
