@@ -46,20 +46,11 @@ def log(message: str) -> None:
 
 
 def start(args, logfile):
-    """Start one daemon in its own process group, so that a kill reaches
-    its pool children too: they outlive a SIGKILLed parent otherwise."""
     handle = open(logfile, "ab", buffering=0)
     return subprocess.Popen(
         [sys.executable, "-m", *args], env=ENV, cwd=REPO,
-        stdout=handle, stderr=subprocess.STDOUT, start_new_session=True,
+        stdout=handle, stderr=subprocess.STDOUT,
     )
-
-
-def signal_group(process, signum) -> None:
-    try:
-        os.killpg(process.pid, signum)
-    except ProcessLookupError:
-        pass
 
 
 def wait_for_port(port_file: str, timeout: float = 30.0) -> int:
@@ -138,7 +129,7 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
         # Phase 2: kill everything, tear the store mid-record, resume.
         log(f"[{name}] phase 2: kill the coordinator, simulate a crash mid-append")
         for process in processes:
-            signal_group(process, signal.SIGKILL)
+            process.send_signal(signal.SIGKILL)
         for process in processes:
             process.wait(timeout=30)
         processes.clear()
@@ -181,12 +172,13 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
             f"({total} records)")
     finally:
         for process in processes:
-            signal_group(process, signal.SIGTERM)
+            if process.poll() is None:
+                process.terminate()
         for process in processes:
             try:
                 process.wait(timeout=15)
             except subprocess.TimeoutExpired:
-                signal_group(process, signal.SIGKILL)
+                process.kill()
 
 
 def main() -> int:

@@ -79,11 +79,11 @@ specialized loop with no per-step record branch at all; trackers expose a
 ``record_block`` batch API for the instrumented loop.  The closures and
 bound blocks are cached on the :class:`~repro.isa.binary.BinaryImage`, so
 every campaign run sharing an image (the artifact cache,
-``CompiledTarget``'s binary cache) reuses them.  The superclosure *code*
-is generated once per process and image content
-(``BinaryImage.content_digest()``): a process that fans work out to a
-process pool keeps it marshalled, and the pool's children inherit it at
-fork or receive it with their batch, so they only bind it.
+``CompiledTarget``'s binary cache) reuses them.  A process that fans
+group batches out to a process pool generates each image's superclosure
+*code* once and keeps it marshalled, keyed by
+``BinaryImage.content_digest()``; the pool's children inherit it at fork
+or receive it with their batch, so they only bind it.
 ``engine="reference"`` keeps the original decode-as-you-go interpreter as
 the behavioural ground truth.  ``tests/test_vm_dispatch.py`` and
 ``tests/test_dataplane.py`` assert both engines produce identical exit

@@ -43,6 +43,8 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import threading
+import time
 from abc import ABC, abstractmethod
 from concurrent import futures
 from dataclasses import dataclass, field, replace
@@ -563,8 +565,15 @@ class ProcessPoolBackend(_PoolBackend):
     started with ``fork``), and :func:`execute_group_batch` installs them
     before draining.  Children therefore only bind superclosures; they still
     build their own per-instruction closures, which cannot be marshalled.
-    Per-scenario tasks carry no code: the children of a pool forked before
-    this process generated an image's code generate it themselves.
+    Per-scenario tasks (:meth:`run_tasks`: explorations and campaigns
+    without prefix sharing, :func:`run_requests`) carry no code and this
+    process generates none for them, so every child generates the code of
+    each image it runs unless it inherited that code.
+
+    Each child ends itself once this process is gone (see
+    :func:`_exit_with_parent`): a child blocked on the pool's call queue
+    would otherwise outlive a parent killed without a chance to shut the
+    pool down.
     """
 
     name = "processes"
@@ -590,7 +599,10 @@ class ProcessPoolBackend(_PoolBackend):
         # Children fork from the pool's first submit on, which follows at
         # once: they inherit at least the code this process holds now.
         self._inherited = block_code_digests() if mp_context is not None else frozenset()
-        return futures.ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+        return futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=mp_context,
+            initializer=_exit_with_parent, initargs=(os.getpid(),),
+        )
 
     def _planned_batches(
         self, tasks: Sequence[GroupTask], schedule: Optional[str]
@@ -614,6 +626,27 @@ class ProcessPoolBackend(_PoolBackend):
                 if digest not in self._inherited
             }
         return batches
+
+
+#: How often a pool child checks that its parent still lives, in seconds.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-child initializer: end this child once *parent_pid* is gone.
+
+    A daemon thread polls the parent pid, which changes when the parent
+    dies.  Linux's parent-death signal would not do: it fires when the
+    forking *thread* ends, and a pool forks from whichever thread submits
+    to it first, which may end long before the pool does.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="lfi-parent-watch", daemon=True).start()
 
 
 def _superclosure_image(group: GroupTask) -> Optional[BinaryImage]:

@@ -42,11 +42,12 @@ closure-threaded program and the bound superclosures that
 :mod:`repro.vm.dispatch` builds for a :class:`BinaryImage` are cached *on
 the image*, so every campaign run that receives a cached image also
 inherits them — the assemble → disassemble → CFG pipeline **and**
-instruction predecoding are both once-per-process costs.  The superclosure
-code behind the bound blocks is generated once per process *and image
-content* (:meth:`BinaryImage.content_digest`); process-pool children
-inherit it or are sent it and only bind it.  :func:`clear_artifact_cache`
-drops that generated code too.
+instruction predecoding are both once-per-process costs.  A process that
+fans group batches out to a process pool also keeps the superclosure code
+behind the bound blocks marshalled, once per image content
+(:meth:`BinaryImage.content_digest`); the pool's children inherit it or
+are sent it and only bind it.  :func:`clear_artifact_cache` drops that
+marshalled code too.
 
 Thread-safe: a single lock guards the maps, so campaigns running under
 :class:`~repro.core.controller.executor.ThreadPoolBackend` profile and

@@ -97,7 +97,6 @@ class CampaignWorker:
     ) -> None:
         self.address = address
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
-        self.parallelism = parallelism
         #: Every lease runs on this one backend; a pool it owns is forked
         #: once and closed by :meth:`close`.
         self._backend, self._owns_backend = backend_scope(parallelism)

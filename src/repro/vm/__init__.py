@@ -11,10 +11,10 @@ monitors (normal exit, crash, abort).
 Execution engines: ``Machine(..., engine="compiled")`` (the default) runs a
 program predecoded by :mod:`repro.vm.dispatch` into per-instruction
 closures and fused-block superclosures, cached on the image so campaigns
-build them once per binary and process (a process pool's children bind
-superclosure code their parent generated); ``engine="reference"`` is the
-original interpreter kept as a behavioural oracle for differential
-testing.
+build them once per binary and process (the children of a process pool
+running group batches bind superclosure code their parent generated);
+``engine="reference"`` is the original interpreter kept as a behavioural
+oracle for differential testing.
 
 Snapshot/restore: :mod:`repro.vm.snapshot` adds forkserver-style execution
 on top — :class:`MachineSnapshot` captures full run state (registers, pc,

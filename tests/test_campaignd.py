@@ -12,7 +12,10 @@ thread-safe.
 
 import json
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -64,6 +67,28 @@ def _signature_from_records(records):
          r["location"], r["injections"], r["fingerprint"], r["run_seed"])
         for r in records
     ]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_pids(pid):
+    """The pids of *pid*'s children, from /proc (Linux)."""
+    children = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children", encoding="ascii") as handle:
+            children.update(int(child) for child in handle.read().split())
+    return children
+
+
+def _running(pid):
+    """Whether process *pid* still runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
 
 
 class _Fabric:
@@ -650,6 +675,49 @@ class TestCampaignFabric:
         assert _signature_from_records(client.results(campaign_id)) == _serial_signature()
         worker.close()
         assert pools[0]._pool is None  # close() reaps the pool
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+        reason="reads child pids from /proc",
+    )
+    def test_pool_children_exit_when_a_pooled_worker_is_killed(
+        self, fabric_factory, tmp_path
+    ):
+        fabric = fabric_factory(shard_size=4, lease_timeout=30.0)
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / "git.jsonl"), **GIT_SPEC_KWARGS)
+        campaign_id = client.submit(spec)["campaign_id"]
+        host, port = fabric.address
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.campaignd", "worker",
+             "--host", host, "--port", str(port), "--poll-interval", "0.05",
+             "--parallelism", "processes:2"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        children = set()
+        try:
+            deadline = time.monotonic() + 60
+            while not client.status(campaign_id)["completed"]:
+                assert worker.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            children = _child_pids(worker.pid)
+            assert len(children) == 2  # the pool the first lease forked
+            worker.kill()
+            worker.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_running, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, children))
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait(timeout=10)
+            for pid in filter(_running, children):  # a failed run's orphans
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_submit_is_idempotent_per_spec(self, fabric_factory, tmp_path):
         fabric = fabric_factory()

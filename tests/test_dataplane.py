@@ -20,8 +20,6 @@ equal to the OS a serial ``snapshots=False`` campaign publishes, memo hits
 included.
 """
 
-import marshal
-
 import pytest
 
 from repro.core.controller.campaign import TestCampaign as Campaign
@@ -49,7 +47,7 @@ from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
 from repro.targets.pbft import PBFTCheckpointTarget
 from repro.vm import dispatch
-from repro.vm.dispatch import compiled_blocks, generate_blocks, install_block_code
+from repro.vm.dispatch import compiled_blocks, marshalled_block_code
 from repro.vm.machine import Machine, resolve_engine
 from repro.vm.outcome import ExitKind
 
@@ -337,8 +335,8 @@ class TestSuperclosureParity:
 def _child_image(source, monkeypatch):
     """A fresh image of *source* that can only bind the code a parent image
     of the same source generated and marshalled — what a pool child does."""
-    parent = compile_source(source, name="dataplane-marshal")
-    install_block_code(parent.content_digest(), marshal.dumps(generate_blocks(parent)))
+    monkeypatch.setattr(dispatch, "_MARSHALLED", {})
+    marshalled_block_code(compile_source(source, name="dataplane-marshal"))
 
     def generate(binary):
         raise AssertionError("the child generated its own block code")
