@@ -2,8 +2,10 @@
 """CI smoke test for the campaign fabric, exercised through the CLIs.
 
 Boots a real ``repro-campaignd`` coordinator and two worker processes on
-localhost (one serial, one running its leases on a ``processes:2`` pool),
-runs a small mini_git exploration through ``repro-campaign``, then proves
+localhost (one running its leases on a ``processes:2`` pool, one serial),
+runs a small mini_git exploration through ``repro-campaign`` — the pooled
+worker starts first and must take a lease before the serial one joins —
+then proves
 crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
@@ -79,6 +81,18 @@ def campaign(port: int, *args: str) -> list:
     return [json.loads(line) for line in out.stdout.splitlines() if line.strip()]
 
 
+def wait_until(condition, what: str, timeout: float = 300.0):
+    """Poll *condition* until it returns a truthy value, which it returns."""
+    deadline = time.time() + timeout
+    while True:
+        value = condition()
+        if value:
+            return value
+        if time.time() > deadline:
+            raise RuntimeError(f"timed out waiting for {what}")
+        time.sleep(0.1)
+
+
 def smoke(name: str, extra_args: list, log_dir: str) -> None:
     """Run, kill, tear and resume one spec's campaign."""
     spec_args = SPEC_ARGS + extra_args
@@ -99,26 +113,44 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
     try:
         # ------------------------------------------------------------------
         # Phase 1: coordinator + 2 workers, full campaign through the CLI.
-        # Worker 1 runs its leases on a process pool, so the identical-
-        # results checks below also cover merged pooled and serial records.
+        # The pooled worker starts alone and must take a lease before the
+        # serial one joins, so phase 1 certainly stores pooled records;
+        # phase 2 re-runs half of them on a serial worker, and the
+        # identical-results check compares the two.
         log(f"[{name}] phase 1: boot coordinator + 2 workers, run the campaign")
         coordinator = start(coordinator_cmd(),
                             os.path.join(log_dir, f"{name}-coordinator-1.log"))
         processes.append(coordinator)
         port = wait_for_port(port_file)
-        for i, extra in enumerate(([], ["--parallelism", "processes:2"])):
+
+        def start_worker(worker_id: str, *extra: str) -> None:
             processes.append(start(
                 ["repro.cli.campaignd", "worker", "--port", str(port),
-                 "--poll-interval", "0.05", *extra],
-                os.path.join(log_dir, f"{name}-worker-{i}.log"),
+                 "--poll-interval", "0.05", "--worker-id", worker_id, *extra],
+                os.path.join(log_dir, f"{worker_id}.log"),
             ))
 
-        submitted, final = campaign(
-            port, "submit", *spec_args, "--store", store, "--wait")
+        def status() -> dict:
+            (payload,) = campaign(port, "status", campaign_id)
+            return payload
+
+        def finished():
+            payload = status()
+            return None if payload["state"] == "running" else payload
+
+        pooled_id, serial_id = f"{name}-worker-pooled", f"{name}-worker-serial"
+        start_worker(pooled_id, "--parallelism", "processes:2")
+        (submitted,) = campaign(port, "submit", *spec_args, "--store", store)
+        assert submitted["resumed"] == 0, submitted
+        campaign_id = submitted["campaign_id"]
+        wait_until(lambda: pooled_id in status()["workers_seen"],
+                   "the pooled worker's first lease")
+        start_worker(serial_id)
+        final = wait_until(finished, "the campaign to finish")
         total = final["total"]
         assert final["state"] == "complete", final
         assert final["completed"] == total, final
-        assert submitted["resumed"] == 0, submitted
+        assert pooled_id in final["workers_seen"], final
         log(f"[{name}] phase 1 complete: {total} points, "
             f"workers seen: {final['workers_seen']}")
 

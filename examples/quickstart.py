@@ -18,8 +18,8 @@ Knobs and subsystems worth knowing about:
   (``LFIController.test_automatically`` / ``run_campaign``,
   ``TestCampaign.run``, the experiment harnesses) accepts ``"serial"``
   (default), an integer worker count (a process pool — the backend that
-  scales these CPU-bound targets), ``"threads[:N]"``, ``"processes[:N]"``
-  or an ``ExecutionBackend`` instance.  Scenario runs are independent, so
+  scales these CPU-bound targets), ``"processes[:N]"`` or an
+  ``ExecutionBackend`` instance.  Scenario runs are independent, so
   parallel campaigns return bit-identical results to serial ones — results
   keep submission order and per-run seeds are derived deterministically.
 * the **artifact cache** — library binaries and their static fault profiles
@@ -61,7 +61,7 @@ Knobs and subsystems worth knowing about:
 * **parallel prefix groups, prefix trees, errno-blind suffixes** — prefix
   sharing composes with the pool backends: ``share_prefixes=True`` with
   ``parallelism="processes:4"`` packs the scenario groups into one batch
-  per worker (``GroupBatchTask`` / ``run_group_batches`` in
+  per worker (``GroupBatchTask`` / ``run_group_batches_iter`` in
   ``repro.core.controller.executor``); each worker drains its batch
   back-to-back on a warm boot template, running every group's probe and
   resuming its siblings locally, so the two throughput levers multiply
@@ -178,8 +178,7 @@ def main() -> None:
 
     # The campaign fans out over a process pool (the backend that scales
     # these CPU-bound targets with cores); an integer worker count does the
-    # same, and "threads:N" exists for targets that block on I/O.  The
-    # result is bit-identical to a serial run.
+    # same.  The result is bit-identical to a serial run.
     report = controller.test_automatically(workloads=["default"], parallelism="processes:2")
     print()
     print(report.summary())
@@ -247,11 +246,11 @@ def main() -> None:
     # worker runs its groups' probes and resumes the siblings locally — so
     # a pooled shared campaign stays bit-identical to the serial one.
     fanout = campaign.run(git_scenarios, seed=1, include_baseline=False,
-                          share_prefixes=True, parallelism="threads:2")
+                          share_prefixes=True, parallelism="processes:2")
     assert [o.outcome.kind for o in fanout.outcomes] == \
            [o.outcome.kind for o in reference.outcomes]
     print(f"batched pool fan-out over {len(git_scenarios)} scenarios "
-          f"(threads:2): outcomes identical to the rebuild path "
+          f"(processes:2): outcomes identical to the rebuild path "
           f"(see e2ebench/ for the pooled throughput)")
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ entry point — ``TestCampaign.run``, ``LFIController.run_campaign`` /
 ``test_automatically``, and the experiment harnesses — accepts a
 ``parallelism=`` knob: ``None``/``"serial"`` (the default), an integer
 worker count (a process pool — the backend that scales these CPU-bound
-targets with cores), ``"threads[:N]"``, ``"processes[:N]"``, or an
+targets with cores), ``"processes[:N]"``, or an
 :class:`~repro.core.controller.executor.ExecutionBackend` instance to share
 one pool across campaigns.  Results keep submission order and per-run seeds
 are derived deterministically — stochastic triggers declared without an
@@ -121,15 +121,16 @@ specialization) make errno-only variants *suffix replicas*: one run, the
 logged errno patched per member.  Sharing also composes with every
 execution backend: the groups are packed into one
 :class:`~repro.core.controller.executor.GroupBatchTask` per worker
-(``run_group_batches``), whose worker runs each group's probe and resumes
-its siblings locally, so ``share_prefixes=True, parallelism="processes:4"``
-multiplies the two levers instead of silently dropping one.  The
+(``run_group_batches_iter``), whose worker runs each group's probe and
+resumes its siblings locally, so ``share_prefixes=True,
+parallelism="processes:4"`` multiplies the two levers instead of silently
+dropping one.  The
 Python-level mini_apache target forks its server world the same way —
 captured once, restored per member in O(touched state).  All of it is
 observably identical to the reference rebuild path —
 ``tests/test_snapshot.py`` and ``tests/test_prefix_parallel.py`` enforce
 bit-identical exit statuses, traces, coverage, call counts, and injection
-logs across serial, threaded, and process-pooled schedules — and
+logs across serial and process-pooled schedules — and
 selectable::
 
     target.run(WorkloadRequest(options={"snapshots": False}))   # reference path
@@ -170,11 +171,10 @@ the differential suite holds it to:
    (:mod:`repro.core.controller.executor`) — groups are packed into one
    :class:`GroupBatchTask` per worker and each worker drains its batch
    back-to-back (warm template, one result message) instead of paying a
-   pool round trip per group.  The default packing is cost-adaptive:
-   oversized prefix families split into sub-groups and batches balance
-   by modeled cost (LPT) rather than naive round-robin.  Knobs:
-   ``parallelism=``, ``group_sched=`` / ``REPRO_GROUP_SCHED``
-   (``adaptive`` | ``static``).
+   pool round trip per group.  The packing is cost-adaptive: oversized
+   prefix families split into sub-groups and batches balance by modeled
+   cost (LPT).  Results are keyed by submission index, so the packing
+   never changes one.  Knob: ``parallelism=``.
 
 Walking the layers from a campaign entry point::
 
@@ -319,7 +319,6 @@ from repro.core.controller.executor import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     estimate_group_cost,
     plan_group_batches,
     resolve_backend,
@@ -394,7 +393,6 @@ __all__ = [
     "SimOS",
     "SuffixMemo",
     "TestCampaign",
-    "ThreadPoolBackend",
     "Trigger",
     "WorkloadRequest",
     "build_all_library_binaries",

@@ -11,16 +11,13 @@ from repro.core.controller.campaign import CampaignResult, ScenarioOutcome, Test
 from repro.core.controller.controller import LFIController
 from repro.core.controller.prefix import (
     iter_shared_runs,
-    run_scenarios_shared,
     scenario_group_key,
     sharing_supported,
 )
 from repro.core.controller.executor import (
     ExecutionBackend,
-    ExecutionTask,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     resolve_backend,
     run_requests,
 )
@@ -32,7 +29,6 @@ __all__ = [
     "BugCandidate",
     "CampaignResult",
     "ExecutionBackend",
-    "ExecutionTask",
     "LFIController",
     "Outcome",
     "OutcomeKind",
@@ -42,14 +38,12 @@ __all__ = [
     "SerialBackend",
     "TargetAdapter",
     "TestCampaign",
-    "ThreadPoolBackend",
     "WorkloadRequest",
     "build_bug_report",
     "classify_exception",
     "iter_shared_runs",
     "resolve_backend",
     "run_requests",
-    "run_scenarios_shared",
     "scenario_group_key",
     "sharing_supported",
 ]

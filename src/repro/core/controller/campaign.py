@@ -17,14 +17,15 @@ Campaigns against targets that declare deterministic execution additionally
 share prefixes (:mod:`repro.core.controller.prefix`): scenarios differing
 only in the injected fault (or in a single call-count threshold — prefix
 trees) are grouped so their common pre-trigger prefix executes once and
-only post-trigger suffixes run per fault.  Sharing **composes with the
-pool backends**: the groups are packed into one
-:class:`~repro.core.controller.executor.GroupBatchTask` per worker, whose
-worker runs each group's probe and resumes its siblings locally, so
+only post-trigger suffixes run per fault.  Every campaign runs through the
+one pipeline, :func:`~repro.core.controller.prefix.iter_shared_runs`: the
+serial backend drains its tasks one at a time, and a pool packs them into
+one :class:`~repro.core.controller.executor.GroupBatchTask` per worker,
+whose worker runs each group's probe and resumes its siblings locally, so
 ``share_prefixes=True`` with ``parallelism="processes:4"`` spreads groups
-across workers instead of silently degrading to per-scenario runs — with
-results still bit-identical to both the serial shared and the unshared
-paths.  ``share_prefixes=False`` forces the reference per-scenario path.
+across workers — with results still bit-identical to both the serial
+shared and the unshared paths.  ``share_prefixes=False`` makes every
+scenario an unshared task: the reference per-scenario path.
 """
 
 from __future__ import annotations
@@ -33,18 +34,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.controller.executor import (
-    ExecutionTask,
     ParallelismSpec,
-    SerialBackend,
     backend_scope,
     derive_run_seed,
 )
 from repro.core.controller.monitor import Outcome, OutcomeKind, RunResult
-from repro.core.controller.prefix import (
-    build_group_tasks,
-    resolve_sharing,
-    run_scenarios_shared,
-)
+from repro.core.controller.prefix import iter_shared_runs, resolve_sharing
 from repro.core.controller.memo import MemoStats, resolve_memo
 from repro.core.controller.target import TargetAdapter, WorkloadRequest
 from repro.core.profiler.cache import artifact_cache_stats
@@ -125,9 +120,10 @@ class TestCampaign:
     ) -> None:
         self.target = target
         self.workload = workload
-        #: Default execution policy for :meth:`run` — a spec (``"threads:4"``,
-        #: a worker count, ...) or an :class:`ExecutionBackend` instance; an
-        #: explicit ``parallelism=`` argument to :meth:`run` overrides it.
+        #: Default execution policy for :meth:`run` — a spec
+        #: (``"processes:4"``, a worker count, ...) or an
+        #: :class:`ExecutionBackend` instance; an explicit ``parallelism=``
+        #: argument to :meth:`run` overrides it.
         self.parallelism = parallelism
 
     def run_baseline(self, collect_coverage: bool = False, **options) -> RunResult:
@@ -158,7 +154,7 @@ class TestCampaign:
         ``False`` forces the reference per-scenario path; ``True`` demands
         sharing and raises on targets that do not declare deterministic
         execution.  Sharing composes with every backend: serial campaigns
-        stream groups inline, pooled campaigns drain one batch of groups
+        drain groups inline, pooled campaigns drain one batch of groups
         per worker (results stay bit-identical either way).
         """
         scenario_list = list(scenarios)
@@ -177,72 +173,38 @@ class TestCampaign:
         run_memo = resolve_memo(options)
         memo_before = run_memo.stats() if run_memo is not None else MemoStats()
 
+        sharing = resolve_sharing(share_prefixes, self.target)
         spec = parallelism if parallelism is not None else self.parallelism
         backend, owned = backend_scope(spec)
-        sharing = resolve_sharing(share_prefixes, self.target)
+        entries = [
+            (index, scenario, derive_run_seed(seed, index))
+            for index, scenario in enumerate(scenario_list)
+        ]
         try:
-            if sharing and isinstance(backend, SerialBackend):
-                results = run_scenarios_shared(
-                    self.target,
-                    self.workload,
-                    scenario_list,
-                    seeds=[derive_run_seed(seed, index) for index in range(len(scenario_list))],
-                    collect_coverage=collect_coverage,
-                    options=dict(options),
-                )
-            elif sharing:
-                entries = [
-                    (index, scenario, derive_run_seed(seed, index))
-                    for index, scenario in enumerate(scenario_list)
-                ]
-                tasks = build_group_tasks(
-                    self.target, self.workload, entries,
+            collected = dict(
+                iter_shared_runs(
+                    self.target, self.workload, entries, backend, share=sharing,
                     collect_coverage=collect_coverage, options=dict(options),
                 )
-                # Run-to-completion draining: groups are sharded into one
-                # batch per worker and each worker drains its batch without
-                # returning to the pool between groups (results are keyed
-                # by submission index, so batching cannot reorder them).
-                collected = dict(
-                    backend.run_group_batches(tasks, schedule=options.get("group_sched"))
-                )
-                missing = [i for i in range(len(scenario_list)) if i not in collected]
-                if missing:
-                    raise RuntimeError(
-                        f"group execution returned no result for scenario "
-                        f"indices {missing[:5]}{'...' if len(missing) > 5 else ''}"
-                    )
-                results = [collected[index] for index in range(len(scenario_list))]
-            else:
-                tasks = [
-                    ExecutionTask(
-                        index=index,
-                        target=self.target,
-                        request=WorkloadRequest(
-                            workload=self.workload,
-                            scenario=scenario,
-                            collect_coverage=collect_coverage,
-                            options=dict(options),
-                        ),
-                        seed=derive_run_seed(seed, index),
-                    )
-                    for index, scenario in enumerate(scenario_list)
-                ]
-                results = backend.run_tasks(tasks)
+            )
         finally:
             if owned:
                 backend.close()
 
-        if len(results) != len(scenario_list):
-            # A backend returning the wrong number of results is corrupted
-            # scheduling; silently zip-truncating would misattribute runs.
+        missing = [index for index in range(len(scenario_list)) if index not in collected]
+        if missing:
+            # A backend dropping results is corrupted scheduling; silently
+            # skipping the gaps would misattribute runs.
             raise RuntimeError(
-                f"campaign executed {len(results)} runs for "
-                f"{len(scenario_list)} scenarios"
+                f"campaign executed {len(collected)} runs for "
+                f"{len(scenario_list)} scenarios; no result for scenario indices "
+                f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
             )
-        for scenario, result in zip(scenario_list, results):
+        for index, scenario in enumerate(scenario_list):
             campaign.outcomes.append(
-                ScenarioOutcome(scenario=scenario, workload=self.workload, result=result)
+                ScenarioOutcome(
+                    scenario=scenario, workload=self.workload, result=collected[index]
+                )
             )
 
         cache_after = artifact_cache_stats()

@@ -22,7 +22,7 @@ process (the cached :class:`AnalysisReport` is shared: treat it as
 immutable; its ``analysis_seconds`` is the time of the first computation).
 Steps 4-5 accept a ``parallelism=`` spec (see
 :func:`repro.core.controller.executor.resolve_backend`) that fans scenario
-runs out over threads or processes with results identical to a serial run.
+runs out over a process pool with results identical to a serial run.
 """
 
 from __future__ import annotations

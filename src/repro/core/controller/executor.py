@@ -1,41 +1,40 @@
-"""Execution backends for scenario x workload batches.
+"""Execution backends for campaign runs.
 
 LFI's evaluation (§7) is embarrassingly parallel: every injection scenario
 runs against a *fresh* instance of the target, so nothing but wall-clock
 time couples one run to the next.  The executor makes that parallelism an
 explicit, swappable policy:
 
-* :class:`SerialBackend` — run tasks inline, in submission order (the
-  historical behaviour, and the reference semantics);
-* :class:`ThreadPoolBackend` — a ``concurrent.futures`` thread pool, useful
-  when target runs block on anything other than the interpreter;
+* :class:`SerialBackend` — run everything inline, in submission order (the
+  reference semantics);
 * :class:`ProcessPoolBackend` — a process pool (fork-based where the
   platform allows it) that scales CPU-bound campaigns with cores.
 
 Two properties make parallel campaigns **bit-identical** to serial ones:
 
-1. **Deterministic ordering** — results are returned sorted by *submission*
-   index, never by completion order.  A campaign's ``outcomes`` list is
-   therefore independent of scheduling.
-2. **Per-run seed threading** — when a campaign seed is given, each task's
+1. **Deterministic ordering** — every result is keyed by its *submission*
+   index, never by completion order, so a campaign's ``outcomes`` list is
+   independent of scheduling.
+2. **Per-run seed threading** — when a campaign seed is given, each run's
    seed is derived from ``(campaign seed, submission index)`` via
-   :func:`derive_run_seed` *before* the task is handed to the backend, so a
+   :func:`derive_run_seed` *before* the run is handed to the backend, so a
    run's randomness does not depend on which worker picks it up or when.
 
 Backends are context managers; pools are created lazily on first use and
 can be shared across campaigns (the experiment harnesses create one backend
 per table and reuse it for every target).
 
-Two task shapes reach a backend.  :class:`ExecutionTask` is one scenario
-run — the plain per-scenario fan-out (``run_tasks`` / ``run_tasks_iter``).
-:class:`GroupBatchTask` is the run-to-completion shape for prefix sharing
-(see :mod:`repro.core.controller.prefix`): the campaign's
-:class:`GroupTask` prefix groups are planned into at most one batch per
-worker up front (:func:`plan_group_batches`) and each worker drains its
-batch back-to-back — running every group's probe once and resuming its
-siblings locally, on a warm boot template, with one result message — so
-prefix sharing and pool parallelism compose instead of cancelling;
-``run_group_batches`` / ``run_group_batches_iter`` are its entry points.
+One task shape reaches a backend, the :class:`GroupTask`, and one entry
+point drains it, :meth:`ExecutionBackend.run_group_batches_iter`.  A
+*shared* task is one prefix group (see :mod:`repro.core.controller.prefix`):
+its worker runs the group's probe once and resumes the siblings locally.
+An *unshared* task is a single scenario run with one ``target.run`` — the
+per-scenario path behind ``share_prefixes=False``, ungrouped entries and
+:func:`run_requests`.  The serial backend drains the tasks one at a time; a
+pool plans them into at most one :class:`GroupBatchTask` per worker up
+front (:func:`plan_group_batches`) and each worker drains its batch
+back-to-back — on a warm boot template, with one result message — so
+prefix sharing and pool parallelism compose instead of cancelling.
 """
 
 from __future__ import annotations
@@ -78,18 +77,6 @@ ParallelismSpec = Union[None, int, str, "ExecutionBackend"]
 # ----------------------------------------------------------------------
 # tasks and seed threading
 # ----------------------------------------------------------------------
-@dataclass
-class ExecutionTask:
-    """One workload run: a target, a request, and its submission index."""
-
-    index: int
-    target: TargetAdapter
-    request: WorkloadRequest
-    #: Per-run seed (already derived from the campaign seed and ``index``);
-    #: ``None`` leaves the request untouched.
-    seed: Optional[int] = None
-
-
 def derive_run_seed(base_seed: Optional[int], index: int) -> Optional[int]:
     """Derive the seed for the *index*-th submitted run of a campaign.
 
@@ -107,27 +94,19 @@ def derive_run_seed(base_seed: Optional[int], index: int) -> Optional[int]:
     return value & 0x7FFFFFFF
 
 
-def execute_task(task: ExecutionTask) -> RunResult:
-    """Run one task (module-level so process pools can import it)."""
-    request = task.request
-    if task.seed is not None:
-        options = dict(request.options)
-        options.setdefault("run_seed", task.seed)
-        request = replace(request, options=options)
-    return task.target.run(request)
-
-
 @dataclass
 class GroupTask:
-    """One prefix group: the unit a :class:`GroupBatchTask` is packed from.
+    """The unit of work every backend drains: a prefix group or one run.
 
-    The whole scenario group — probe plus resumable siblings — executes
-    inside one worker (:func:`execute_group`), so prefix sharing
-    (:mod:`repro.core.controller.prefix`) composes with the pool backends
-    instead of forcing a serial campaign.  ``entries`` carries the members'
-    original submission indices (with per-run seeds already derived), which
-    is what keeps pooled-shared results reassemblable into submission order
-    and bit-identical to the serial shared path.
+    A shared task is a prefix group: the whole group — probe plus
+    resumable siblings — executes inside one worker (:func:`execute_group`),
+    so prefix sharing (:mod:`repro.core.controller.prefix`) composes with
+    the pool backends instead of forcing a serial campaign.  An unshared
+    task is a singleton that runs with one ``target.run``, never touching
+    the suffix memo or the prefix machinery.  ``entries`` carries the
+    members' original submission indices (with per-run seeds already
+    derived), which is what keeps pooled results reassemblable into
+    submission order and bit-identical to serial ones.
     """
 
     index: int
@@ -137,18 +116,28 @@ class GroupTask:
     collect_coverage: bool = False
     options: Dict[str, Any] = field(default_factory=dict)
     observe_only: bool = False
+    shared: bool = True
 
 
 def execute_group(task: GroupTask) -> Dict[int, RunResult]:
-    """Run one prefix group inside the current worker.
+    """Run one task inside the current worker, keyed by submission index.
 
-    :func:`execute_group_batch` calls it once per group of its batch.
+    The serial drain calls it per task, :func:`execute_group_batch` per
+    group of its batch.
     """
     # Imported lazily: the prefix scheduler sits above the executor in the
     # module graph (campaigns import both), so the executor must not import
     # it at module load.
-    from repro.core.controller.prefix import run_entry_group
+    from repro.core.controller.prefix import plain_run, run_entry_group
 
+    if not task.shared:
+        return {
+            index: plain_run(
+                task.target, task.workload, scenario, seed,
+                task.collect_coverage, task.options, observe_only=task.observe_only,
+            )
+            for index, scenario, seed in task.entries
+        }
     return run_entry_group(
         task.target,
         task.workload,
@@ -161,15 +150,15 @@ def execute_group(task: GroupTask) -> Dict[int, RunResult]:
 
 @dataclass
 class GroupBatchTask:
-    """A batch of prefix groups one worker drains run-to-completion.
+    """A batch of tasks one worker drains run-to-completion.
 
-    The pooled fan-out unit for shared campaigns: a batch ships many groups
-    in a single task and the worker runs them back-to-back — warm boot
-    template, warm predecoded program, one result message — instead of a
-    pool round trip (submit, pickle the target, return the results, pick
-    up the next task) per group.  Groups in a batch keep their submission
-    order, so per-run seeds and member indices are untouched and the merged
-    results stay bit-identical to the serial shared path.
+    The unit of every pooled fan-out: a batch ships many tasks in one pool
+    submission and the worker runs them back-to-back — warm boot template,
+    warm predecoded program, one result message — instead of a pool round
+    trip (submit, pickle the target, return the results, pick up the next
+    task) per task.  Tasks in a batch keep their submission order, so
+    per-run seeds and member indices are untouched and the merged results
+    stay bit-identical to the serial path.
     """
 
     index: int
@@ -181,9 +170,9 @@ class GroupBatchTask:
 
 
 def execute_group_batch(batch: GroupBatchTask) -> Dict[int, RunResult]:
-    """Drain one batch of groups (module-level for process pools).
+    """Drain one batch of tasks (module-level for process pools).
 
-    The batch's block code is installed first, so its groups bind their
+    The batch's block code is installed first, so its tasks bind their
     image's superclosures instead of generating them.
     """
     for digest, code in batch.block_code.items():
@@ -194,30 +183,6 @@ def execute_group_batch(batch: GroupBatchTask) -> Dict[int, RunResult]:
     return merged
 
 
-def shard_group_tasks(
-    tasks: Sequence[GroupTask], shards: int
-) -> List[GroupBatchTask]:
-    """Interleave *tasks* round-robin into at most *shards* batches.
-
-    The static ("round-robin") scheduling policy.  Round-robin rather than
-    contiguous slicing: campaign builders emit groups in fault-space
-    order, which correlates neighbouring groups' sizes, so contiguous
-    shards would load-balance poorly.  Interleaving by sorted group index
-    keeps the assignment deterministic (independent of completion order)
-    while spreading heavy neighbourhoods across workers.  Every returned
-    batch is non-empty — with more workers than groups the surplus
-    workers get no batch at all rather than a no-op dispatch.
-    """
-    ordered = sorted(tasks, key=lambda task: task.index)
-    if not ordered:
-        return []
-    shards = max(1, min(shards, len(ordered)))
-    batches = [GroupBatchTask(index=index) for index in range(shards)]
-    for position, task in enumerate(ordered):
-        batches[position % shards].groups.append(task)
-    return [batch for batch in batches if batch.groups]
-
-
 # ----------------------------------------------------------------------
 # cost-adaptive group scheduling
 # ----------------------------------------------------------------------
@@ -225,28 +190,6 @@ def shard_group_tasks(
 #: full probe plus ``m - 1`` suffixes at ~35% of a probe each.  Costs only
 #: steer packing (which worker drains which groups), never results.
 SUFFIX_COST_FRACTION = 0.35
-
-#: Accepted ``group_sched`` / ``REPRO_GROUP_SCHED`` policy names.
-GROUP_SCHEDULE_POLICIES = ("adaptive", "static")
-
-
-def resolve_group_schedule(policy: Optional[str] = None) -> str:
-    """Normalise a group-scheduling policy name (``None`` = environment).
-
-    ``adaptive`` (the default) is cost-estimated splitting + LPT
-    packing (:func:`plan_group_batches`); ``static`` is the historical
-    round-robin :func:`shard_group_tasks` interleaving.
-    ``REPRO_GROUP_SCHED`` sets the process default.
-    """
-    if policy is None:
-        policy = os.environ.get("REPRO_GROUP_SCHED") or "adaptive"
-    name = str(policy).strip().lower()
-    if name not in GROUP_SCHEDULE_POLICIES:
-        raise ValueError(
-            f"unknown group schedule policy {policy!r}; known policies: "
-            f"{', '.join(GROUP_SCHEDULE_POLICIES)}"
-        )
-    return name
 
 
 def estimate_group_cost(task: GroupTask) -> float:
@@ -288,62 +231,45 @@ def split_group_task(task: GroupTask, parts: int) -> List[GroupTask]:
 
 
 def plan_group_batches(
-    tasks: Sequence[GroupTask],
-    shards: int,
-    policy: Optional[str] = None,
+    tasks: Sequence[GroupTask], shards: int
 ) -> List[GroupBatchTask]:
-    """Plan the per-worker batches for a campaign's groups.
+    """Plan the per-worker batches for a campaign's tasks.
 
-    The ``adaptive`` policy replaces static round-robin with cost
-    estimates (:func:`estimate_group_cost`): any group whose estimated
-    cost exceeds the fair per-worker share is split into rank-ordered
-    sub-groups (:func:`split_group_task`) so one huge errno family no
-    longer serializes a whole campaign on a single worker, and the
-    resulting tasks are LPT-packed (longest processing time first onto
-    the least loaded shard) into at most *shards* batches.  The plan is a
-    pure function of ``(tasks, shards, policy)`` — deterministic
-    tie-breaking by task index — and never emits an empty batch, so every
-    dispatched batch does real work and every member index appears
-    exactly once.
+    Cost estimates (:func:`estimate_group_cost`) steer the packing: any
+    group whose estimated cost exceeds the fair per-worker share is split
+    into rank-ordered sub-groups (:func:`split_group_task`) so one huge
+    errno family does not serialize a whole campaign on a single worker,
+    and the resulting tasks are LPT-packed (longest processing time first
+    onto the least loaded shard) into at most *shards* batches.  The plan
+    is a pure function of ``(tasks, shards)`` — deterministic tie-breaking
+    by task index — and never emits an empty batch, so every dispatched
+    batch does real work and every member index appears exactly once.
+    Results are keyed by submission index, so the packing can never
+    change a result.
     """
-    name = resolve_group_schedule(policy)
     ordered = sorted(tasks, key=lambda task: task.index)
     if not ordered:
         return []
     shards = max(1, int(shards))
-    if name == "static":
-        batches = shard_group_tasks(ordered, shards)
-    else:
-        fair = sum(estimate_group_cost(task) for task in ordered) / shards
-        expanded: List[GroupTask] = []
-        for task in ordered:
-            cost = estimate_group_cost(task)
-            if shards > 1 and len(task.entries) > 1 and cost > fair:
-                expanded.extend(
-                    split_group_task(task, math.ceil(cost / max(fair, 1e-9)))
-                )
-            else:
-                expanded.append(task)
-        expanded = [
-            replace(task, index=position) for position, task in enumerate(expanded)
-        ]
-        heap: List[Tuple[float, int]] = [(0.0, shard) for shard in range(shards)]
-        heapq.heapify(heap)
-        assignment: List[List[GroupTask]] = [[] for _ in range(shards)]
-        for task in sorted(
-            expanded, key=lambda task: (-estimate_group_cost(task), task.index)
-        ):
-            load, shard = heapq.heappop(heap)
-            assignment[shard].append(task)
-            heapq.heappush(heap, (load + estimate_group_cost(task), shard))
-        batches = [
-            GroupBatchTask(index=0, groups=sorted(groups, key=lambda task: task.index))
-            for groups in assignment
-            if groups
-        ]
+    fair = sum(estimate_group_cost(task) for task in ordered) / shards
+    expanded: List[GroupTask] = []
+    for task in ordered:
+        cost = estimate_group_cost(task)
+        if shards > 1 and len(task.entries) > 1 and cost > fair:
+            expanded.extend(split_group_task(task, math.ceil(cost / max(fair, 1e-9))))
+        else:
+            expanded.append(task)
+    expanded = [replace(task, index=position) for position, task in enumerate(expanded)]
+    heap: List[Tuple[float, int]] = [(0.0, shard) for shard in range(shards)]
+    heapq.heapify(heap)
+    assignment: List[List[GroupTask]] = [[] for _ in range(shards)]
+    for task in sorted(expanded, key=lambda task: (-estimate_group_cost(task), task.index)):
+        load, shard = heapq.heappop(heap)
+        assignment[shard].append(task)
+        heapq.heappush(heap, (load + estimate_group_cost(task), shard))
     return [
-        GroupBatchTask(index=position, groups=batch.groups)
-        for position, batch in enumerate(batches)
+        GroupBatchTask(index=position, groups=sorted(groups, key=lambda task: task.index))
+        for position, groups in enumerate(groups for groups in assignment if groups)
     ]
 
 
@@ -351,7 +277,7 @@ def plan_group_batches(
 # backends
 # ----------------------------------------------------------------------
 class ExecutionBackend(ABC):
-    """Strategy for executing a batch of independent tasks."""
+    """Strategy for executing a campaign's tasks."""
 
     name: str = "backend"
 
@@ -359,85 +285,45 @@ class ExecutionBackend(ABC):
     def map(self, fn: Callable[..., Any], argument_tuples: Sequence[Tuple]) -> List[Any]:
         """Apply *fn* to every argument tuple; results in submission order."""
 
-    def run_tasks(self, tasks: Sequence[ExecutionTask]) -> List[RunResult]:
-        """Execute campaign tasks; results ordered by submission index."""
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self.map(execute_task, [(task,) for task in ordered])
-
     def _pair_iter(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> Iterator[Tuple[Any, Any]]:
         """Yield ``(item, fn(item))`` pairs incrementally.
 
-        The single delivery policy behind every ``*_iter`` entry point
-        (tasks, group batches): backends override *this* — the
-        serial backend yields lazily after each item, pools yield in
-        completion order — and the entry points stay one-liners instead of
-        three near-copies per backend.  The base implementation degrades to
-        the eager :meth:`map`.
+        Pools override this to yield in completion order; the base
+        implementation degrades to the eager :meth:`map`.
         """
         yield from zip(items, self.map(fn, [(item,) for item in items]))
-
-    def run_tasks_iter(
-        self, tasks: Sequence[ExecutionTask]
-    ) -> Iterator[Tuple[ExecutionTask, RunResult]]:
-        """Yield ``(task, result)`` pairs incrementally, as runs complete.
-
-        Unlike :meth:`run_tasks`, pairs arrive in **completion** order
-        (pools yield whatever finishes first; the serial backend yields
-        after each task) — the caller gets each pair while the rest of the
-        batch is still running, which is what lets the exploration engine
-        checkpoint completed runs the moment they exist.  Callers needing
-        submission order must reassemble by ``task.index``.
-        """
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self._pair_iter(execute_task, ordered)
 
     def worker_count(self) -> int:
         """How many tasks this backend can execute concurrently.
 
-        The run-to-completion scheduler shards a campaign's groups into
+        The run-to-completion scheduler plans a campaign's tasks into
         exactly this many batches, so each worker receives one batch and
         drains it without returning to the pool between groups.
         """
         return 1
 
-    def _planned_batches(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str]
-    ) -> List[GroupBatchTask]:
-        """The batches :meth:`run_group_batches` and its streaming face
-        dispatch: one per worker (:func:`plan_group_batches`)."""
-        return plan_group_batches(tasks, self.worker_count(), policy=schedule)
-
-    def run_group_batches(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str] = None
-    ) -> Dict[int, RunResult]:
-        """Drain *tasks* run-to-completion: one batch of groups per worker.
-
-        Instead of a pool round trip (submit, pickle, result, repeat) per
-        group, the groups are planned into at most :meth:`worker_count`
-        batches up front (:func:`plan_group_batches`, cost-adaptive by
-        default; ``schedule="static"`` selects the round-robin interleave)
-        and each worker drains its whole batch before returning.  Results come back
-        keyed by member submission index, so the merged mapping is
-        deterministic regardless of batch completion order.
-        """
-        batches = self._planned_batches(tasks, schedule)
-        merged: Dict[int, RunResult] = {}
-        for results in self.map(execute_group_batch, [(batch,) for batch in batches]):
-            merged.update(results)
-        return merged
+    def _planned_batches(self, tasks: Sequence[GroupTask]) -> List[GroupBatchTask]:
+        """The batches :meth:`run_group_batches_iter` dispatches: one per
+        worker (:func:`plan_group_batches`)."""
+        return plan_group_batches(tasks, self.worker_count())
 
     def run_group_batches_iter(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str] = None
-    ) -> Iterator[Tuple["GroupBatchTask", Dict[int, RunResult]]]:
-        """Yield ``(batch, member results)`` pairs as batches drain.
+        self, tasks: Sequence[GroupTask]
+    ) -> Iterator[Tuple[Any, Dict[int, RunResult]]]:
+        """Drain *tasks*, yielding ``(unit, member results)`` as units finish.
 
-        The streaming face of :meth:`run_group_batches`: checkpoint cadence
-        is one batch (several groups) rather than one group — the price of
-        eliminating the per-group pool round trips.
+        The one execution entry point.  Instead of a pool round trip
+        (submit, pickle, result, repeat) per task, the tasks are planned
+        into at most :meth:`worker_count` batches up front
+        (:func:`plan_group_batches`) and each worker drains its whole batch
+        before returning, so the unit is a :class:`GroupBatchTask` and
+        checkpoint cadence is one batch.  Units arrive in completion order;
+        results are keyed by member submission index, so the merged mapping
+        is deterministic regardless of that order.
         """
-        batches = self._planned_batches(tasks, schedule)
+        batches = self._planned_batches(tasks)
         return self._pair_iter(execute_group_batch, batches)
 
     def close(self) -> None:
@@ -458,96 +344,17 @@ class SerialBackend(ExecutionBackend):
     def map(self, fn: Callable[..., Any], argument_tuples: Sequence[Tuple]) -> List[Any]:
         return [fn(*arguments) for arguments in argument_tuples]
 
-    def _pair_iter(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[Any, Any]]:
-        # Lazily, one item at a time: the caller sees each result before
-        # the next item starts (the base class would run the whole batch
-        # eagerly through ``map`` first).
-        for item in items:
-            yield item, fn(item)
+    def run_group_batches_iter(
+        self, tasks: Sequence[GroupTask]
+    ) -> Iterator[Tuple[Any, Dict[int, RunResult]]]:
+        # No batches: one task at a time, in the order given, so the unit
+        # is the task and the caller sees (and checkpoints) each task's
+        # results before the next one starts.
+        for task in tasks:
+            yield task, execute_group(task)
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared plumbing for the ``concurrent.futures`` backends."""
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers
-        self._pool: Optional[futures.Executor] = None
-
-    def _make_pool(self) -> futures.Executor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> futures.Executor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
-
-    def map(self, fn: Callable[..., Any], argument_tuples: Sequence[Tuple]) -> List[Any]:
-        if not argument_tuples:
-            return []
-        pool = self._ensure_pool()
-        # Submit in order, collect in order: completion order never leaks
-        # into the result list.
-        pending = [pool.submit(fn, *arguments) for arguments in argument_tuples]
-        try:
-            return [future.result() for future in pending]
-        except BaseException:
-            # An early failure must not leak the batch: cancel everything
-            # still queued before re-raising (running/finished futures
-            # ignore the cancel).
-            for future in pending:
-                future.cancel()
-            raise
-
-    def _completed_iter(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[Any, Any]]:
-        """Submit every item, yield ``(item, result)`` in completion order.
-
-        Outstanding futures are cancelled when the consumer stops early
-        (generator close) or a result raises — a half-consumed iteration
-        must not keep the pool grinding through abandoned work.
-        """
-        if not items:
-            return
-        pool = self._ensure_pool()
-        future_to_item = {pool.submit(fn, item): item for item in items}
-        try:
-            for future in futures.as_completed(future_to_item):
-                yield future_to_item[future], future.result()
-        finally:
-            for future in future_to_item:
-                future.cancel()
-
-    def _pair_iter(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[Any, Any]]:
-        # Completion order, not submission order: a slow head-of-line item
-        # must not delay checkpointing of items that already finished.
-        yield from self._completed_iter(fn, items)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Thread-pool execution (shared interpreter, shared artifact cache)."""
-
-    name = "threads"
-
-    def worker_count(self) -> int:
-        return self.workers or min(32, _available_cpus() * 2)
-
-    def _make_pool(self) -> futures.Executor:
-        return futures.ThreadPoolExecutor(
-            max_workers=self.worker_count(), thread_name_prefix="lfi-campaign"
-        )
-
-
-class ProcessPoolBackend(_PoolBackend):
+class ProcessPoolBackend(ExecutionBackend):
     """Process-pool execution for CPU-bound campaigns.
 
     Targets, requests, and results cross process boundaries, so they must be
@@ -558,17 +365,13 @@ class ProcessPoolBackend(_PoolBackend):
 
     Group batches are how children get that code.  Before dispatching
     batches, this process generates, once, the marshalled block code of
-    every image their groups run on the compiled engine, then starts the
+    every image their tasks run on the compiled engine, then starts the
     pool if it has none, noting at fork which codes the children inherit.
     Each batch carries only the codes its pool did not inherit (all of them
     for a pool forked earlier, none for one forked now, all for a pool not
     started with ``fork``), and :func:`execute_group_batch` installs them
     before draining.  Children therefore only bind superclosures; they still
     build their own per-instruction closures, which cannot be marshalled.
-    Per-scenario tasks (:meth:`run_tasks`: explorations and campaigns
-    without prefix sharing, :func:`run_requests`) carry no code and this
-    process generates none for them, so every child generates the code of
-    each image it runs unless it inherited that code.
 
     Each child ends itself once this process is gone (see
     :func:`_exit_with_parent`): a child blocked on the pool's call queue
@@ -579,7 +382,8 @@ class ProcessPoolBackend(_PoolBackend):
     name = "processes"
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers)
+        self.workers = workers
+        self._pool: Optional[futures.Executor] = None
         #: Content digests of the block code this pool's children inherited.
         self._inherited: FrozenSet[str] = frozenset()
 
@@ -604,10 +408,52 @@ class ProcessPoolBackend(_PoolBackend):
             initializer=_exit_with_parent, initargs=(os.getpid(),),
         )
 
-    def _planned_batches(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str]
-    ) -> List[GroupBatchTask]:
-        batches = super()._planned_batches(tasks, schedule)
+    def _ensure_pool(self) -> futures.Executor:
+        if self._pool is None:
+            self._pool = self._make_pool()
+        return self._pool
+
+    def map(self, fn: Callable[..., Any], argument_tuples: Sequence[Tuple]) -> List[Any]:
+        if not argument_tuples:
+            return []
+        pool = self._ensure_pool()
+        # Submit in order, collect in order: completion order never leaks
+        # into the result list.
+        pending = [pool.submit(fn, *arguments) for arguments in argument_tuples]
+        try:
+            return [future.result() for future in pending]
+        except BaseException:
+            # An early failure must not leak the batch: cancel everything
+            # still queued before re-raising (running/finished futures
+            # ignore the cancel).
+            for future in pending:
+                future.cancel()
+            raise
+
+    def _pair_iter(
+        self, fn: Callable[[Any], Any], items: Sequence[Any]
+    ) -> Iterator[Tuple[Any, Any]]:
+        """Submit every item, yield ``(item, result)`` in completion order.
+
+        Completion order, not submission order: a slow head-of-line item
+        must not delay checkpointing of items that already finished.
+        Outstanding futures are cancelled when the consumer stops early
+        (generator close) or a result raises — a half-consumed iteration
+        must not keep the pool grinding through abandoned work.
+        """
+        if not items:
+            return
+        pool = self._ensure_pool()
+        future_to_item = {pool.submit(fn, item): item for item in items}
+        try:
+            for future in futures.as_completed(future_to_item):
+                yield future_to_item[future], future.result()
+        finally:
+            for future in future_to_item:
+                future.cancel()
+
+    def _planned_batches(self, tasks: Sequence[GroupTask]) -> List[GroupBatchTask]:
+        batches = super()._planned_batches(tasks)
         if not batches:
             return batches
         # Generated before the pool exists, so a pool forked now inherits it.
@@ -626,6 +472,11 @@ class ProcessPoolBackend(_PoolBackend):
                 if digest not in self._inherited
             }
         return batches
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 #: How often a pool child checks that its parent still lives, in seconds.
@@ -679,14 +530,12 @@ def resolve_backend(spec: ParallelismSpec) -> ExecutionBackend:
     * ``None``, ``0``, ``1``, ``"serial"`` — :class:`SerialBackend`;
     * an ``int > 1`` (or ``True``) — :class:`ProcessPoolBackend` with that
       many workers: the targets are pure-Python and CPU-bound, so processes
-      are the spec that actually scales with cores (threads serialize on
-      the GIL);
-    * ``"threads"`` / ``"threads:N"`` — :class:`ThreadPoolBackend`, for
-      targets that block on something other than the interpreter, or whose
-      tasks/results cannot cross a process boundary;
+      are what scales with cores;
     * ``"processes"`` / ``"processes:N"`` — :class:`ProcessPoolBackend`;
     * an :class:`ExecutionBackend` instance — returned unchanged (the caller
       keeps ownership of its pool).
+
+    Any other kind raises ``ValueError`` naming the accepted ones.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
@@ -715,14 +564,13 @@ def resolve_backend(spec: ParallelismSpec) -> ExecutionBackend:
         kind = kind.strip().lower()
         if kind in ("", "serial", "none"):
             return SerialBackend()
-        if kind in ("thread", "threads", "process", "processes", "procs"):
-            if workers == 0:
-                # Consistent with the integer spec: zero workers means serial.
-                return SerialBackend()
-            if kind in ("thread", "threads"):
-                return ThreadPoolBackend(workers)
-            return ProcessPoolBackend(workers)
-        raise ValueError(f"unknown parallelism spec {spec!r}")
+        if kind in ("process", "processes", "procs"):
+            # Consistent with the integer spec: zero workers means serial.
+            return SerialBackend() if workers == 0 else ProcessPoolBackend(workers)
+        raise ValueError(
+            f"unknown parallelism spec {spec!r}; accepted kinds: "
+            "serial, processes[:N]"
+        )
     raise TypeError(f"unsupported parallelism spec {spec!r}")
 
 
@@ -745,44 +593,50 @@ def run_requests(
 ) -> List[RunResult]:
     """Run a batch of workload requests against *target* on a backend.
 
-    The one-stop entry point for experiment harnesses: *requests* are
-    submitted in order, results come back in the same order, and a backend
+    The one-stop entry point for experiment harnesses: each request becomes
+    one unshared task, results come back in request order, and a backend
     created here from a spec is closed afterwards (a passed-in
     :class:`ExecutionBackend` instance is reused and left open).
     """
     tasks = [
-        ExecutionTask(index=index, target=target, request=request)
+        GroupTask(
+            index=index,
+            target=target,
+            workload=request.workload,
+            entries=[(index, request.scenario, None)],
+            collect_coverage=request.collect_coverage,
+            options=dict(request.options),
+            observe_only=request.observe_only,
+            shared=False,
+        )
         for index, request in enumerate(requests)
     ]
+    collected: Dict[int, RunResult] = {}
     backend, owned = backend_scope(parallelism)
     try:
-        return backend.run_tasks(tasks)
+        for _unit, results in backend.run_group_batches_iter(tasks):
+            collected.update(results)
     finally:
         if owned:
             backend.close()
+    return [collected[index] for index in range(len(tasks))]
 
 
 __all__ = [
     "ExecutionBackend",
-    "ExecutionTask",
-    "GROUP_SCHEDULE_POLICIES",
     "GroupBatchTask",
     "GroupTask",
     "ParallelismSpec",
     "ProcessPoolBackend",
     "SUFFIX_COST_FRACTION",
     "SerialBackend",
-    "ThreadPoolBackend",
     "backend_scope",
     "derive_run_seed",
     "estimate_group_cost",
     "execute_group",
     "execute_group_batch",
-    "execute_task",
     "plan_group_batches",
     "resolve_backend",
-    "resolve_group_schedule",
     "run_requests",
-    "shard_group_tasks",
     "split_group_task",
 ]

@@ -43,11 +43,17 @@ Soundness rests on determinism: only scenarios built solely from
 deterministic trigger classes (:data:`SAFE_TRIGGER_CLASSES` — no random
 triggers, no ``@shared_object`` parameters) are grouped, and only targets
 that declare ``prefix_shareable`` (deterministic modulo the injected fault)
-participate.  Everything else runs on the plain per-scenario path.  The
+participate.  Everything else runs on the plain per-scenario path.
+
+:func:`iter_shared_runs` is the one pipeline every campaign, exploration
+and fabric shard runs through: :func:`build_group_tasks` turns the entries
+into :class:`~repro.core.controller.executor.GroupTask` objects — prefix
+groups as shared tasks, everything else as unshared singletons — and a
+backend drains them (``run_group_batches_iter`` in
+:mod:`repro.core.controller.executor`; pool workers each drain a batch of
+whole groups, so sharing composes with the pool backends).  The
 differential suite asserts shared campaigns are bit-identical to unshared
-ones — serial and pooled (see ``run_group_batches`` in
-:mod:`repro.core.controller.executor`, whose workers each drain a batch of
-whole groups so sharing composes with the pool backends).
+ones, serial and pooled.
 """
 
 from __future__ import annotations
@@ -245,20 +251,22 @@ def build_group_tasks(
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
+    share: bool = True,
 ) -> List["GroupTask"]:
-    """Partition schedule entries into backend-ready group tasks.
+    """Turn schedule entries into backend-ready tasks.
 
-    Multi-member prefix groups become one
-    :class:`~repro.core.controller.executor.GroupTask` each (the worker
-    shares the prefix internally); ungrouped entries ride along as
-    singleton groups, which :func:`run_entry_group` executes on the plain
-    per-scenario path — so one ``run_group_batches`` call covers the whole
-    schedule.
+    With *share*, every prefix group becomes one shared
+    :class:`~repro.core.controller.executor.GroupTask` (the worker shares
+    the prefix internally), in first-appearance order, and the ungrouped
+    entries follow as unshared singletons.  Without it every entry is an
+    unshared singleton, in submission order: the per-scenario oracle,
+    which never reaches the suffix memo or :func:`run_entry_group`.
     """
     from repro.core.controller.executor import GroupTask
 
-    groups, ungrouped = partition_entries(entries)
-    groups.extend([entry] for entry in ungrouped)
+    groups, ungrouped = partition_entries(entries) if share else ([], list(entries))
+    units = [(members, True) for members in groups]
+    units.extend(([entry], False) for entry in ungrouped)
     return [
         GroupTask(
             index=task_index,
@@ -268,8 +276,9 @@ def build_group_tasks(
             collect_coverage=collect_coverage,
             options=dict(options or {}),
             observe_only=observe_only,
+            shared=shared,
         )
-        for task_index, members in enumerate(groups)
+        for task_index, (members, shared) in enumerate(units)
     ]
 
 
@@ -314,8 +323,8 @@ def _has_session_api(target: Any) -> bool:
 #: which never consult the seed, so keying on it would split cache lines
 #: between specs/strategies that derive different seeds for identical runs
 #: (the differential suite pins exactly this seed-independence).  ``memo``
-#: and ``group_sched`` are pure scheduling knobs.
-_MEMO_NEUTRAL_OPTIONS = frozenset({"run_seed", "memo", "group_sched", "engine", "snapshots"})
+#: is a pure scheduling knob.
+_MEMO_NEUTRAL_OPTIONS = frozenset({"run_seed", "memo", "engine", "snapshots"})
 
 
 def _memo_context(
@@ -430,7 +439,7 @@ def seeded_options(options: Dict[str, Any], seed: Optional[int]) -> Dict[str, An
     return merged
 
 
-def _plain_run(
+def plain_run(
     target: TargetAdapter,
     workload: str,
     scenario: Optional[Scenario],
@@ -439,6 +448,8 @@ def _plain_run(
     options: Dict[str, Any],
     observe_only: bool = False,
 ) -> RunResult:
+    """One run on the plain per-scenario path: a single ``target.run``,
+    with no memo and no prefix machinery (an unshared task's run)."""
     return target.run(
         WorkloadRequest(
             workload=workload,
@@ -980,7 +991,7 @@ def _run_group_with_sessions(
                 # rank-agnostic by construction.)
                 state = boundary["state"]
                 if state is None:
-                    results[index] = _plain_run(
+                    results[index] = plain_run(
                         target, workload, scenario, seed, collect_coverage,
                         options, observe_only=observe_only,
                     )
@@ -1035,7 +1046,7 @@ def _run_group_with_sessions(
             # capture point — pass the call through and run on to its own
             # injection, nesting a fresh capture there for its siblings.
             if active["record"]["pre_call_gate"] is None:
-                results[index] = _plain_run(
+                results[index] = plain_run(
                     target, workload, scenario, seed, collect_coverage,
                     options, observe_only=observe_only,
                 )
@@ -1087,7 +1098,7 @@ def _run_group_replicating(
     """
     results: Dict[int, RunResult] = {}
     probe_index, probe_scenario, probe_seed = members[0]
-    probe = _plain_run(
+    probe = plain_run(
         target, workload, probe_scenario, probe_seed, collect_coverage, options,
         observe_only=observe_only,
     )
@@ -1097,7 +1108,7 @@ def _run_group_replicating(
             results[index] = replicate_result(probe)
         return results
     for index, scenario, seed in members[1:]:
-        results[index] = _plain_run(
+        results[index] = plain_run(
             target, workload, scenario, seed, collect_coverage, options,
             observe_only=observe_only,
         )
@@ -1115,12 +1126,11 @@ def run_entry_group(
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
 ) -> Dict[int, RunResult]:
-    """Execute one prefix group; the unit of work a backend task runs.
+    """Execute one prefix group; the unit of work a shared task runs.
 
     Members must share a group base key and be ordered by rank (what
-    :func:`partition_entries` produces).  A single-member group degrades to
-    the plain per-scenario path, so ungrouped entries can be submitted as
-    singleton groups with identical results.
+    :func:`partition_entries` produces).  A single-member group runs on the
+    plain per-scenario path, after its memo lookup.
 
     Before anything executes, the suffix memo
     (:mod:`repro.core.controller.memo`) is consulted per member: hits are
@@ -1181,7 +1191,7 @@ def _run_entry_group_paths(
     if len(members) == 1:
         index, scenario, seed = members[0]
         return {
-            index: _plain_run(
+            index: plain_run(
                 target, workload, scenario, seed, collect_coverage, options,
                 observe_only=observe_only,
             )
@@ -1208,54 +1218,30 @@ def iter_shared_runs(
     target: TargetAdapter,
     workload: str,
     entries: Sequence[Entry],
+    backend: "ExecutionBackend",
+    share: bool = True,
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
 ) -> Iterator[Tuple[int, RunResult]]:
-    """Run every entry, sharing prefixes within scenario groups.
+    """Run every entry on *backend*: the one execution pipeline.
 
-    Yields ``(submission index, result)`` pairs as they complete (group by
-    group, in first-appearance order) so callers can checkpoint
-    incrementally; the pairs cover every entry exactly once, and each
-    result is bit-identical to what the plain per-scenario path produces.
+    *share* is the resolved sharing decision (:func:`resolve_sharing`):
+    with it, entries in one scenario group share their prefix; without
+    it, every entry runs on the plain per-scenario path.  Yields
+    ``(submission index, result)`` pairs as the backend drains them —
+    task by task on the serial backend, batch by batch on a pool — so
+    callers can checkpoint incrementally.  The pairs cover every entry
+    exactly once, and each result is bit-identical to what the plain
+    per-scenario path produces.
     """
-    options = dict(options or {})
-    groups, ungrouped = partition_entries(entries)
-    for members in groups:
-        results = run_entry_group(
-            target, workload, members, collect_coverage=collect_coverage,
-            options=options, observe_only=observe_only,
-        )
+    tasks = build_group_tasks(
+        target, workload, entries, collect_coverage=collect_coverage,
+        options=options, observe_only=observe_only, share=share,
+    )
+    for _unit, results in backend.run_group_batches_iter(tasks):
         for index in sorted(results):
             yield index, results[index]
-    for index, scenario, seed in ungrouped:
-        yield index, _plain_run(
-            target, workload, scenario, seed, collect_coverage, options,
-            observe_only=observe_only,
-        )
-
-
-def run_scenarios_shared(
-    target: TargetAdapter,
-    workload: str,
-    scenarios: Sequence[Optional[Scenario]],
-    seeds: Optional[Sequence[Optional[int]]] = None,
-    collect_coverage: bool = False,
-    options: Optional[Dict[str, Any]] = None,
-    observe_only: bool = False,
-) -> List[RunResult]:
-    """Eager wrapper over :func:`iter_shared_runs`, in submission order."""
-    entries: List[Entry] = [
-        (index, scenario, seeds[index] if seeds is not None else None)
-        for index, scenario in enumerate(scenarios)
-    ]
-    collected: Dict[int, RunResult] = {}
-    for index, result in iter_shared_runs(
-        target, workload, entries, collect_coverage=collect_coverage,
-        options=options, observe_only=observe_only,
-    ):
-        collected[index] = result
-    return [collected[index] for index in range(len(entries))]
 
 
 __all__ = [
@@ -1267,11 +1253,11 @@ __all__ = [
     "member_memo_key",
     "partition_entries",
     "patch_replica_errno",
+    "plain_run",
     "rearm_member_triggers",
     "replicate_result",
     "resolve_sharing",
     "run_entry_group",
-    "run_scenarios_shared",
     "scenario_group_key",
     "scenario_group_key_parts",
     "scenario_group_rank",

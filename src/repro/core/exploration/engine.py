@@ -1,10 +1,11 @@
 """The fault-space exploration engine.
 
 Ties the subsystem together: take an enumerated fault space, order it by
-testing priority, let a strategy plan the points to run, schedule them
-through a PR 1 execution backend, deduplicate the failures, and checkpoint
-every completed run in the result store so interrupted explorations resume
-instead of restarting.
+testing priority, let a strategy plan the points to run, execute them
+through the one pipeline every campaign shares
+(:func:`~repro.core.controller.prefix.iter_shared_runs` on an execution
+backend), deduplicate the failures, and checkpoint every completed run in
+the result store so interrupted explorations resume instead of restarting.
 
 Execution is **round-based**: a planner session proposes a round of
 points, the engine executes it (through the prefix/memo/pool machinery),
@@ -33,20 +34,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.controller.executor import (
-    ExecutionTask,
     ParallelismSpec,
-    SerialBackend,
     backend_scope,
     derive_run_seed,
 )
 from repro.core.controller.monitor import Outcome, RunResult
 from repro.core.controller.prefix import (
-    build_group_tasks,
     iter_shared_runs,
     resolve_sharing,
     scenario_group_key,
 )
-from repro.core.controller.target import TargetAdapter, WorkloadRequest
+from repro.core.controller.target import TargetAdapter
 from repro.core.exploration.dedup import FailureDeduplicator, UniqueFailure, stack_fingerprint
 from repro.core.exploration.space import FaultPoint, priority_order
 from repro.core.exploration.store import ResultStore, StoredResult
@@ -179,8 +177,8 @@ class ExplorationEngine:
         self.once = once
         #: ``None`` enables prefix sharing for explorations against targets
         #: declaring deterministic execution — on every backend: serial
-        #: explorations stream groups inline, pooled ones fan each group
-        #: out as one task.  ``False`` forces the reference per-point path
+        #: explorations drain groups inline, pooled ones drain one batch of
+        #: groups per worker.  ``False`` forces the reference per-point path
         #: (the paths are bit-identical — sharing is purely an
         #: execution-time optimization and never leaks into the result
         #: store, whose keys and seeds stay path-independent); ``True``
@@ -318,58 +316,6 @@ class ExplorationEngine:
             recovery_lines=self._recovery_lines_of(result),
         )
 
-    def _iter_entry_results(
-        self, entries: Sequence[Tuple[int, "Scenario", Optional[int]]], backend
-    ) -> Iterator[Tuple[int, RunResult]]:
-        """Execute ``(index, scenario, seed)`` entries, yielding results as
-        they complete (the three execution shapes behind every exploration:
-        serial shared streaming, pooled run-to-completion batches, plain
-        per-point fan-out)."""
-        sharing = resolve_sharing(self.share_prefixes, self.target)
-        collect_coverage = self.collects_coverage
-        if sharing and isinstance(backend, SerialBackend):
-            for index, result in iter_shared_runs(
-                self.target,
-                self.workload,
-                entries,
-                collect_coverage=collect_coverage,
-                options=dict(self.request_options),
-            ):
-                yield index, result
-        elif sharing:
-            # Run-to-completion fan-out: groups are sharded into one
-            # batch per worker and each worker drains its batch without
-            # pool round trips between groups.  Checkpoint cadence is
-            # therefore one *batch* (several groups), the price of
-            # eliminating per-group submit/result cycles.
-            tasks = build_group_tasks(
-                self.target, self.workload, entries,
-                collect_coverage=collect_coverage,
-                options=dict(self.request_options),
-            )
-            for _batch, batch_results in backend.run_group_batches_iter(
-                tasks, schedule=self.request_options.get("group_sched")
-            ):
-                for index in sorted(batch_results):
-                    yield index, batch_results[index]
-        else:
-            tasks = [
-                ExecutionTask(
-                    index=index,
-                    target=self.target,
-                    request=WorkloadRequest(
-                        workload=self.workload,
-                        scenario=scenario,
-                        collect_coverage=collect_coverage,
-                        options=dict(self.request_options),
-                    ),
-                    seed=seed,
-                )
-                for index, scenario, seed in entries
-            ]
-            for task, result in backend.run_tasks_iter(tasks):
-                yield task.index, result
-
     def group_key_of(self, point: FaultPoint) -> Optional[str]:
         """The prefix-group base key of one point (``None`` = solo).
 
@@ -405,7 +351,12 @@ class ExplorationEngine:
             parallelism if parallelism is not None else self.parallelism
         )
         try:
-            for index, result in self._iter_entry_results(entries, backend):
+            for index, result in iter_shared_runs(
+                self.target, self.workload, entries, backend,
+                share=resolve_sharing(self.share_prefixes, self.target),
+                collect_coverage=self.collects_coverage,
+                options=dict(self.request_options),
+            ):
                 yield self.stored_result(
                     index,
                     points_by_index[index],

@@ -49,9 +49,9 @@ behind the bound blocks marshalled, once per image content
 are sent it and only bind it.  :func:`clear_artifact_cache` drops that
 marshalled code too.
 
-Thread-safe: a single lock guards the maps, so campaigns running under
-:class:`~repro.core.controller.executor.ThreadPoolBackend` profile and
-analyze at most once.  Process-pool workers forked after the first build
+Thread-safe: a single lock guards the maps, so campaigns running on
+several threads of one process (in-process fabric workers, coordinator
+connections) profile and analyze at most once.  Process-pool workers forked after the first build
 inherit the warm cache for free; their own builds stay in the child.
 """
 

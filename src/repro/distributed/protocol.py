@@ -87,11 +87,14 @@ class MessageStream:
         """Receive one message; blocks until a full line arrives.
 
         Raises :class:`ConnectionClosed` on EOF (including a peer that
-        ``shutdown(SHUT_WR)`` half-closed its side), :class:`MessageTooLarge`
+        ``shutdown(SHUT_WR)`` half-closed its side) and once this stream is
+        closed, also by another thread mid-call; :class:`MessageTooLarge`
         when the unterminated line outgrows the cap — the stream is then
         poisoned and should be closed, since resynchronising mid-line is
         not possible — and :class:`socket.timeout` when *timeout* elapses.
         """
+        if self._closed:
+            raise ConnectionClosed("stream is closed")
         while True:
             newline = self._buffer.find(b"\n")
             if newline >= 0:
@@ -112,10 +115,13 @@ class MessageStream:
                 raise MessageTooLarge(
                     f"incoming line exceeds the {self.max_message_bytes}-byte cap"
                 )
-            self._sock.settimeout(timeout)
             try:
+                self._sock.settimeout(timeout)
                 chunk = self._sock.recv(65536)
-            except (ConnectionResetError, BrokenPipeError) as exc:
+            except socket.timeout:
+                raise
+            except OSError as exc:
+                # A reset, or EBADF from a socket close() released.
                 raise ConnectionClosed(f"recv failed: {exc}") from exc
             if not chunk:
                 raise ConnectionClosed("peer closed the connection")

@@ -364,7 +364,7 @@ class TestAdaptiveExploration:
         points = LFIController(target).fault_space(functions=["close", "malloc"])
         serial = self._engine(MiniGitTarget(), ResultStore()).explore(points)
         pooled = self._engine(
-            MiniGitTarget(), ResultStore(), parallelism="threads:2"
+            MiniGitTarget(), ResultStore(), parallelism="processes:2"
         ).explore(points)
         assert _signature(serial) == _signature(pooled)
         assert serial.planner == pooled.planner

@@ -454,6 +454,22 @@ class TestProtocolFraming:
         a.close()
         b.close()
 
+    def test_recv_after_close_raises_connection_closed(self):
+        a, b = self._pair()
+        a.send({"type": "ping"})
+        b.close()
+        # Closed locally (by stop(), from another thread): a closed link,
+        # not a bare EBADF from the released socket.
+        with pytest.raises(ConnectionClosed):
+            b.recv()
+        a.close()
+        # A timeout on an open stream still surfaces as a timeout.
+        c, d = self._pair()
+        with pytest.raises(socket.timeout):
+            c.recv(timeout=0.01)
+        c.close()
+        d.close()
+
     def test_blank_lines_are_skipped(self):
         a, b = self._pair()
         a._sock.sendall(b"\n\n" + b'{"type": "ping"}\n' + b"\n")
@@ -554,6 +570,24 @@ class TestCoordinatorStop:
         finally:
             client.close()
             coordinator.stop()
+
+
+    def test_stop_with_an_idle_worker_connected_raises_in_no_thread(self, monkeypatch):
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        coordinator = CampaignCoordinator(port=0)
+        worker = CampaignWorker(coordinator.start())
+        try:
+            assert worker.run_once() is False  # connected, and idle
+            coordinator.stop()
+            for thread in threading.enumerate():
+                if thread.name == "campaignd-conn":
+                    thread.join(timeout=2)
+                    assert not thread.is_alive()
+        finally:
+            worker.close()
+            coordinator.stop()
+        assert unhandled == []
 
 
 class TestProtocolVersion:

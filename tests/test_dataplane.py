@@ -26,13 +26,10 @@ from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
 from repro.core.controller.executor import (
     GroupBatchTask,
-    GroupTask,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     execute_group,
     execute_group_batch,
-    shard_group_tasks,
 )
 from repro.core.controller.memo import SuffixMemo
 from repro.core.controller.prefix import build_group_tasks
@@ -444,40 +441,6 @@ class TestRecordBlock:
 # ----------------------------------------------------------------------
 # run-to-completion group scheduling
 # ----------------------------------------------------------------------
-class TestShardGroupTasks:
-    def _groups(self, count):
-        return [
-            GroupTask(index=i, target=None, workload="w", entries=[(i, None, None)])
-            for i in range(count)
-        ]
-
-    def test_round_robin_interleave(self):
-        batches = shard_group_tasks(self._groups(7), 3)
-        assert [b.index for b in batches] == [0, 1, 2]
-        assert [[g.index for g in b.groups] for b in batches] == [
-            [0, 3, 6], [1, 4], [2, 5],
-        ]
-
-    def test_never_more_batches_than_groups(self):
-        batches = shard_group_tasks(self._groups(2), 8)
-        assert len(batches) == 2
-        assert [[g.index for g in b.groups] for b in batches] == [[0], [1]]
-
-    def test_degenerate_shard_counts(self):
-        assert shard_group_tasks([], 4) == []
-        batches = shard_group_tasks(self._groups(3), 0)
-        assert len(batches) == 1
-        assert [g.index for g in batches[0].groups] == [0, 1, 2]
-
-    def test_assignment_is_deterministic_and_order_free(self):
-        groups = self._groups(9)
-        shuffled = list(reversed(groups))
-        first = shard_group_tasks(groups, 4)
-        second = shard_group_tasks(shuffled, 4)
-        assert [[g.index for g in b.groups] for b in first] == \
-            [[g.index for g in b.groups] for b in second]
-
-
 class TestRunToCompletionDifferential:
     def test_batch_execution_merges_group_results(self):
         target = MiniGitTarget()
@@ -494,12 +457,10 @@ class TestRunToCompletionDifferential:
 
     def test_worker_counts(self):
         assert SerialBackend().worker_count() == 1
-        assert ThreadPoolBackend(3).worker_count() == 3
         assert ProcessPoolBackend(2).worker_count() == 2
-        assert ThreadPoolBackend().worker_count() >= 1
         assert ProcessPoolBackend().worker_count() >= 1
 
-    @pytest.mark.parametrize("spec", ["threads:2", "processes:2"])
+    @pytest.mark.parametrize("spec", ["processes:2"])
     def test_pooled_batches_identical_to_serial_and_plain(self, spec):
         target = MiniBindTarget()
         workload = target.workloads()[0]
@@ -528,7 +489,7 @@ class TestDeltaResultChannel:
     ``snapshots=False`` per-scenario campaign publishes (the session's own
     :class:`SimOS`)."""
 
-    @pytest.mark.parametrize("spec", ["threads:2", "processes:2"])
+    @pytest.mark.parametrize("spec", ["processes:2"])
     def test_pooled_published_os_identical_to_serial_full(self, spec):
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:8]

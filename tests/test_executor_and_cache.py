@@ -13,15 +13,15 @@ import pytest
 from repro.core.analysis.analyzer import CallSiteAnalyzer
 from repro.core.controller.campaign import TestCampaign as InjectionCampaign
 from repro.core.controller.controller import LFIController
+from repro.core.controller import prefix
 from repro.core.controller.executor import (
-    ExecutionTask,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     derive_run_seed,
     resolve_backend,
+    run_requests,
 )
-from repro.core.controller.memo import clear_suffix_memo
+from repro.core.controller.memo import SuffixMemo, clear_suffix_memo
 from repro.core.controller.monitor import OutcomeKind, RunResult, classify_exit_status
 from repro.core.controller.prefix import build_group_tasks
 from repro.core.controller.target import WorkloadRequest, make_gate
@@ -102,6 +102,25 @@ class ToyTarget:
         return result
 
 
+class BrokenTarget:
+    """A target whose harness itself fails (module-level, hence picklable)."""
+
+    name = "broken"
+
+    def workloads(self):
+        return ["default"]
+
+    def binary(self):
+        return None
+
+    def run(self, request):
+        raise OSError("target harness itself broke")
+
+
+def _double(value):
+    return value * 2
+
+
 def _scenarios():
     return [
         ScenarioBuilder("fail-malloc").trigger("once", "SingletonTrigger")
@@ -137,21 +156,24 @@ class TestBackends:
         assert isinstance(resolve_backend(4), ProcessPoolBackend)
         assert resolve_backend(4).workers == 4
         assert isinstance(resolve_backend(True), ProcessPoolBackend)
-        assert isinstance(resolve_backend("threads"), ThreadPoolBackend)
-        assert resolve_backend("threads:3").workers == 3
-        assert isinstance(resolve_backend("threads:0"), SerialBackend)
+        assert resolve_backend("processes:3").workers == 3
         assert isinstance(resolve_backend("processes:0"), SerialBackend)
         assert isinstance(resolve_backend("processes:2"), ProcessPoolBackend)
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
         assert resolve_backend(backend) is backend
         with pytest.raises(ValueError):
             resolve_backend("gpu")
         with pytest.raises(ValueError):
-            resolve_backend("threads:abc")
+            resolve_backend("processes:abc")
         with pytest.raises(ValueError):
-            resolve_backend("threads:-2")
+            resolve_backend("processes:-2")
         with pytest.raises(TypeError):
             resolve_backend(3.5)
+        # No thread backend (VM runs would serialize on the GIL): a thread
+        # spec fails loudly instead of silently picking another backend.
+        for spec in ("threads", "threads:2"):
+            with pytest.raises(ValueError, match="accepted kinds: serial, processes"):
+                resolve_backend(spec)
 
     def test_default_worker_counts_honour_cpu_affinity(self, monkeypatch):
         # A process pinned to one CPU gets one pool worker, however many
@@ -160,29 +182,27 @@ class TestBackends:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert ProcessPoolBackend().worker_count() == 1
         assert resolve_backend("processes").worker_count() == 1
-        assert ThreadPoolBackend().worker_count() == 2
         assert ProcessPoolBackend(3).worker_count() == 3
         # Without an affinity API the CPU count decides.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert ProcessPoolBackend().worker_count() == 8
-        assert ThreadPoolBackend().worker_count() == 16
 
     def test_map_preserves_submission_order(self):
-        with ThreadPoolBackend(4) as backend:
-            results = backend.map(lambda value: value * 2, [(i,) for i in range(20)])
+        with ProcessPoolBackend(4) as backend:
+            results = backend.map(_double, [(i,) for i in range(20)])
         assert results == [i * 2 for i in range(20)]
 
     def test_serial_thread_process_campaigns_identical(self):
         scenarios = _scenarios()
         target = ToyTarget()
         serial = InjectionCampaign(target).run(scenarios)
-        threaded = InjectionCampaign(target, parallelism="threads:3").run(scenarios)
+        pooled = InjectionCampaign(target, parallelism="processes:3").run(scenarios)
         with ProcessPoolBackend(2) as backend:
             processed = InjectionCampaign(target, parallelism=backend).run(scenarios)
         reference = _campaign_signature(serial)
-        assert _campaign_signature(threaded) == reference
+        assert _campaign_signature(pooled) == reference
         assert _campaign_signature(processed) == reference
-        assert serial.by_kind() == threaded.by_kind() == processed.by_kind()
+        assert serial.by_kind() == pooled.by_kind() == processed.by_kind()
 
     def test_controller_reports_identical_across_backends(self):
         def report_signature(report):
@@ -192,10 +212,10 @@ class TestBackends:
             ]
 
         serial = LFIController(ToyTarget()).test_automatically(workloads=["default"])
-        threaded = LFIController(ToyTarget(), parallelism="threads:4").test_automatically(
+        pooled = LFIController(ToyTarget(), parallelism="processes:4").test_automatically(
             workloads=["default"]
         )
-        assert report_signature(threaded) == report_signature(serial)
+        assert report_signature(pooled) == report_signature(serial)
         assert serial.bugs and any(bug.function == "malloc" for bug in serial.bugs)
 
     def test_seed_threading_is_deterministic_and_order_free(self):
@@ -206,32 +226,22 @@ class TestBackends:
 
         scenarios = _scenarios()
         serial = InjectionCampaign(ToyTarget()).run(scenarios, seed=42)
-        threaded = InjectionCampaign(ToyTarget(), parallelism="threads:3").run(scenarios, seed=42)
+        pooled = InjectionCampaign(ToyTarget(), parallelism="processes:3").run(
+            scenarios, seed=42
+        )
         serial_seeds = [outcome.result.stats["run_seed"] for outcome in serial.outcomes]
-        threaded_seeds = [outcome.result.stats["run_seed"] for outcome in threaded.outcomes]
-        assert serial_seeds == threaded_seeds == seeds[: len(scenarios)]
+        pooled_seeds = [outcome.result.stats["run_seed"] for outcome in pooled.outcomes]
+        assert serial_seeds == pooled_seeds == seeds[: len(scenarios)]
         # No campaign seed -> requests untouched (historical behaviour).
         unseeded = InjectionCampaign(ToyTarget()).run(scenarios)
         assert all(outcome.result.stats["run_seed"] is None for outcome in unseeded.outcomes)
 
     def test_task_failure_propagates(self):
-        class BrokenTarget:
-            name = "broken"
-
-            def workloads(self):
-                return ["default"]
-
-            def binary(self):
-                return None
-
-            def run(self, request):
-                raise OSError("target harness itself broke")
-
         scenarios = _scenarios()[:1]
         with pytest.raises(OSError):
             InjectionCampaign(BrokenTarget()).run(scenarios, include_baseline=False)
         with pytest.raises(OSError):
-            InjectionCampaign(BrokenTarget(), parallelism="threads:2").run(
+            InjectionCampaign(BrokenTarget(), parallelism="processes:2").run(
                 scenarios, include_baseline=False
             )
 
@@ -267,11 +277,11 @@ class TestStochasticSeedThreading:
         scenarios = [self._random_scenario() for _ in range(6)]
         first = InjectionCampaign(ToyTarget()).run(scenarios, seed=7, include_baseline=False)
         second = InjectionCampaign(ToyTarget()).run(scenarios, seed=7, include_baseline=False)
-        threaded = InjectionCampaign(ToyTarget(), parallelism="threads:3").run(
+        pooled = InjectionCampaign(ToyTarget(), parallelism="processes:3").run(
             scenarios, seed=7, include_baseline=False
         )
         assert _campaign_signature(first) == _campaign_signature(second)
-        assert _campaign_signature(threaded) == _campaign_signature(first)
+        assert _campaign_signature(pooled) == _campaign_signature(first)
 
 
 class TestCrossWorkloadDedup:
@@ -591,31 +601,55 @@ class TestGateFixes:
         assert all(frame.file not in internal_basenames for frame in record.stack)
 
 
-def _log_calls(monkeypatch, name, path):
-    """Make every call of ``dispatch.<name>`` append its pid to *path*
-    (pool children inherit the patch through fork); returns a reader."""
-    original = getattr(dispatch, name)
+def _log_calls(monkeypatch, name, path, owner=dispatch):
+    """Make every call of ``owner.<name>`` append its pid to *path* (pool
+    children inherit the patch through fork); returns a reader."""
+    original = getattr(owner, name)
 
-    def logged(*args):
+    def logged(*args, **kwargs):
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()}\n")
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(dispatch, name, logged)
+    monkeypatch.setattr(owner, name, logged)
     return lambda: [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
 
-def _explore_signature(parallelism, engine="compiled"):
+def _explore_signature(parallelism, engine="compiled", share_prefixes=None, **options):
     report = LFIController(MiniGitTarget()).explore(
         workload="status", functions=["close", "malloc"], seed=7,
         store=ResultStore(), parallelism=parallelism,
-        request_options={"engine": engine},
+        share_prefixes=share_prefixes, request_options={"engine": engine, **options},
     )
     return [
         (o.point.key, o.outcome.kind, o.outcome.detail, o.outcome.exit_code,
          o.injections, o.fingerprint, o.run_seed)
         for o in report.outcomes
     ]
+
+
+def _requests_signature(parallelism):
+    target = MiniGitTarget()
+    points = LFIController(target).fault_space(functions=["close", "malloc"])
+    requests = [
+        WorkloadRequest(
+            workload="status", scenario=point.scenario(), options={"engine": "compiled"}
+        )
+        for point in points
+    ]
+    return [
+        (result.outcome.kind, result.outcome.detail, result.outcome.exit_code,
+         result.injections)
+        for result in run_requests(target, requests, parallelism)
+    ]
+
+
+#: Every pooled fan-out: shared and unshared explorations, and run_requests.
+_FAN_OUTS = {
+    "shared": _explore_signature,
+    "unshared": lambda parallelism: _explore_signature(parallelism, share_prefixes=False),
+    "run_requests": _requests_signature,
+}
 
 
 class TestBlockCodeShipping:
@@ -635,23 +669,25 @@ class TestBlockCodeShipping:
         clear_artifact_cache()
         clear_suffix_memo()
 
+    @pytest.mark.parametrize("fan_out", sorted(_FAN_OUTS))
     @pytest.mark.parametrize(
         "fork_first", [False, True], ids=["forked-after", "forked-before"]
     )
     def test_pool_children_never_generate_block_code(
-        self, tmp_path, monkeypatch, fork_first
+        self, tmp_path, monkeypatch, fork_first, fan_out
     ):
         generations = _log_calls(monkeypatch, "generate_blocks", tmp_path / "generations.log")
         binds = _log_calls(monkeypatch, "bind_blocks", tmp_path / "binds.log")
+        signature = _FAN_OUTS[fan_out]
         with ProcessPoolBackend(2) as backend:
             if fork_first:
                 # Fork the pool before this process has generated anything:
                 # its children must get the code with their batches.
                 assert backend.map(os.getpid, [(), ()])
-            pooled = _explore_signature(backend)
+            pooled = signature(backend)
         assert generations() == [os.getpid()]
         assert binds() and os.getpid() not in binds()  # the children bound it
-        assert pooled == _explore_signature(None)
+        assert pooled == signature(None)
         # The serial run bound the code this process already held.
         assert generations() == [os.getpid()]
 
@@ -663,18 +699,18 @@ class TestBlockCodeShipping:
         digest = target.binary().content_digest()
         with ProcessPoolBackend(2) as early:
             early.map(os.getpid, [()])
-            batches = early._planned_batches(tasks, None)
+            batches = early._planned_batches(tasks)
             assert len(batches) == 2
             assert all(list(batch.block_code) == [digest] for batch in batches)
         with ProcessPoolBackend(2) as late:
-            assert all(not batch.block_code for batch in late._planned_batches(tasks, None))
+            assert all(not batch.block_code for batch in late._planned_batches(tasks))
         reference_tasks = build_group_tasks(
             target, "status", entries, options={"engine": "reference"}
         )
         clear_artifact_cache()
         with ProcessPoolBackend(2) as early:
             early.map(os.getpid, [()])
-            batches = early._planned_batches(reference_tasks, None)
+            batches = early._planned_batches(reference_tasks)
             assert all(not batch.block_code for batch in batches)
         assert block_code_digests() == frozenset()
 
@@ -713,6 +749,29 @@ class TestBlockCodeShipping:
         assert block_code_digests() == frozenset()
         marshalled_block_code(other)
         assert len(generations()) == 3
+
+
+class TestUnsharedOracle:
+    """``share_prefixes=False`` is the prefix layer's oracle: each of its
+    runs is one ``target.run``, which never reaches the suffix memo or the
+    prefix machinery, serially or in pool children."""
+
+    @pytest.mark.parametrize(
+        "parallelism", [None, "processes:2"], ids=["serial", "processes:2"]
+    )
+    def test_unshared_runs_never_reach_the_memo_or_run_entry_group(
+        self, tmp_path, monkeypatch, parallelism
+    ):
+        lookups = _log_calls(monkeypatch, "lookup", tmp_path / "lookups.log", owner=SuffixMemo)
+        groups = _log_calls(
+            monkeypatch, "run_entry_group", tmp_path / "groups.log", owner=prefix
+        )
+        unshared = _explore_signature(parallelism, share_prefixes=False, memo=True)
+        assert unshared
+        assert lookups() == [] and groups() == []
+        # The same counters see every call the shared path makes.
+        assert _explore_signature(parallelism, memo=True) == unshared
+        assert lookups() and groups()
 
 
 class TestProcessPoolArtifactInheritance:

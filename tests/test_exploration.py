@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.analysis.scenario_gen import fault_candidates
 from repro.core.controller.controller import LFIController
-from repro.core.controller.monitor import OutcomeKind
+from repro.core.controller.monitor import OutcomeKind, RunResult
 from repro.core.exploration import (
     BoundarySampleStrategy,
     ExhaustiveStrategy,
@@ -62,6 +62,29 @@ class CountingBindTarget:
     def run(self, request):
         self.runs += 1
         return self._inner.run(request)
+
+
+#: The event :class:`GatedTarget`'s slow runs wait on.  A test sets it to
+#: a fork-inheritable event before its pool forks.
+_RELEASE = None
+
+
+class GatedTarget:
+    """A target whose ``"slow"`` scenario blocks until :data:`_RELEASE` is
+    set (module-level, hence picklable)."""
+
+    name = "gated"
+
+    def workloads(self):
+        return ["w"]
+
+    def binary(self):
+        return None
+
+    def run(self, request):
+        if request.scenario.name == "slow":
+            _RELEASE.wait(timeout=30)
+        return RunResult(outcome=Outcome(kind=OutcomeKind.NORMAL))
 
 
 def _signature(report):
@@ -405,9 +428,9 @@ class TestExplorationEngine:
 
     def test_parallel_results_bit_identical_to_serial(self):
         serial = LFIController(MiniBindTarget()).explore(seed=11)
-        threaded = LFIController(MiniBindTarget(), parallelism="threads:4").explore(seed=11)
-        assert _signature(threaded) == _signature(serial)
-        assert [f.describe() for f in threaded.unique_failures] == [
+        pooled = LFIController(MiniBindTarget(), parallelism="processes:4").explore(seed=11)
+        assert _signature(pooled) == _signature(serial)
+        assert [f.describe() for f in pooled.unique_failures] == [
             f.describe() for f in serial.unique_failures
         ]
 
@@ -504,44 +527,31 @@ class TestExplorationEngine:
         assert flaky == [], "non-injected failures must not be deduplicated as findings"
         assert all(c.description != "flaky harness" for c in report.to_bug_candidates())
 
-    def test_pool_backends_checkpoint_in_completion_order(self, tmp_path):
-        # A slow head-of-line task must not delay checkpointing of finished
-        # runs: with two threads, the store fills up while task 0 sleeps.
-        import threading
-        from repro.core.controller.executor import ExecutionTask, ThreadPoolBackend
-        from repro.core.controller.monitor import RunResult
-        from repro.core.controller.target import WorkloadRequest
+    def test_pool_backends_checkpoint_in_completion_order(self, monkeypatch):
+        # A slow head-of-line batch must not delay checkpointing of finished
+        # runs: with two workers, the fast batch arrives while the slow one
+        # still waits.
+        import multiprocessing
 
-        release = threading.Event()
+        from repro.core.controller.executor import ProcessPoolBackend
+        from repro.core.controller.prefix import iter_shared_runs
+        from repro.core.scenario.builder import ScenarioBuilder
 
-        class GatedTarget:
-            name = "gated"
-
-            def workloads(self):
-                return ["w"]
-
-            def binary(self):
-                return None
-
-            def run(self, request):
-                if request.options.get("slow"):
-                    release.wait(timeout=30)
-                return RunResult(outcome=Outcome(kind=OutcomeKind.NORMAL))
-
-        target = GatedTarget()
-        tasks = [
-            ExecutionTask(index=0, target=target,
-                          request=WorkloadRequest(workload="w", options={"slow": True})),
-            ExecutionTask(index=1, target=target, request=WorkloadRequest(workload="w")),
-            ExecutionTask(index=2, target=target, request=WorkloadRequest(workload="w")),
+        release = multiprocessing.get_context("fork").Event()
+        monkeypatch.setitem(globals(), "_RELEASE", release)
+        entries = [
+            (index, ScenarioBuilder(name).build(), None)
+            for index, name in enumerate(["slow", "fast", "fast"])
         ]
         seen = []
-        with ThreadPoolBackend(2) as backend:
-            for task, _result in backend.run_tasks_iter(tasks):
-                seen.append(task.index)
-                if len(seen) == 2:
-                    # Two fast tasks arrived while task 0 is still blocked.
-                    assert 0 not in seen
+        # The plan packs runs 0 and 2 into one batch and run 1 into the other.
+        with ProcessPoolBackend(2) as backend:
+            for index, _result in iter_shared_runs(
+                GatedTarget(), "w", entries, backend, share=False
+            ):
+                seen.append(index)
+                if len(seen) == 1:
+                    assert seen == [1]
                     release.set()
         assert sorted(seen) == [0, 1, 2]
 

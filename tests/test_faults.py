@@ -313,7 +313,7 @@ class TestExecutionPathIdentity:
     def test_pooled_sweep_bit_identical_to_serial(self):
         serial_engine, points = _sweep_engine()
         serial = serial_engine.explore(points)
-        pooled_engine, points = _sweep_engine(parallelism="threads:4")
+        pooled_engine, points = _sweep_engine(parallelism="processes:4")
         pooled = pooled_engine.explore(points)
         assert serial.executed == len(points) > 0
         assert _report_signature(pooled) == _report_signature(serial)

@@ -1,10 +1,10 @@
 """Differentials and regressions for parallel prefix-group scheduling.
 
 PR 5 contract: prefix sharing composes with the pool backends (each
-scenario group becomes one backend task) and groups share more — prefix
-trees across call-count variants, errno-blind suffix replication — while
-every result stays **bit-identical** to the serial shared path and to the
-plain per-scenario path, on every backend.
+scenario group becomes one task of a worker's batch) and groups share
+more — prefix trees across call-count variants, errno-blind suffix
+replication — while every result stays **bit-identical** to the serial
+shared path and to the plain per-scenario path, on every backend.
 """
 
 import pytest
@@ -13,14 +13,14 @@ from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
 from repro.core.controller import prefix
 from repro.core.controller.executor import (
+    ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     resolve_backend,
 )
 from repro.core.controller.prefix import (
+    iter_shared_runs,
     partition_entries,
     resolve_sharing,
-    run_scenarios_shared,
     scenario_group_key,
     scenario_group_key_parts,
     scenario_group_rank,
@@ -195,6 +195,17 @@ def _boom(value):
     return value
 
 
+def _slow_marking(item):
+    """Mark *item* as started in its log file, then take a while."""
+    import time
+
+    path, value = item
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"{value}\n")
+    time.sleep(0.01)
+    return value
+
+
 class TestExecutorFixes:
     def test_negative_parallelism_spec_raises(self):
         with pytest.raises(ValueError, match="negative"):
@@ -205,7 +216,7 @@ class TestExecutorFixes:
         assert isinstance(resolve_backend(1), SerialBackend)
 
     def test_map_cancels_pending_futures_on_failure(self):
-        backend = ThreadPoolBackend(1)
+        backend = ProcessPoolBackend(1)
         with backend:
             # One worker: the failing head task is processed first, so the
             # queued tail must be cancelled rather than leaked.
@@ -216,29 +227,25 @@ class TestExecutorFixes:
         # close() returned: shutdown(wait=True) would hang on leaked work
         # only if cancellation failed; reaching here is the assertion.
 
-    def test_iter_cancels_outstanding_on_early_close(self):
-        import time
-
-        backend = ThreadPoolBackend(1)
-        started = []
-
-        def slow(value):
-            started.append(value)
-            time.sleep(0.01)
-            return value
-
+    def test_iter_cancels_outstanding_on_early_close(self, tmp_path):
+        backend = ProcessPoolBackend(1)
+        log = tmp_path / "started.log"
         with backend:
-            iterator = backend._completed_iter(slow, list(range(128)))
+            iterator = backend._pair_iter(
+                _slow_marking, [(str(log), value) for value in range(128)]
+            )
             next(iterator)
             iterator.close()
         # Cancelled tasks never start: with one worker and an immediate
         # close, almost all of the 128 submissions must have been cancelled.
-        assert len(started) < 8
+        assert len(log.read_text().split()) < 8
 
     def test_campaign_raises_on_result_count_mismatch(self):
         class TruncatingBackend(SerialBackend):
-            def run_tasks(self, tasks):
-                return super().run_tasks(tasks)[:-1]
+            def run_group_batches_iter(self, tasks):
+                # Drains every task but drops the last one's result.
+                *drained, _dropped = list(super().run_group_batches_iter(tasks))
+                return iter(drained)
 
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:3]
@@ -285,13 +292,14 @@ class TestObserveOnlyPropagation:
             )
             for s in scenarios
         ]
-        shared = run_scenarios_shared(
-            target, "status", scenarios, observe_only=True
+        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        shared = dict(
+            iter_shared_runs(target, "status", entries, SerialBackend(), observe_only=True)
         )
-        assert [_result_observables(r) for r in shared] == [
+        assert [_result_observables(shared[i]) for i in range(len(scenarios))] == [
             _result_observables(r) for r in plain
         ]
-        assert all(r.injections == 0 for r in shared)
+        assert all(r.injections == 0 for r in shared.values())
 
 
 # ----------------------------------------------------------------------
@@ -315,12 +323,11 @@ class TestParallelSharedDifferential:
         )
         reference = _campaign_observables(plain)
         assert _campaign_observables(serial_shared) == reference
-        for spec in ("threads:2", "processes:2"):
-            pooled = campaign.run(
-                scenarios, seed=3, include_baseline=False,
-                share_prefixes=True, parallelism=spec,
-            )
-            assert _campaign_observables(pooled) == reference, spec
+        pooled = campaign.run(
+            scenarios, seed=3, include_baseline=False,
+            share_prefixes=True, parallelism="processes:2",
+        )
+        assert _campaign_observables(pooled) == reference
 
     def test_pooled_shared_with_coverage_identical(self):
         target = MiniGitTarget()
@@ -332,7 +339,7 @@ class TestParallelSharedDifferential:
         )
         pooled = campaign.run(
             scenarios, include_baseline=False, collect_coverage=True,
-            share_prefixes=True, parallelism="threads:2",
+            share_prefixes=True, parallelism="processes:2",
         )
         assert _campaign_observables(pooled) == _campaign_observables(plain)
         assert _coverage_observables(pooled) == _coverage_observables(plain)
@@ -396,12 +403,12 @@ class TestParallelSharedDifferential:
                 for o in report.outcomes
             ]
 
-        pooled = explore("threads:2", True)
+        pooled = explore("processes:2", True)
         assert observables(pooled) == observables(reference)
         # Interrupted pooled-shared exploration resumes seamlessly (group
         # checkpoints are path-independent).
         store = ResultStore()
-        partial_report = explore("threads:2", True, store=store, max_runs=7)
+        partial_report = explore("processes:2", True, store=store, max_runs=7)
         assert partial_report.pending > 0
         resumed = explore(None, False, store=store)
         assert observables(resumed) == observables(reference)
@@ -471,10 +478,11 @@ class TestPrefixTrees:
             # Snapshots pinned on: suffix replication needs the mid-run
             # capture machinery, which the REPRO_SNAPSHOTS=0 oracle leg
             # would otherwise disable.
-            results = run_scenarios_shared(
-                target, "default-tests", scenarios,
-                options={"snapshots": True},
+            campaign = Campaign(target, workload="default-tests").run(
+                scenarios, include_baseline=False, share_prefixes=True,
+                snapshots=True,
             )
+            results = [outcome.result for outcome in campaign.outcomes]
         finally:
             base.CompiledTarget.execute_plan = original
         assert executions["n"] == 1  # the probe; siblings replicated
@@ -570,7 +578,10 @@ class TestPrefixTrees:
             target.run(WorkloadRequest(workload="default", scenario=s))
             for s in scenarios
         ]
-        shared = run_scenarios_shared(target, "default", scenarios)
+        campaign = Campaign(target, workload="default").run(
+            scenarios, include_baseline=False, share_prefixes=True
+        )
+        shared = [outcome.result for outcome in campaign.outcomes]
         assert [_result_observables(r) for r in shared] == [
             _result_observables(r) for r in plain
         ]

@@ -6,8 +6,7 @@ boot-scope template keying, the adaptive group planner, the group-aware
 fabric leases, and worker-side result batching — is a pure throughput
 optimisation.  Results stay bit-identical to the memo-free per-scenario
 serial oracle on every backend and through the campaignd fabric, and the
-``memo=False`` / ``group_sched="static"`` knobs recover the old paths
-exactly.
+``memo=False`` knob recovers the memo-free path exactly.
 """
 
 import dataclasses
@@ -22,8 +21,6 @@ from repro.core.controller.executor import (
     GroupTask,
     estimate_group_cost,
     plan_group_batches,
-    resolve_group_schedule,
-    shard_group_tasks,
     split_group_task,
 )
 from repro.core.controller.memo import (
@@ -35,11 +32,7 @@ from repro.core.controller.memo import (
     suffix_memo_stats,
 )
 from repro.core.controller.monitor import Outcome, OutcomeKind, RunResult
-from repro.core.controller.prefix import (
-    build_group_tasks,
-    member_memo_key,
-    run_scenarios_shared,
-)
+from repro.core.controller.prefix import build_group_tasks, member_memo_key
 from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.store import ResultStore
 from repro.core.profiler.cache import (
@@ -258,12 +251,14 @@ class TestMemoizedCampaigns:
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:4]
         memo = SuffixMemo()
-        first = run_scenarios_shared(
-            target, "status", scenarios, options={"memo": memo}
-        )
-        second = run_scenarios_shared(
-            target, "status", scenarios, options={"memo": memo}
-        )
+
+        def sweep():
+            campaign = Campaign(target, workload="status").run(
+                scenarios, include_baseline=False, memo=memo
+            )
+            return [outcome.result for outcome in campaign.outcomes]
+
+        first, second = sweep(), sweep()
         for a, b in zip(first, second):
             assert a is not b
             assert a.outcome is not b.outcome
@@ -275,16 +270,17 @@ class TestMemoizedCampaigns:
         target = MiniGitTarget()
         scenarios = _fault_space_scenarios(target)[:6]
         memo = SuffixMemo()
-        status = run_scenarios_shared(
-            target, "status", scenarios, options={"memo": memo}
-        )
-        commit = run_scenarios_shared(
-            target, "commit", scenarios, options={"memo": memo}
-        )
+
+        def sweep(workload, memo):
+            campaign = Campaign(target, workload=workload).run(
+                scenarios, include_baseline=False, memo=memo
+            )
+            return [outcome.result for outcome in campaign.outcomes]
+
+        status = sweep("status", memo)
+        commit = sweep("commit", memo)
         assert memo.stats().hits == 0
-        plain_commit = run_scenarios_shared(
-            target, "commit", scenarios, options={"memo": False}
-        )
+        plain_commit = sweep("commit", False)
         assert [r.outcome.kind for r in commit] == [
             r.outcome.kind for r in plain_commit
         ]
@@ -462,31 +458,18 @@ class TestCrossWorkloadBootSharing:
 # adaptive group scheduling
 # ----------------------------------------------------------------------
 class TestAdaptivePlanning:
-    def test_policy_resolution_and_env_default(self, monkeypatch):
-        assert resolve_group_schedule("adaptive") == "adaptive"
-        assert resolve_group_schedule("static") == "static"
-        monkeypatch.delenv("REPRO_GROUP_SCHED", raising=False)
-        assert resolve_group_schedule(None) == "adaptive"
-        monkeypatch.setenv("REPRO_GROUP_SCHED", "static")
-        assert resolve_group_schedule(None) == "static"
-        with pytest.raises(ValueError, match="unknown group schedule"):
-            resolve_group_schedule("bogus")
-
     def test_no_empty_batches_when_workers_exceed_groups(self):
         tasks = [_group_task(0, [0, 1]), _group_task(1, [2])]
-        for policy in ("static", "adaptive"):
-            batches = plan_group_batches(tasks, 8, policy=policy)
-            assert batches, policy
-            assert all(batch.groups for batch in batches), policy
-            covered = sorted(
-                i
-                for batch in batches
-                for group in batch.groups
-                for i, _s, _seed in group.entries
-            )
-            assert covered == [0, 1, 2], policy
-        # The static shim itself never emits empties either.
-        assert all(b.groups for b in shard_group_tasks(tasks, 8))
+        batches = plan_group_batches(tasks, 8)
+        assert batches
+        assert all(batch.groups for batch in batches)
+        covered = sorted(
+            i
+            for batch in batches
+            for group in batch.groups
+            for i, _s, _seed in group.entries
+        )
+        assert covered == [0, 1, 2]
         assert plan_group_batches([], 4) == []
 
     def test_split_preserves_rank_order_and_membership(self):
@@ -501,8 +484,8 @@ class TestAdaptivePlanning:
 
     def test_adaptive_splits_oversized_family_and_beats_static(self):
         # A skewed distribution: one 24-member errno family plus eight
-        # singletons.  Static round-robin lands the whole family on one
-        # shard; adaptive splits it across the fleet.
+        # singletons.  A packer that keeps the family whole puts at least
+        # its whole cost on one shard; the plan splits it across the fleet.
         tasks = [_group_task(0, list(range(24)))] + [
             _group_task(1 + n, [24 + n]) for n in range(8)
         ]
@@ -514,20 +497,18 @@ class TestAdaptivePlanning:
                 for batch in batches
             )
 
-        static = plan_group_batches(tasks, shards, policy="static")
-        adaptive = plan_group_batches(tasks, shards, policy="adaptive")
-        for batches in (static, adaptive):
-            covered = sorted(
-                i
-                for batch in batches
-                for group in batch.groups
-                for i, _s, _seed in group.entries
-            )
-            assert covered == list(range(32))
+        adaptive = plan_group_batches(tasks, shards)
+        covered = sorted(
+            i
+            for batch in adaptive
+            for group in batch.groups
+            for i, _s, _seed in group.entries
+        )
+        assert covered == list(range(32))
         assert len(adaptive) == shards
-        assert makespan(adaptive) < makespan(static)
+        assert makespan(adaptive) < estimate_group_cost(tasks[0])
         # Deterministic: the plan is a pure function of its inputs.
-        again = plan_group_batches(tasks, shards, policy="adaptive")
+        again = plan_group_batches(tasks, shards)
         assert [
             [(g.index, [e[0] for e in g.entries]) for g in b.groups]
             for b in again
@@ -548,7 +529,7 @@ class TestAdaptivePlanning:
         def batch_plan():
             return [
                 [(g.index, [e[0] for e in g.entries]) for g in batch.groups]
-                for batch in plan_group_batches(tasks, 4, policy="adaptive")
+                for batch in plan_group_batches(tasks, 4)
             ]
 
         before = batch_plan()
@@ -573,16 +554,12 @@ class TestAdaptivePlanning:
                 share_prefixes=False, memo=False,
             )
         )
-        for parallelism in ("threads:2", "threads:3", "processes:2"):
-            for policy in ("static", "adaptive"):
-                swept = campaign.run(
-                    scenarios, seed=9, include_baseline=False,
-                    share_prefixes=True, parallelism=parallelism,
-                    memo=False, group_sched=policy,
-                )
-                assert (
-                    _campaign_observables(swept) == reference
-                ), (parallelism, policy)
+        for parallelism in ("processes:2", "processes:3"):
+            swept = campaign.run(
+                scenarios, seed=9, include_baseline=False,
+                share_prefixes=True, parallelism=parallelism, memo=False,
+            )
+            assert _campaign_observables(swept) == reference, parallelism
 
 
 # ----------------------------------------------------------------------

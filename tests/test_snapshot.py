@@ -12,9 +12,10 @@ import pytest
 
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
+from repro.core.controller.executor import SerialBackend
 from repro.core.controller.prefix import (
+    iter_shared_runs,
     partition_entries,
-    run_scenarios_shared,
     scenario_group_key,
 )
 from repro.core.controller.target import WorkloadRequest, make_gate
@@ -523,9 +524,9 @@ class TestCompiledTargetSnapshotDifferentials:
         campaign = Campaign(target, workload="status")
         serial = campaign.run(scenarios, seed=1, include_baseline=False,
                               share_prefixes=False)
-        threaded = campaign.run(scenarios, seed=1, include_baseline=False,
-                                parallelism="threads:4")
-        assert _campaign_observables(threaded) == _campaign_observables(serial)
+        pooled = campaign.run(scenarios, seed=1, include_baseline=False,
+                              parallelism="processes:4")
+        assert _campaign_observables(pooled) == _campaign_observables(serial)
 
 
 # ----------------------------------------------------------------------
@@ -636,16 +637,14 @@ class TestPrefixSharingDifferentials:
         ]
         assert builds["n"] == len(scenarios)
         builds["n"] = 0
-        shared = run_scenarios_shared(target, "ab-static", scenarios,
-                                      options={"requests": 12},
-                                      observe_only=True)
-        assert [_apache_observables(r) for r in shared] == \
+        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        shared = dict(iter_shared_runs(target, "ab-static", entries, SerialBackend(),
+                                       options={"requests": 12}, observe_only=True))
+        assert [_apache_observables(shared[i]) for i in range(len(scenarios))] == \
                [_apache_observables(r) for r in plain]
         # An observe-only gate never injects, so each prefix group's probe
         # answers all of its members: one server per group, not per scenario.
-        groups, ungrouped = partition_entries(
-            [(index, scenario, None) for index, scenario in enumerate(scenarios)]
-        )
+        groups, ungrouped = partition_entries(entries)
         assert ungrouped == []
         assert builds["n"] == len(groups) < len(scenarios)
 
