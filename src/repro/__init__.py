@@ -46,7 +46,8 @@ and every completed run is checkpointed in a JSON-lines
 :class:`~repro.core.exploration.ResultStore` so an interrupted exploration
 resumes without re-running finished scenarios::
 
-    report = controller.explore(store=ResultStore("bind.jsonl"), seed=7)
+    with ResultStore("bind.jsonl") as store:
+        report = controller.explore(store=store, seed=7)
     print(report.summary())
 
 **Artifact cache.** Building and profiling the synthetic shared libraries
@@ -166,7 +167,8 @@ the differential suite holds it to:
    ``REPRO_SNAPSHOTS``.
 3. **Prefix trees** (:mod:`repro.core.controller.prefix`) — scenario
    groups run their common pre-trigger prefix once; siblings resume from
-   mid-run captures.  Knob: ``share_prefixes=``.
+   mid-run captures.  Entries that cannot share a prefix run alone, as
+   groups of one behind the same suffix memo.  Knob: ``share_prefixes=``.
 4. **Run-to-completion pooled batches**
    (:mod:`repro.core.controller.executor`) — groups are packed into one
    :class:`GroupBatchTask` per worker and each worker drains its batch
@@ -194,13 +196,16 @@ the oracle.
 **Suffix memoization and cost-adaptive scheduling.**  On top of the
 pipeline, :mod:`repro.core.controller.memo` never pays for an
 already-probed fault point twice: a process-wide LRU byte-budget cache
-maps member memo keys — capture fingerprint, fault class and values,
-errno, and every behaviour-relevant execution knob — to pickled results,
-so re-sweeps, resumed campaigns, and overlapping specs on a long-lived
-fabric worker answer from the memo instead of re-executing the suffix
-(``memo=`` / ``REPRO_MEMO`` / ``REPRO_MEMO_BYTES``; ``memo=False`` is
-the differential oracle path).  Group batches are planned by a fixed
-cost estimate — a resumed suffix costs 0.35 of a full probe
+maps memo keys — capture fingerprint, fault class and values, errno,
+metadata, and every behaviour-relevant execution knob — to pickled
+results for every deterministic run, prefix-group members and the
+ungrouped crash points and budget ramps alike, so re-sweeps, resumed
+campaigns, and overlapping specs on a long-lived fabric worker answer
+from the memo instead of re-executing the run (``memo=`` /
+``REPRO_MEMO`` / ``REPRO_MEMO_BYTES``; ``memo=False`` and
+``share_prefixes=False`` are the differential oracle paths).  Group
+batches are planned by a fixed cost estimate — a resumed suffix costs
+0.35 of a full probe
 (:func:`~repro.core.controller.executor.plan_group_batches`): skewed
 prefix families split into sub-groups that re-resume from the shared
 capture, and batches pack by longest-processing-time.  The full

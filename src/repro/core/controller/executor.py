@@ -27,9 +27,10 @@ per table and reuse it for every target).
 One task shape reaches a backend, the :class:`GroupTask`, and one entry
 point drains it, :meth:`ExecutionBackend.run_group_batches_iter`.  A
 *shared* task is one prefix group (see :mod:`repro.core.controller.prefix`):
-its worker runs the group's probe once and resumes the siblings locally.
-An *unshared* task is a single scenario run with one ``target.run`` — the
-per-scenario path behind ``share_prefixes=False``, ungrouped entries and
+its worker consults the suffix memo, runs the group's probe once and
+resumes the siblings locally; an ungrouped entry is a shared group of one.
+An *unshared* task is a single scenario run with one ``target.run`` and no
+memo — the per-scenario path behind ``share_prefixes=False`` and
 :func:`run_requests`.  The serial backend drains the tasks one at a time; a
 pool plans them into at most one :class:`GroupBatchTask` per worker up
 front (:func:`plan_group_batches`) and each worker drains its batch
@@ -101,12 +102,16 @@ class GroupTask:
     A shared task is a prefix group: the whole group — probe plus
     resumable siblings — executes inside one worker (:func:`execute_group`),
     so prefix sharing (:mod:`repro.core.controller.prefix`) composes with
-    the pool backends instead of forcing a serial campaign.  An unshared
-    task is a singleton that runs with one ``target.run``, never touching
-    the suffix memo or the prefix machinery.  ``entries`` carries the
-    members' original submission indices (with per-run seeds already
-    derived), which is what keeps pooled results reassemblable into
-    submission order and bit-identical to serial ones.
+    the pool backends instead of forcing a serial campaign.  An ungrouped
+    entry under sharing is a shared group of one: it still runs through
+    :func:`~repro.core.controller.prefix.run_entry_group`, so the suffix
+    memo answers it when its run is deterministic.  An unshared task is a
+    singleton that runs with one ``target.run``, never touching the suffix
+    memo or the prefix machinery (``share_prefixes=False`` and
+    :func:`run_requests`).  ``entries`` carries the members' original
+    submission indices (with per-run seeds already derived), which is what
+    keeps pooled results reassemblable into submission order and
+    bit-identical to serial ones.
     """
 
     index: int

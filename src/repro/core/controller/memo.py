@@ -1,23 +1,26 @@
 """Suffix memoization: never pay for an already-probed fault point twice.
 
-A prefix-group member's run is a pure function of (target binary, workload,
-libc spec, trigger composition, injected fault, execution knobs): the
-scheduler only groups scenarios built from deterministic trigger classes
-(:data:`~repro.core.controller.prefix.SAFE_TRIGGER_CLASSES`) against
-targets that declare ``prefix_shareable``.  So when a strategy re-sweeps
-the same points, a campaign resumes, or overlapping specs land on one
-long-lived ``repro-campaignd`` worker, re-executing the suffix buys
-nothing — the stored :class:`~repro.core.controller.monitor.RunResult` is
-bit-identical to a fresh run.
+A deterministic scenario's run is a pure function of (target binary,
+workload, libc spec, trigger composition, injected fault, metadata,
+execution knobs): it is built solely from deterministic trigger classes
+(:data:`~repro.core.controller.prefix.SAFE_TRIGGER_CLASSES`, no ``@``
+parameters) against a target that declares ``prefix_shareable``.  Every
+such run is memoizable — a prefix-group member, and equally a crash point
+or budget ramp that may not join a group and runs alone.  So when a
+strategy re-sweeps the same points, a campaign resumes, or overlapping
+specs land on one long-lived ``repro-campaignd`` worker, re-executing the
+run buys nothing — the stored
+:class:`~repro.core.controller.monitor.RunResult` is bit-identical to a
+fresh run.
 
-This module is that store: a process-wide LRU cache mapping *member memo
-keys* (built by :func:`~repro.core.controller.prefix.member_memo_key` from
-the group base key, the member's fault values, and every
-behaviour-relevant execution knob) to pickled result blobs, unpickled per
-hit so every consumer gets a detached copy.  The cache is bounded by a
-byte budget — an entry costs exactly its pickled length, the same bytes a
-result pays to cross a process pool — and evicts least recently used
-entries first.
+This module is that store: a process-wide LRU cache mapping *memo keys*
+(built by :func:`~repro.core.controller.prefix.member_memo_key` from the
+scenario's trigger and plan fingerprint, its fault values and metadata,
+and every behaviour-relevant execution knob) to pickled result blobs,
+unpickled per hit so every consumer gets a detached copy.  The cache is
+bounded by a byte budget — an entry costs exactly its pickled length, the
+same bytes a result pays to cross a process pool — and evicts least
+recently used entries first.
 
 Knobs:
 
@@ -32,9 +35,12 @@ Knobs:
 Correctness boundaries, enforced by the callers in
 :mod:`repro.core.controller.prefix`:
 
-* only groupable scenarios (deterministic triggers, shareable fault
-  classes, ``prefix_shareable`` targets) get keys — everything else runs
-  uncached;
+* only deterministic scenarios (safe triggers, no ``@`` parameters,
+  ``prefix_shareable`` targets) get keys — everything else runs uncached;
+  shareable fault classes are needed for grouping, not for a key;
+* ``share_prefixes=False`` runs and :func:`run_requests
+  <repro.core.controller.executor.run_requests>` never reach the memo:
+  they are the per-scenario oracle;
 * the per-run seed is deliberately **excluded** from keys: safe trigger
   classes never consult it, so including it would split cache lines
   across specs/strategies that derive different seeds for identical runs

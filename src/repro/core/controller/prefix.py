@@ -43,25 +43,33 @@ Soundness rests on determinism: only scenarios built solely from
 deterministic trigger classes (:data:`SAFE_TRIGGER_CLASSES` — no random
 triggers, no ``@shared_object`` parameters) are grouped, and only targets
 that declare ``prefix_shareable`` (deterministic modulo the injected fault)
-participate.  Everything else runs on the plain per-scenario path.
+participate.  The same determinism is what the suffix memo
+(:mod:`repro.core.controller.memo`) keys on, so one derivation per
+scenario object (:class:`ScenarioKeyParts`) serves two views: every
+deterministic run is memoizable, and those whose fault classes are also
+shareable may join a group.  Crash points and budget ramps are the first
+kind only: they run alone, but through the memo.
 
 :func:`iter_shared_runs` is the one pipeline every campaign, exploration
 and fabric shard runs through: :func:`build_group_tasks` turns the entries
-into :class:`~repro.core.controller.executor.GroupTask` objects — prefix
-groups as shared tasks, everything else as unshared singletons — and a
-backend drains them (``run_group_batches_iter`` in
-:mod:`repro.core.controller.executor`; pool workers each drain a batch of
-whole groups, so sharing composes with the pool backends).  The
-differential suite asserts shared campaigns are bit-identical to unshared
-ones, serial and pooled.
+into :class:`~repro.core.controller.executor.GroupTask` objects — with
+sharing on, prefix groups and then the ungrouped entries as singleton
+groups, every one run by :func:`run_entry_group` behind the memo; with
+sharing off, unshared singletons that never touch the memo (the
+per-scenario oracle) — and a backend drains them
+(``run_group_batches_iter`` in :mod:`repro.core.controller.executor`;
+pool workers each drain a batch of whole groups, so sharing composes with
+the pool backends).  The differential suite asserts shared campaigns are
+bit-identical to unshared ones, serial and pooled.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import weakref
 from dataclasses import replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.controller.monitor import (
     Outcome,
@@ -126,45 +134,96 @@ def _rankable_call_count(scenario: Scenario) -> Optional[str]:
     return trigger_id
 
 
-#: Computed key parts, cached per scenario object.  Scenarios are
-#: immutable once built (the whole grouping machinery already relies on
-#: that: parts are derived at submit time and must hold for the run), so
-#: the fingerprint is a pure function of the object — and it sits on the
-#: per-member path of every sweep, twice (partitioning and memo keys).
-_KEY_PARTS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_KEY_PARTS_MISSING = object()
+class ScenarioKeyParts(NamedTuple):
+    """A scenario's trigger and plan fingerprint, read two ways.
+
+    Derived once per scenario object (:func:`_key_parts`).  *Determinism*:
+    a scenario that has key parts at all runs as a deterministic function
+    of them, its fault values and metadata (plus the target context), so
+    its run can be memoized (:func:`_member_key`).  *Shareability*: when,
+    on top of that, no plan's fault class is in
+    :data:`~repro.core.faults.UNSHAREABLE_CLASSES`, it may also join a
+    prefix group keyed by ``base`` and ordered by ``rank``.
+    """
+
+    #: Trigger declarations and plan structure, fault values left out.
+    base: str
+    #: The stripped call-count threshold (empty: no rank-bearing trigger).
+    rank: Tuple[int, ...]
+    #: True when the scenario may join a prefix group.
+    shareable: bool
+
+
+#: Key parts cached per scenario object: ``id(scenario)`` maps to
+#: ``(weak reference, parts)``.  ``Scenario`` is an ``eq`` dataclass and
+#: therefore unhashable, so it cannot key a ``WeakKeyDictionary``; the
+#: weak reference's callback drops the entry when the scenario dies, and
+#: a lookup trusts an entry only while its reference still returns the
+#: very object asked about.  A per-object cache, not a content identity:
+#: scenarios are immutable once built (grouping already relies on that —
+#: parts are derived at submit time and must hold for the run), and the
+#: parts sit on every member's path three times (partitioning, memo keys,
+#: ranks).
+_KEY_PARTS_CACHE: Dict[int, Tuple["weakref.ref", Optional[ScenarioKeyParts]]] = {}
+
+
+def _forget_key_parts(key: int, ref: "weakref.ref") -> None:
+    # No lock needed: the callback runs before the dying scenario is freed,
+    # so no other object can hold its id (and so write this key) meanwhile.
+    entry = _KEY_PARTS_CACHE.get(key)
+    if entry is not None and entry[0] is ref:
+        _KEY_PARTS_CACHE.pop(key, None)
+
+
+def _key_parts(scenario: Optional[Scenario]) -> Optional[ScenarioKeyParts]:
+    """The cached derivation of *scenario*'s key parts, or ``None`` when
+    its run is not a deterministic function of them."""
+    if scenario is None:
+        return None
+    key = id(scenario)
+    entry = _KEY_PARTS_CACHE.get(key)
+    if entry is not None and entry[0]() is scenario:
+        return entry[1]
+    parts = _scenario_group_key_parts(scenario)
+    # A stand-in that cannot be weakly referenced (a ``__slots__`` test
+    # double) is not cached: it is derived afresh on every call.
+    if type(scenario).__weakrefoffset__:
+        ref = weakref.ref(scenario, functools.partial(_forget_key_parts, key))
+        _KEY_PARTS_CACHE[key] = (ref, parts)
+    return parts
 
 
 def scenario_group_key_parts(scenario: Optional[Scenario]) -> Optional[KeyParts]:
     """Hierarchical fingerprint of a scenario minus its fault values.
 
     ``None`` marks the scenario ineligible for sharing: no scenario at all,
-    a trigger class outside the deterministic safe set, or parameters that
+    a trigger class outside the deterministic safe set, parameters that
     reference shared objects (``"@name"``) whose behaviour the scheduler
-    cannot reason about.  Otherwise returns ``(base_key, rank)``: scenarios
-    with equal base keys run identically up to the *earliest* of their
-    divergence points, and the rank — the stripped call-count threshold —
-    orders those points (an empty rank means the scenarios diverge at the
-    same point and differ only in the fault injected).
+    cannot reason about, or a fault class that may not join a group.
+    Otherwise returns ``(base_key, rank)``: scenarios with equal base keys
+    run identically up to the *earliest* of their divergence points, and
+    the rank — the stripped call-count threshold — orders those points (an
+    empty rank means the scenarios diverge at the same point and differ
+    only in the fault injected).
     """
-    if scenario is None:
+    parts = _key_parts(scenario)
+    if parts is None or not parts.shareable:
         return None
-    try:
-        cached = _KEY_PARTS_CACHE.get(scenario, _KEY_PARTS_MISSING)
-    except TypeError:
-        # Unweakrefable/unhashable stand-ins (test doubles): compute fresh.
-        return _scenario_group_key_parts(scenario)
-    if cached is not _KEY_PARTS_MISSING:
-        return cached
-    parts = _scenario_group_key_parts(scenario)
-    try:
-        _KEY_PARTS_CACHE[scenario] = parts
-    except TypeError:
-        pass
-    return parts
+    return parts.base, parts.rank
 
 
-def _scenario_group_key_parts(scenario: Scenario) -> Optional[KeyParts]:
+def _count_threshold(value: Any) -> Optional[int]:
+    """A call-count parameter as ``int()`` reads it (``CallCountTrigger``
+    does), or ``None`` when it is not a plain count."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, str) and value.strip().isdecimal():
+        return int(value)
+    return None
+
+
+def _scenario_group_key_parts(scenario: Scenario) -> Optional[ScenarioKeyParts]:
+    """Derive *scenario*'s key parts (uncached; see :func:`_key_parts`)."""
     rank_id = _rankable_call_count(scenario)
     rank: Tuple[int, ...] = ()
     trigger_parts: List[tuple] = []
@@ -172,34 +231,37 @@ def _scenario_group_key_parts(scenario: Scenario) -> Optional[KeyParts]:
         declaration = scenario.triggers[trigger_id]
         if declaration.class_name not in SAFE_TRIGGER_CLASSES:
             return None
-        try:
-            params = sorted(declaration.params.items())
-        except TypeError:
+        if not all(isinstance(name, str) for name in declaration.params):
             return None
+        params = sorted(declaration.params.items())
         for _, value in params:
             if isinstance(value, str) and value.startswith("@"):
                 return None
         if trigger_id == rank_id:
-            nth = declaration.params.get("nth", declaration.params.get("count", 1))
-            try:
-                rank = (int(nth),)
-            except (TypeError, ValueError):
+            nth = _count_threshold(
+                declaration.params.get("nth", declaration.params.get("count", 1))
+            )
+            if nth is None:
                 return None
+            rank = (nth,)
             params = [item for item in params if item[0] not in ("nth", "count")]
         trigger_parts.append((trigger_id, declaration.class_name, repr(params)))
+    shareable = True
     plan_parts = []
     for plan in scenario.plans:
         fault_class = plan.fault.fault_class if plan.fault is not None else None
         if fault_class in UNSHAREABLE_CLASSES:
             # Stateful fault classes (ramps arm over the whole run, network
             # faults mutate shared delivery state, crash points unwind the
-            # world): a shared prefix cannot stand in for their full runs.
-            return None
+            # world): a shared prefix cannot stand in for their full runs,
+            # but each run is still deterministic and memoizable.
+            shareable = False
         plan_parts.append(
             (plan.function, tuple(plan.trigger_ids), plan.fault is not None,
              plan.argc, fault_class)
         )
-    return repr((tuple(trigger_parts), tuple(plan_parts))), rank
+    base = repr((tuple(trigger_parts), tuple(plan_parts)))
+    return ScenarioKeyParts(base, rank, shareable)
 
 
 def scenario_group_key(scenario: Optional[Scenario]) -> Optional[str]:
@@ -255,30 +317,36 @@ def build_group_tasks(
 ) -> List["GroupTask"]:
     """Turn schedule entries into backend-ready tasks.
 
-    With *share*, every prefix group becomes one shared
-    :class:`~repro.core.controller.executor.GroupTask` (the worker shares
-    the prefix internally), in first-appearance order, and the ungrouped
-    entries follow as unshared singletons.  Without it every entry is an
-    unshared singleton, in submission order: the per-scenario oracle,
-    which never reaches the suffix memo or :func:`run_entry_group`.
+    With *share*, every task is a shared
+    :class:`~repro.core.controller.executor.GroupTask` that runs through
+    :func:`run_entry_group` and so through the suffix memo: each prefix
+    group becomes one task (the worker shares the prefix internally), in
+    first-appearance order, and the ungrouped entries follow as singleton
+    groups — a memo lookup, one plain run on a miss, then a store when the
+    run is deterministic (crash points and budget ramps are).  Without
+    *share* every entry is an unshared singleton, in submission order: the
+    per-scenario oracle, which never reaches the suffix memo or
+    :func:`run_entry_group`.
     """
     from repro.core.controller.executor import GroupTask
 
-    groups, ungrouped = partition_entries(entries) if share else ([], list(entries))
-    units = [(members, True) for members in groups]
-    units.extend(([entry], False) for entry in ungrouped)
+    if share:
+        groups, ungrouped = partition_entries(entries)
+        units = groups + [[entry] for entry in ungrouped]
+    else:
+        units = [[entry] for entry in entries]
     return [
         GroupTask(
             index=task_index,
             target=target,
             workload=workload,
-            entries=list(members),
+            entries=members,
             collect_coverage=collect_coverage,
             options=dict(options or {}),
             observe_only=observe_only,
-            shared=shared,
+            shared=share,
         )
-        for task_index, (members, shared) in enumerate(units)
+        for task_index, members in enumerate(units)
     ]
 
 
@@ -317,13 +385,13 @@ def _has_session_api(target: Any) -> bool:
 # ----------------------------------------------------------------------
 # suffix memo keys
 # ----------------------------------------------------------------------
-#: Request options that cannot change a groupable run's observables and are
-#: therefore excluded from memo keys.  ``run_seed`` is the deliberate one:
-#: grouped scenarios are built solely from :data:`SAFE_TRIGGER_CLASSES`,
-#: which never consult the seed, so keying on it would split cache lines
-#: between specs/strategies that derive different seeds for identical runs
-#: (the differential suite pins exactly this seed-independence).  ``memo``
-#: is a pure scheduling knob.
+#: Request options that cannot change a memoizable run's observables and
+#: are therefore excluded from memo keys.  ``run_seed`` is the deliberate
+#: one: memoizable scenarios are built solely from
+#: :data:`SAFE_TRIGGER_CLASSES`, which never consult the seed, so keying
+#: on it would split cache lines between specs/strategies that derive
+#: different seeds for identical runs (the differential suite pins exactly
+#: this seed-independence).  ``memo`` is a pure scheduling knob.
 _MEMO_NEUTRAL_OPTIONS = frozenset({"run_seed", "memo", "engine", "snapshots"})
 
 
@@ -378,11 +446,14 @@ def _memo_context(
 
 
 def _member_key(context: tuple, scenario: Optional[Scenario]) -> Optional[tuple]:
-    """One member's full memo key under *context*, or ``None``."""
-    parts = scenario_group_key_parts(scenario)
+    """One run's full memo key under *context*, or ``None``.
+
+    Built from strings, numbers and ``None`` only (parameters and
+    metadata by repr), so every key hashes.
+    """
+    parts = _key_parts(scenario)
     if parts is None:
         return None
-    base, rank = parts
     faults = tuple(
         None
         if plan.fault is None
@@ -390,14 +461,14 @@ def _member_key(context: tuple, scenario: Optional[Scenario]) -> Optional[tuple]
             plan.fault.fault_class,
             plan.fault.return_value,
             plan.fault.errno,
-            plan.fault.params,
+            repr(plan.fault.params),
             repr(sorted(plan.fault.side_effects.items())),
         )
         for plan in scenario.plans
     )
     return context + (
-        base,
-        rank,
+        parts.base,
+        parts.rank,
         faults,
         repr(getattr(scenario, "metadata", None) or None),
     )
@@ -411,17 +482,22 @@ def member_memo_key(
     options: Dict[str, Any],
     observe_only: bool,
 ) -> Optional[tuple]:
-    """The suffix-memo key of one group member, or ``None`` (uncacheable).
+    """The suffix-memo key of one run, or ``None`` (uncacheable).
 
-    Only scenarios the scheduler could group — deterministic safe triggers,
-    shareable fault classes, a ``prefix_shareable`` target — are
-    memoizable: the key is exactly what determines such a run's
-    observables.  Capture identity comes from the group base key plus the
-    binary/libc fingerprints (a mutated libc spec or changed target source
-    misses; an identical recompile hits); the fault identity is every
-    plan's ``(class, return value, errno, params)`` tuple; the resolved
-    engine/snapshot knobs pin the execution path, and any *other* request
-    option is folded in conservatively by repr.
+    Every deterministic run is memoizable — only safe trigger classes, no
+    ``@`` parameters, a ``prefix_shareable`` target — whether or not it
+    may join a prefix group (crash points and budget ramps may not, but
+    are keyed all the same): the key is exactly what determines such a
+    run's observables.  Capture identity comes from the group base key
+    and rank (trigger classes and parameters, a ramp's ``every`` and
+    ``nth``, plan structure with fault classes) plus the binary/libc
+    fingerprints (a mutated libc spec or changed target source misses; an
+    identical recompile hits); the fault identity is every plan's
+    ``(class, return value, errno, params, side effects)`` tuple, and the
+    scenario metadata (a crash point's recovery workload) is folded in;
+    the resolved engine/snapshot knobs pin the execution path, and any
+    *other* request option is folded in conservatively by repr.  The
+    per-run seed stays out: safe triggers never read it.
     """
     context = _memo_context(target, workload, collect_coverage, options, observe_only)
     if context is None:
@@ -1129,7 +1205,8 @@ def run_entry_group(
     """Execute one prefix group; the unit of work a shared task runs.
 
     Members must share a group base key and be ordered by rank (what
-    :func:`partition_entries` produces).  A single-member group runs on the
+    :func:`partition_entries` produces), or be a single entry — an
+    ungrouped entry is a group of one.  A single-member group runs on the
     plain per-scenario path, after its memo lookup.
 
     Before anything executes, the suffix memo
@@ -1227,8 +1304,9 @@ def iter_shared_runs(
     """Run every entry on *backend*: the one execution pipeline.
 
     *share* is the resolved sharing decision (:func:`resolve_sharing`):
-    with it, entries in one scenario group share their prefix; without
-    it, every entry runs on the plain per-scenario path.  Yields
+    with it, entries in one scenario group share their prefix and every
+    entry, grouped or not, goes through the suffix memo; without it,
+    every entry runs on the plain per-scenario path, memo-free.  Yields
     ``(submission index, result)`` pairs as the backend drains them —
     task by task on the serial backend, batch by batch on a pool — so
     callers can checkpoint incrementally.  The pairs cover every entry

@@ -61,12 +61,13 @@ directly when the fault space comes from elsewhere::
     from repro.core.exploration import ExhaustiveStrategy, ResultStore
 
     controller = LFIController(MiniBindTarget())
-    report = controller.explore(
-        strategy=ExhaustiveStrategy(),
-        store=ResultStore("bind-exploration.jsonl"),
-        seed=7,
-        parallelism="processes:4",
-    )
+    with ResultStore("bind-exploration.jsonl") as store:
+        report = controller.explore(
+            strategy=ExhaustiveStrategy(),
+            store=store,
+            seed=7,
+            parallelism="processes:4",
+        )
     print(report.summary())   # re-running resumes: 0 executed, all replayed
 """
 

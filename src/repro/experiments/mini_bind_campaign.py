@@ -64,14 +64,15 @@ def run(
     )
 
     if exploration:
-        store = ResultStore(store_path) if store_path is not None else None
-        report = controller.explore(
-            workload=workload,
-            include_checked=include_checked,
-            parallelism=parallelism,
-            store=store,
-            seed=seed,
-        )
+        # A path-less store is the in-memory one explore() would make.
+        with ResultStore(store_path) as store:
+            report = controller.explore(
+                workload=workload,
+                include_checked=include_checked,
+                parallelism=parallelism,
+                store=store,
+                seed=seed,
+            )
         candidates = report.to_bug_candidates()
         table.add_note(
             f"exploration: {report.executed} run, {report.resumed} resumed, "

@@ -190,10 +190,13 @@ def run(
         paper_reference={"bugs_reported": 11},
     )
 
+    opened: List[ResultStore] = []
+
     def target_store(name: str) -> Optional[ResultStore]:
         if not exploration or store_dir is None:
             return None
-        return ResultStore(os.path.join(store_dir, f"table1-{name}.jsonl"))
+        opened.append(ResultStore(os.path.join(store_dir, f"table1-{name}.jsonl")))
+        return opened[-1]
 
     backend, owned = backend_scope(parallelism)
     try:
@@ -214,6 +217,8 @@ def run(
             ),
         }
     finally:
+        for store in opened:
+            store.close()
         if owned:
             backend.close()
 

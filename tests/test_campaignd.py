@@ -207,7 +207,8 @@ class TestStoreCorruption:
         leftover partial line (that would turn a benign torn tail into
         interior corruption on the *next* load)."""
         path = tmp_path / "store.jsonl"
-        ResultStore(str(path)).record(_stored("a"))
+        with ResultStore(str(path)) as store:
+            store.record(_stored("a"))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "b", "out')
         resumed = ResultStore(str(path))
@@ -1080,10 +1081,9 @@ class TestRunAssignments:
     def test_shard_records_match_explore_checkpoints(self, tmp_path, strategy):
         spec_kwargs = dict(GIT_SPEC_KWARGS, strategy=strategy)
         oracle_path = tmp_path / "oracle.jsonl"
-        engine, points = build_engine(
-            CampaignSpec(**spec_kwargs), store=ResultStore(str(oracle_path))
-        )
-        report = engine.explore(points)
+        with ResultStore(str(oracle_path)) as oracle_store:
+            engine, points = build_engine(CampaignSpec(**spec_kwargs), store=oracle_store)
+            report = engine.explore(points)
         assert report.executed == len(report.outcomes) > 0
 
         shard_engine, by_key = _shard_engine(spec_kwargs)
@@ -1094,9 +1094,9 @@ class TestRunAssignments:
             )
         }
         shard_path = tmp_path / "shard.jsonl"
-        shard_store = ResultStore(str(shard_path))
-        for stored in engine.store.results():
-            shard_store.record(records.pop(stored.key))
+        with ResultStore(str(shard_path)) as shard_store:
+            for stored in engine.store.results():
+                shard_store.record(records.pop(stored.key))
         assert records == {}
         assert shard_path.read_bytes() == oracle_path.read_bytes()
 

@@ -47,9 +47,8 @@ class TestExplorationWiring:
 
     def test_table1_exploration_mode_finds_bind_bugs_and_resumes(self, tmp_path):
         store_path = str(tmp_path / "table1-mini_bind.jsonl")
-        bugs = _compiled_target_bugs(
-            MiniBindTarget(), exploration=True, store=ResultStore(store_path)
-        )
+        with ResultStore(store_path) as store:
+            bugs = _compiled_target_bugs(MiniBindTarget(), exploration=True, store=store)
         functions = {bug.function for bug in bugs}
         assert {"malloc", "xmlNewTextWriterDoc"} <= functions
         assert all(bug.kind.is_high_impact for bug in bugs)
@@ -58,9 +57,8 @@ class TestExplorationWiring:
 
         # Re-running against the same store resumes: same candidates, and
         # the store does not grow (zero scenarios re-ran).
-        again = _compiled_target_bugs(
-            MiniBindTarget(), exploration=True, store=ResultStore(store_path)
-        )
+        with ResultStore(store_path) as store:
+            again = _compiled_target_bugs(MiniBindTarget(), exploration=True, store=store)
         assert {(b.function, b.kind, b.location) for b in again} == {
             (b.function, b.kind, b.location) for b in bugs
         }

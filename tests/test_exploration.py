@@ -240,9 +240,9 @@ def _stored(key, outcome="normal", index=0):
 class TestResultStore:
     def test_persist_and_reload(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = ResultStore(str(path))
-        store.append(_stored("a"))
-        store.append(_stored("b", outcome="crash", index=1))
+        with ResultStore(str(path)) as store:
+            store.append(_stored("a"))
+            store.append(_stored("b", outcome="crash", index=1))
         reloaded = ResultStore(str(path))
         assert reloaded.completed_keys() == {"a", "b"}
         assert reloaded.get("b").outcome_kind is OutcomeKind.CRASH
@@ -251,16 +251,16 @@ class TestResultStore:
 
     def test_duplicate_appends_are_idempotent(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = ResultStore(str(path))
-        store.append(_stored("a"))
-        store.append(_stored("a", outcome="crash"))
-        assert store.get("a").outcome == "normal"
+        with ResultStore(str(path)) as store:
+            store.append(_stored("a"))
+            store.append(_stored("a", outcome="crash"))
+            assert store.get("a").outcome == "normal"
         assert len(ResultStore(str(path))) == 1
 
     def test_torn_final_line_is_discarded(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = ResultStore(str(path))
-        store.append(_stored("a"))
+        with ResultStore(str(path)) as store:
+            store.append(_stored("a"))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "b", "outcome": "cra')  # killed mid-write
         reloaded = ResultStore(str(path))
@@ -276,7 +276,8 @@ class TestResultStore:
         result = _stored("a", outcome="crash")
         result.exit_code = 139
         result.location = "httpd.c:42"
-        ResultStore(str(path)).append(result)
+        with ResultStore(str(path)) as store:
+            store.append(result)
         restored = ResultStore(str(path)).get("a").to_outcome()
         assert restored.exit_code == 139 and restored.location == "httpd.c:42"
         assert restored.kind is OutcomeKind.CRASH
@@ -400,23 +401,24 @@ class TestExplorationEngine:
 
         # Phase 1: exploration "killed" after 10 completed scenario runs.
         target = CountingBindTarget()
-        first = LFIController(target).explore(
-            store=ResultStore(path), seed=7, max_runs=10
-        )
+        with ResultStore(path) as store:
+            first = LFIController(target).explore(store=store, seed=7, max_runs=10)
         assert first.executed == 10 and target.runs == 10
         assert not first.complete and first.pending > 0
 
         # Phase 2: a fresh process resumes from the store and only runs the
         # remainder — none of the 10 completed scenarios re-runs.
         target = CountingBindTarget()
-        resumed = LFIController(target).explore(store=ResultStore(path), seed=7)
+        with ResultStore(path) as store:
+            resumed = LFIController(target).explore(store=store, seed=7)
         assert resumed.resumed == 10
         assert target.runs == resumed.executed == resumed.selected - 10
         assert resumed.complete
 
         # Phase 3: everything is in the store; nothing at all re-runs.
         target = CountingBindTarget()
-        replayed = LFIController(target).explore(store=ResultStore(path), seed=7)
+        with ResultStore(path) as store:
+            replayed = LFIController(target).explore(store=store, seed=7)
         assert target.runs == 0 and replayed.executed == 0
         assert replayed.resumed == replayed.selected
         assert len(ResultStore(path)) == replayed.selected
@@ -451,21 +453,25 @@ class TestExplorationEngine:
     def test_dedup_spans_resumed_and_fresh_runs(self, tmp_path):
         path = str(tmp_path / "bind.jsonl")
         controller = LFIController(MiniBindTarget())
-        partial = controller.explore(store=ResultStore(path), seed=7, max_runs=25)
-        resumed = controller.explore(store=ResultStore(path), seed=7)
+        with ResultStore(path) as store:
+            partial = controller.explore(store=store, seed=7, max_runs=25)
+        with ResultStore(path) as store:
+            resumed = controller.explore(store=store, seed=7)
         full = LFIController(MiniBindTarget()).explore(seed=7)
         assert partial.selected == resumed.selected
         assert [f.key for f in resumed.unique_failures] == [f.key for f in full.unique_failures]
 
     def test_resume_with_wrong_seed_is_rejected(self, tmp_path):
         path = str(tmp_path / "bind.jsonl")
-        LFIController(MiniBindTarget()).explore(store=ResultStore(path), seed=7, max_runs=5)
-        with pytest.raises(ValueError, match="seed mismatch"):
-            LFIController(MiniBindTarget()).explore(store=ResultStore(path), seed=8)
+        with ResultStore(path) as store:
+            LFIController(MiniBindTarget()).explore(store=store, seed=7, max_runs=5)
+        with pytest.raises(ValueError, match="seed mismatch"), ResultStore(path) as store:
+            LFIController(MiniBindTarget()).explore(store=store, seed=8)
         # The mismatch is caught before anything executes: store unchanged.
         assert len(ResultStore(path)) == 5
         # The original seed still resumes cleanly.
-        resumed = LFIController(MiniBindTarget()).explore(store=ResultStore(path), seed=7)
+        with ResultStore(path) as store:
+            resumed = LFIController(MiniBindTarget()).explore(store=store, seed=7)
         assert resumed.resumed == 5 and resumed.complete
 
     def test_functions_narrow_a_precomputed_analysis(self):
@@ -498,12 +504,13 @@ class TestExplorationEngine:
                     raise RuntimeError("harness killed")
                 return super().run(request)
 
-        with pytest.raises(RuntimeError):
-            LFIController(DyingBindTarget()).explore(store=ResultStore(path), seed=7)
+        with pytest.raises(RuntimeError), ResultStore(path) as store:
+            LFIController(DyingBindTarget()).explore(store=store, seed=7)
         assert len(ResultStore(path)) == 5
 
         target = CountingBindTarget()
-        resumed = LFIController(target).explore(store=ResultStore(path), seed=7)
+        with ResultStore(path) as store:
+            resumed = LFIController(target).explore(store=store, seed=7)
         assert resumed.resumed == 5 and target.runs == resumed.selected - 5
         assert _signature(resumed) == _signature(LFIController(MiniBindTarget()).explore(seed=7))
 

@@ -460,14 +460,15 @@ class TestFaultSerialization:
         with zero re-runs."""
         path = str(tmp_path / "old.jsonl")
 
-        def fresh():
-            return ExplorationEngine(
-                MiniGitTarget(), seed=7, workload="status",
-                store=ResultStore(path),
-            )
+        def explore(**kwargs):
+            with ResultStore(path) as store:
+                engine = ExplorationEngine(
+                    MiniGitTarget(), seed=7, workload="status", store=store,
+                )
+                return engine.explore(points, **kwargs)
 
         points = enumerate_structured_space("mini_git", ["partial_write"])
-        fresh().explore(points, max_runs=3)
+        explore(max_runs=3)
 
         # Rewrite the store as an old campaign would have written it.
         stripped = []
@@ -484,7 +485,7 @@ class TestFaultSerialization:
         assert len(loaded) == 3
         assert all(r.fault_class == "errno" and r.calls == {} for r in loaded)
 
-        resumed = fresh().explore(points)
+        resumed = explore()
         assert resumed.resumed == 3 and resumed.complete
         assert resumed.executed == len(points) - 3
 

@@ -9,9 +9,13 @@ serial oracle on every backend and through the campaignd fabric, and the
 ``memo=False`` knob recovers the memo-free path exactly.
 """
 
+import collections
 import dataclasses
 import logging
 import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -32,9 +36,17 @@ from repro.core.controller.memo import (
     suffix_memo_stats,
 )
 from repro.core.controller.monitor import Outcome, OutcomeKind, RunResult
-from repro.core.controller.prefix import build_group_tasks, member_memo_key
+from repro.core.controller import prefix
+from repro.core.controller.prefix import (
+    build_group_tasks,
+    member_memo_key,
+    scenario_group_key,
+    scenario_group_key_parts,
+)
 from repro.core.exploration.engine import ExplorationEngine
+from repro.core.exploration.space import enumerate_structured_space
 from repro.core.exploration.store import ResultStore
+from repro.core.faults import FAULT_CLASSES, UNSHAREABLE_CLASSES, structured_scenario
 from repro.core.profiler.cache import (
     artifact_cache_stats,
     clear_artifact_cache,
@@ -221,6 +233,81 @@ class TestMemberMemoKey:
             is None
         )
         assert member_memo_key(target, "status", None, False, {}, False) is None
+        shared = ScenarioBuilder("shared-object")
+        shared.trigger("c", "CallCountTrigger", nth=1, peer="@lock")
+        shared.inject("read", ["c"], return_value=-1, errno="EIO")
+        assert (
+            member_memo_key(target, "status", shared.build(), False, {}, False)
+            is None
+        )
+
+    def test_unshareable_classes_are_keyed_but_never_grouped(self):
+        # Crash points, budget ramps and network faults may not join a
+        # prefix group, but their runs are deterministic: the memo keys
+        # them and the grouping view still refuses them.
+        target = MiniGitTarget()
+        for klass in sorted(UNSHAREABLE_CLASSES):
+            definition = FAULT_CLASSES[klass]
+            scenario = structured_scenario(
+                klass, definition.functions[0], params=definition.param_dicts()[0]
+            )
+            assert scenario_group_key(scenario) is None, klass
+            assert scenario_group_key_parts(scenario) is None, klass
+            key = member_memo_key(target, "status", scenario, False, {}, False)
+            assert key is not None, klass
+
+    def test_keys_separate_count_crash_parameter_and_errno(self):
+        target = MiniGitTarget()
+
+        def key(scenario):
+            return member_memo_key(target, "default-tests", scenario, False, {}, False)
+
+        def errno_scenario(errno, nth=1):
+            builder = ScenarioBuilder("errno")
+            builder.trigger("t", "CallCountTrigger", nth=nth)
+            builder.inject("read", ["t"], return_value=-1, errno=errno)
+            return builder.build()
+
+        pairs = [
+            # nth as the rank of a one-shot class
+            (structured_scenario("crash_point", "write", nth=1, params={"torn": 0}),
+             structured_scenario("crash_point", "write", nth=2, params={"torn": 0})),
+            # nth as a ramp parameter (a budget ramp is not rankable)
+            (structured_scenario("heap_exhaustion", "malloc", params={"budget": 0}),
+             structured_scenario("heap_exhaustion", "malloc", params={"budget": 4})),
+            # a crash parameter alone
+            (structured_scenario("crash_point", "write", params={"torn": 0}, name="c"),
+             structured_scenario("crash_point", "write", params={"torn": 1}, name="c")),
+            # errno alone
+            (errno_scenario("EIO"), errno_scenario("EINTR")),
+            # nth of an errno point alone
+            (errno_scenario("EIO", nth=1), errno_scenario("EIO", nth=3)),
+        ]
+        for first, second in pairs:
+            assert key(first) is not None and key(second) is not None
+            assert key(first) != key(second), (first.name, second.name)
+            # The key is a function of content, not of the object.
+            assert key(first) == key(dataclasses.replace(first))
+
+    def test_every_key_hashes(self):
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)
+        scenarios += [
+            point.scenario()
+            for point in enumerate_structured_space("mini_git", FAULT_CLASSES)
+        ]
+        # Unhashable values in fault parameters and metadata still key.
+        odd = structured_scenario("partial_write", "write", params={"fraction": [0.5]})
+        odd.metadata["notes"] = ["a", {"b": 1}]
+        scenarios.append(odd)
+        keys = [
+            member_memo_key(target, "status", scenario, False, {"requests": [1]}, False)
+            for scenario in scenarios
+        ]
+        for key in keys:
+            assert key is not None
+            hash(key)
+        assert len(set(keys)) == len(keys)
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +428,178 @@ class TestMemoizedCampaigns:
         stats = tiny.stats()
         assert stats.evictions > 0
         assert stats.current_bytes <= tiny.max_bytes
+
+
+# ----------------------------------------------------------------------
+# ungrouped deterministic runs go through the memo
+# ----------------------------------------------------------------------
+#: The structured classes that run alone (never in a prefix group) but
+#: deterministically.
+UNGROUPED_CLASSES = ("crash_point", "fd_exhaustion", "heap_exhaustion")
+
+
+def _ungrouped_sweep(tmp_path, name, **engine_kwargs):
+    """One mini_git sweep over :data:`UNGROUPED_CLASSES`; the store's bytes."""
+    points = enumerate_structured_space("mini_git", UNGROUPED_CLASSES)
+    path = tmp_path / f"{name}.jsonl"
+    with ResultStore(str(path)) as store:
+        engine = ExplorationEngine(
+            MiniGitTarget(), store=store, seed=11, workload="default-tests",
+            **engine_kwargs,
+        )
+        report = engine.explore(points)
+    assert report.executed == len(points)
+    return points, path.read_bytes()
+
+
+class TestUngroupedRunsAreMemoized:
+    def test_warm_sweep_answers_every_ungrouped_point_from_the_memo(
+        self, tmp_path, monkeypatch
+    ):
+        points, oracle = _ungrouped_sweep(
+            tmp_path, "oracle", share_prefixes=False, request_options={"memo": False}
+        )
+        assert all(scenario_group_key(point.scenario()) is None for point in points)
+        memo = SuffixMemo()
+        _, cold = _ungrouped_sweep(tmp_path, "cold", request_options={"memo": memo})
+        assert cold == oracle
+        assert memo.stats().stores == len(points)
+
+        executions = _count_executions(monkeypatch)
+        _, warm = _ungrouped_sweep(tmp_path, "warm", request_options={"memo": memo})
+        assert warm == oracle
+        assert executions["n"] == 0
+        stats = memo.stats()
+        assert (stats.hits, stats.misses) == (len(points), len(points))
+
+    def test_pooled_sweep_equals_serial(self, tmp_path):
+        clear_suffix_memo()
+        _, serial = _ungrouped_sweep(tmp_path, "serial")
+        clear_suffix_memo()
+        _, pooled = _ungrouped_sweep(tmp_path, "pooled", parallelism="processes:2")
+        clear_suffix_memo()
+        # A pool checkpoints batch by batch in completion order.
+        assert sorted(pooled.splitlines()) == sorted(serial.splitlines())
+
+    def test_shared_tasks_cover_ungrouped_entries_unshared_ones_do_not(self):
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)[:4] + [
+            point.scenario()
+            for point in enumerate_structured_space("mini_git", UNGROUPED_CLASSES)
+        ]
+        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        shared = build_group_tasks(target, "status", entries, share=True)
+        assert all(task.shared for task in shared)
+        # The ungrouped entries follow the prefix groups, one task each.
+        ungrouped = [entry for entry in entries if scenario_group_key(entry[1]) is None]
+        assert len(ungrouped) == len(scenarios) - 4
+        assert [task.entries for task in shared[-len(ungrouped):]] == [
+            [entry] for entry in ungrouped
+        ]
+        unshared = build_group_tasks(target, "status", entries, share=False)
+        assert [task.shared for task in unshared] == [False] * len(scenarios)
+        assert [task.entries for task in unshared] == [[entry] for entry in entries]
+
+
+# ----------------------------------------------------------------------
+# key parts are derived once per scenario object
+# ----------------------------------------------------------------------
+class TestKeyPartsCache:
+    @staticmethod
+    def _count_derivations(monkeypatch):
+        derived = []
+        original = prefix._scenario_group_key_parts
+
+        def counting(scenario):
+            # Holding the scenario keeps its id unique for the test.
+            derived.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(prefix, "_scenario_group_key_parts", counting)
+        return derived
+
+    def test_one_derivation_per_scenario_over_a_shared_campaign(self, monkeypatch):
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)[:24] + [
+            point.scenario()
+            for point in enumerate_structured_space("mini_git", UNGROUPED_CLASSES)
+        ]
+        derived = self._count_derivations(monkeypatch)
+        result = Campaign(target, workload="default-tests").run(
+            scenarios, seed=3, include_baseline=False, memo=SuffixMemo()
+        )
+        assert len(result.outcomes) == len(scenarios)
+        counts = collections.Counter(map(id, derived))
+        assert set(counts) == set(map(id, scenarios))
+        assert set(counts.values()) == {1}
+
+    def test_entries_die_with_their_scenario(self):
+        scenario = structured_scenario("crash_point", "write", params={"torn": 0})
+        key = id(scenario)
+        assert prefix._key_parts(scenario) is not None
+        assert key in prefix._KEY_PARTS_CACHE
+        del scenario
+        assert key not in prefix._KEY_PARTS_CACHE
+
+    def test_an_entry_for_another_object_is_not_trusted(self, monkeypatch):
+        scenario = structured_scenario("short_read", "read", params={"fraction": 0.5})
+        other = structured_scenario("clock_skew", "time", params={"delta": 0.5})
+        monkeypatch.setitem(
+            prefix._KEY_PARTS_CACHE, id(scenario),
+            (weakref.ref(other), prefix._scenario_group_key_parts(other)),
+        )
+        assert prefix._key_parts(scenario) == prefix._scenario_group_key_parts(scenario)
+        assert prefix._KEY_PARTS_CACHE[id(scenario)][0]() is scenario
+
+    def test_concurrent_derivations_never_cross_objects(self):
+        # Threads derive key parts for short-lived scenarios while others
+        # die and free their ids: every answer must be the asking
+        # scenario's own, and no entry may outlive its scenario.
+        failures = []
+
+        def work(seed):
+            try:
+                for round_ in range(150):
+                    scenario = structured_scenario(
+                        "crash_point", "write", nth=1 + (seed + round_) % 7,
+                        params={"torn": round_ % 2},
+                    )
+                    expected = prefix._scenario_group_key_parts(scenario)
+                    for _ in range(2):
+                        if prefix._key_parts(scenario) != expected:
+                            failures.append(scenario.name)
+            except Exception as exc:  # a crashed thread fails the test
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        entries = list(prefix._KEY_PARTS_CACHE.values())
+        assert all(ref() is not None for ref, _ in entries)
+
+    def test_stand_ins_without_weak_references_are_derived_each_time(self, monkeypatch):
+        class SlottedScenario:
+            __slots__ = ("name", "triggers", "plans", "metadata")
+
+        source = structured_scenario("partial_write", "write", params={"fraction": 0.5})
+        stand_in = SlottedScenario()
+        for name in SlottedScenario.__slots__:
+            setattr(stand_in, name, getattr(source, name))
+        derived = self._count_derivations(monkeypatch)
+        first = scenario_group_key_parts(stand_in)
+        assert first == scenario_group_key_parts(source)
+        assert scenario_group_key_parts(stand_in) == first
+        assert derived.count(stand_in) == 2
+        assert id(stand_in) not in prefix._KEY_PARTS_CACHE
 
 
 # ----------------------------------------------------------------------
