@@ -4,8 +4,10 @@
 Boots a real ``repro-campaignd`` coordinator and two worker processes on
 localhost (one running its leases on a ``processes:2`` pool, one serial),
 runs a small mini_git exploration through ``repro-campaign`` — the pooled
-worker starts first and must take a lease before the serial one joins —
-then proves
+worker starts first and must take a lease before the serial one joins;
+on the static spec the pooled worker is then paused (``SIGSTOP``), holding
+whatever lease it has, until the serial worker has taken a lease of its
+own, so both store records — then proves
 crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
@@ -32,14 +34,15 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 
-SPEC_ARGS = [
-    "--target", "mini_git", "--workload", "status", "--seed", "7",
-    "--functions", "close,malloc",
-]
-#: (name, extra submit arguments) of every spec the smoke runs.
+SPEC_ARGS = ["--target", "mini_git", "--workload", "status", "--seed", "7"]
+#: (name, extra submit arguments, whether both workers must take leases in
+#: phase 1) of every spec the smoke runs.  The static spec leases the whole
+#: checked ``status`` space (104 points) one point at a time, so the pooled
+#: worker is still draining it when it is paused.
 SPECS = [
-    ("static", []),
-    ("coverage", ["--strategy", "coverage:round=4,patience=1"]),
+    ("static", ["--include-checked", "--shard-size", "1"], True),
+    ("coverage", ["--functions", "close,malloc",
+                  "--strategy", "coverage:round=4,patience=1"], False),
 ]
 
 
@@ -93,7 +96,7 @@ def wait_until(condition, what: str, timeout: float = 300.0):
         time.sleep(0.1)
 
 
-def smoke(name: str, extra_args: list, log_dir: str) -> None:
+def smoke(name: str, extra_args: list, mixed: bool, log_dir: str) -> None:
     """Run, kill, tear and resume one spec's campaign."""
     spec_args = SPEC_ARGS + extra_args
     store = os.path.abspath(os.path.join(log_dir, f"{name}-store.jsonl"))
@@ -114,8 +117,10 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
         # ------------------------------------------------------------------
         # Phase 1: coordinator + 2 workers, full campaign through the CLI.
         # The pooled worker starts alone and must take a lease before the
-        # serial one joins, so phase 1 certainly stores pooled records;
-        # phase 2 re-runs half of them on a serial worker, and the
+        # serial one joins, so phase 1 certainly stores pooled records; on
+        # a *mixed* spec the serial worker joins while the pooled one holds
+        # a lease and takes leases of its own, so phase 1 stores records of
+        # both.  Phase 2 re-runs half of them on a serial worker, and the
         # identical-results check compares the two.
         log(f"[{name}] phase 1: boot coordinator + 2 workers, run the campaign")
         coordinator = start(coordinator_cmd(),
@@ -123,12 +128,14 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
         processes.append(coordinator)
         port = wait_for_port(port_file)
 
-        def start_worker(worker_id: str, *extra: str) -> None:
-            processes.append(start(
+        def start_worker(worker_id: str, *extra: str) -> subprocess.Popen:
+            process = start(
                 ["repro.cli.campaignd", "worker", "--port", str(port),
                  "--poll-interval", "0.05", "--worker-id", worker_id, *extra],
                 os.path.join(log_dir, f"{worker_id}.log"),
-            ))
+            )
+            processes.append(process)
+            return process
 
         def status() -> dict:
             (payload,) = campaign(port, "status", campaign_id)
@@ -138,19 +145,36 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
             payload = status()
             return None if payload["state"] == "running" else payload
 
+        def serial_joined():
+            payload = status()
+            if serial_id in payload["workers_seen"] or payload["state"] != "running":
+                return payload
+            return None
+
         pooled_id, serial_id = f"{name}-worker-pooled", f"{name}-worker-serial"
-        start_worker(pooled_id, "--parallelism", "processes:2")
+        pooled = start_worker(pooled_id, "--parallelism", "processes:2")
         (submitted,) = campaign(port, "submit", *spec_args, "--store", store)
         assert submitted["resumed"] == 0, submitted
         campaign_id = submitted["campaign_id"]
         wait_until(lambda: pooled_id in status()["workers_seen"],
                    "the pooled worker's first lease")
+        if mixed:
+            # The campaign cannot drain while the pooled worker is paused,
+            # so the serial worker joins a running campaign.
+            pooled.send_signal(signal.SIGSTOP)
         start_worker(serial_id)
+        if mixed:
+            try:
+                wait_until(serial_joined, "the serial worker's first lease")
+            finally:
+                pooled.send_signal(signal.SIGCONT)
         final = wait_until(finished, "the campaign to finish")
         total = final["total"]
         assert final["state"] == "complete", final
         assert final["completed"] == total, final
         assert pooled_id in final["workers_seen"], final
+        if mixed:
+            assert serial_id in final["workers_seen"], final
         log(f"[{name}] phase 1 complete: {total} points, "
             f"workers seen: {final['workers_seen']}")
 
@@ -187,7 +211,7 @@ def smoke(name: str, extra_args: list, log_dir: str) -> None:
 
         submitted, final = campaign(
             port, "submit", *spec_args, "--store", store, "--wait")
-        if extra_args:
+        if "--strategy" in extra_args:
             # Stored records past the first incomplete round count only
             # once the planner reaches their round, after the submit.
             assert submitted["resumed"] <= keep, submitted
@@ -218,8 +242,8 @@ def main() -> int:
     parser.add_argument("--log-dir", default="campaignd-logs")
     options = parser.parse_args()
     os.makedirs(options.log_dir, exist_ok=True)
-    for name, extra_args in SPECS:
-        smoke(name, extra_args, options.log_dir)
+    for name, extra_args, mixed in SPECS:
+        smoke(name, extra_args, mixed, options.log_dir)
     return 0
 
 

@@ -70,8 +70,11 @@ Knobs and subsystems worth knowing about:
   mid-run captures, and suffixes that never read ``errno`` (a libc
   errno-read counter proves it) collapse errno-only variants into patched
   replicas of one run.  The mini_apache
-  server world forks by capture/restore.  Every run publishes its final
-  OS in ``stats["os"]`` as a detached, lazily hydrated ``LazyOSClone``.
+  server world forks by capture/restore.  A run's result is an immutable
+  value, shared rather than copied by replicated members and the suffix
+  memo; campaign runs publish their final OS in ``stats["os"]`` as a
+  ``LazyOSClone`` (one immutable blob, hydrated on first access), while
+  ``explore()`` runs skip capturing it.
   Bit-identity across serial/threads/processes schedules is enforced by
   ``tests/test_prefix_parallel.py`` and ``tests/test_dataplane.py``, and
   ``e2ebench/`` measures the pooled path end to end.  See the "Execution

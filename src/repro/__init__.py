@@ -161,10 +161,14 @@ the differential suite holds it to:
    (boot scope, engine, libc-spec fingerprint); requests restore boot
    state in O(dirty words).  The default boot scope is the shared
    fixture prefix, so every workload of a target reuses one boot+fixture
-   capture.  Every run publishes its final OS as a detached
-   :class:`~repro.oslib.os_model.LazyOSClone`, held equal to the
-   ``snapshots=False`` session's own OS.  Knobs: ``snapshots=`` /
-   ``REPRO_SNAPSHOTS``.
+   capture.  A run's result is one immutable value from ``finalize_run``
+   on (frozen outcome, log records and stats), shared — never copied — by
+   replicated group members, the suffix memo and the pool's result pipe.
+   Campaigns and direct ``target.run`` callers get the final OS in
+   ``stats["os"]``, a :class:`~repro.oslib.os_model.LazyOSClone` (one
+   immutable blob, hydrated on first access) held equal to the
+   ``snapshots=False`` path's; explorations, and so fabric leases, skip
+   capturing it.  Knobs: ``snapshots=`` / ``REPRO_SNAPSHOTS``.
 3. **Prefix trees** (:mod:`repro.core.controller.prefix`) — scenario
    groups run their common pre-trigger prefix once; siblings resume from
    mid-run captures.  Entries that cannot share a prefix run alone, as
@@ -197,8 +201,10 @@ the oracle.
 pipeline, :mod:`repro.core.controller.memo` never pays for an
 already-probed fault point twice: a process-wide LRU byte-budget cache
 maps memo keys — capture fingerprint, fault class and values, errno,
-metadata, and every behaviour-relevant execution knob — to pickled
-results for every deterministic run, prefix-group members and the
+metadata, and every behaviour-relevant execution knob — to the
+immutable results themselves (a hit is the stored value; each entry is
+charged a size computed from the value) for every deterministic run,
+prefix-group members and the
 ungrouped crash points and budget ramps alike, so re-sweeps, resumed
 campaigns, and overlapping specs on a long-lived fabric worker answer
 from the memo instead of re-executing the run (``memo=`` /

@@ -111,7 +111,9 @@ class GroupTask:
     :func:`run_requests`).  ``entries`` carries the members' original
     submission indices (with per-run seeds already derived), which is what
     keeps pooled results reassemblable into submission order and
-    bit-identical to serial ones.
+    bit-identical to serial ones.  ``memo_context`` is the memo context
+    :func:`~repro.core.controller.prefix.build_group_tasks` derived once
+    for every task of its call (``None``: the memo is off).
     """
 
     index: int
@@ -122,6 +124,8 @@ class GroupTask:
     options: Dict[str, Any] = field(default_factory=dict)
     observe_only: bool = False
     shared: bool = True
+    publish_os: bool = True
+    memo_context: Optional[tuple] = None
 
 
 def execute_group(task: GroupTask) -> Dict[int, RunResult]:
@@ -140,6 +144,7 @@ def execute_group(task: GroupTask) -> Dict[int, RunResult]:
             index: plain_run(
                 task.target, task.workload, scenario, seed,
                 task.collect_coverage, task.options, observe_only=task.observe_only,
+                publish_os=task.publish_os,
             )
             for index, scenario, seed in task.entries
         }
@@ -148,8 +153,10 @@ def execute_group(task: GroupTask) -> Dict[int, RunResult]:
         task.workload,
         task.entries,
         collect_coverage=task.collect_coverage,
-        options=dict(task.options),
+        options=task.options,
         observe_only=task.observe_only,
+        publish_os=task.publish_os,
+        memo_context=task.memo_context,
     )
 
 
@@ -613,6 +620,7 @@ def run_requests(
             options=dict(request.options),
             observe_only=request.observe_only,
             shared=False,
+            publish_os=request.publish_os,
         )
         for index, request in enumerate(requests)
     ]

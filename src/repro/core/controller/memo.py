@@ -16,11 +16,15 @@ fresh run.
 This module is that store: a process-wide LRU cache mapping *memo keys*
 (built by :func:`~repro.core.controller.prefix.member_memo_key` from the
 scenario's trigger and plan fingerprint, its fault values and metadata,
-and every behaviour-relevant execution knob) to pickled result blobs,
-unpickled per hit so every consumer gets a detached copy.  The cache is
-bounded by a byte budget — an entry costs exactly its pickled length, the
-same bytes a result pays to cross a process pool — and evicts least
-recently used entries first.
+and every behaviour-relevant execution knob) to the results themselves.
+A :class:`~repro.core.controller.monitor.RunResult` is an immutable
+value, so the memo stores and returns it as is — no serialization on
+insert, no copy per hit — and every hit of one key is the same object.
+The cache is bounded by a byte budget: an entry is charged
+:func:`entry_size`, a deterministic size computed from the value (a
+result's :attr:`~repro.core.controller.monitor.RunResult.nbytes`, which
+counts a published OS as its blob), and least recently used entries are
+evicted first.
 
 Knobs:
 
@@ -55,15 +59,12 @@ own insertions stay in the child (same story as the artifact cache).
 
 from __future__ import annotations
 
-import logging
 import os
-import pickle
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
-
-logger = logging.getLogger(__name__)
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 #: Default byte budget for the process-wide memo.
 DEFAULT_MEMO_BYTES = 64 * 1024 * 1024
@@ -91,6 +92,20 @@ def default_memo_bytes() -> int:
     return int(raw)
 
 
+def entry_size(value: Any) -> int:
+    """The bytes a memo entry holding *value* is charged.
+
+    The value's own ``nbytes`` when it has one (every
+    :class:`~repro.core.controller.monitor.RunResult` does), else
+    ``sys.getsizeof`` — deterministic either way, and computed without
+    serializing anything.
+    """
+    nbytes = getattr(value, "nbytes", None)
+    if isinstance(nbytes, int):
+        return nbytes
+    return sys.getsizeof(value)
+
+
 @dataclass
 class MemoStats:
     """Observable counters of one :class:`SuffixMemo` (stats surfacing)."""
@@ -108,19 +123,17 @@ class MemoStats:
 class SuffixMemo:
     """LRU result cache with a byte budget (thread-safe).
 
-    Values are **pickled on insert and unpickled per hit**: every consumer
-    gets a detached copy by construction — no caller-side deep copies, no
-    mutable state shared between a cached result and anything downstream.
-    Unpickling a few-KB result is also several times cheaper than the deep
-    copy it replaces, which is what keeps warm re-sweeps fast, and the
-    byte accounting is exact (the blob *is* the entry) rather than an
-    estimate.
+    Values are **stored and returned as they are**: the memo holds
+    immutable results, so a hit hands out the stored value itself, not a
+    copy.  Each entry is charged :func:`entry_size` of its value against
+    ``max_bytes``.
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
         self.max_bytes = default_memo_bytes() if max_bytes is None else max(0, int(max_bytes))
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()  # key -> pickled result
+        #: key -> (value, charged bytes), least recently used first.
+        self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -133,52 +146,36 @@ class SuffixMemo:
             return len(self._entries)
 
     def lookup(self, key: Hashable) -> Optional[Any]:
-        """A detached copy of the cached result for *key* (refreshing its
-        recency), or None."""
+        """The cached value for *key* (refreshing its recency), or None."""
         with self._lock:
-            blob = self._entries.get(key)
-            if blob is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        # Unpickle outside the lock: the copy is private to this caller.
-        return pickle.loads(blob)
+            return entry[0]
 
-    def store(self, key: Hashable, result: Any) -> bool:
-        """Insert *result* under *key*; False when it cannot be cached.
+    def store(self, key: Hashable, value: Any) -> bool:
+        """Insert *value* under *key*; False when it cannot be cached.
 
-        The entry is the pickled result — what the result costs to ship
-        across a pool boundary, and exactly what the cache pins in memory.
-        Unpicklable results (exotic stats payloads) are rejected rather
-        than guessed at, with a warning naming the exception, and a single
-        result larger than the whole budget is rejected (a counted policy,
-        no warning) instead of evicting everything else.
+        A single value larger than the whole budget is rejected (a counted
+        policy) instead of evicting everything else.
         """
-        try:
-            blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            logger.warning(
-                "suffix memo: not caching an unpicklable result (%s: %s)",
-                type(exc).__name__, exc,
-            )
-            with self._lock:
-                self._rejected += 1
-            return False
-        size = len(blob)
+        size = entry_size(value)
         with self._lock:
             if size > self.max_bytes:
                 self._rejected += 1
                 return False
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self._bytes -= len(previous)
-            self._entries[key] = blob
+                self._bytes -= previous[1]
+            self._entries[key] = (value, size)
             self._bytes += size
             self._stores += 1
             while self._bytes > self.max_bytes and self._entries:
-                _old_key, old_blob = self._entries.popitem(last=False)
-                self._bytes -= len(old_blob)
+                _old_key, (_old_value, old_size) = self._entries.popitem(last=False)
+                self._bytes -= old_size
                 self._evictions += 1
             return True
 
@@ -251,6 +248,7 @@ __all__ = [
     "MemoStats",
     "SuffixMemo",
     "clear_suffix_memo",
+    "entry_size",
     "default_memo_enabled",
     "default_memo_bytes",
     "resolve_memo",

@@ -10,10 +10,12 @@ Python-level simulated servers — and both funnel into the same
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
-from repro.core.injection.log import InjectionLog
+from repro.common.frozen import FrozenMap
+from repro.core.injection.log import FrozenInjectionLog, InjectionLog
 from repro.oslib.errors import MemoryFault, MutexAbort, OSFault, SimExit, WorldCrash
 from repro.vm.outcome import ExitKind, ExitStatus
 
@@ -39,9 +41,9 @@ class OutcomeKind(enum.Enum):
         return self in (OutcomeKind.CRASH, OutcomeKind.ABORT, OutcomeKind.DATA_LOSS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Outcome:
-    """Classification of one program run."""
+    """Classification of one program run (immutable)."""
 
     kind: OutcomeKind
     detail: str = ""
@@ -67,25 +69,75 @@ class Outcome:
         return self.kind.is_high_impact
 
 
-@dataclass
-class RunResult:
-    """Everything a campaign records about one workload run.
+#: What :attr:`RunResult.nbytes` charges, in bytes: a result's own objects
+#: (result, outcome, log, stats map and call-count map), one log record,
+#: one stack frame of a record, and one stats or call-count entry.
+#: Measured with ``tracemalloc`` on CPython 3.11.  Members that replicate
+#: a probe share its result, so a memo holding several of them holds less
+#: than it is charged: the budget stays an upper bound.
+RESULT_BYTES = 500
+RECORD_BYTES = 300
+FRAME_BYTES = 160
+ENTRY_BYTES = 56
 
-    ``stats["os"]`` holds the run's published post-run OS: the session's
-    own :class:`~repro.oslib.os_model.SimOS` on the plain fresh path, and a
-    detached :class:`~repro.oslib.os_model.LazyOSClone` of its captured
-    state on every snapshot-backed or prefix-shared run.  The clone
-    hydrates transparently on first attribute access, so consumers read
-    ``stats["os"].stdout_text()`` etc. without caring which one they got.
+
+@dataclass(frozen=True)
+class RunResult:
+    """Everything a campaign records about one workload run: a value.
+
+    The outcome, the log (a :class:`FrozenInjectionLog`) and the stats (a
+    :class:`FrozenMap`) are immutable, so the suffix memo, a pool's result
+    pipe, a replicated group member and the caller can all hold the same
+    result without copying it.  Constructing a result freezes what it is
+    given: a live :class:`InjectionLog` and a plain ``dict`` of stats.
+
+    ``stats["os"]`` holds the run's published post-run OS — a
+    :class:`~repro.oslib.os_model.LazyOSClone`, one immutable blob of the
+    OS state that hydrates on first attribute access — but only when the
+    run was asked to publish it (``WorkloadRequest.publish_os``, on for
+    :class:`~repro.core.controller.campaign.TestCampaign` and direct
+    ``target.run`` callers).  Explorations, and so fabric leases, ask for
+    none.  The hydrated OS is shared read-only by every holder of the
+    result; ``stats["os"].clone()`` is a private copy to mutate.
     """
 
     outcome: Outcome
-    log: Optional[InjectionLog] = None
-    stats: Dict[str, Any] = field(default_factory=dict)
+    log: Optional[FrozenInjectionLog] = None
+    stats: FrozenMap = field(default_factory=FrozenMap)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.log, InjectionLog):
+            object.__setattr__(self, "log", self.log.freeze())
+        if not isinstance(self.stats, FrozenMap):
+            object.__setattr__(self, "stats", FrozenMap(self.stats))
 
     @property
     def injections(self) -> int:
         return self.log.injection_count if self.log is not None else 0
+
+    @property
+    def nbytes(self) -> int:
+        """A deterministic estimate of the memory this result holds.
+
+        Computed from the value's shape — records, stack frames, stats
+        and call-count entries, string lengths, and the ``nbytes`` of a
+        stats value that has one (a published OS blob, frozen coverage) —
+        never by serializing it.  The suffix memo charges it against its
+        byte budget.
+        """
+        outcome = self.outcome
+        size = RESULT_BYTES + len(outcome.detail) + len(outcome.location)
+        if self.log is not None:
+            for record in self.log.records:
+                size += RECORD_BYTES + FRAME_BYTES * len(record.stack)
+        for value in self.stats.values():
+            nbytes = getattr(value, "nbytes", None)
+            if isinstance(nbytes, int):
+                size += nbytes
+            elif isinstance(value, Mapping):
+                size += ENTRY_BYTES * len(value)
+            size += ENTRY_BYTES
+        return size
 
 
 # ----------------------------------------------------------------------

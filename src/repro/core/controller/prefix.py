@@ -31,13 +31,15 @@ This module eliminates that redundancy at the schedule level:
    *nested* capture serves their own rank — each tree level pays only the
    suffix between divergence points.
 3. **Replication** — if the probe's trigger never fires, no member's fault
-   can ever be injected either (ranks fire monotonically later), so the
-   probe's result is replicated for the whole group (with per-member
-   log/coverage copies).  Additionally, when an injected run's suffix
+   can ever be injected either (ranks fire monotonically later), so every
+   member's result *is* the probe's: results are immutable values
+   (:class:`~repro.core.controller.monitor.RunResult`), so members share
+   it instead of copying it.  Additionally, when an injected run's suffix
    never reads ``errno`` (detected via the libc errno-read counter),
    members differing from it only in the injected errno are **suffix
-   replicas**: their results are the source's with the logged fault errno
-   patched, bit-identical to running them.
+   replicas**: their results are the source's with its one injected log
+   record replaced by one carrying the member's errno, bit-identical to
+   running them.
 
 Soundness rests on determinism: only scenarios built solely from
 deterministic trigger classes (:data:`SAFE_TRIGGER_CLASSES` — no random
@@ -65,7 +67,6 @@ bit-identical to unshared ones, serial and pooled.
 
 from __future__ import annotations
 
-import copy
 import functools
 import weakref
 from dataclasses import replace
@@ -80,7 +81,6 @@ from repro.core.controller.monitor import (
 from repro.core.controller.target import TargetAdapter, WorkloadRequest, make_gate
 from repro.core.faults import UNSHAREABLE_CLASSES, apply_fault_on_machine
 from repro.core.controller.memo import resolve_memo
-from repro.core.injection.log import InjectionLog
 from repro.core.scenario.model import Scenario
 from repro.coverage.tracker import CoverageTracker
 from repro.vm.dispatch import R0_SLOT
@@ -314,6 +314,7 @@ def build_group_tasks(
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
     share: bool = True,
+    publish_os: bool = True,
 ) -> List["GroupTask"]:
     """Turn schedule entries into backend-ready tasks.
 
@@ -327,12 +328,23 @@ def build_group_tasks(
     *share* every entry is an unshared singleton, in submission order: the
     per-scenario oracle, which never reaches the suffix memo or
     :func:`run_entry_group`.
+
+    The memo context — everything in a memo key but the member's own
+    scenario — is the same for every task one call emits, so it is
+    derived here, once, and carried on each task (``None`` when the memo
+    is off or the target is not deterministic).
     """
     from repro.core.controller.executor import GroupTask
 
+    options = dict(options or {})
+    context: Optional[tuple] = None
     if share:
         groups, ungrouped = partition_entries(entries)
         units = groups + [[entry] for entry in ungrouped]
+        if resolve_memo(options) is not None:
+            context = _memo_context(
+                target, workload, collect_coverage, options, observe_only, publish_os
+            )
     else:
         units = [[entry] for entry in entries]
     return [
@@ -342,9 +354,11 @@ def build_group_tasks(
             workload=workload,
             entries=members,
             collect_coverage=collect_coverage,
-            options=dict(options or {}),
+            options=options,
             observe_only=observe_only,
             shared=share,
+            publish_os=publish_os,
+            memo_context=context,
         )
         for task_index, members in enumerate(units)
     ]
@@ -401,14 +415,16 @@ def _memo_context(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool,
+    publish_os: bool,
 ) -> Optional[tuple]:
     """The member-invariant part of a memo key, or ``None`` (uncacheable).
 
-    Everything here is constant across one group's members — target and
-    binary identity, workload, resolved engine/snapshot knobs, the libc
-    spec fingerprint, and the conservative fold of unknown request
-    options — so callers executing a whole group compute it once instead
-    of per member (the fingerprint alone is a table scan).
+    Everything here is constant across one pipeline call's members —
+    target and binary identity, workload, resolved engine/snapshot knobs,
+    the libc spec fingerprint, whether runs collect coverage or publish
+    their OS, and the conservative fold of unknown request options — so
+    :func:`build_group_tasks` computes it once per call instead of per
+    task (the fingerprint alone is a table scan).
     """
     if not sharing_supported(target):
         return None
@@ -441,6 +457,7 @@ def _memo_context(
         libc_spec_fingerprint(),
         bool(collect_coverage),
         bool(observe_only),
+        bool(publish_os),
         extra,
     )
 
@@ -481,6 +498,7 @@ def member_memo_key(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool,
+    publish_os: bool = True,
 ) -> Optional[tuple]:
     """The suffix-memo key of one run, or ``None`` (uncacheable).
 
@@ -499,7 +517,9 @@ def member_memo_key(
     *other* request option is folded in conservatively by repr.  The
     per-run seed stays out: safe triggers never read it.
     """
-    context = _memo_context(target, workload, collect_coverage, options, observe_only)
+    context = _memo_context(
+        target, workload, collect_coverage, options, observe_only, publish_os
+    )
     if context is None:
         return None
     return _member_key(context, scenario)
@@ -523,6 +543,7 @@ def plain_run(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool = False,
+    publish_os: bool = True,
 ) -> RunResult:
     """One run on the plain per-scenario path: a single ``target.run``,
     with no memo and no prefix machinery (an unshared task's run)."""
@@ -532,40 +553,9 @@ def plain_run(
             scenario=scenario,
             observe_only=observe_only,
             collect_coverage=collect_coverage,
+            publish_os=publish_os,
             options=seeded_options(options, seed),
         )
-    )
-
-
-def _clone_log(log: Optional[InjectionLog]) -> Optional[InjectionLog]:
-    if log is None:
-        return None
-    clone = InjectionLog(record_passthrough=log.record_passthrough)
-    clone.records = copy.deepcopy(log.records)
-    clone.injection_count = log.injection_count
-    clone.passthrough_count = log.passthrough_count
-    clone._next_index = log._next_index
-    return clone
-
-
-def replicate_result(result: RunResult) -> RunResult:
-    """A per-member copy of a replicated probe result.
-
-    The outcome and log are copied so group members never share mutable
-    state; a coverage tracker in the stats is cloned for the same reason.
-    Other stats values (the published OS among them) are identical final
-    states and may be shared read-only.
-    """
-    stats = dict(result.stats)
-    coverage = stats.get("coverage")
-    if coverage is not None and hasattr(coverage, "capture_state"):
-        clone = type(coverage)()
-        clone.restore_state(coverage.capture_state())
-        stats["coverage"] = clone
-    return RunResult(
-        outcome=replace(result.outcome),
-        log=_clone_log(result.log),
-        stats=stats,
     )
 
 
@@ -607,32 +597,40 @@ def patch_replica_errno(
 
     Only valid when the source's suffix never read errno (the caller checks
     the libc errno-read counter): the runs are then instruction-identical
-    and differ solely in the errno recorded for the injected fault.
-    Returns ``None`` when the log shape does not allow an unambiguous patch
-    (no injection, several injections, or no matching plan fault).
+    and differ solely in the errno recorded for the injected fault, so the
+    replica is the source's result with that one record replaced — every
+    other part of the value is shared.  Returns ``None`` when the log shape
+    does not allow an unambiguous patch (no injection, several injections,
+    or no matching plan fault).
     """
     positions = errno_sibling_positions(source, member)
     if positions is None:
         return None
+    log = source_result.log
+    records = log.records if log is not None else ()
     injected = [
-        record for record in (source_result.log.records if source_result.log else [])
+        position for position, record in enumerate(records)
         if record.injected and record.fault is not None
     ]
     if len(injected) != 1:
         return None
-    record_fault = injected[0].fault
+    position = injected[0]
+    record = records[position]
     matches = [
-        index for index in positions if source.plans[index].fault == record_fault
+        index for index in positions if source.plans[index].fault == record.fault
     ]
     if positions and len(matches) != 1:
         return None
-    clone = replicate_result(source_result)
-    if matches:
-        member_fault = member.plans[matches[0]].fault
-        for record in clone.log.records:
-            if record.injected and record.fault == record_fault:
-                record.fault = replace(record.fault, errno=member_fault.errno)
-    return clone
+    if not matches:
+        return source_result
+    member_fault = member.plans[matches[0]].fault
+    patched = replace(record, fault=replace(record.fault, errno=member_fault.errno))
+    return replace(
+        source_result,
+        log=replace(
+            log, records=records[:position] + (patched,) + records[position + 1:]
+        ),
+    )
 
 
 def _errno_read_counter(libc: Any) -> Optional[int]:
@@ -741,11 +739,11 @@ def _install_capture_observers(
             "node": ctx.node,
             "module": ctx.module,
             "source": str(ctx.source) if ctx.source else "",
-            "stack": list(ctx.stack),
+            "stack": tuple(ctx.stack),
             "sim_time": getattr(clock, "now", 0.0) if clock is not None else 0.0,
-            "fired": list(decision.fired_triggers),
+            "fired": tuple(decision.fired_triggers),
             "plan_index": plan_index,
-            "prior_outcome": replace(step_ref["outcome"]),
+            "prior_outcome": step_ref["outcome"],
             "pre_call_gate": pre["state"],
         }
 
@@ -774,7 +772,7 @@ def _make_step_tracker(gate: Any) -> Tuple[Dict[str, Any], Any]:
         if gate.injected_calls or gate.observed_injections:
             track["locked"] = True
             return
-        track["outcome"] = replace(outcome)
+        track["outcome"] = outcome
 
     return track, hook
 
@@ -792,7 +790,7 @@ def _complete_member_run(
 ) -> RunResult:
     """Classify a resumed step's exit and run the remaining plan steps."""
     steps_run = step_index + 1
-    outcome = replace(prior_outcome)
+    outcome = prior_outcome
     step_outcome = classify_exit_status(status)
     if step_outcome.kind in (OutcomeKind.CRASH, OutcomeKind.ABORT, OutcomeKind.HANG):
         outcome = step_outcome
@@ -849,8 +847,8 @@ def _resume_member_mid(
         node=record["node"],
         module=record["module"],
         fault=fault,
-        trigger_ids=list(record["fired"]),
-        stack=list(record["stack"]),
+        trigger_ids=record["fired"],
+        stack=record["stack"],
         source=record["source"],
         sim_time=record["sim_time"],
     )
@@ -908,7 +906,7 @@ def _resume_member_passthrough(
 
     step_ref, hook = _make_step_tracker(gate)
     step_ref["index"] = record["step"]
-    step_ref["outcome"] = replace(record["prior_outcome"])
+    step_ref["outcome"] = record["prior_outcome"]
     nested = _install_capture_observers(
         session, gate, scenario, step_ref, want_pre_call=True
     )
@@ -929,6 +927,7 @@ def _run_group_with_sessions(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool = False,
+    publish_os: bool = True,
 ) -> Dict[int, RunResult]:
     """Prefix-tree execution for session-capable (compiled) targets.
 
@@ -952,8 +951,8 @@ def _run_group_with_sessions(
         workload,
         engine=engine,
         snapshots=None if snapshots is None else bool(snapshots),
+        publish_os=publish_os,
     )
-    session.shared = True
     try:
         probe_gate = make_gate(
             probe_scenario,
@@ -988,7 +987,7 @@ def _run_group_with_sessions(
                 return
             boundary["state"] = {
                 "index": index,
-                "outcome": replace(outcome),
+                "outcome": outcome,
                 "os": session.capture_os_boundary(),
                 "gate": gate_state,
                 "coverage": (
@@ -1014,9 +1013,10 @@ def _run_group_with_sessions(
             # No fault was ever applied — either the shared trigger never
             # agreed, or the gate observes without injecting.  Ranks only
             # fire later than the probe's, so no member's fault can apply
-            # either and all runs are identical — replicate the probe.
+            # either and all runs are identical: every member's result is
+            # the probe's value.
             for index, _scenario, _seed in members[1:]:
-                results[index] = replicate_result(results[probe_index])
+                results[index] = results[probe_index]
             return results
 
         # The active divergence point: the capture, its record, the rank it
@@ -1057,7 +1057,7 @@ def _run_group_with_sessions(
 
         for position, (index, scenario, seed) in enumerate(members[1:], start=1):
             if dead:
-                results[index] = replicate_result(results[active["source_index"]])
+                results[index] = results[active["source_index"]]
                 continue
             if active["capture"] is None:
                 # No instruction-level capture: resume from the last full
@@ -1069,7 +1069,7 @@ def _run_group_with_sessions(
                 if state is None:
                     results[index] = plain_run(
                         target, workload, scenario, seed, collect_coverage,
-                        options, observe_only=observe_only,
+                        options, observe_only=observe_only, publish_os=publish_os,
                     )
                     continue
                 gate = make_gate(
@@ -1086,7 +1086,7 @@ def _run_group_with_sessions(
                 member_outcome, member_steps = target.execute_plan(
                     session, plan, gate, coverage,
                     start_index=state["index"],
-                    outcome=replace(state["outcome"]),
+                    outcome=state["outcome"],
                 )
                 results[index] = target.finalize_run(
                     session, gate, coverage, member_outcome, member_steps
@@ -1124,7 +1124,7 @@ def _run_group_with_sessions(
             if active["record"]["pre_call_gate"] is None:
                 results[index] = plain_run(
                     target, workload, scenario, seed, collect_coverage,
-                    options, observe_only=observe_only,
+                    options, observe_only=observe_only, publish_os=publish_os,
                 )
                 continue
             result, nested = _resume_member_passthrough(
@@ -1165,28 +1165,30 @@ def _run_group_replicating(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool = False,
+    publish_os: bool = True,
 ) -> Dict[int, RunResult]:
     """Probe + replication for Python-level targets (no session API).
 
     Runs whose shared trigger never fires are identical, so one probe run
-    covers the whole group; once the probe injects, the members' faulted
-    suffixes genuinely diverge and each member runs in full.
+    covers the whole group and every member's result is the probe's value;
+    once the probe injects, the members' faulted suffixes genuinely
+    diverge and each member runs in full.
     """
     results: Dict[int, RunResult] = {}
     probe_index, probe_scenario, probe_seed = members[0]
     probe = plain_run(
         target, workload, probe_scenario, probe_seed, collect_coverage, options,
-        observe_only=observe_only,
+        observe_only=observe_only, publish_os=publish_os,
     )
     results[probe_index] = probe
     if probe.injections == 0:
         for index, _scenario, _seed in members[1:]:
-            results[index] = replicate_result(probe)
+            results[index] = probe
         return results
     for index, scenario, seed in members[1:]:
         results[index] = plain_run(
             target, workload, scenario, seed, collect_coverage, options,
-            observe_only=observe_only,
+            observe_only=observe_only, publish_os=publish_os,
         )
     return results
 
@@ -1201,6 +1203,8 @@ def run_entry_group(
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
+    publish_os: bool = True,
+    memo_context: Optional[tuple] = None,
 ) -> Dict[int, RunResult]:
     """Execute one prefix group; the unit of work a shared task runs.
 
@@ -1209,49 +1213,44 @@ def run_entry_group(
     ungrouped entry is a group of one.  A single-member group runs on the
     plain per-scenario path, after its memo lookup.
 
-    Before anything executes, the suffix memo
-    (:mod:`repro.core.controller.memo`) is consulted per member: hits are
-    answered with detached copies of the stored results, and only the
-    missing members — still a rank-ordered subset of the group, which the
-    prefix-tree machinery executes bit-identically to the full group —
-    actually run.  Fresh results are stored back (detached) on the way
-    out.  ``options["memo"] = False`` bypasses the cache entirely, which
-    is the differential oracle path.
+    *memo_context* is the task's memo context (:func:`build_group_tasks`
+    derives it once per pipeline call); ``None`` bypasses the suffix memo
+    (:mod:`repro.core.controller.memo`) entirely, which is the
+    differential oracle path.  Otherwise the memo is consulted per member
+    before anything executes: a hit is the stored result itself — results
+    are immutable values, so nothing is copied — and only the missing
+    members, still a rank-ordered subset of the group that the prefix-tree
+    machinery executes bit-identically to the full group, actually run.
+    Their fresh results are stored on the way out.
     """
-    options = dict(options or {})
-    memo = resolve_memo(options)
-    context = (
-        None
-        if memo is None
-        else _memo_context(target, workload, collect_coverage, options, observe_only)
-    )
-    if memo is None or context is None:
+    options = options or {}
+    memo = resolve_memo(options) if memo_context is not None else None
+    if memo is None:
         return _run_entry_group_paths(
-            target, workload, members, collect_coverage, options, observe_only
+            target, workload, members, collect_coverage, options, observe_only,
+            publish_os,
         )
     results: Dict[int, RunResult] = {}
     misses: List[Entry] = []
     miss_keys: Dict[int, Optional[tuple]] = {}
     for entry in members:
         index, scenario, _seed = entry
-        key = _member_key(context, scenario)
+        key = _member_key(memo_context, scenario)
         if key is not None:
             hit = memo.lookup(key)
             if hit is not None:
-                # Already a detached copy: the memo unpickles per hit.
                 results[index] = hit
                 continue
         miss_keys[index] = key
         misses.append(entry)
     if misses:
         fresh = _run_entry_group_paths(
-            target, workload, misses, collect_coverage, options, observe_only
+            target, workload, misses, collect_coverage, options, observe_only,
+            publish_os,
         )
         for index, result in fresh.items():
             key = miss_keys.get(index)
             if key is not None:
-                # store() pickles: the cached blob is immune to whatever
-                # the caller does with the live result afterwards.
                 memo.store(key, result)
             results[index] = result
     return results
@@ -1264,30 +1263,32 @@ def _run_entry_group_paths(
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool = False,
+    publish_os: bool = True,
 ) -> Dict[int, RunResult]:
     if len(members) == 1:
         index, scenario, seed = members[0]
         return {
             index: plain_run(
                 target, workload, scenario, seed, collect_coverage, options,
-                observe_only=observe_only,
+                observe_only=observe_only, publish_os=publish_os,
             )
         }
     if _has_session_api(target):
         return _run_group_with_sessions(
             target, workload, members, collect_coverage, options,
-            observe_only=observe_only,
+            observe_only=observe_only, publish_os=publish_os,
         )
     if hasattr(target, "run_prefix_group"):
         # The target implements its own forkserver-style group path
-        # (e.g. state-forking a Python-level server world).
+        # (e.g. state-forking a Python-level server world); Python-level
+        # targets publish no OS.
         return target.run_prefix_group(
             workload, members, collect_coverage, options,
             observe_only=observe_only,
         )
     return _run_group_replicating(
         target, workload, members, collect_coverage, options,
-        observe_only=observe_only,
+        observe_only=observe_only, publish_os=publish_os,
     )
 
 
@@ -1300,6 +1301,7 @@ def iter_shared_runs(
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
+    publish_os: bool = True,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Run every entry on *backend*: the one execution pipeline.
 
@@ -1311,11 +1313,14 @@ def iter_shared_runs(
     task by task on the serial backend, batch by batch on a pool — so
     callers can checkpoint incrementally.  The pairs cover every entry
     exactly once, and each result is bit-identical to what the plain
-    per-scenario path produces.
+    per-scenario path produces.  ``publish_os=False`` leaves the final OS
+    out of every result's stats (explorations reduce each run to a stored
+    record and never read it).
     """
     tasks = build_group_tasks(
         target, workload, entries, collect_coverage=collect_coverage,
         options=options, observe_only=observe_only, share=share,
+        publish_os=publish_os,
     )
     for _unit, results in backend.run_group_batches_iter(tasks):
         for index in sorted(results):
@@ -1333,7 +1338,6 @@ __all__ = [
     "patch_replica_errno",
     "plain_run",
     "rearm_member_triggers",
-    "replicate_result",
     "resolve_sharing",
     "run_entry_group",
     "scenario_group_key",

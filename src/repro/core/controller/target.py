@@ -29,6 +29,10 @@ class WorkloadRequest:
     observe_only: bool = False
     #: Collect instruction coverage (compiled targets only).
     collect_coverage: bool = False
+    #: Publish the run's final OS in ``stats["os"]`` (compiled targets
+    #: only).  Campaigns and direct callers get it; explorations, which
+    #: reduce each run to a stored record, turn it off and skip the capture.
+    publish_os: bool = True
     #: Extra workload parameters (request counts, probabilities, ...).
     options: Dict[str, Any] = field(default_factory=dict)
 

@@ -351,11 +351,14 @@ class ExplorationEngine:
             parallelism if parallelism is not None else self.parallelism
         )
         try:
+            # An exploration reduces each run to a StoredResult, which
+            # never reads the final OS: runs skip capturing it.
             for index, result in iter_shared_runs(
                 self.target, self.workload, entries, backend,
                 share=resolve_sharing(self.share_prefixes, self.target),
                 collect_coverage=self.collects_coverage,
                 options=dict(self.request_options),
+                publish_os=False,
             ):
                 yield self.stored_result(
                     index,

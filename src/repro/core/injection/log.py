@@ -4,20 +4,31 @@ The LFI log records each error injection, the injected side effects
 (``errno``), and the events that triggered it — call count, stack trace —
 so that developers can match injections to observed program behaviour,
 refine scenarios, and replay failures deterministically.
+
+A gate appends to a live :class:`InjectionLog` while a run executes; when
+the run ends, :meth:`InjectionLog.freeze` turns it into the
+:class:`FrozenInjectionLog` its :class:`~repro.core.controller.monitor.RunResult`
+carries.  Records are immutable either way, so a frozen log, a gate-state
+capture and a replicated result can all hold the same record objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.frames import StackFrame, format_stack
 from repro.core.injection.faults import FaultSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class InjectionRecord:
-    """One intercepted call, injected or passed through."""
+    """One intercepted call, injected or passed through (immutable).
+
+    Sequence fields are stored as tuples whatever the caller passed, so a
+    record is a value: an errno-sibling replica is a
+    :func:`dataclasses.replace` of its one injected record.
+    """
 
     index: int
     function: str
@@ -27,10 +38,16 @@ class InjectionRecord:
     node: str = ""
     module: str = ""
     fault: Optional[FaultSpec] = None
-    trigger_ids: List[str] = field(default_factory=list)
-    stack: List[StackFrame] = field(default_factory=list)
+    trigger_ids: Tuple[str, ...] = ()
+    stack: Tuple[StackFrame, ...] = ()
     source: str = ""
     sim_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("args", "trigger_ids", "stack"):
+            value = getattr(self, name)
+            if type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
 
     def describe(self) -> str:
         action = f"inject {self.fault.describe()}" if self.injected and self.fault else "pass through"
@@ -116,14 +133,59 @@ class InjectionRecord:
             node=payload.get("node", ""),
             module=payload.get("module", ""),
             fault=fault,
-            trigger_ids=list(payload.get("triggers", [])),
-            stack=stack,
+            trigger_ids=tuple(payload.get("triggers", ())),
+            stack=tuple(stack),
             source=payload.get("source", ""),
             sim_time=float(payload.get("sim_time", 0.0)),
         )
 
 
-class InjectionLog:
+class _LogQueries:
+    """Read-only queries shared by the live and the frozen log."""
+
+    records: Sequence[InjectionRecord]
+    injection_count: int
+    passthrough_count: int
+
+    def injections(self, function: Optional[str] = None) -> List[InjectionRecord]:
+        return [
+            record
+            for record in self.records
+            if record.injected and (function is None or record.function == function)
+        ]
+
+    def last_injection(self) -> Optional[InjectionRecord]:
+        for record in reversed(self.records):
+            if record.injected:
+                return record
+        return None
+
+    def to_dicts(self) -> List[Dict[str, Any]]:
+        return [record.to_dict() for record in self.records]
+
+    def summary(self) -> str:
+        lines = [
+            f"injection log: {self.injection_count} injections, "
+            f"{self.passthrough_count} pass-throughs"
+        ]
+        for record in self.injections():
+            lines.append("  " + record.describe())
+            if record.stack:
+                for stack_line in format_stack(record.stack).splitlines():
+                    lines.append("      " + stack_line)
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class FrozenInjectionLog(_LogQueries):
+    """The injection log of one finished run: a value, never appended to."""
+
+    records: Tuple[InjectionRecord, ...] = ()
+    injection_count: int = 0
+    passthrough_count: int = 0
+
+
+class InjectionLog(_LogQueries):
     """Accumulates :class:`InjectionRecord` entries for one test run."""
 
     def __init__(self, record_passthrough: bool = False) -> None:
@@ -159,14 +221,14 @@ class InjectionLog:
         record = InjectionRecord(
             index=self._next_index,
             function=function,
-            args=tuple(args),
+            args=args,
             injected=injected,
             call_count=call_count,
             node=node,
             module=module,
             fault=fault,
-            trigger_ids=list(trigger_ids or []),
-            stack=list(stack or []),
+            trigger_ids=trigger_ids or (),
+            stack=stack or (),
             source=source,
             sim_time=sim_time,
         )
@@ -174,19 +236,11 @@ class InjectionLog:
         self.records.append(record)
         return record
 
-    # ------------------------------------------------------------------
-    def injections(self, function: Optional[str] = None) -> List[InjectionRecord]:
-        return [
-            record
-            for record in self.records
-            if record.injected and (function is None or record.function == function)
-        ]
-
-    def last_injection(self) -> Optional[InjectionRecord]:
-        for record in reversed(self.records):
-            if record.injected:
-                return record
-        return None
+    def freeze(self) -> FrozenInjectionLog:
+        """This log's records and counts as an immutable value."""
+        return FrozenInjectionLog(
+            tuple(self.records), self.injection_count, self.passthrough_count
+        )
 
     def clear(self) -> None:
         self.records.clear()
@@ -194,20 +248,5 @@ class InjectionLog:
         self.passthrough_count = 0
         self._next_index = 0
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [record.to_dict() for record in self.records]
 
-    def summary(self) -> str:
-        lines = [
-            f"injection log: {self.injection_count} injections, "
-            f"{self.passthrough_count} pass-throughs"
-        ]
-        for record in self.injections():
-            lines.append("  " + record.describe())
-            if record.stack:
-                for stack_line in format_stack(record.stack).splitlines():
-                    lines.append("      " + stack_line)
-        return "\n".join(lines)
-
-
-__all__ = ["InjectionLog", "InjectionRecord"]
+__all__ = ["FrozenInjectionLog", "InjectionLog", "InjectionRecord"]

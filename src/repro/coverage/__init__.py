@@ -6,7 +6,8 @@ analog for compiled targets:
 
 * :class:`~repro.coverage.tracker.CoverageTracker` records executed
   instruction addresses while the VM runs and maps them to source lines via
-  the binary's line table;
+  the binary's line table; a finished run's result carries its frozen
+  :class:`~repro.coverage.tracker.CoverageCounts`;
 * :mod:`repro.coverage.recovery` identifies recovery regions — the basic
   blocks guarded by checks of library-call error returns — directly from the
   binary, replacing the paper's manual identification of recovery blocks in
@@ -18,9 +19,10 @@ analog for compiled targets:
 
 from repro.coverage.recovery import RecoveryMap, identify_recovery_regions
 from repro.coverage.report import CoverageReport, compare_coverage
-from repro.coverage.tracker import CoverageTracker
+from repro.coverage.tracker import CoverageCounts, CoverageTracker
 
 __all__ = [
+    "CoverageCounts",
     "CoverageReport",
     "CoverageTracker",
     "RecoveryMap",

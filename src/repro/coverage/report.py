@@ -4,10 +4,10 @@ BEACON-style per-target usage profile built from campaign traces."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.coverage.recovery import RecoveryMap
-from repro.coverage.tracker import CoverageTracker
+from repro.coverage.tracker import CoverageCounts, CoverageTracker
 from repro.isa.binary import BinaryImage
 
 Line = Tuple[str, int]
@@ -44,7 +44,7 @@ class CoverageReport:
 
 def build_report(
     binary: BinaryImage,
-    tracker: CoverageTracker,
+    tracker: Union[CoverageTracker, CoverageCounts],
     recovery: RecoveryMap,
     configuration: str,
 ) -> CoverageReport:

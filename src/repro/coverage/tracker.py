@@ -6,12 +6,18 @@ instruction address — one bounds check plus one increment per step — and
 only materializes the address *set* lazily when a query asks for it.
 Addresses the dense array should not cover (negative, or far beyond any
 code segment) fall back to a sparse dict.
+
+A finished run publishes :meth:`CoverageTracker.freeze`, a
+:class:`CoverageCounts` value with the same queries, so a run's result
+stays immutable wherever it is shared (suffix memo, replicated members).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
+from repro.common.frozen import FrozenMap
 from repro.isa.binary import BinaryImage
 
 Line = Tuple[str, int]
@@ -23,7 +29,82 @@ Line = Tuple[str, int]
 _DENSE_GROWTH_LIMIT = 1 << 16
 
 
-class CoverageTracker:
+class _CoverageQueries:
+    """Coverage queries over ``_counts`` (dense), ``_extra`` (sparse) and
+    ``runs``, shared by the live tracker and its frozen counts."""
+
+    _counts: Sequence[int]
+    _extra: Mapping[int, int]
+    runs: int
+
+    # ------------------------------------------------------------------
+    # queries (sets materialized lazily from the count array)
+    # ------------------------------------------------------------------
+    def _items(self) -> Iterator[Tuple[int, int]]:
+        """Iterate (address, hit count) pairs for every covered address."""
+        for address, count in enumerate(self._counts):
+            if count:
+                yield address, count
+        yield from self._extra.items()
+
+    @property
+    def covered_addresses(self) -> Set[int]:
+        return {address for address, _ in self._items()}
+
+    def hit_count(self, address: int) -> int:
+        if 0 <= address < len(self._counts):
+            return self._counts[address]
+        return self._extra.get(address, 0)
+
+    def covered_lines(self, binary: BinaryImage) -> Set[Line]:
+        lines: Set[Line] = set()
+        for address, _ in self._items():
+            location = binary.source_of(address)
+            if location is not None:
+                lines.add((location.file, location.line))
+        return lines
+
+    def instruction_coverage(self, binary: BinaryImage) -> float:
+        if not len(binary):
+            return 0.0
+        covered = sum(1 for address, _ in self._items() if binary.has_address(address))
+        return covered / len(binary)
+
+    def line_coverage(self, binary: BinaryImage) -> float:
+        all_lines = set(binary.lines())
+        if not all_lines:
+            return 0.0
+        return len(self.covered_lines(binary) & all_lines) / len(all_lines)
+
+    def lines_covered_of(self, binary: BinaryImage, lines: Iterable[Line]) -> Set[Line]:
+        wanted = set(lines)
+        return self.covered_lines(binary) & wanted
+
+    def capture_state(self) -> dict:
+        return {
+            "counts": list(self._counts),
+            "extra": dict(self._extra),
+            "runs": self.runs,
+        }
+
+
+@dataclass(frozen=True)
+class CoverageCounts(_CoverageQueries):
+    """The coverage of finished runs: :class:`CoverageTracker`'s queries
+    over an immutable copy of its counts."""
+
+    _counts: Tuple[int, ...] = ()
+    _extra: FrozenMap = field(default_factory=FrozenMap)
+    runs: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the counts hold: one pointer per dense slot, two per
+        sparse entry."""
+        return 8 * len(self._counts) + 16 * len(self._extra)
+
+
+class CoverageTracker(_CoverageQueries):
     """Records executed instruction addresses; aggregates across runs."""
 
     def __init__(self) -> None:
@@ -102,53 +183,14 @@ class CoverageTracker:
     def finish_run(self) -> None:
         self.runs += 1
 
-    def merge(self, other: "CoverageTracker") -> None:
+    def merge(self, other: _CoverageQueries) -> None:
         for address, count in other._items():
             self._add(address, count)
         self.runs += other.runs
 
-    # ------------------------------------------------------------------
-    # queries (sets materialized lazily from the count array)
-    # ------------------------------------------------------------------
-    def _items(self) -> Iterator[Tuple[int, int]]:
-        """Iterate (address, hit count) pairs for every covered address."""
-        for address, count in enumerate(self._counts):
-            if count:
-                yield address, count
-        yield from self._extra.items()
-
-    @property
-    def covered_addresses(self) -> Set[int]:
-        return {address for address, _ in self._items()}
-
-    def hit_count(self, address: int) -> int:
-        if 0 <= address < len(self._counts):
-            return self._counts[address]
-        return self._extra.get(address, 0)
-
-    def covered_lines(self, binary: BinaryImage) -> Set[Line]:
-        lines: Set[Line] = set()
-        for address, _ in self._items():
-            location = binary.source_of(address)
-            if location is not None:
-                lines.add((location.file, location.line))
-        return lines
-
-    def instruction_coverage(self, binary: BinaryImage) -> float:
-        if not len(binary):
-            return 0.0
-        covered = sum(1 for address, _ in self._items() if binary.has_address(address))
-        return covered / len(binary)
-
-    def line_coverage(self, binary: BinaryImage) -> float:
-        all_lines = set(binary.lines())
-        if not all_lines:
-            return 0.0
-        return len(self.covered_lines(binary) & all_lines) / len(all_lines)
-
-    def lines_covered_of(self, binary: BinaryImage, lines: Iterable[Line]) -> Set[Line]:
-        wanted = set(lines)
-        return self.covered_lines(binary) & wanted
+    def freeze(self) -> CoverageCounts:
+        """These counts as an immutable :class:`CoverageCounts` value."""
+        return CoverageCounts(tuple(self._counts), FrozenMap(self._extra), self.runs)
 
     def clear(self) -> None:
         self._counts = []
@@ -158,17 +200,10 @@ class CoverageTracker:
     # ------------------------------------------------------------------
     # snapshot support (repro.vm.snapshot)
     # ------------------------------------------------------------------
-    def capture_state(self) -> dict:
-        return {
-            "counts": list(self._counts),
-            "extra": dict(self._extra),
-            "runs": self.runs,
-        }
-
     def restore_state(self, state: dict) -> None:
         self._counts = list(state["counts"])
         self._extra = dict(state["extra"])
         self.runs = state["runs"]
 
 
-__all__ = ["CoverageTracker", "Line"]
+__all__ = ["CoverageCounts", "CoverageTracker", "Line"]

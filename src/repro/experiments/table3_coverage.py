@@ -31,7 +31,7 @@ from repro.core.exploration.strategy import ExplorationStrategy, ProbeFeedback
 from repro.core.profiler.spec_profiles import combined_reference_profile
 from repro.coverage.recovery import identify_recovery_regions
 from repro.coverage.report import CoverageComparison, build_report, compare_coverage
-from repro.coverage.tracker import CoverageTracker
+from repro.coverage.tracker import CoverageCounts, CoverageTracker
 from repro.experiments.common import TableResult
 from repro.targets.base import CompiledTarget
 from repro.targets.mini_bind.target import COVERAGE_FUNCTIONS as BIND_FUNCTIONS
@@ -40,12 +40,11 @@ from repro.targets.mini_git.target import COVERAGE_FUNCTIONS as GIT_FUNCTIONS
 from repro.targets.mini_git.target import MiniGitTarget
 
 
-def _run_suite_with_coverage(target: CompiledTarget) -> CoverageTracker:
+def _run_suite_with_coverage(target: CompiledTarget) -> CoverageCounts:
     result = target.run(
         WorkloadRequest(workload="default-tests", scenario=None, collect_coverage=True)
     )
-    tracker: CoverageTracker = result.stats["coverage"]
-    return tracker
+    return result.stats["coverage"]
 
 
 def measure_target(

@@ -9,6 +9,7 @@ clock and the standard output/error streams.  Distributed experiments
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, List, Optional
 
 from repro.oslib.clock import SimClock
@@ -141,29 +142,45 @@ class SimOS:
         return copy
 
     def lazy_clone(self) -> "LazyOSClone":
-        """A detached copy whose object graph is built on first access.
+        """A detached copy held as one immutable blob, hydrated on first access.
 
-        The state is captured now (this OS may be rewound for the next
-        fork the moment the call returns) but the SimOS reconstruction is
-        deferred: campaign runs publish their final OS in ``stats`` far
-        more often than anyone inspects it.
+        The state is captured and serialized now (this OS may be rewound
+        for the next fork the moment the call returns), but the SimOS
+        reconstruction is deferred: runs publish their final OS far more
+        often than anyone inspects it.
         """
-        return LazyOSClone(self.capture_state())
+        return LazyOSClone(
+            pickle.dumps(self.capture_state(), protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class LazyOSClone:
-    """A :class:`SimOS` stand-in hydrated from captured state on first use."""
+    """A :class:`SimOS` stand-in: one immutable blob of captured state.
 
-    __slots__ = ("_state", "_os")
+    Attribute access hydrates the blob into a SimOS once and forwards to
+    it; the hydrated OS is shared by every holder of this clone (a run
+    result may be held by the suffix memo and several callers), so treat it
+    as read-only and call ``clone()`` for a private copy.  The clone
+    pickles as its blob, never as the hydrated object graph, and two
+    clones are equal when their blobs are.
+    """
 
-    def __init__(self, state: Dict[str, object]) -> None:
-        self._state = state
+    __slots__ = ("_blob", "_os")
+
+    def __init__(self, blob: bytes) -> None:
+        self._blob = blob
         self._os = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the blob holds (what a suffix-memo entry is charged)."""
+        return len(self._blob)
 
     def _hydrate(self) -> SimOS:
         if self._os is None:
-            os = SimOS(self._state["name"])
-            os.restore_state(self._state)
+            state = pickle.loads(self._blob)
+            os = SimOS(state["name"])
+            os.restore_state(state)
             self._os = os
         return self._os
 
@@ -171,20 +188,23 @@ class LazyOSClone:
         if name.startswith("_"):
             # Never resolve internals through the proxy: during unpickling
             # (pools ship RunResults across processes) ``__getattr__`` runs
-            # before the slots exist, and forwarding ``_state``/``_os``
+            # before the slots exist, and forwarding ``_blob``/``_os``
             # would recurse into ``_hydrate`` forever.
             raise AttributeError(name)
         return getattr(self._hydrate(), name)
 
-    def __getstate__(self) -> Dict[str, object]:
-        return self._state
+    def __reduce__(self):
+        return (LazyOSClone, (self._blob,))
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._state = state
-        self._os = None
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LazyOSClone):
+            return NotImplemented
+        return self._blob == other._blob
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LazyOSClone({self._state['name']!r})"
+        return f"LazyOSClone({len(self._blob)} bytes)"
 
 
 __all__ = ["LazyOSClone", "SimOS"]

@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.frozen import FrozenMap
 from repro.core.controller.monitor import (
     Outcome,
     OutcomeKind,
@@ -165,14 +166,15 @@ class ExecutionSession:
         binary: BinaryImage,
         engine: Optional[str],
         template: Optional[BootTemplate],
+        publish_os: bool = True,
     ) -> None:
         self.target = target
         self.binary = binary
         self.engine = engine
         self.template = template
-        #: Set by the prefix-sharing scheduler when one session serves
-        #: several scenario runs; forces :meth:`published_os` to detach.
-        self.shared = False
+        #: Whether :meth:`CompiledTarget.finalize_run` publishes the OS
+        #: (:meth:`published_os`) in each run's stats.
+        self.publish_os = publish_os
         if template is not None:
             machine = template.restore_boot()
             self.os = machine.os
@@ -212,20 +214,20 @@ class ExecutionSession:
         self.libc.errno_reads = errno_reads
 
     def published_os(self):
-        """The OS to hand out in run stats.
+        """The OS to hand out in run stats, for sessions that publish one.
 
-        A snapshot session's OS is the resident template's and will be
-        rewound by the next request (likewise a session shared across a
-        scenario group), so a detached
-        :class:`~repro.oslib.os_model.LazyOSClone` is published instead —
-        its state captured now, its object graph hydrated on first access,
-        with no reference back to the target or its boot template.  The
-        plain fresh path (the ``snapshots=False`` oracle) hands out its own
-        OS, which is what every published clone is held equal to.
+        A :class:`~repro.oslib.os_model.LazyOSClone`: the session OS's state
+        captured now as one immutable blob, its object graph hydrated on
+        first access, with no reference back to the target or its boot
+        template.  Every session publishes the same way — a snapshot
+        session's OS is the resident template's and is rewound by the next
+        request, a session shared across a scenario group serves several
+        runs, and a published result must stay a value wherever it goes
+        (suffix memo, pool pipe, several callers).  The fresh path's clone
+        (the ``snapshots=False`` oracle) is what every other path's is held
+        equal to.
         """
-        if self.template is not None or self.shared:
-            return self.os.lazy_clone()
-        return self.os
+        return self.os.lazy_clone()
 
     def close(self) -> None:
         if self.template is not None:
@@ -319,6 +321,7 @@ class CompiledTarget:
         workload: str,
         engine: Optional[str] = None,
         snapshots: Optional[bool] = None,
+        publish_os: bool = True,
     ) -> ExecutionSession:
         """Open an execution session: snapshot-backed when possible.
 
@@ -329,7 +332,8 @@ class CompiledTarget:
         concurrently — falls back to the fresh-build path, which is
         observably identical.  ``snapshots=None`` defers to
         :func:`default_snapshots` (the ``REPRO_SNAPSHOTS`` environment
-        default).
+        default).  ``publish_os=False`` leaves the OS out of every run's
+        stats (see :meth:`finalize_run`).
         """
         binary = self.binary()
         if snapshots is None:
@@ -340,7 +344,7 @@ class CompiledTarget:
             if not template.try_acquire():
                 template = None
         try:
-            return ExecutionSession(self, binary, engine, template)
+            return ExecutionSession(self, binary, engine, template, publish_os)
         except BaseException:
             # A failing boot restore must not leave the template locked
             # (that would silently demote every later request to the
@@ -400,7 +404,12 @@ class CompiledTarget:
         outcome: Outcome,
         steps_run: int,
     ) -> RunResult:
-        """Apply post-run oracles and assemble the :class:`RunResult`."""
+        """Apply post-run oracles and assemble the :class:`RunResult`.
+
+        The result is a value: the coverage tracker is frozen into it (the
+        constructor freezes the gate's live log), and the OS is captured
+        only when the session publishes one.
+        """
         if not outcome.is_high_impact:
             oracle = self.check_oracles(session.os)
             if oracle is not None:
@@ -408,11 +417,12 @@ class CompiledTarget:
         stats = {
             "steps_run": steps_run,
             "library_calls": gate.total_calls,
-            "calls": dict(gate.call_counts),
-            "os": session.published_os(),
+            "calls": FrozenMap(gate.call_counts),
         }
+        if session.publish_os:
+            stats["os"] = session.published_os()
         if coverage is not None:
-            stats["coverage"] = coverage
+            stats["coverage"] = coverage.freeze()
         return RunResult(outcome=outcome, log=gate.log, stats=stats)
 
     def run_recovery(
@@ -474,6 +484,7 @@ class CompiledTarget:
             request.workload,
             engine=engine,
             snapshots=None if snapshots is None else bool(snapshots),
+            publish_os=request.publish_os,
         )
         try:
             gate = make_gate(request.scenario, observe_only=request.observe_only,

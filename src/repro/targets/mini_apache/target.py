@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.frozen import FrozenMap
 from repro.core.controller.monitor import RunResult, run_python_workload
 from repro.core.controller.target import WorkloadRequest, make_gate
 from repro.oslib.facade import LibcFacade
@@ -102,10 +103,9 @@ class MiniApacheTarget:
         gate = server.libc.gate
         stats = {
             "library_calls": gate.total_calls,
-            "calls": dict(gate.call_counts),
+            "calls": FrozenMap(gate.call_counts),
             "requests_handled": server.requests_handled,
             "intercepted_calls": gate.intercepted_calls,
-            "server": server,
         }
         return RunResult(outcome=outcome, log=gate.log, stats=stats)
 
@@ -195,13 +195,12 @@ class MiniApacheTarget:
         Forking is therefore O(touched state).  Siblings whose faults
         differ from an already-run member only in errno, when that member's
         suffix never read errno (the facade's errno-read counter), are
-        suffix replicas: the result is copied with the logged errno patched
-        instead of re-run.
+        suffix replicas: the source's result with its one injected record
+        carrying the member's errno, instead of a re-run.
         """
         from repro.core.controller.prefix import (
             patch_replica_errno,
             rearm_member_triggers,
-            replicate_result,
             scenario_group_rank,
             seeded_options,
         )
@@ -238,9 +237,10 @@ class MiniApacheTarget:
 
         if not gate.injected_calls:
             # No fault applied (trigger never agreed, or observe-only gate):
-            # the members' faults are dead weight and all runs are identical.
+            # the members' faults are dead weight and all runs are identical,
+            # so every member's result is the probe's value.
             for index, _scenario, _seed in members[1:]:
-                results[index] = replicate_result(results[probe_index])
+                results[index] = results[probe_index]
             return results
 
         # Re-materialize the shared prefix once: a fresh probe world driven

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.common.frozen import FrozenMap
 from repro.core.controller.monitor import (
     Outcome,
     OutcomeKind,
@@ -135,11 +136,10 @@ class MiniMySQLTarget:
 
         stats = {
             "library_calls": gate.total_calls,
-            "calls": dict(gate.call_counts),
+            "calls": FrozenMap(gate.call_counts),
             "queries": server.queries_executed,
             "transactions": server.transactions_committed,
             "tables_created": server.engine.tables_created,
-            "server": server,
         }
         return RunResult(outcome=outcome, log=gate.log, stats=stats)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.common.frozen import FrozenMap
 from repro.core.controller.monitor import OutcomeKind, RunResult
 from repro.core.controller.target import WorkloadRequest, make_gate
 from repro.core.scenario.model import Scenario
@@ -69,7 +70,7 @@ class PBFTTarget:
         workload_result = cluster.run_workload(requests=requests)
         gate = cluster.gate
         stats = {
-            "calls": dict(gate.call_counts) if gate is not None else {},
+            "calls": FrozenMap(gate.call_counts if gate is not None else {}),
             "requests_completed": workload_result.requests_completed,
             "simulated_seconds": workload_result.simulated_seconds,
             "throughput": workload_result.throughput,

@@ -85,8 +85,9 @@ def capture_gate_state(gate: Any) -> Optional[Dict[str, Any]]:
     return {
         "call_counts": dict(call_counts),
         "counters": {name: getattr(gate, name) for name in _GATE_COUNTERS},
+        # Records are immutable: the capture shares them.
         "log": {
-            "records": copy.deepcopy(log.records),
+            "records": tuple(log.records),
             "injection_count": log.injection_count,
             "passthrough_count": log.passthrough_count,
             "next_index": log._next_index,
@@ -103,7 +104,8 @@ def graft_gate_state(state: Dict[str, Any], gate: Any) -> None:
     counts, log contents, trigger-instance counters — onto each member
     scenario's freshly built gate, whose runtime differs from the probe's
     only in the fault it will inject.  Trigger instances are deep-copied per
-    graft so members never share mutable trigger state.
+    graft so members never share mutable trigger state; log records are
+    immutable and shared.
     """
     gate.call_counts.clear()
     gate.call_counts.update(state["call_counts"])
@@ -111,7 +113,7 @@ def graft_gate_state(state: Dict[str, Any], gate: Any) -> None:
         setattr(gate, name, value)
     log_state = state["log"]
     log = gate.log
-    log.records[:] = copy.deepcopy(log_state["records"])
+    log.records[:] = log_state["records"]
     log.injection_count = log_state["injection_count"]
     log.passthrough_count = log_state["passthrough_count"]
     log._next_index = log_state["next_index"]

@@ -34,6 +34,7 @@ from repro.core.controller.executor import (
 from repro.core.controller.memo import SuffixMemo
 from repro.core.controller.prefix import build_group_tasks
 from repro.core.controller.target import WorkloadRequest, make_gate
+from repro.core.exploration.engine import ExplorationEngine
 from repro.core.profiler.cache import artifact_cache_stats
 from repro.core.scenario.builder import ScenarioBuilder
 from repro.coverage.tracker import CoverageTracker
@@ -525,6 +526,32 @@ class TestDeltaResultChannel:
             assert outcome.result.stats["os"].capture_state() == \
                 reference.result.stats["os"].capture_state()
         assert artifact_cache_stats().boot_misses == boot_misses
+
+    @pytest.mark.parametrize("parallelism", ["serial", "processes:2"])
+    def test_explorations_publish_no_os(self, monkeypatch, parallelism):
+        # An exploration reduces every run to a stored record, so its runs
+        # skip the OS capture; a campaign over the same points (a distinct
+        # memo context) still publishes it.
+        seen = []
+        original = ExplorationEngine.stored_result
+
+        def spy(self, index, point, scenario_name, result):
+            seen.append(result)
+            return original(self, index, point, scenario_name, result)
+
+        monkeypatch.setattr(ExplorationEngine, "stored_result", spy)
+        target = MiniGitTarget()
+        points = LFIController(target).fault_space(include_checked=True)[:12]
+        ExplorationEngine(
+            target, parallelism=parallelism, workload="status", seed=3
+        ).explore(points)
+        assert len(seen) == len(points)
+        assert all("os" not in result.stats for result in seen)
+        campaign = Campaign(target, workload="status").run(
+            [point.scenario() for point in points], include_baseline=False,
+            parallelism=parallelism,
+        )
+        assert all("os" in outcome.result.stats for outcome in campaign.outcomes)
 
 
 # ----------------------------------------------------------------------

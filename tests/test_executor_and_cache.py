@@ -97,9 +97,10 @@ class ToyTarget:
                          run_seed=request.options.get("run_seed"))
         machine = Machine(self.binary(), os=os_state, gate=gate)
         status = machine.run()
-        result = RunResult(outcome=classify_exit_status(status), log=gate.log)
-        result.stats["run_seed"] = request.options.get("run_seed")
-        return result
+        return RunResult(
+            outcome=classify_exit_status(status), log=gate.log,
+            stats={"run_seed": request.options.get("run_seed")},
+        )
 
 
 class BrokenTarget:
@@ -534,8 +535,8 @@ class TestGateFixes:
         # First call: trigger did not fire.  Second call: trigger fired but
         # observe-only suppressed the injection — the activation must still
         # be countable from the log (§7.4 methodology).
-        assert records[0].trigger_ids == []
-        assert records[1].trigger_ids == ["count"]
+        assert records[0].trigger_ids == ()
+        assert records[1].trigger_ids == ("count",)
         assert gate.observed_injections == 1
         assert gate.injected_calls == 0
         gate.reset_counters()
@@ -556,7 +557,7 @@ class TestGateFixes:
         gate = LibraryCallGate(runtime=InjectionRuntime(scenario), log=log)
         gate.call("read", (), lambda: LibcResult(value=100))
         assert log.records[0].injected is False
-        assert log.records[0].trigger_ids == ["count"]
+        assert log.records[0].trigger_ids == ("count",)
 
     def test_stack_provider_keeps_app_frames_with_colliding_basenames(self, tmp_path):
         # An *application* module that happens to be called runtime.py must

@@ -521,7 +521,9 @@ class TestExplorationEngine:
             def run(self, request):
                 result = super().run(request)
                 if result.log is None or result.log.injection_count == 0:
-                    result.outcome = Outcome(kind=OutcomeKind.CRASH, detail="flaky harness")
+                    result = dataclasses.replace(
+                        result, outcome=Outcome(kind=OutcomeKind.CRASH, detail="flaky harness")
+                    )
                 return result
 
         report = LFIController(BrokenWorkloadTarget()).explore(seed=7)

@@ -25,6 +25,7 @@ from repro.core.controller.prefix import (
     scenario_group_key_parts,
     scenario_group_rank,
 )
+from repro.core.controller.target import WorkloadRequest
 from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.store import ResultStore
 from repro.core.scenario.builder import ScenarioBuilder
@@ -489,6 +490,34 @@ class TestPrefixTrees:
         assert [r.injections for r in results] == [1, 1, 1]
         errnos = [r.log.records[-1].fault.errno for r in results]
         assert len(set(errnos)) == 3  # each replica carries its own errno
+
+    def test_errno_sibling_replica_equals_the_members_full_run(self, monkeypatch):
+        target = MiniGitTarget()
+        scenarios = _call_count_variants(
+            counts=(1,), errnos=("EIO", "EINTR", "EAGAIN")
+        )
+        replicas = []
+        original = prefix.patch_replica_errno
+
+        def recording(*args):
+            replica = original(*args)
+            replicas.append(replica)
+            return replica
+
+        monkeypatch.setattr(prefix, "patch_replica_errno", recording)
+        shared = Campaign(target, workload="default-tests").run(
+            scenarios, include_baseline=False, share_prefixes=True,
+            snapshots=True, memo=False,
+        )
+        assert len([replica for replica in replicas if replica is not None]) == 2
+        for scenario, outcome in zip(scenarios, shared.outcomes):
+            full = target.run(WorkloadRequest(
+                workload="default-tests", scenario=scenario,
+                options={"snapshots": False},
+            ))
+            # The whole value: outcome, every log record, call counts and
+            # the published OS.
+            assert outcome.result == full
 
     def test_errno_reading_target_keeps_distinct_suffixes(self):
         # mini_bind branches on errno (ENOENT handling), so errno variants

@@ -159,7 +159,7 @@ class TestReplayMetadataPreservation:
         payload = json.loads(json.dumps(record.to_dict()))
         restored = InjectionRecord.from_dict(payload)
         assert restored.fault == FaultSpec(70008, None)
-        assert restored.trigger_ids == ["fd_kind", "apache_core"]
+        assert restored.trigger_ids == ("fd_kind", "apache_core")
         replay = build_replay_scenario(restored)
         assert replay.metadata["original_triggers"] == ["fd_kind", "apache_core"]
         assert replay.plans[0].fault == FaultSpec(70008, None)

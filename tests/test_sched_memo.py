@@ -31,12 +31,14 @@ from repro.core.controller.memo import (
     SuffixMemo,
     clear_suffix_memo,
     default_memo_bytes,
+    entry_size,
     resolve_memo,
     suffix_memo,
     suffix_memo_stats,
 )
-from repro.core.controller.monitor import Outcome, OutcomeKind, RunResult
+from repro.core.controller.monitor import ENTRY_BYTES, Outcome, OutcomeKind, RunResult
 from repro.core.controller import prefix
+from repro.core.controller.target import WorkloadRequest
 from repro.core.controller.prefix import (
     build_group_tasks,
     member_memo_key,
@@ -116,13 +118,11 @@ def _count_executions(monkeypatch):
 class TestSuffixMemoContainer:
     def test_lru_eviction_under_byte_budget(self):
         payload = "x" * 100
-        one_size = SuffixMemo(max_bytes=1 << 20)
-        one_size.store("probe", payload)
-        entry_bytes = one_size.stats().current_bytes
-        memo = SuffixMemo(max_bytes=3 * entry_bytes)
+        memo = SuffixMemo(max_bytes=3 * entry_size(payload))
         for key in ("a", "b", "c"):
             assert memo.store(key, payload)
         assert len(memo) == 3
+        assert memo.stats().current_bytes == 3 * entry_size(payload)
         # Refresh "a", then overflow: "b" is now the least recently used.
         assert memo.lookup("a") == payload
         assert memo.store("d", payload)
@@ -133,29 +133,43 @@ class TestSuffixMemoContainer:
         stats = memo.stats()
         assert stats.evictions == 1
         assert stats.entries == 3
-        assert stats.current_bytes <= memo.max_bytes
+        assert stats.current_bytes == memo.max_bytes
 
-    def test_oversized_and_unpicklable_results_are_rejected(self):
-        memo = SuffixMemo(max_bytes=64)
-        assert memo.store("big", "y" * 4096) is False
-        assert memo.store("bad", lambda: None) is False  # unpicklable
+    def test_oversized_results_are_rejected(self):
+        result = RunResult(outcome=Outcome(kind=OutcomeKind.NORMAL))
+        memo = SuffixMemo(max_bytes=result.nbytes - 1)
+        assert memo.store("big", result) is False
+        assert memo.store("bigger", "y" * 4096) is False
         assert len(memo) == 0
         assert memo.stats().rejected == 2
+        exact = SuffixMemo(max_bytes=result.nbytes)
+        assert exact.store("fits", result)
+        assert exact.stats().current_bytes == result.nbytes
 
-    def test_unpicklable_result_is_logged_and_counted(self, caplog):
+    def test_hits_are_the_stored_value(self):
+        # No serialization on either side: a hit is the object stored.
         memo = SuffixMemo()
-        result = RunResult(
-            outcome=Outcome(kind=OutcomeKind.NORMAL), stats={"hook": lambda: None}
-        )
-        with pytest.raises(Exception) as expected:
-            pickle.dumps(result)
-        with caplog.at_level(logging.WARNING, logger="repro.core.controller.memo"):
-            assert memo.store("bad", result) is False
-        assert memo.lookup("bad") is None
-        assert memo.stats().rejected == 1
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING
-        assert type(expected.value).__name__ in record.getMessage()
+        result = RunResult(outcome=Outcome(kind=OutcomeKind.CRASH, detail="boom"))
+        assert memo.store("k", result)
+        assert memo.lookup("k") is result
+        assert memo.lookup("k") is result
+
+    def test_results_are_charged_a_deterministic_size(self):
+        # The charge is computed from the value: the same run sizes the
+        # same every time, and a published OS is charged its blob.
+        target = MiniGitTarget()
+        scenario = _fault_space_scenarios(target)[0]
+
+        def run(publish_os):
+            return target.run(WorkloadRequest(
+                workload="status", scenario=scenario, publish_os=publish_os,
+            ))
+
+        bare, with_os = run(False), run(True)
+        assert "os" not in bare.stats
+        assert run(False).nbytes == bare.nbytes
+        assert with_os.nbytes == bare.nbytes + with_os.stats["os"].nbytes + ENTRY_BYTES
+        assert entry_size(with_os) == with_os.nbytes
 
     def test_memo_bytes_env_rejects_what_it_cannot_parse(self, monkeypatch):
         for bad in ("64MB", "-1"):
@@ -169,9 +183,11 @@ class TestSuffixMemoContainer:
     def test_restore_same_key_replaces_without_leaking_bytes(self):
         memo = SuffixMemo(max_bytes=1 << 20)
         memo.store("k", "a" * 50)
-        once = memo.stats().current_bytes
+        assert memo.stats().current_bytes == entry_size("a" * 50)
         memo.store("k", "a" * 50)
-        assert memo.stats().current_bytes == once
+        assert memo.stats().current_bytes == entry_size("a" * 50)
+        memo.store("k", "b" * 80)
+        assert memo.stats().current_bytes == entry_size("b" * 80)
         assert len(memo) == 1
 
     def test_resolve_memo_knobs(self, monkeypatch):
@@ -334,22 +350,40 @@ class TestMemoizedCampaigns:
         assert executions["n"] == 0  # every member answered from the memo
         assert memo.stats().hits == len(scenarios)
 
-    def test_memo_hits_are_detached_copies(self):
+    def test_memo_hits_are_frozen_values_equal_to_fresh_runs(self):
         target = MiniGitTarget()
-        scenarios = _fault_space_scenarios(target)[:4]
+        # Two points whose fault never fires under the workload, two whose
+        # fault is injected.
+        scenarios = _fault_space_scenarios(target)[13:17]
         memo = SuffixMemo()
 
-        def sweep():
-            campaign = Campaign(target, workload="status").run(
+        def sweep(memo):
+            campaign = Campaign(target, workload="default-tests").run(
                 scenarios, include_baseline=False, memo=memo
             )
             return [outcome.result for outcome in campaign.outcomes]
 
-        first, second = sweep(), sweep()
-        for a, b in zip(first, second):
-            assert a is not b
-            assert a.outcome is not b.outcome
-            assert a.log is not b.log
+        stored, hits, fresh = sweep(memo), sweep(memo), sweep(False)
+        assert memo.stats().hits == len(scenarios)
+        injected = [hit for hit in hits if hit.log.records]
+        assert injected  # the assignments below reach real records
+        for hit, first, run in zip(hits, stored, fresh):
+            assert hit is first
+            # Equal to a fresh run, the published OS included.
+            assert hit == run and "os" in hit.stats
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hit.outcome.detail = "edited"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hit.outcome = Outcome(kind=OutcomeKind.CRASH)
+            with pytest.raises(TypeError):
+                hit.stats["steps_run"] = 0
+            with pytest.raises(TypeError):
+                hit.stats["calls"]["read"] = 0
+        for hit in injected:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hit.log.records[0].fault = None
+            with pytest.raises(TypeError):
+                hit.log.records[0] = hit.log.records[-1]
 
     def test_memo_survives_across_workload_and_option_boundaries(self):
         # Same scenarios on another workload must *miss* (the suffix runs
@@ -499,6 +533,58 @@ class TestUngroupedRunsAreMemoized:
         unshared = build_group_tasks(target, "status", entries, share=False)
         assert [task.shared for task in unshared] == [False] * len(scenarios)
         assert [task.entries for task in unshared] == [[entry] for entry in entries]
+
+
+# ----------------------------------------------------------------------
+# the memo context is derived once per pipeline call
+# ----------------------------------------------------------------------
+class TestMemoContext:
+    def test_one_derivation_per_serial_campaign(self, monkeypatch):
+        contexts = []
+        original_context = prefix._memo_context
+
+        def counting_context(*args, **kwargs):
+            contexts.append(args)
+            return original_context(*args, **kwargs)
+
+        groups = []
+        original_group = prefix.run_entry_group
+
+        def counting_group(*args, **kwargs):
+            groups.append(kwargs["memo_context"])
+            return original_group(*args, **kwargs)
+
+        monkeypatch.setattr(prefix, "_memo_context", counting_context)
+        monkeypatch.setattr(prefix, "run_entry_group", counting_group)
+        target = MiniGitTarget()
+        scenarios = _fault_space_scenarios(target)[:18] + [
+            point.scenario()
+            for point in enumerate_structured_space("mini_git", UNGROUPED_CLASSES)
+        ]
+        memo = SuffixMemo()
+        Campaign(target, workload="status").run(
+            scenarios, include_baseline=False, memo=memo
+        )
+        assert len(groups) > 1
+        assert len(contexts) == 1
+        # Every task carried the one context, and the memo was in use.
+        assert all(context is groups[0] for context in groups)
+        assert memo.stats().stores == len(scenarios)
+
+    def test_no_context_without_a_memo(self):
+        target = MiniGitTarget()
+        entries = [
+            (index, scenario, None)
+            for index, scenario in enumerate(_fault_space_scenarios(target)[:4])
+        ]
+        for tasks in (
+            build_group_tasks(target, "status", entries, options={"memo": False}),
+            build_group_tasks(target, "status", entries, share=False),
+        ):
+            assert [task.memo_context for task in tasks] == [None] * len(tasks)
+        tasks = build_group_tasks(target, "status", entries, options={"memo": True})
+        assert tasks[0].memo_context is not None
+        assert {id(task.memo_context) for task in tasks} == {id(tasks[0].memo_context)}
 
 
 # ----------------------------------------------------------------------
