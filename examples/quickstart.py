@@ -15,7 +15,7 @@ mini-C:
 Knobs and subsystems worth knowing about:
 
 * ``parallelism=`` — every campaign entry point
-  (``LFIController.test_automatically`` / ``run_campaign``,
+  (``LFIController.test_automatically`` / ``explore``,
   ``TestCampaign.run``, the experiment harnesses) accepts ``"serial"``
   (default), an integer worker count (a process pool — the backend that
   scales these CPU-bound targets), ``"processes[:N]"`` or an
@@ -69,13 +69,14 @@ Knobs and subsystems worth knowing about:
   one site share the sub-prefix up to their earliest divergence via nested
   mid-run captures, and suffixes that never read ``errno`` (a libc
   errno-read counter proves it) collapse errno-only variants into patched
-  replicas of one run.  The mini_apache
-  server world forks by capture/restore.  A run's result is an immutable
-  value, shared rather than copied by replicated members and the suffix
-  memo; campaign runs publish their final OS in ``stats["os"]`` as a
-  ``LazyOSClone`` (one immutable blob, hydrated on first access), while
-  ``explore()`` runs skip capturing it.
-  Bit-identity across serial/threads/processes schedules is enforced by
+  replicas of one run.  Only the compiled targets share prefixes: the
+  Python-level mini_apache, mini_mysql and PBFT servers run each scenario
+  on its own.  A run's result is an immutable value, shared rather than
+  copied by replicated members and the suffix memo; campaign runs publish
+  their final OS in ``stats["os"]`` as a ``LazyOSClone`` (one immutable
+  blob, hydrated on first access), while ``explore()`` runs skip
+  capturing it.
+  Bit-identity across serial and pooled schedules is enforced by
   ``tests/test_prefix_parallel.py`` and ``tests/test_dataplane.py``, and
   ``e2ebench/`` measures the pooled path end to end.  See the "Execution
   pipeline architecture" section of the package docstring
@@ -198,8 +199,8 @@ def main() -> None:
     if os.path.exists(store_path):
         os.unlink(store_path)
     exploration = controller.explore(
-        strategy=ExhaustiveStrategy(),      # or BoundarySampleStrategy(),
-        store=ResultStore(store_path),      # RandomSampleStrategy(seed=0)
+        strategy=ExhaustiveStrategy(),      # or "coverage" (adaptive rounds)
+        store=ResultStore(store_path),
         analysis=analysis,                  # reuse step 2's analysis
         seed=7,
     )

@@ -20,11 +20,11 @@ Quick tour (see ``examples/quickstart.py`` for a runnable version)::
     print(report.summary())
 
 **Parallel campaigns.** Scenario runs are independent, so every campaign
-entry point — ``TestCampaign.run``, ``LFIController.run_campaign`` /
-``test_automatically``, and the experiment harnesses — accepts a
-``parallelism=`` knob: ``None``/``"serial"`` (the default), an integer
-worker count (a process pool — the backend that scales these CPU-bound
-targets with cores), ``"processes[:N]"``, or an
+entry point — ``TestCampaign.run``, ``LFIController.test_automatically`` /
+``explore``, and the experiment harnesses — accepts a ``parallelism=``
+knob: ``None``/``"serial"`` (the default), an integer worker count (a
+process pool — the backend that scales these CPU-bound targets with
+cores), ``"processes[:N]"``, or an
 :class:`~repro.core.controller.executor.ExecutionBackend` instance to share
 one pool across campaigns.  Results keep submission order and per-run seeds
 are derived deterministically — stochastic triggers declared without an
@@ -36,15 +36,14 @@ trigger id)`` — so parallel campaigns are bit-identical to serial ones::
 **Fault-space exploration.** :meth:`LFIController.explore` (backed by
 :mod:`repro.core.exploration`) turns the hand-built scenario lists into
 systematic coverage of the whole (call site x error return x errno) space:
-a pluggable strategy — :class:`~repro.core.exploration.ExhaustiveStrategy`,
-:class:`~repro.core.exploration.BoundarySampleStrategy`, or a seeded
-:class:`~repro.core.exploration.RandomSampleStrategy` — selects the points
-to run, the campaign executor schedules them in priority order (unchecked
-sites first, novel (function, errno) fault classes before repeats),
-failures deduplicate by ``(function, errno, outcome, stack fingerprint)``,
-and every completed run is checkpointed in a JSON-lines
-:class:`~repro.core.exploration.ResultStore` so an interrupted exploration
-resumes without re-running finished scenarios::
+a pluggable strategy — :class:`~repro.core.exploration.ExhaustiveStrategy`
+or the adaptive :class:`~repro.core.exploration.CoverageGuidedStrategy` —
+selects the points to run, the campaign executor schedules them in
+priority order (unchecked sites first, novel (function, errno) fault
+classes before repeats), failures deduplicate by ``(function, errno,
+outcome, stack fingerprint)``, and every completed run is checkpointed in
+a JSON-lines :class:`~repro.core.exploration.ResultStore` so an
+interrupted exploration resumes without re-running finished scenarios::
 
     with ResultStore("bind.jsonl") as store:
         report = controller.explore(store=store, seed=7)
@@ -125,10 +124,9 @@ execution backend: the groups are packed into one
 (``run_group_batches_iter``), whose worker runs each group's probe and
 resumes its siblings locally, so ``share_prefixes=True,
 parallelism="processes:4"`` multiplies the two levers instead of silently
-dropping one.  The
-Python-level mini_apache target forks its server world the same way —
-captured once, restored per member in O(touched state).  All of it is
-observably identical to the reference rebuild path —
+dropping one.  Only the compiled targets share: the Python-level
+mini_apache, mini_mysql and PBFT servers run every scenario on its own,
+unmemoized.  All of it is observably identical to the reference rebuild path —
 ``tests/test_snapshot.py`` and ``tests/test_prefix_parallel.py`` enforce
 bit-identical exit statuses, traces, coverage, call counts, and injection
 logs across serial and process-pooled schedules — and
@@ -337,14 +335,12 @@ from repro.core.controller.executor import (
 from repro.core.controller.memo import SuffixMemo, clear_suffix_memo, suffix_memo
 from repro.core.controller.target import WorkloadRequest
 from repro.core.exploration import (
-    BoundarySampleStrategy,
     CoverageGuidedStrategy,
     ExhaustiveStrategy,
     ExplorationEngine,
     ExplorationReport,
     ExplorationStrategy,
     ProbeFeedback,
-    RandomSampleStrategy,
     ResultStore,
     enumerate_fault_space,
 )
@@ -375,7 +371,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AnalysisReport",
     "BootTemplate",
-    "BoundarySampleStrategy",
     "CallContext",
     "CallSiteAnalyzer",
     "ControllerReport",
@@ -396,7 +391,6 @@ __all__ = [
     "MidRunCapture",
     "ProbeFeedback",
     "ProcessPoolBackend",
-    "RandomSampleStrategy",
     "ResultStore",
     "Scenario",
     "ScenarioBuilder",

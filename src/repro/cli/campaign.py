@@ -46,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("--workload", default=None)
     submit.add_argument(
         "--strategy", default=None,
-        help="exhaustive | boundary | random | coverage "
+        help="exhaustive | coverage "
         "(coverage accepts knobs, e.g. coverage:round=8,patience=2)",
     )
     submit.add_argument("--seed", type=int, default=None)

@@ -40,12 +40,6 @@ class AnalysisReport:
             sites.extend(classification.unchecked)
         return sites
 
-    def partially_checked_sites(self) -> List:
-        sites = []
-        for classification in self.classifications.values():
-            sites.extend(classification.partially_checked)
-        return sites
-
     def summary(self) -> str:
         lines = [
             f"call-site analysis of {self.binary}: {self.call_sites_analyzed} sites "

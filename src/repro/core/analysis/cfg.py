@@ -37,9 +37,6 @@ class BasicBlock:
     def terminator(self) -> Optional[Instruction]:
         return self.instructions[-1][1] if self.instructions else None
 
-    def addresses(self) -> List[int]:
-        return [address for address, _ in self.instructions]
-
 
 @dataclass
 class PartialCFG:
@@ -65,12 +62,6 @@ class PartialCFG:
             for block in self.blocks.values()
             if start in block.successors
         ]
-
-    def reachable_addresses(self) -> Set[int]:
-        addresses: Set[int] = set()
-        for block in self.blocks.values():
-            addresses.update(block.addresses())
-        return addresses
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -54,18 +54,6 @@ class SiteClassification:
     partially_checked: List[ClassifiedSite] = field(default_factory=list)
     unchecked: List[ClassifiedSite] = field(default_factory=list)
 
-    @property
-    def c_yes(self) -> List[ClassifiedSite]:
-        return self.fully_checked
-
-    @property
-    def c_part(self) -> List[ClassifiedSite]:
-        return self.partially_checked
-
-    @property
-    def c_not(self) -> List[ClassifiedSite]:
-        return self.unchecked
-
     def all_sites(self) -> List[ClassifiedSite]:
         return self.fully_checked + self.partially_checked + self.unchecked
 

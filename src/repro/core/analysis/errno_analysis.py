@@ -29,10 +29,6 @@ class ErrnoCheckResult:
     checked_values: Set[int] = field(default_factory=set)
     reads_errno: bool = False
 
-    @property
-    def checked_names(self) -> Tuple[str, ...]:
-        return tuple(errno_name(value) for value in sorted(self.checked_values))
-
 
 def analyze_errno_checks(
     binary: BinaryImage,

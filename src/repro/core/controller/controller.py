@@ -228,21 +228,6 @@ class LFIController:
     # ------------------------------------------------------------------
     # steps 4-5: campaigns and reports
     # ------------------------------------------------------------------
-    def run_campaign(
-        self,
-        scenarios: Sequence[Scenario],
-        workload: Optional[str] = None,
-        parallelism: ParallelismSpec = None,
-        **options,
-    ) -> CampaignResult:
-        workload_name = workload or (self.target.workloads()[0] if self.target.workloads() else "default")
-        campaign = TestCampaign(
-            self.target,
-            workload=workload_name,
-            parallelism=parallelism if parallelism is not None else self.parallelism,
-        )
-        return campaign.run(scenarios, **options)
-
     def test_automatically(
         self,
         workloads: Optional[Sequence[str]] = None,

@@ -18,18 +18,17 @@ This module eliminates that redundancy at the schedule level:
    key and carry a *rank* — the count at which they diverge — so a group
    is a prefix *tree*, not just an errno family.
 2. **Probe + resume** — the group's first member (lowest rank) runs
-   normally; for targets exposing the
-   :class:`~repro.targets.base.CompiledTarget` session API the probe
-   snapshots OS/gate/coverage state at the last workload-step boundary
-   before its trigger fires, and every other member restores that boundary
-   (its own gate is grafted with the shared interception state) and
-   executes **only the post-trigger suffix**.  Snapshot-backed sessions
-   sharpen the resume point to the exact injection instruction
-   (:class:`~repro.vm.snapshot.MidRunCapture`); later-rank members resume
-   from the same capture with the call **passed through** instead of
-   faulted and run on to their own (later) injection point, where a
-   *nested* capture serves their own rank — each tree level pays only the
-   suffix between divergence points.
+   normally through the :class:`~repro.targets.base.CompiledTarget`
+   session API, which snapshots OS/gate/coverage state at the last
+   workload-step boundary before its trigger fires; every other member
+   restores that boundary (its own gate is grafted with the shared
+   interception state) and executes **only the post-trigger suffix**.
+   Snapshot-backed sessions sharpen the resume point to the exact
+   injection instruction (:class:`~repro.vm.snapshot.MidRunCapture`);
+   later-rank members resume from the same capture with the call
+   **passed through** instead of faulted and run on to their own (later)
+   injection point, where a *nested* capture serves their own rank — each
+   tree level pays only the suffix between divergence points.
 3. **Replication** — if the probe's trigger never fires, no member's fault
    can ever be injected either (ranks fire monotonically later), so every
    member's result *is* the probe's: results are immutable values
@@ -45,12 +44,15 @@ Soundness rests on determinism: only scenarios built solely from
 deterministic trigger classes (:data:`SAFE_TRIGGER_CLASSES` — no random
 triggers, no ``@shared_object`` parameters) are grouped, and only targets
 that declare ``prefix_shareable`` (deterministic modulo the injected fault)
-participate.  The same determinism is what the suffix memo
-(:mod:`repro.core.controller.memo`) keys on, so one derivation per
-scenario object (:class:`ScenarioKeyParts`) serves two views: every
-deterministic run is memoizable, and those whose fault classes are also
-shareable may join a group.  Crash points and budget ramps are the first
-kind only: they run alone, but through the memo.
+participate: the compiled targets, whose session API the group path
+drives.  The Python-level targets (mini_apache, mini_mysql, PBFT) declare
+nothing, so their runs are never shared or memoized.  The same
+determinism is what the suffix memo (:mod:`repro.core.controller.memo`)
+keys on, so one derivation per scenario object (:class:`ScenarioKeyParts`)
+serves two views: every deterministic run is memoizable, and those whose
+fault classes are also shareable may join a group.  Crash points and
+budget ramps are the first kind only: they run alone, but through the
+memo.
 
 :func:`iter_shared_runs` is the one pipeline every campaign, exploration
 and fabric shard runs through: :func:`build_group_tasks` turns the entries
@@ -387,13 +389,6 @@ def resolve_sharing(share_prefixes: Optional[bool], target: TargetAdapter) -> bo
             "deterministic (prefix-shareable) execution"
         )
     return bool(share_prefixes)
-
-
-def _has_session_api(target: Any) -> bool:
-    return all(
-        hasattr(target, name)
-        for name in ("open_session", "execute_plan", "finalize_run", "workload_plan")
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1158,41 +1153,6 @@ def _run_group_with_sessions(
         session.close()
 
 
-def _run_group_replicating(
-    target: TargetAdapter,
-    workload: str,
-    members: Sequence[Entry],
-    collect_coverage: bool,
-    options: Dict[str, Any],
-    observe_only: bool = False,
-    publish_os: bool = True,
-) -> Dict[int, RunResult]:
-    """Probe + replication for Python-level targets (no session API).
-
-    Runs whose shared trigger never fires are identical, so one probe run
-    covers the whole group and every member's result is the probe's value;
-    once the probe injects, the members' faulted suffixes genuinely
-    diverge and each member runs in full.
-    """
-    results: Dict[int, RunResult] = {}
-    probe_index, probe_scenario, probe_seed = members[0]
-    probe = plain_run(
-        target, workload, probe_scenario, probe_seed, collect_coverage, options,
-        observe_only=observe_only, publish_os=publish_os,
-    )
-    results[probe_index] = probe
-    if probe.injections == 0:
-        for index, _scenario, _seed in members[1:]:
-            results[index] = probe
-        return results
-    for index, scenario, seed in members[1:]:
-        results[index] = plain_run(
-            target, workload, scenario, seed, collect_coverage, options,
-            observe_only=observe_only, publish_os=publish_os,
-        )
-    return results
-
-
 # ----------------------------------------------------------------------
 # the scheduler
 # ----------------------------------------------------------------------
@@ -1273,20 +1233,7 @@ def _run_entry_group_paths(
                 observe_only=observe_only, publish_os=publish_os,
             )
         }
-    if _has_session_api(target):
-        return _run_group_with_sessions(
-            target, workload, members, collect_coverage, options,
-            observe_only=observe_only, publish_os=publish_os,
-        )
-    if hasattr(target, "run_prefix_group"):
-        # The target implements its own forkserver-style group path
-        # (e.g. state-forking a Python-level server world); Python-level
-        # targets publish no OS.
-        return target.run_prefix_group(
-            workload, members, collect_coverage, options,
-            observe_only=observe_only,
-        )
-    return _run_group_replicating(
+    return _run_group_with_sessions(
         target, workload, members, collect_coverage, options,
         observe_only=observe_only, publish_os=publish_os,
     )

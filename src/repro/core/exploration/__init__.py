@@ -22,16 +22,12 @@ planner session (``strategy.session().propose(frontier, feedback)``):
 
 * :class:`~repro.core.exploration.strategy.ExhaustiveStrategy` — every
   point exactly once (the full sweep);
-* :class:`~repro.core.exploration.strategy.BoundarySampleStrategy` — the
-  first and last fault candidate per call site (the errno-range edges);
-* :class:`~repro.core.exploration.strategy.RandomSampleStrategy` — a
-  seeded fraction/count sample, stable in its seed;
 * :class:`~repro.core.exploration.strategy.CoverageGuidedStrategy` — the
   *adaptive* planner: rounds steer toward fault points whose neighbors
   unlocked new recovery-code coverage (the table3 metric), stopping at a
   coverage plateau instead of sweeping the whole space (doc/ADAPTIVE.md).
 
-The static trio are single-round planners, bit-identical to their
+The exhaustive strategy is a single-round planner, bit-identical to its
 historical ahead-of-time selection.
 
 **Resume semantics** (:mod:`~repro.core.exploration.store`).  Every
@@ -90,17 +86,14 @@ from repro.core.exploration.space import (
 )
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
 from repro.core.exploration.strategy import (
-    BoundarySampleStrategy,
     CoverageGuidedStrategy,
     ExhaustiveStrategy,
     ExplorationStrategy,
     ProbeFeedback,
-    RandomSampleStrategy,
     resolve_strategy,
 )
 
 __all__ = [
-    "BoundarySampleStrategy",
     "CATEGORY_RANK",
     "CoverageGuidedStrategy",
     "ExhaustiveStrategy",
@@ -111,7 +104,6 @@ __all__ = [
     "FailureDeduplicator",
     "FaultPoint",
     "ProbeFeedback",
-    "RandomSampleStrategy",
     "ResultStore",
     "RoundPlanner",
     "StoreCorruptError",

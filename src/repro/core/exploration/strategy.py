@@ -33,7 +33,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.exploration.space import FaultPoint
 
@@ -83,8 +83,9 @@ class SingleRoundSession(PlannerSession):
 
     Round one is exactly ``strategy.select(frontier)``; every later call
     returns [].  This is the bridge that lets the round-based engine run
-    Exhaustive/BoundarySample/RandomSample bit-identically to the static
-    schedule they produced before the refactor.
+    a static strategy (:class:`ExhaustiveStrategy`, the differential
+    oracle) bit-identically to the static schedule it produced before the
+    refactor.
     """
 
     def __init__(self, strategy: "ExplorationStrategy") -> None:
@@ -129,76 +130,6 @@ class ExhaustiveStrategy(ExplorationStrategy):
 
     def select(self, points: Sequence[FaultPoint]) -> List[FaultPoint]:
         return list(points)
-
-
-class BoundarySampleStrategy(ExplorationStrategy):
-    """Run the boundary faults of each call site.
-
-    For every call site, keep the first and last fault candidate of its
-    profile order (the extremes of the declared error space).  Sites with
-    one or two candidates are kept whole, so the strategy degenerates to
-    exhaustive on small profiles while pruning wide errno lists to their
-    edges.
-    """
-
-    name = "boundary-sample"
-
-    def select(self, points: Sequence[FaultPoint]) -> List[FaultPoint]:
-        extremes: Dict[Tuple[str, str, int], Tuple[int, int]] = {}
-        for point in points:
-            site_key = (point.binary, point.function, point.address)
-            low, high = extremes.get(site_key, (point.fault_index, point.fault_index))
-            extremes[site_key] = (min(low, point.fault_index), max(high, point.fault_index))
-        return [
-            point
-            for point in points
-            if point.fault_index in extremes[(point.binary, point.function, point.address)]
-        ]
-
-
-class RandomSampleStrategy(ExplorationStrategy):
-    """Run a seeded random sample of the space.
-
-    ``fraction`` keeps that share of the points (rounded up, so a non-empty
-    space always yields at least one run); ``count`` caps the sample at an
-    absolute size instead.  The sample depends only on ``seed`` and the
-    point list, and the selected points keep their original (priority)
-    order.
-    """
-
-    name = "random-sample"
-
-    def __init__(
-        self,
-        seed: int,
-        fraction: Optional[float] = None,
-        count: Optional[int] = None,
-    ) -> None:
-        if fraction is None and count is None:
-            fraction = 0.25
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if count is not None and count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        self.seed = seed
-        self.fraction = fraction
-        self.count = count
-
-    def select(self, points: Sequence[FaultPoint]) -> List[FaultPoint]:
-        total = len(points)
-        if total == 0:
-            return []
-        if self.count is not None:
-            size = min(self.count, total)
-        else:
-            size = max(1, round(self.fraction * total))
-            size = min(size, total)
-        chosen = set(Random(self.seed).sample(range(total), size))
-        return [point for index, point in enumerate(points) if index in chosen]
-
-    def describe(self) -> str:
-        budget = f"count={self.count}" if self.count is not None else f"fraction={self.fraction}"
-        return f"{self.name}({budget}, seed={self.seed})"
 
 
 def _site_key(point: FaultPoint) -> Tuple[Any, ...]:
@@ -471,8 +402,7 @@ def _parse_coverage_spec(params: str) -> CoverageGuidedStrategy:
 def resolve_strategy(spec) -> ExplorationStrategy:
     """Turn a strategy spec into a strategy instance.
 
-    Accepted specs: ``None``/``"exhaustive"``, ``"boundary"``/
-    ``"boundary-sample"``, ``"random"``/``"random-sample"`` (seed 0),
+    Accepted specs: ``None``/``"exhaustive"``,
     ``"coverage"``/``"coverage-guided"``/``"adaptive"`` (optionally with
     knobs, e.g. ``"coverage:round=6,patience=3"``), or an
     :class:`ExplorationStrategy` instance (returned unchanged).
@@ -490,23 +420,17 @@ def resolve_strategy(spec) -> ExplorationStrategy:
             raise ValueError(f"unknown exploration strategy {spec!r}")
         if normalized in ("", "exhaustive", "all"):
             return ExhaustiveStrategy()
-        if normalized in ("boundary", "boundary-sample"):
-            return BoundarySampleStrategy()
-        if normalized in ("random", "random-sample"):
-            return RandomSampleStrategy(seed=0)
         raise ValueError(f"unknown exploration strategy {spec!r}")
     raise TypeError(f"unsupported exploration strategy spec {spec!r}")
 
 
 __all__ = [
-    "BoundarySampleStrategy",
     "CoverageGuidedSession",
     "CoverageGuidedStrategy",
     "ExhaustiveStrategy",
     "ExplorationStrategy",
     "PlannerSession",
     "ProbeFeedback",
-    "RandomSampleStrategy",
     "SingleRoundSession",
     "resolve_strategy",
 ]

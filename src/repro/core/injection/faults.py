@@ -50,9 +50,6 @@ class FaultSpec:
     def is_errno_class(self) -> bool:
         return self.fault_class == ERRNO_CLASS
 
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
     def param(self, key: str, default: Any = None) -> Any:
         for name, value in self.params:
             if name == key:

@@ -11,7 +11,7 @@ the analog of reading the man pages.  They serve two purposes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.profiler.fault_profile import (
     ErrorSpecification,
@@ -53,24 +53,8 @@ def combined_reference_profile() -> FaultProfile:
     return merge_profiles(reference_profiles().values())
 
 
-def reference_function_profile(function: str) -> Optional[FunctionProfile]:
-    spec = LIBC_FUNCTIONS.get(function)
-    if spec is None:
-        return None
-    return FunctionProfile(
-        name=spec.name,
-        error_returns=[
-            ErrorSpecification(return_value=error.value, errnos=error.errnos)
-            for error in spec.error_returns
-        ],
-        success=spec.success,
-        errno_via_return=spec.errno_via_return,
-    )
-
-
 __all__ = [
     "combined_reference_profile",
-    "reference_function_profile",
     "reference_profile",
     "reference_profiles",
 ]

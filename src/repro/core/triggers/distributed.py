@@ -45,10 +45,6 @@ class DistributedTrigger(Trigger):
             raise TriggerError("DistributedTrigger requires a 'controller' parameter")
         self.controller = controller
 
-    def attach(self, controller: InjectionController) -> None:
-        """Late-bind the controller (used when scenarios are built from XML)."""
-        self.controller = controller
-
     def eval(self, ctx: CallContext) -> bool:
         if self.controller is None:
             return False

@@ -87,15 +87,6 @@ class CoverageComparison:
         return max(extra, 0) / total
 
     @property
-    def relative_recovery_improvement(self) -> float:
-        """Extra recovery coverage relative to what the baseline already covered."""
-        baseline_covered = self.baseline.recovery_covered
-        extra = self.with_lfi.recovery_covered - baseline_covered
-        if baseline_covered:
-            return extra / baseline_covered
-        return 1.0 if extra else 0.0
-
-    @property
     def additional_lines_covered(self) -> int:
         return len(self.with_lfi.covered_line_set - self.baseline.covered_line_set)
 

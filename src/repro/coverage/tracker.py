@@ -70,12 +70,6 @@ class _CoverageQueries:
         covered = sum(1 for address, _ in self._items() if binary.has_address(address))
         return covered / len(binary)
 
-    def line_coverage(self, binary: BinaryImage) -> float:
-        all_lines = set(binary.lines())
-        if not all_lines:
-            return 0.0
-        return len(self.covered_lines(binary) & all_lines) / len(all_lines)
-
     def lines_covered_of(self, binary: BinaryImage, lines: Iterable[Line]) -> Set[Line]:
         wanted = set(lines)
         return self.covered_lines(binary) & wanted

@@ -2,8 +2,8 @@
 
 Each module exposes a ``run(...)`` function returning a
 :class:`~repro.experiments.common.TableResult` whose rows mirror the paper's
-presentation; the ``benchmarks/`` directory wraps these in pytest-benchmark
-targets, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+presentation, and the ``benchmarks/`` directory wraps these in
+pytest-benchmark targets.
 
 | module | reproduces |
 |--------|------------|
@@ -16,7 +16,6 @@ targets, and ``EXPERIMENTS.md`` records paper-vs-measured values.
 | :mod:`repro.experiments.figure3_pbft_slowdown` | Figure 3 — PBFT slowdown under packet loss |
 | :mod:`repro.experiments.dos_pbft` | §7.3 — PBFT DoS study |
 | :mod:`repro.experiments.analyzer_efficiency` | §7.2 — analyzer running time |
-| :mod:`repro.experiments.mini_bind_campaign` | single-target BIND campaign/exploration driver |
 """
 
 from repro.experiments.common import TableResult, format_table

@@ -15,7 +15,7 @@ class TableResult:
     columns: List[str]
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    #: The corresponding values reported in the paper, for EXPERIMENTS.md.
+    #: The corresponding values reported in the paper.
     paper_reference: Dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:

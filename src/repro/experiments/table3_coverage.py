@@ -16,7 +16,7 @@ Methodology, mirroring §7.1:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.analysis.analyzer import CallSiteAnalyzer
 from repro.core.controller.executor import (
@@ -26,8 +26,6 @@ from repro.core.controller.executor import (
     run_requests,
 )
 from repro.core.controller.target import WorkloadRequest
-from repro.core.exploration.space import enumerate_fault_space, priority_order
-from repro.core.exploration.strategy import ExplorationStrategy, ProbeFeedback
 from repro.core.profiler.spec_profiles import combined_reference_profile
 from repro.coverage.recovery import identify_recovery_regions
 from repro.coverage.report import CoverageComparison, build_report, compare_coverage
@@ -51,26 +49,12 @@ def measure_target(
     target: CompiledTarget,
     functions: Sequence[str],
     backend: Optional[ExecutionBackend] = None,
-    strategy: Optional[ExplorationStrategy] = None,
-    round_log: Optional[List[Dict[str, Any]]] = None,
 ) -> Tuple[CoverageComparison, int]:
     """Return (coverage comparison, number of scenarios run) for one target.
 
     The per-scenario suite re-runs are an independent batch; *backend*
     (serial when ``None``) executes them, and coverage is merged in
     submission order so the comparison is schedule-independent.
-
-    When *strategy* is given, the scenarios come from the fault-space
-    exploration subsystem instead of the analyzer's default
-    one-scenario-per-site generation: the full (site x errno) space is
-    enumerated, priority ordered, and pruned by the strategy — e.g.
-    ``ExhaustiveStrategy()`` sweeps every errno of every site into the
-    coverage merge, ``BoundarySampleStrategy()`` keeps the errno-range
-    edges.  An *adaptive* strategy (``CoverageGuidedStrategy``) is driven
-    round by round instead: each round's recovery-region deltas feed the
-    planner, and per-round coverage growth is appended to *round_log* (one
-    dict per round: probes run, new recovery lines, cumulative recovery
-    fraction).
     """
     binary = target.binary()
     profile = combined_reference_profile()
@@ -81,133 +65,30 @@ def measure_target(
 
     analyzer = CallSiteAnalyzer(profile=profile)
     analysis = analyzer.analyze(binary, functions=list(functions))
+    scenarios = analyzer.generate_scenarios(
+        analysis, include_partial=True, include_checked=True
+    )
+    results = run_requests(
+        target,
+        [
+            WorkloadRequest(
+                workload="default-tests", scenario=scenario, collect_coverage=True
+            )
+            for scenario in scenarios
+        ],
+        backend,
+    )
     merged = CoverageTracker()
     merged.merge(baseline_tracker)
-    scenario_count = 0
-    if strategy is not None and getattr(strategy, "adaptive", False):
-        scenario_count = _merge_adaptive_rounds(
-            target, binary, strategy, analysis, profile, recovery,
-            merged, backend, round_log,
-        )
-    else:
-        if strategy is not None:
-            points = enumerate_fault_space(
-                analysis.classifications.values(),
-                profile,
-                include_partial=True,
-                include_checked=True,
-            )
-            scenarios = [
-                point.scenario() for point in strategy.select(priority_order(points))
-            ]
-        else:
-            scenarios = analyzer.generate_scenarios(
-                analysis, include_partial=True, include_checked=True
-            )
-        results = run_requests(
-            target,
-            [
-                WorkloadRequest(
-                    workload="default-tests", scenario=scenario, collect_coverage=True
-                )
-                for scenario in scenarios
-            ],
-            backend,
-        )
-        for result in results:
-            merged.merge(result.stats["coverage"])
-        scenario_count = len(scenarios)
+    for result in results:
+        merged.merge(result.stats["coverage"])
 
     lfi_report = build_report(binary, merged, recovery, "test suite + LFI")
-    return compare_coverage(baseline_report, lfi_report), scenario_count
+    return compare_coverage(baseline_report, lfi_report), len(scenarios)
 
 
-def _merge_adaptive_rounds(
-    target: CompiledTarget,
-    binary,
-    strategy: ExplorationStrategy,
-    analysis,
-    profile,
-    recovery,
-    merged: CoverageTracker,
-    backend: Optional[ExecutionBackend],
-    round_log: Optional[List[Dict[str, Any]]],
-) -> int:
-    """Drive an adaptive strategy round by round over the suite re-runs.
-
-    The feedback channel is the same recovery-region delta the exploration
-    engine computes (lines of :func:`identify_recovery_regions`'s universe
-    each probe covered), so the table3 harness exercises the planner the
-    way a campaign would.  Returns the number of scenarios run; per-round
-    growth lands in *round_log* when given.
-    """
-    points = enumerate_fault_space(
-        analysis.classifications.values(),
-        profile,
-        include_partial=True,
-        include_checked=True,
-    )
-    frontier = priority_order(points)
-    universe = frozenset(recovery.all_lines())
-    session = strategy.session()
-    covered: set = set()
-    feedback: List[ProbeFeedback] = []
-    scenario_count = 0
-    while True:
-        keys = session.propose(frontier, feedback)
-        feedback = []
-        if not keys:
-            return scenario_count
-        by_key = {point.key: point for point in frontier}
-        round_points = [by_key[key] for key in keys]
-        chosen = set(keys)
-        frontier = [point for point in frontier if point.key not in chosen]
-        results = run_requests(
-            target,
-            [
-                WorkloadRequest(
-                    workload="default-tests",
-                    scenario=point.scenario(),
-                    collect_coverage=True,
-                )
-                for point in round_points
-            ],
-            backend,
-        )
-        new_lines = 0
-        for point, result in zip(round_points, results):
-            tracker = result.stats["coverage"]
-            merged.merge(tracker)
-            lines = {
-                f"{file}:{line}"
-                for file, line in tracker.lines_covered_of(binary, universe)
-            }
-            new_lines += len(lines - covered)
-            covered |= lines
-            feedback.append(
-                ProbeFeedback(key=point.key, recovery_lines=tuple(sorted(lines)))
-            )
-        scenario_count += len(round_points)
-        if round_log is not None:
-            round_log.append({
-                "round": len(round_log) + 1,
-                "probes": len(round_points),
-                "new_recovery_lines": new_lines,
-                "recovery_fraction": (
-                    round(len(covered) / len(universe), 4) if universe else 0.0
-                ),
-            })
-
-
-def run(
-    parallelism: ParallelismSpec = None,
-    strategy: Optional[ExplorationStrategy] = None,
-) -> TableResult:
-    """Reproduce Table 3 for the Git and BIND analogs.
-
-    *strategy* (optional) selects scenarios via the fault-space exploration
-    subsystem — see :func:`measure_target`.
-    """
+def run(parallelism: ParallelismSpec = None) -> TableResult:
+    """Reproduce Table 3 for the Git and BIND analogs."""
     table = TableResult(
         name="Table 3",
         description="Automated improvement in recovery-code coverage",
@@ -238,16 +119,14 @@ def run(
     try:
         measurements = []
         for target, functions in targets:
-            round_log: List[Dict[str, Any]] = []
             comparison, scenario_count = measure_target(
-                target, functions, backend=backend, strategy=strategy,
-                round_log=round_log,
+                target, functions, backend=backend
             )
-            measurements.append((target, comparison, scenario_count, round_log))
+            measurements.append((target, comparison, scenario_count))
     finally:
         if owned:
             backend.close()
-    for target, comparison, scenario_count, round_log in measurements:
+    for target, comparison, scenario_count in measurements:
         table.add_row(
             system=target.name,
             **{
@@ -262,14 +141,6 @@ def run(
         table.paper_reference[reference_key] = round(
             comparison.additional_recovery_fraction, 4
         )
-        if round_log:
-            growth = ", ".join(
-                f"r{entry['round']}: {entry['probes']} probes "
-                f"+{entry['new_recovery_lines']} lines "
-                f"({entry['recovery_fraction']:.0%} of recovery regions)"
-                for entry in round_log
-            )
-            table.add_note(f"{target.name} adaptive round growth — {growth}")
     table.add_note(
         "coverage is measured over source lines of the compiled analogs; recovery regions are "
         "identified automatically from error-return checks instead of manual lcov inspection"

@@ -157,11 +157,6 @@ class Assembler:
             raise AssemblyError(f"duplicate data symbol {name!r}")
         self._data_items.append(_DataItem(name=name, words=[initial] * size))
 
-    def add_words(self, name: str, words: List[int]) -> None:
-        if any(d.name == name for d in self._data_items):
-            raise AssemblyError(f"duplicate data symbol {name!r}")
-        self._data_items.append(_DataItem(name=name, words=list(words)))
-
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------

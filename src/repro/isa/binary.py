@@ -279,10 +279,6 @@ class BinaryImage:
             self._block_leaders = cached
         return cached
 
-    @property
-    def exported_functions(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.symbols))
-
     def entry_address(self, name: Optional[str] = None) -> int:
         target = name or self.entry
         if target not in self.symbols:

@@ -61,9 +61,6 @@ class SimpleLibrary:
         self.name = name
         self._table: Dict[str, Any] = dict(table or {})
 
-    def define(self, symbol: str, target: Any) -> None:
-        self._table[symbol] = target
-
     def exports(self) -> Iterable[str]:
         return tuple(self._table)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 KEYWORDS = frozenset(
     {"int", "if", "else", "while", "for", "return", "break", "continue"}
@@ -130,8 +130,4 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-def iter_tokens(source: str) -> Iterator[Token]:
-    yield from tokenize(source)
-
-
-__all__ = ["KEYWORDS", "LexerError", "Token", "iter_tokens", "tokenize"]
+__all__ = ["KEYWORDS", "LexerError", "Token", "tokenize"]

@@ -44,37 +44,13 @@ class LibcFacade:
         self.os = os
         self.gate = gate if gate is not None else _DirectGate()
         self.node = node or os.name
-        self._errno: int = 0
-        #: Program reads of ``errno`` (the :attr:`errno` property counts
-        #: them), mirroring ``SimLibc.errno_reads`` for the VM targets: the
-        #: prefix-sharing scheduler uses the counter to prove a suffix never
-        #: observed errno, collapsing errno-only fault variants.
-        self.errno_reads: int = 0
+        self.errno: int = 0
         self._next_handle = 0x1000
-        self._malloc_handles: Dict[int, int] = {}
         self._file_handles: Dict[int, int] = {}
-        self._dir_handles: Dict[int, int] = {}
-
-    @property
-    def errno(self) -> int:
-        self.errno_reads += 1
-        return self._errno
-
-    @errno.setter
-    def errno(self, value: int) -> None:
-        self._errno = int(value)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def set_gate(self, gate: Optional[Any]) -> None:
-        self.gate = gate if gate is not None else _DirectGate()
-
-    def _alloc_handle(self) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        return handle
-
     def _call(
         self,
         name: str,
@@ -146,24 +122,6 @@ class LibcFacade:
             context={"partial_io": partial},
         ).value
 
-    def fstat(self, fd: int) -> Optional[fsmod.Stat]:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            return 0, {"stat": self.os.fs.fstat(fd)}
-
-        result = self._call("fstat", (fd,), operation)
-        if result.value != 0:
-            return None
-        return result.payload.get("stat")
-
-    def stat(self, path: str) -> Optional[fsmod.Stat]:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            return 0, {"stat": self.os.fs.stat(path)}
-
-        result = self._call("stat", (path, 0), operation)
-        if result.value != 0:
-            return None
-        return result.payload.get("stat")
-
     def unlink(self, path: str) -> int:
         def operation() -> Tuple[int, Dict[str, Any]]:
             self.os.fs.unlink(path)
@@ -197,7 +155,8 @@ class LibcFacade:
             elif "a" in mode:
                 flags = fsmod.O_WRONLY | fsmod.O_CREAT | fsmod.O_APPEND
             fd = self.os.fs.open(path, flags)
-            handle = self._alloc_handle()
+            handle = self._next_handle
+            self._next_handle += 1
             self._file_handles[handle] = fd
             return handle, {}
 
@@ -225,23 +184,6 @@ class LibcFacade:
             context={"partial_io": partial},
         ).value
 
-    def fread(self, handle: int, count: int) -> Optional[bytes]:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            data = self.os.fs.read(self._handle_fd(handle), count)
-            return len(data), {"data": data}
-
-        def partial(clamped: int) -> LibcResult:
-            data = self.os.fs.read(self._handle_fd(handle), clamped)
-            return LibcResult(value=len(data), payload={"data": data})
-
-        result = self._call(
-            "fread", (0, 1, count, handle), operation,
-            context={"partial_io": partial},
-        )
-        if result.value <= 0 and result.injected:
-            return None
-        return result.payload.get("data", b"")
-
     def fclose(self, handle: int) -> int:
         def operation() -> Tuple[int, Dict[str, Any]]:
             fd = self._handle_fd(handle)
@@ -250,83 +192,6 @@ class LibcFacade:
             return 0, {}
 
         return self._call("fclose", (handle,), operation).value
-
-    # ------------------------------------------------------------------
-    # directories
-    # ------------------------------------------------------------------
-    def opendir(self, path: str) -> int:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            native = self.os.fs.opendir(path)
-            handle = self._alloc_handle()
-            self._dir_handles[handle] = native
-            return handle, {}
-
-        return self._call("opendir", (path,), operation).value
-
-    def readdir(self, handle: int) -> Optional[str]:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            if handle not in self._dir_handles:
-                raise OSFault(Errno.EBADF, f"DIR handle {handle}")
-            name = self.os.fs.readdir(self._dir_handles[handle])
-            if name is None:
-                return 0, {}
-            return 1, {"name": name}
-
-        result = self._call("readdir", (handle,), operation)
-        if result.value == 0:
-            return None
-        return result.payload.get("name")
-
-    def closedir(self, handle: int) -> int:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            if handle not in self._dir_handles:
-                raise OSFault(Errno.EBADF, f"DIR handle {handle}")
-            self.os.fs.closedir(self._dir_handles.pop(handle))
-            return 0, {}
-
-        return self._call("closedir", (handle,), operation).value
-
-    # ------------------------------------------------------------------
-    # memory
-    # ------------------------------------------------------------------
-    def malloc(self, size: int) -> int:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            handle = self._alloc_handle()
-            self._malloc_handles[handle] = size
-            return handle, {}
-
-        return self._call("malloc", (size,), operation).value
-
-    def free(self, handle: int) -> None:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            self._malloc_handles.pop(handle, None)
-            return 0, {}
-
-        self._call("free", (handle,), operation)
-
-    # ------------------------------------------------------------------
-    # environment
-    # ------------------------------------------------------------------
-    def setenv(self, name: str, value: str, overwrite: bool = True) -> int:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            return self.os.env.setenv(name, value, overwrite), {}
-
-        result = self._call("setenv", (name, value, int(overwrite)), operation)
-        if result.value != 0:
-            self.os.env.record_failed_update(name, value)
-        return result.value
-
-    def getenv(self, name: str) -> Optional[str]:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            value = self.os.env.getenv(name)
-            if value is None:
-                return 0, {}
-            return 1, {"value": value}
-
-        result = self._call("getenv", (name,), operation)
-        if result.value == 0:
-            return None
-        return result.payload.get("value")
 
     # ------------------------------------------------------------------
     # sockets
@@ -373,19 +238,9 @@ class LibcFacade:
             "pthread_mutex_unlock", (mutex_id,), lambda: (self.os.mutexes.unlock(mutex_id), {})
         ).value
 
-    def pthread_self(self) -> int:
-        return self._call("pthread_self", (), lambda: (1, {})).value
-
     # ------------------------------------------------------------------
-    # misc / apr
+    # apr
     # ------------------------------------------------------------------
-    def puts(self, text: str) -> int:
-        def operation() -> Tuple[int, Dict[str, Any]]:
-            self.os.write_stdout(text + "\n")
-            return len(text) + 1, {}
-
-        return self._call("puts", (text,), operation).value
-
     def apr_file_read(self, fd: int, count: int) -> Tuple[int, bytes]:
         def operation() -> Tuple[int, Dict[str, Any]]:
             data = self.os.fs.read(fd, count)

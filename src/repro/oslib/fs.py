@@ -38,7 +38,6 @@ S_IFREG = 0o100000
 S_IFDIR = 0o040000
 S_IFIFO = 0o010000
 S_IFLNK = 0o120000
-S_IFSOCK = 0o140000
 
 
 def s_isfifo(mode: int) -> bool:
@@ -47,10 +46,6 @@ def s_isfifo(mode: int) -> bool:
 
 def s_isreg(mode: int) -> bool:
     return (mode & 0o170000) == S_IFREG
-
-
-def s_isdir(mode: int) -> bool:
-    return (mode & 0o170000) == S_IFDIR
 
 
 @dataclass
@@ -85,9 +80,6 @@ class Stat:
     def is_fifo(self) -> bool:
         return s_isfifo(self.mode)
 
-    def is_dir(self) -> bool:
-        return s_isdir(self.mode)
-
 
 @dataclass
 class OpenFile:
@@ -98,15 +90,12 @@ class OpenFile:
     offset: int = 0
     is_pipe: bool = False
     pipe_buffer: Optional[bytearray] = None
-    is_socket: bool = False
     closed: bool = False
 
     @property
     def kind_mode(self) -> int:
         if self.is_pipe:
             return S_IFIFO | 0o600
-        if self.is_socket:
-            return S_IFSOCK | 0o600
         assert self.file is not None
         return self.file.mode
 
@@ -291,8 +280,8 @@ class SimFileSystem:
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> int:
         open_file = self._descriptor(fd)
-        if open_file.is_pipe or open_file.is_socket:
-            raise OSFault(Errno.ESPIPE, "seek on pipe/socket")
+        if open_file.is_pipe:
+            raise OSFault(Errno.ESPIPE, "seek on pipe")
         assert open_file.file is not None
         if whence == 0:
             new_offset = offset
@@ -372,9 +361,6 @@ class SimFileSystem:
         open_file = self._descriptors.get(fd)
         return open_file is not None and not open_file.closed
 
-    def open_descriptor_count(self) -> int:
-        return len(self._descriptors)
-
     # ------------------------------------------------------------------
     # snapshot support (repro.vm.snapshot)
     # ------------------------------------------------------------------
@@ -415,7 +401,6 @@ class SimFileSystem:
                 open_file.offset,
                 open_file.is_pipe,
                 pipe_key,
-                open_file.is_socket,
                 open_file.closed,
             )
         return {
@@ -463,7 +448,7 @@ class SimFileSystem:
         self._descriptors = {}
         for fd, entry in state["descriptors"].items():
             (file_path, inline_key, flags, offset, is_pipe, pipe_key,
-             is_socket, closed) = entry
+             closed) = entry
             sim_file = None
             if file_path is not None:
                 sim_file = self._files[file_path]
@@ -475,7 +460,6 @@ class SimFileSystem:
                 offset=offset,
                 is_pipe=is_pipe,
                 pipe_buffer=shared_buffers[pipe_key] if pipe_key is not None else None,
-                is_socket=is_socket,
                 closed=closed,
             )
         self._dir_streams = {
@@ -488,7 +472,7 @@ class SimFileSystem:
         self._next_inode = state["next_inode"]
 
     # ------------------------------------------------------------------
-    # pipes and sockets
+    # pipes
     # ------------------------------------------------------------------
     def make_pipe(self, nonblocking: bool = False) -> Tuple[int, int]:
         """Create a pipe; returns (read_fd, write_fd) sharing one buffer."""
@@ -497,12 +481,6 @@ class SimFileSystem:
         read_end = OpenFile(file=None, flags=O_RDONLY | flags, is_pipe=True, pipe_buffer=buffer)
         write_end = OpenFile(file=None, flags=O_WRONLY | flags, is_pipe=True, pipe_buffer=buffer)
         return self._allocate_fd(read_end), self._allocate_fd(write_end)
-
-    def make_socket_fd(self) -> int:
-        return self._allocate_fd(OpenFile(file=None, flags=O_RDWR, is_socket=True))
-
-    def is_socket(self, fd: int) -> bool:
-        return self._descriptor(fd).is_socket
 
     # ------------------------------------------------------------------
     # directory streams
@@ -549,11 +527,9 @@ __all__ = [
     "S_IFDIR",
     "S_IFIFO",
     "S_IFREG",
-    "S_IFSOCK",
     "SimFile",
     "SimFileSystem",
     "Stat",
-    "s_isdir",
     "s_isfifo",
     "s_isreg",
 ]

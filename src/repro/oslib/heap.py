@@ -8,7 +8,7 @@ call-site analyzer targets (unchecked ``malloc`` in BIND and Git, Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.isa import layout
 from repro.oslib.errno_codes import Errno
@@ -41,15 +41,8 @@ class SimHeap:
     def bytes_in_use(self) -> int:
         return self._bytes_in_use
 
-    @property
-    def allocation_count(self) -> int:
-        return sum(1 for alloc in self._allocations.values() if not alloc.freed)
-
     def owns(self, address: int) -> bool:
         return self.base <= address < self.base + self.capacity
-
-    def allocation_at(self, address: int) -> Optional[Allocation]:
-        return self._allocations.get(address)
 
     # ------------------------------------------------------------------
     def malloc(self, size: int) -> int:
@@ -64,9 +57,6 @@ class SimHeap:
         self._allocations[address] = Allocation(address=address, size=size)
         self._bytes_in_use += size
         return address
-
-    def calloc(self, count: int, size: int) -> int:
-        return self.malloc(count * size)
 
     def free(self, address: int) -> None:
         if address == 0:

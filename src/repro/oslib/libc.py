@@ -74,14 +74,6 @@ class LibcFunctionSpec:
     def error_values(self) -> Tuple[int, ...]:
         return tuple(er.value for er in self.error_returns)
 
-    def all_errnos(self) -> Tuple[str, ...]:
-        names = []
-        for er in self.error_returns:
-            for name in er.errnos:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
-
 
 def _spec(
     name: str,
@@ -188,16 +180,6 @@ def spec_for(name: str) -> LibcFunctionSpec:
         return LIBC_FUNCTIONS[name]
     except KeyError as exc:
         raise KeyError(f"unknown library function {name!r}") from exc
-
-
-def libraries() -> Tuple[str, ...]:
-    return tuple(sorted({spec.library for spec in LIBC_FUNCTIONS.values()}))
-
-
-def functions_of_library(library: str) -> Tuple[LibcFunctionSpec, ...]:
-    return tuple(
-        spec for spec in LIBC_FUNCTIONS.values() if spec.library == library
-    )
 
 
 # ----------------------------------------------------------------------
@@ -325,59 +307,38 @@ class SimLibc:
     def _register_implementations(self) -> None:
         impls = {
             "malloc": self._malloc,
-            "calloc": self._calloc,
-            "realloc": self._realloc,
             "free": self._free,
             "open": self._open,
             "close": self._close,
             "read": self._read,
             "write": self._write,
-            "lseek": self._lseek,
-            "fstat": self._fstat,
-            "stat": self._stat,
             "unlink": self._unlink,
             "readlink": self._readlink,
-            "mkdir": self._mkdir,
-            "fcntl": self._fcntl,
             "fopen": self._fopen,
             "fclose": self._fclose,
             "fread": self._fread,
             "fwrite": self._fwrite,
-            "fgets": self._fgets,
-            "fseek": self._fseek,
             "puts": self._puts,
             "opendir": self._opendir,
             "readdir": self._readdir,
             "closedir": self._closedir,
-            "socket": self._socket,
-            "bind": self._bind,
-            "sendto": self._sendto,
-            "recvfrom": self._recvfrom,
             "setenv": self._setenv,
             "getenv": self._getenv,
-            "pthread_mutex_init": self._pthread_mutex_init,
             "pthread_mutex_lock": self._pthread_mutex_lock,
-            "pthread_mutex_unlock": self._pthread_mutex_unlock,
-            "pthread_mutex_destroy": self._pthread_mutex_destroy,
-            "pthread_self": self._pthread_self,
             "time": self._time,
             "getpid": self._getpid,
             "abort": self._abort,
             "exit": self._exit,
             "assert_fail": self._assert_fail,
             "strlen": self._strlen,
-            "strcmp": self._strcmp,
             "strcpy": self._strcpy,
             "memset": self._memset,
-            "memcpy": self._memcpy,
             "atoi": self._atoi,
             "xmlNewTextWriterDoc": self._xml_new_text_writer_doc,
             "xmlTextWriterStartDocument": self._xml_writer_touch,
             "xmlTextWriterWriteString": self._xml_writer_touch,
             "xmlTextWriterEndDocument": self._xml_writer_touch_single,
             "xmlFreeTextWriter": self._xml_free_text_writer,
-            "apr_file_read": self._apr_file_read,
-            "apr_stat": self._apr_stat,
         }
         self._impls.update(impls)
 
@@ -386,15 +347,6 @@ class SimLibc:
     # ------------------------------------------------------------------
     def _malloc(self, args, mem) -> int:
         return self.os.heap.malloc(args[0])
-
-    def _calloc(self, args, mem) -> int:
-        address = self.os.heap.calloc(args[0], args[1])
-        for offset in range(max(args[0] * args[1], 1)):
-            mem.store(address + offset, 0)
-        return address
-
-    def _realloc(self, args, mem) -> int:
-        return self.os.heap.realloc(args[0], args[1])
 
     def _free(self, args, mem) -> int:
         try:
@@ -426,28 +378,6 @@ class SimLibc:
         data = read_buffer(mem, buf, count)
         return self.os.fs.write(fd, data)
 
-    def _lseek(self, args, mem) -> int:
-        return self.os.fs.lseek(args[0], args[1], args[2])
-
-    def _fstat(self, args, mem) -> int:
-        stat = self.os.fs.fstat(args[0])
-        self._store_stat(mem, args[1], stat)
-        return 0
-
-    def _stat(self, args, mem) -> int:
-        path = read_c_string(mem, args[0])
-        stat = self.os.fs.stat(path)
-        self._store_stat(mem, args[1], stat)
-        return 0
-
-    @staticmethod
-    def _store_stat(mem: MemoryAccess, address: int, stat: fsmod.Stat) -> None:
-        if layout.is_null_page(address):
-            raise MemoryFault(address, "stat buffer through NULL pointer")
-        mem.store(address, stat.mode)
-        mem.store(address + 1, stat.size)
-        mem.store(address + 2, stat.inode)
-
     def _unlink(self, args, mem) -> int:
         self.os.fs.unlink(read_c_string(mem, args[0]))
         return 0
@@ -458,23 +388,6 @@ class SimLibc:
         truncated = target[: args[2]]
         write_c_string(mem, args[1], truncated, terminate=False)
         return len(truncated)
-
-    def _mkdir(self, args, mem) -> int:
-        self.os.fs.mkdir(read_c_string(mem, args[0]))
-        return 0
-
-    def _fcntl(self, args, mem) -> int:
-        fd, cmd = args[0], args[1]
-        if cmd == F_GETFL:
-            return self.os.fs.fd_flags(fd)
-        if cmd == F_SETFL:
-            self.os.fs.set_fd_flags(fd, args[2])
-            return 0
-        if cmd in (F_GETLK, F_SETLK):
-            if not self.os.fs.descriptor_is_open(fd):
-                raise OSFault(Errno.EBADF, f"fcntl on fd {fd}")
-            return 0
-        raise OSFault(Errno.EINVAL, f"fcntl cmd {cmd}")
 
     # ------------------------------------------------------------------
     # stdio
@@ -520,28 +433,6 @@ class SimLibc:
         written = self.os.fs.write(fd, data)
         return written // max(size, 1)
 
-    def _fgets(self, args, mem) -> int:
-        buf, limit, handle = args
-        fd = self._file_fd(mem, handle)
-        collected = bytearray()
-        while len(collected) < max(limit - 1, 0):
-            chunk = self.os.fs.read(fd, 1)
-            if not chunk:
-                break
-            collected.extend(chunk)
-            if chunk == b"\n":
-                break
-        if not collected:
-            return 0
-        write_c_string(mem, buf, collected.decode("latin-1"))
-        return buf
-
-    def _fseek(self, args, mem) -> int:
-        handle, offset, whence = args
-        fd = self._file_fd(mem, handle)
-        self.os.fs.lseek(fd, offset, whence)
-        return 0
-
     def _puts(self, args, mem) -> int:
         text = read_c_string(mem, args[0])
         self.os.write_stdout(text + "\n")
@@ -579,30 +470,6 @@ class SimLibc:
         return 0
 
     # ------------------------------------------------------------------
-    # sockets
-    # ------------------------------------------------------------------
-    def _socket(self, args, mem) -> int:
-        return self.os.network.socket(owner=self.os.name)
-
-    def _bind(self, args, mem) -> int:
-        self.os.network.bind(args[0], args[1])
-        return 0
-
-    def _sendto(self, args, mem) -> int:
-        fd, buf, count, _flags, dest, _addrlen = args
-        payload = read_buffer(mem, buf, count)
-        return self.os.network.sendto(fd, payload, dest, now=self.os.clock.now)
-
-    def _recvfrom(self, args, mem) -> int:
-        fd, buf, count, _flags, src_ptr, _addrlen = args
-        payload, source = self.os.network.recvfrom(fd)
-        data = payload[:count]
-        write_buffer(mem, buf, data)
-        if src_ptr and not layout.is_null_page(src_ptr):
-            mem.store(src_ptr, source)
-        return len(data)
-
-    # ------------------------------------------------------------------
     # environment
     # ------------------------------------------------------------------
     def _setenv(self, args, mem) -> int:
@@ -626,20 +493,8 @@ class SimLibc:
     # ------------------------------------------------------------------
     # threads / sync
     # ------------------------------------------------------------------
-    def _pthread_mutex_init(self, args, mem) -> int:
-        return self.os.mutexes.init(args[0])
-
     def _pthread_mutex_lock(self, args, mem) -> int:
         return self.os.mutexes.lock(args[0])
-
-    def _pthread_mutex_unlock(self, args, mem) -> int:
-        return self.os.mutexes.unlock(args[0])
-
-    def _pthread_mutex_destroy(self, args, mem) -> int:
-        return self.os.mutexes.destroy(args[0])
-
-    def _pthread_self(self, args, mem) -> int:
-        return 1
 
     # ------------------------------------------------------------------
     # misc
@@ -670,11 +525,6 @@ class SimLibc:
     def _strlen(self, args, mem) -> int:
         return len(read_c_string(mem, args[0]))
 
-    def _strcmp(self, args, mem) -> int:
-        a = read_c_string(mem, args[0])
-        b = read_c_string(mem, args[1])
-        return (a > b) - (a < b)
-
     def _strcpy(self, args, mem) -> int:
         text = read_c_string(mem, args[1])
         write_c_string(mem, args[0], text)
@@ -685,12 +535,6 @@ class SimLibc:
         for offset in range(count):
             mem.store(address + offset, value & 0xFF)
         return address
-
-    def _memcpy(self, args, mem) -> int:
-        dst, src, count = args
-        for offset in range(count):
-            mem.store(dst + offset, mem.load(src + offset))
-        return dst
 
     def _atoi(self, args, mem) -> int:
         text = read_c_string(mem, args[0]).strip()
@@ -732,27 +576,6 @@ class SimLibc:
             self.os.heap.free(args[0])
         return 0
 
-    # ------------------------------------------------------------------
-    # libapr subset used by the Apache overhead experiment
-    # ------------------------------------------------------------------
-    def _apr_file_read(self, args, mem) -> int:
-        fd, buf, len_ptr = args
-        requested = mem.load(len_ptr) if len_ptr else 0
-        data = self.os.fs.read(fd, requested)
-        write_buffer(mem, buf, data)
-        if len_ptr:
-            mem.store(len_ptr, len(data))
-        if not data and requested:
-            return 70008  # APR_EOF
-        return 0
-
-    def _apr_stat(self, args, mem) -> int:
-        finfo, fname, _wanted, _pool = args
-        path = read_c_string(mem, fname)
-        stat = self.os.fs.stat(path)
-        self._store_stat(mem, finfo, stat)
-        return 0
-
 
 __all__ = [
     "ErrorReturn",
@@ -765,8 +588,6 @@ __all__ = [
     "LibcResult",
     "MemoryAccess",
     "SimLibc",
-    "functions_of_library",
-    "libraries",
     "read_buffer",
     "read_c_string",
     "spec_for",

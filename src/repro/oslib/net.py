@@ -154,18 +154,6 @@ class SimNetwork:
     def pending(self, fd: int) -> int:
         return len(self._socket(fd).queue)
 
-    def queue_depths(self) -> Dict[int, int]:
-        return {
-            sock.address: len(sock.queue)
-            for sock in self._sockets.values()
-            if sock.address is not None
-        }
-
-    def reset_counters(self) -> None:
-        self.sent_count = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-
     # ------------------------------------------------------------------
     # snapshot support (repro.vm.snapshot)
     # ------------------------------------------------------------------

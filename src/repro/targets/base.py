@@ -79,11 +79,6 @@ class GroundTruthEntry:
     checked: bool
     interprocedural: bool = False
 
-    @property
-    def analyzer_expected_to_err(self) -> bool:
-        """True when the intra-procedural analyzer is expected to get it wrong."""
-        return self.interprocedural
-
 
 _ANNOTATION_RE = re.compile(r"//@check:(?P<verdict>yes|no|interproc)\b")
 _CALL_RE = re.compile(r"\b(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(")

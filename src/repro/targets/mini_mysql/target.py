@@ -47,9 +47,6 @@ class MiniMySQLTarget:
 
     name = "mini_mysql"
     known_bugs = KNOWN_BUGS
-    #: Workloads are deterministic modulo the injected fault, so the
-    #: prefix-sharing campaign scheduler may group this target's scenarios.
-    prefix_shareable = True
 
     def binary(self):
         """Python-level target: there is no compiled binary to analyze."""

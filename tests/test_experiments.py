@@ -11,19 +11,15 @@ from repro.experiments import (
     analyzer_efficiency,
     dos_pbft,
     figure3_pbft_slowdown,
-    mini_bind_campaign,
     table2_precision,
     table4_accuracy,
     table5_apache_overhead,
     table6_mysql_overhead,
 )
 from repro.experiments.common import TableResult, format_table, geometric_mean
-from repro.core.exploration import BoundarySampleStrategy, ResultStore
+from repro.core.exploration import ResultStore
 from repro.experiments.table1_bugs import _compiled_target_bugs
-from repro.experiments.table3_coverage import measure_target
 from repro.targets.mini_bind import MiniBindTarget
-from repro.targets.mini_git.target import COVERAGE_FUNCTIONS as GIT_FUNCTIONS
-from repro.targets.mini_git.target import MiniGitTarget
 
 
 class TestCommon:
@@ -43,7 +39,7 @@ class TestCommon:
 
 
 class TestExplorationWiring:
-    """The exploration modes of the Table 1 / Table 3 harnesses."""
+    """The exploration mode of the Table 1 harness."""
 
     def test_table1_exploration_mode_finds_bind_bugs_and_resumes(self, tmp_path):
         store_path = str(tmp_path / "table1-mini_bind.jsonl")
@@ -63,43 +59,6 @@ class TestExplorationWiring:
             (b.function, b.kind, b.location) for b in bugs
         }
         assert len(ResultStore(store_path)) == completed
-
-    def test_table3_strategy_mode_still_improves_recovery_coverage(self):
-        default_comparison, default_count = measure_target(MiniGitTarget(), GIT_FUNCTIONS)
-        pruned_comparison, pruned_count = measure_target(
-            MiniGitTarget(), GIT_FUNCTIONS, strategy=BoundarySampleStrategy()
-        )
-        assert 0 < pruned_count <= default_count * 2  # boundary may add errnos
-        assert pruned_comparison.additional_recovery_fraction > 0.30
-        assert (
-            pruned_comparison.with_lfi.total_coverage
-            > pruned_comparison.baseline.total_coverage
-        )
-
-
-class TestMiniBindCampaign:
-    """The single-target BIND harness rides the dataplane end to end."""
-
-    def test_campaign_mode_finds_both_planted_bugs(self):
-        result = mini_bind_campaign.run()
-        assert result.column("bug") == [
-            "bind-statschannel-xml", "bind-dst-lib-init-malloc",
-        ]
-        assert result.column("found") == [True, True]
-
-    def test_exploration_mode_resumes_from_store(self, tmp_path):
-        store_path = str(tmp_path / "mini_bind.jsonl")
-        first = mini_bind_campaign.run(exploration=True, store_path=store_path)
-        assert first.column("found") == [True, True]
-        completed = len(ResultStore(store_path))
-        assert completed > 0
-        again = mini_bind_campaign.run(exploration=True, store_path=store_path)
-        assert again.column("found") == [True, True]
-        assert len(ResultStore(store_path)) == completed
-
-    def test_unknown_workload_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown mini_bind workload"):
-            mini_bind_campaign.run(workload="no-such-workload")
 
 
 class TestHarnesses:

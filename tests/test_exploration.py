@@ -18,11 +18,10 @@ from repro.core.analysis.scenario_gen import fault_candidates
 from repro.core.controller.controller import LFIController
 from repro.core.controller.monitor import OutcomeKind, RunResult
 from repro.core.exploration import (
-    BoundarySampleStrategy,
     ExhaustiveStrategy,
+    ExplorationStrategy,
     FailureDeduplicator,
     FaultPoint,
-    RandomSampleStrategy,
     ResultStore,
     StoredResult,
     enumerate_fault_space,
@@ -164,6 +163,15 @@ class TestFaultSpace:
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
+class _EveryFifthStrategy(ExplorationStrategy):
+    """A static strategy that keeps a fixed, order-preserving subset."""
+
+    name = "every-fifth"
+
+    def select(self, points):
+        return list(points)[::5]
+
+
 class TestStrategies:
     def _mixed_points(self):
         points = []
@@ -177,49 +185,14 @@ class TestStrategies:
         points = self._mixed_points()
         assert ExhaustiveStrategy().select(points) == points
 
-    def test_boundary_keeps_first_and_last_fault_per_site(self):
-        selected = BoundarySampleStrategy().select(self._mixed_points())
-        by_site = {}
-        for point in selected:
-            by_site.setdefault(point.address, []).append(point.fault_index)
-        assert by_site == {0x10: [0, 3], 0x20: [0, 3]}
-
-    def test_boundary_degenerates_to_exhaustive_on_small_profiles(self):
-        points = [_point(fault_index=0), _point(address=0x20, fault_index=0)]
-        assert BoundarySampleStrategy().select(points) == points
-
-    def test_random_sample_is_seed_deterministic_and_order_preserving(self):
-        points = self._mixed_points()
-        strategy = RandomSampleStrategy(seed=5, fraction=0.5)
-        first = strategy.select(points)
-        assert first == RandomSampleStrategy(seed=5, fraction=0.5).select(points)
-        assert len(first) == 4
-        indices = [points.index(point) for point in first]
-        assert indices == sorted(indices), "selection preserves priority order"
-        different = any(
-            RandomSampleStrategy(seed=seed, fraction=0.5).select(points) != first
-            for seed in range(6, 16)
-        )
-        assert different, "the seed must actually steer the sample"
-
-    def test_random_sample_count_and_validation(self):
-        points = self._mixed_points()
-        assert len(RandomSampleStrategy(seed=0, count=3).select(points)) == 3
-        assert len(RandomSampleStrategy(seed=0, count=99).select(points)) == len(points)
-        assert len(RandomSampleStrategy(seed=0, fraction=0.01).select(points)) == 1
-        assert RandomSampleStrategy(seed=0).select([]) == []
-        with pytest.raises(ValueError):
-            RandomSampleStrategy(seed=0, fraction=1.5)
-        with pytest.raises(ValueError):
-            RandomSampleStrategy(seed=0, count=0)
-
     def test_resolve_strategy_specs(self):
         assert isinstance(resolve_strategy(None), ExhaustiveStrategy)
         assert isinstance(resolve_strategy("exhaustive"), ExhaustiveStrategy)
-        assert isinstance(resolve_strategy("boundary"), BoundarySampleStrategy)
-        assert isinstance(resolve_strategy("random"), RandomSampleStrategy)
-        strategy = BoundarySampleStrategy()
+        strategy = _EveryFifthStrategy()
         assert resolve_strategy(strategy) is strategy
+        for retired in ("boundary", "boundary-sample", "random", "random-sample"):
+            with pytest.raises(ValueError, match="unknown exploration strategy"):
+                resolve_strategy(retired)
         with pytest.raises(ValueError):
             resolve_strategy("clever")
         with pytest.raises(TypeError):
@@ -484,12 +457,12 @@ class TestExplorationEngine:
 
     def test_strategy_and_seed_reach_the_engine(self):
         report = LFIController(MiniBindTarget()).explore(
-            strategy=RandomSampleStrategy(seed=3, fraction=0.2), seed=9
+            strategy=_EveryFifthStrategy(), seed=9
         )
         assert 0 < report.selected < report.space_size
-        assert report.strategy.startswith("random-sample")
+        assert report.strategy == "every-fifth"
         again = LFIController(MiniBindTarget()).explore(
-            strategy=RandomSampleStrategy(seed=3, fraction=0.2), seed=9
+            strategy=_EveryFifthStrategy(), seed=9
         )
         assert _signature(again) == _signature(report)
 

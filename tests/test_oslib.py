@@ -342,17 +342,8 @@ class TestFacade:
         with pytest.raises(MemoryFault):
             libc.fwrite(0, b"boom")
 
-    def test_directories_env_and_mutexes(self):
-        os = SimOS("f")
-        os.fs.add_file("/d/one", b"")
-        libc = LibcFacade(os)
-        handle = libc.opendir("/d")
-        assert libc.readdir(handle) == "one"
-        assert libc.readdir(handle) is None
-        assert libc.closedir(handle) == 0
-        assert libc.setenv("KEY", "VALUE") == 0
-        assert libc.getenv("KEY") == "VALUE"
-        assert libc.getenv("NOPE") is None
+    def test_mutexes(self):
+        libc = LibcFacade(SimOS("f"))
         assert libc.mutex_lock(1) == 0
         assert libc.mutex_unlock(1) == 0
         with pytest.raises(MutexAbort):

@@ -32,6 +32,7 @@ from repro.core.scenario.builder import ScenarioBuilder
 from repro.targets.mini_apache.target import MiniApacheTarget
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
+from repro.targets.mini_mysql import MiniMySQLTarget
 from repro.targets.pbft import PBFTCheckpointTarget
 
 
@@ -163,28 +164,48 @@ class _UnshareableTarget:
         raise AssertionError("should not run")
 
 
+#: Targets that declare no deterministic execution: a stub, and the
+#: Python-level facade servers, which run every scenario on its own.
+UNSHAREABLE_TARGETS = (_UnshareableTarget, MiniApacheTarget, MiniMySQLTarget)
+
+
 class TestSharingGuard:
     def test_explicit_true_on_unshareable_target_raises(self):
-        target = _UnshareableTarget()
-        with pytest.raises(ValueError, match="prefix_shareable"):
-            resolve_sharing(True, target)
-        campaign = Campaign(target)
-        with pytest.raises(ValueError, match="prefix_shareable"):
-            campaign.run([], include_baseline=False, share_prefixes=True)
-        engine = ExplorationEngine(
-            target, store=ResultStore(), share_prefixes=True, workload="default"
-        )
-        with pytest.raises(ValueError, match="prefix_shareable"):
-            engine.explore([])
+        for make_target in UNSHAREABLE_TARGETS:
+            target = make_target()
+            with pytest.raises(ValueError, match="prefix_shareable"):
+                resolve_sharing(True, target)
+            campaign = Campaign(target)
+            with pytest.raises(ValueError, match="prefix_shareable"):
+                campaign.run([], include_baseline=False, share_prefixes=True)
+            engine = ExplorationEngine(
+                target, store=ResultStore(), share_prefixes=True,
+                workload=target.workloads()[0],
+            )
+            with pytest.raises(ValueError, match="prefix_shareable"):
+                engine.explore([])
 
     def test_none_still_auto_detects(self):
-        assert resolve_sharing(None, _UnshareableTarget()) is False
         assert resolve_sharing(None, MiniGitTarget()) is True
         assert resolve_sharing(False, MiniGitTarget()) is False
-        # None on an unshareable target quietly takes the per-scenario path.
-        campaign = Campaign(_UnshareableTarget())
-        result = campaign.run([], include_baseline=False)
-        assert result.outcomes == []
+        deterministic = (
+            ScenarioBuilder("late-read")
+            .trigger("late", "CallCountTrigger", nth=3)
+            .inject("read", ["late"], return_value=-1, errno="EIO")
+            .build()
+        )
+        for make_target in UNSHAREABLE_TARGETS:
+            target = make_target()
+            assert resolve_sharing(None, target) is False
+            # Unshared runs are unmemoized too: no deterministic scenario
+            # gets a memo key on such a target.
+            assert prefix.member_memo_key(
+                target, target.workloads()[0], deterministic, False, {}, False
+            ) is None
+            # None on an unshareable target quietly takes the per-scenario path.
+            campaign = Campaign(target)
+            result = campaign.run([], include_baseline=False)
+            assert result.outcomes == []
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +366,7 @@ class TestParallelSharedDifferential:
         assert _campaign_observables(pooled) == _campaign_observables(plain)
         assert _coverage_observables(pooled) == _coverage_observables(plain)
 
-    def test_apache_pooled_shared_identical(self):
+    def test_apache_pooled_identical_to_serial(self):
         target = MiniApacheTarget()
         scenarios = []
         for caller, function, errnos in (
@@ -367,19 +388,13 @@ class TestParallelSharedDifferential:
                     )
                     scenarios.append(builder.build())
         campaign = Campaign(target, workload="ab-static")
-        plain = campaign.run(
-            scenarios, include_baseline=False, share_prefixes=False, requests=12
-        )
-        reference = _campaign_observables(plain)
-        shared = campaign.run(
-            scenarios, include_baseline=False, share_prefixes=True, requests=12
-        )
+        serial = campaign.run(scenarios, include_baseline=False, requests=12)
         pooled = campaign.run(
-            scenarios, include_baseline=False, share_prefixes=True, requests=12,
+            scenarios, include_baseline=False, requests=12,
             parallelism="processes:2",
         )
-        assert _campaign_observables(shared) == reference
-        assert _campaign_observables(pooled) == reference
+        assert _campaign_observables(pooled) == _campaign_observables(serial)
+        assert any(outcome.result.injections for outcome in serial.outcomes)
 
     def test_pooled_shared_exploration_identical_and_resumable(self):
         target = MiniGitTarget()

@@ -12,14 +12,10 @@ import pytest
 
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
-from repro.core.controller.executor import SerialBackend
-from repro.core.controller.prefix import (
-    iter_shared_runs,
-    partition_entries,
-    scenario_group_key,
-)
+from repro.core.controller.prefix import scenario_group_key
 from repro.core.controller.target import WorkloadRequest, make_gate
 from repro.core.exploration.engine import ExplorationEngine
+from repro.core.exploration.space import enumerate_structured_space
 from repro.core.exploration.store import ResultStore
 from repro.core.profiler.cache import artifact_cache_stats, clear_artifact_cache
 from repro.core.scenario.builder import ScenarioBuilder
@@ -28,10 +24,8 @@ from repro.isa import layout
 from repro.minicc import compile_source
 from repro.oslib import fs as fsmod
 from repro.oslib.os_model import SimOS
-from repro.targets.mini_apache.target import MiniApacheTarget
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
-from repro.targets.mini_mysql.target import MiniMySQLTarget
 from repro.targets.pbft import PBFTCheckpointTarget
 from repro.vm import Machine, MachineSnapshot, Memory
 
@@ -585,93 +579,42 @@ class TestPrefixSharingDifferentials:
                    {x: ta.hit_count(x) for x in ta.covered_addresses}
         assert _campaign_observables(shared) == _campaign_observables(plain)
 
-    def _apache_scenarios(self):
-        scenarios = []
-        sites = [
-            ("_read_whole_file", "apr_file_read", -1, ["EIO", "EINTR", "EAGAIN"]),
-            ("php_handler", "apr_file_read", -1, ["EIO", "EINTR"]),
-            ("log_request", "write", -1, ["EIO", "ENOSPC"]),
-        ]
-        for caller, function, value, errnos in sites:
-            for nth in (1, 9):
-                for errno in errnos:
-                    builder = ScenarioBuilder(f"{caller}-{function}-{nth}-{errno}")
-                    builder.trigger_with_params(
-                        "site", "CallStackTrigger",
-                        {"frame": {"module": "httpd_core", "function": caller}},
-                    )
-                    builder.trigger("count", "CallCountTrigger", nth=nth)
-                    builder.trigger("once", "SingletonTrigger")
-                    builder.inject(function, ["site", "count", "once"],
-                                   return_value=value, errno=errno)
-                    scenarios.append(builder.build())
-        return scenarios
+    def test_rank_advance_resume_identical_with_coverage(self, monkeypatch):
+        # Structured short-read/partial-write points rank call-count variants
+        # of one site, so later ranks resume through the passthrough path,
+        # which rolls the re-executed call's coverage hit back.
+        from repro.core.controller import prefix
 
-    @pytest.mark.parametrize("workload", ["ab-static", "ab-php"])
-    def test_apache_fork_path_identical_to_plain(self, workload):
-        target = MiniApacheTarget()
-        scenarios = self._apache_scenarios()
-        campaign = Campaign(target, workload=workload)
+        resumes = {"n": 0}
+        passthrough = prefix._resume_member_passthrough
+
+        def counting_passthrough(*args, **kwargs):
+            resumes["n"] += 1
+            return passthrough(*args, **kwargs)
+
+        monkeypatch.setattr(prefix, "_resume_member_passthrough", counting_passthrough)
+        target = MiniGitTarget()
+        scenarios = [
+            point.scenario()
+            for point in enumerate_structured_space(
+                "mini_git", ("short_read", "partial_write")
+            )
+        ]
+        campaign = Campaign(target, workload="default-tests")
         plain = campaign.run(scenarios, include_baseline=False,
-                             share_prefixes=False, requests=12)
+                             collect_coverage=True, share_prefixes=False)
+        assert resumes["n"] == 0
+        # Mid-run captures need snapshot-backed sessions; pin them so the
+        # oracle leg's snapshot-free default still takes the resume path.
         shared = campaign.run(scenarios, include_baseline=False,
-                              share_prefixes=True, requests=12)
+                              collect_coverage=True, share_prefixes=True,
+                              snapshots=True, memo=False)
+        assert resumes["n"] > 0
+        for a, b in zip(plain.outcomes, shared.outcomes):
+            ta, tb = a.result.stats["coverage"], b.result.stats["coverage"]
+            assert {x: tb.hit_count(x) for x in tb.covered_addresses} == \
+                   {x: ta.hit_count(x) for x in ta.covered_addresses}
         assert _campaign_observables(shared) == _campaign_observables(plain)
-
-    def test_apache_observe_only_campaign_identical_and_collapsed(self, monkeypatch):
-        target = MiniApacheTarget()
-        scenarios = self._apache_scenarios()
-        builds = {"n": 0}
-        make_server = MiniApacheTarget.make_server
-
-        def counting_make_server(self, *args, **kwargs):
-            builds["n"] += 1
-            return make_server(self, *args, **kwargs)
-
-        monkeypatch.setattr(MiniApacheTarget, "make_server", counting_make_server)
-        plain = [
-            target.run(WorkloadRequest(workload="ab-static", scenario=scenario,
-                                       observe_only=True,
-                                       options={"requests": 12}))
-            for scenario in scenarios
-        ]
-        assert builds["n"] == len(scenarios)
-        builds["n"] = 0
-        entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
-        shared = dict(iter_shared_runs(target, "ab-static", entries, SerialBackend(),
-                                       options={"requests": 12}, observe_only=True))
-        assert [_apache_observables(shared[i]) for i in range(len(scenarios))] == \
-               [_apache_observables(r) for r in plain]
-        # An observe-only gate never injects, so each prefix group's probe
-        # answers all of its members: one server per group, not per scenario.
-        groups, ungrouped = partition_entries(entries)
-        assert ungrouped == []
-        assert builds["n"] == len(groups) < len(scenarios)
-
-    def test_mysql_replication_identical_to_plain(self):
-        target = MiniMySQLTarget()
-        scenarios = []
-        for errno in ("EIO", "EINTR"):
-            builder = ScenarioBuilder(f"mysql-read-late-{errno}")
-            builder.trigger("late", "CallCountTrigger", nth=100_000)
-            builder.inject("read", ["late"], return_value=-1, errno=errno)
-            scenarios.append(builder.build())
-        campaign = Campaign(target, workload="startup")
-        plain = campaign.run(scenarios, include_baseline=False, share_prefixes=False)
-        shared = campaign.run(scenarios, include_baseline=False, share_prefixes=True)
-        assert _campaign_observables(shared) == _campaign_observables(plain)
-        assert all(outcome.result.injections == 0 for outcome in shared.outcomes)
-
-
-def _apache_observables(result):
-    return {
-        "kind": result.outcome.kind,
-        "detail": result.outcome.detail,
-        "injections": result.injections,
-        "log": [record.to_dict() for record in result.log.records],
-        "library_calls": result.stats["library_calls"],
-        "requests_handled": result.stats["requests_handled"],
-    }
 
 
 # ----------------------------------------------------------------------
