@@ -3,11 +3,17 @@
 
 A function earns its place when a *product consumer* runs it: an e2ebench
 workload, a paper-table benchmark, an example or the campaignd fabric
-smoke.  The census runs those consumers, then tier-1 on its own, and sorts
-every function ``ast`` finds under ``src/repro`` into three categories:
+smoke.  The census runs those consumers, then tier-1 on its own, then
+tier-1 again as CI's oracle leg runs it (``REPRO_ENGINE=reference
+REPRO_SNAPSHOTS=0 REPRO_MEMO=0``: the reference engine, snapshots and memo
+off), and sorts every function ``ast`` finds under ``src/repro`` into four
+categories:
 
 * ``product``     — reached by at least one product consumer;
-* ``tier-1 only`` — reached only by the tier-1 tests;
+* ``tier-1 only`` — reached by the tier-1 tests, not by a product consumer;
+* ``oracle only`` — reached only by the oracle leg: code only the slow
+  differential paths run, such as ``CompiledTarget.restore_os_boundary``,
+  the snapshot-free group resume;
 * ``unreached``   — reached by nothing the census ran.
 
 How it watches: it copies the checkout to a temporary directory and puts a
@@ -23,12 +29,9 @@ The consumers: one ``sweep``, two ``retest``, one ``pooled`` and one
 paper-table benchmarks; the four examples; and the campaignd smoke.  A
 consumer that fails is reported but does not stop the census; the hook
 slows every call, so the timing bounds of tables 5 and 6 may fail under
-it, and the census counts reach, not passes.  The oracle leg (tier-1 on
-the reference engine, snapshots and memo off) is not run, so code that
-only the slow paths reach shows as ``tier-1 only`` or ``unreached``:
-``CompiledTarget.restore_os_boundary``, the snapshot-free group resume,
-is one.  Standard library only; nothing is written inside the checkout.
-About 2.5 minutes on a 2-vCPU host.
+it, and the census counts reach, not passes.  Standard library only;
+nothing is written inside the checkout.  About 3.5 minutes on a 2-vCPU
+host.
 
 Usage::
 
@@ -92,6 +95,9 @@ def _tracer(frame, event, arg):
 sys.settrace(_tracer)
 threading.settrace(_tracer)
 '''
+
+#: CI's oracle leg: tier-1 with the slow differential paths as defaults.
+ORACLE_ENV = {"REPRO_ENGINE": "reference", "REPRO_SNAPSHOTS": "0", "REPRO_MEMO": "0"}
 
 #: Drives e2ebench passes in-process; run from the copy's root.
 E2E_PASSES = '''\
@@ -197,17 +203,19 @@ def census(checkout: str) -> Tuple[List[Function], Dict[str, Set]]:
             ".e2ebench-work", "campaignd-logs",
         ))
         src = os.path.join(tree, "src")
-        env = {**os.environ, "PYTHONPATH": src}
+        env = {
+            **{name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")},
+            "PYTHONPATH": src,
+        }
+        tier1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"]
         phases = [
-            ("product", product_consumers(tree, scratch)),
-            ("tier-1", [(
-                "tier-1 tests",
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "tests"],
-            )]),
+            ("product", env, product_consumers(tree, scratch)),
+            ("tier-1", env, [("tier-1 tests", tier1)]),
+            ("oracle", {**env, **ORACLE_ENV}, [("tier-1 oracle leg", tier1)]),
         ]
         reached: Dict[str, Set] = {}
-        for phase, consumers in phases:
+        for phase, phase_env, consumers in phases:
             out = os.path.join(scratch, phase)
             os.makedirs(out)
             hook = os.path.join(src, "sitecustomize.py")
@@ -215,7 +223,7 @@ def census(checkout: str) -> Tuple[List[Function], Dict[str, Set]]:
                 handle.write(SITECUSTOMIZE.format(out=out))
             print(f"{phase}:", flush=True)
             for label, argv in consumers:
-                run_consumer(label, argv, tree, env)
+                run_consumer(label, argv, tree, phase_env)
             reached[phase] = read_records(out)
         return list_functions(os.path.join(src, "repro")), reached
     finally:
@@ -223,8 +231,8 @@ def census(checkout: str) -> Tuple[List[Function], Dict[str, Set]]:
 
 
 def report(functions: List[Function], reached: Dict[str, Set], show: bool) -> None:
-    product, tier1 = reached["product"], reached["tier-1"]
-    categories = ("product", "tier-1 only", "unreached")
+    product, tier1, oracle = reached["product"], reached["tier-1"], reached["oracle"]
+    categories = ("product", "tier-1 only", "oracle only", "unreached")
     totals = {name: [0, 0] for name in categories}
     per_file: Dict[str, Dict[str, List[int]]] = defaultdict(
         lambda: {name: [0, 0] for name in categories}
@@ -235,6 +243,7 @@ def report(functions: List[Function], reached: Dict[str, Set], show: bool) -> No
         category = (
             "product" if key in product
             else "tier-1 only" if key in tier1
+            else "oracle only" if key in oracle
             else "unreached"
         )
         for bucket in (totals[category], per_file[function.path][category]):
@@ -246,19 +255,18 @@ def report(functions: List[Function], reached: Dict[str, Set], show: bool) -> No
     print(f"\n{count} functions under src/repro, {lines} lines inside them")
     for name in categories:
         print(f"  {name:<12} {totals[name][0]:>5} functions {totals[name][1]:>6} lines")
-    print(f"\n{'file':<44} {'funcs':>5} {'tier-1 only':>13} {'unreached':>13}")
+    shown = categories[1:]
+    print(f"\n{'file':<44} {'funcs':>5} {'tier-1 only':>13} {'oracle':>13} {'unreached':>13}")
     for path in sorted(per_file):
         cells = per_file[path]
-        if not (cells["tier-1 only"][0] or cells["unreached"][0]):
+        if not any(cells[name][0] for name in shown):
             continue
         total = sum(cell[0] for cell in cells.values())
-        print(
-            f"{path:<44} {total:>5} "
-            f"{cells['tier-1 only'][0]:>4} ({cells['tier-1 only'][1]:>4} l) "
-            f"{cells['unreached'][0]:>4} ({cells['unreached'][1]:>4} l)"
-        )
+        print(f"{path:<44} {total:>5} " + " ".join(
+            f"{cells[name][0]:>4} ({cells[name][1]:>4} l)" for name in shown
+        ))
     if show:
-        for name in ("tier-1 only", "unreached"):
+        for name in shown:
             print(f"\n{name}:")
             for function in members[name]:
                 print(f"  {function.path}:{function.first} {function.name} "
@@ -270,7 +278,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", default=HERE,
                         help="tree to census (default: this checkout)")
     parser.add_argument("--list", action="store_true",
-                        help="name every tier-1-only and unreached function")
+                        help="name every tier-1-only, oracle-only and unreached function")
     args = parser.parse_args(argv)
     started = time.monotonic()
     functions, reached = census(os.path.abspath(args.checkout))

@@ -39,7 +39,11 @@ from repro.core.exploration.engine import ExplorationEngine, ExplorationReport
 from repro.core.exploration.space import FaultPoint, enumerate_fault_space
 from repro.core.exploration.store import ResultStore
 from repro.core.exploration.strategy import ExplorationStrategy
-from repro.core.profiler.cache import cached_analysis, cached_merged_profile
+from repro.core.profiler.cache import (
+    cached_analysis,
+    cached_fault_space,
+    cached_merged_profile,
+)
 from repro.core.profiler.fault_profile import FaultProfile
 from repro.core.scenario.model import Scenario
 
@@ -158,28 +162,39 @@ class LFIController:
         :meth:`explore` covers.  Raises for Python-level targets, whose
         scenarios are not derived from binary analysis.  *functions* narrows
         the space whether the analysis is computed here or passed in.
+        Without an *analysis*, the enumeration is served from the artifact
+        cache next to the analysis it comes from: a repeated campaign gets
+        the same (frozen) points in a fresh list.
         """
-        if analysis is None:
-            analysis = self.analyze_target(functions=functions)
-        if analysis is None:
+
+        def enumerate_from(report: AnalysisReport) -> List[FaultPoint]:
+            classifications = list(report.classifications.values())
+            if functions is not None:
+                wanted = set(functions)
+                classifications = [
+                    classification
+                    for classification in classifications
+                    if classification.function in wanted
+                ]
+            return enumerate_fault_space(
+                classifications,
+                self.profile_libraries(),
+                include_partial=include_partial,
+                include_checked=include_checked,
+            )
+
+        if analysis is not None:
+            return enumerate_from(analysis)
+        binary = self.target.binary()
+        if binary is None:
             raise ValueError(
                 f"target {self.target.name!r} has no binary to analyze; "
                 "fault-space exploration needs analyzer output"
             )
-        classifications = list(analysis.classifications.values())
-        if functions is not None:
-            wanted = set(functions)
-            classifications = [
-                classification
-                for classification in classifications
-                if classification.function in wanted
-            ]
-        return enumerate_fault_space(
-            classifications,
-            self.profile_libraries(),
-            include_partial=include_partial,
-            include_checked=include_checked,
-        )
+        return list(cached_fault_space(
+            self._call_site_analyzer(), binary, functions,
+            (bool(include_partial), bool(include_checked)), enumerate_from,
+        ))
 
     def explore(
         self,

@@ -111,21 +111,24 @@ class GroupTask:
     :func:`run_requests`).  ``entries`` carries the members' original
     submission indices (with per-run seeds already derived), which is what
     keeps pooled results reassemblable into submission order and
-    bit-identical to serial ones.  ``memo_context`` is the memo context
-    :func:`~repro.core.controller.prefix.build_group_tasks` derived once
-    for every task of its call (``None``: the memo is off).
+    bit-identical to serial ones; a shared task's entries are keyed
+    (:class:`~repro.core.controller.prefix.Entry`: key parts and memo key
+    ride along, so the worker derives neither).  ``memo_context`` is the
+    memo context :func:`~repro.core.controller.prefix.build_group_tasks`
+    derived once for every task of its call (``None``: the memo is off).
     """
 
     index: int
     target: TargetAdapter
     workload: str
-    entries: List[Tuple[int, Any, Optional[int]]]
+    #: ``(index, scenario, seed)`` first; keyed entries add parts and key.
+    entries: List[Tuple[Any, ...]]
     collect_coverage: bool = False
     options: Dict[str, Any] = field(default_factory=dict)
     observe_only: bool = False
     shared: bool = True
     publish_os: bool = True
-    memo_context: Optional[tuple] = None
+    memo_context: Optional[bytes] = None
 
 
 def execute_group(task: GroupTask) -> Dict[int, RunResult]:
@@ -141,12 +144,12 @@ def execute_group(task: GroupTask) -> Dict[int, RunResult]:
 
     if not task.shared:
         return {
-            index: plain_run(
-                task.target, task.workload, scenario, seed,
+            entry[0]: plain_run(
+                task.target, task.workload, entry[1], entry[2],
                 task.collect_coverage, task.options, observe_only=task.observe_only,
                 publish_os=task.publish_os,
             )
-            for index, scenario, seed in task.entries
+            for entry in task.entries
         }
     return run_entry_group(
         task.target,

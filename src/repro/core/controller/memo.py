@@ -14,17 +14,24 @@ run buys nothing — the stored
 fresh run.
 
 This module is that store: a process-wide LRU cache mapping *memo keys*
-(built by :func:`~repro.core.controller.prefix.member_memo_key` from the
-scenario's trigger and plan fingerprint, its fault values and metadata,
-and every behaviour-relevant execution knob) to the results themselves.
+to the results themselves.  A memo key is a 16-byte ``blake2b`` digest of
+the run's canonical key — the scenario's trigger and plan fingerprint, its
+fault values and metadata, and every behaviour-relevant execution knob
+(see :func:`~repro.core.controller.prefix.member_memo_key`).  Keys are
+derived before any task runs: an exploration's come from its campaign
+plan (:mod:`repro.core.exploration.plan`), which derives each point's key
+once per memo context; other runs' from
+:func:`~repro.core.controller.prefix.build_group_tasks`, once per entry.
 A :class:`~repro.core.controller.monitor.RunResult` is an immutable
 value, so the memo stores and returns it as is — no serialization on
 insert, no copy per hit — and every hit of one key is the same object.
 The cache is bounded by a byte budget: an entry is charged
-:func:`entry_size`, a deterministic size computed from the value (a
-result's :attr:`~repro.core.controller.monitor.RunResult.nbytes`, which
-counts a published OS as its blob), and least recently used entries are
-evicted first.
+:func:`entry_size`, a deterministic size computed from its key and its
+value (a result's
+:attr:`~repro.core.controller.monitor.RunResult.nbytes`, which counts a
+published OS as its blob) plus the entry's slot in the LRU map, so the
+budget bounds the whole memo, keys included; least recently used entries
+are evicted first.
 
 Knobs:
 
@@ -92,18 +99,25 @@ def default_memo_bytes() -> int:
     return int(raw)
 
 
-def entry_size(value: Any) -> int:
-    """The bytes a memo entry holding *value* is charged.
+#: What one entry costs besides its key and value objects: its slot in the
+#: LRU map and the ``(value, charge)`` pair that fills it.  Measured with
+#: ``tracemalloc`` on CPython 3.11, at the memo's sizes.
+SLOT_BYTES = 175
 
-    The value's own ``nbytes`` when it has one (every
-    :class:`~repro.core.controller.monitor.RunResult` does), else
+
+def entry_size(key: Hashable, value: Any) -> int:
+    """The bytes a memo entry mapping *key* to *value* is charged.
+
+    :data:`SLOT_BYTES`, plus ``sys.getsizeof`` of the key (49 bytes for a
+    digest key), plus the value's own ``nbytes`` when it has one (every
+    :class:`~repro.core.controller.monitor.RunResult` does), else its
     ``sys.getsizeof`` — deterministic either way, and computed without
     serializing anything.
     """
     nbytes = getattr(value, "nbytes", None)
-    if isinstance(nbytes, int):
-        return nbytes
-    return sys.getsizeof(value)
+    if not isinstance(nbytes, int):
+        nbytes = sys.getsizeof(value)
+    return SLOT_BYTES + sys.getsizeof(key) + nbytes
 
 
 @dataclass
@@ -125,8 +139,8 @@ class SuffixMemo:
 
     Values are **stored and returned as they are**: the memo holds
     immutable results, so a hit hands out the stored value itself, not a
-    copy.  Each entry is charged :func:`entry_size` of its value against
-    ``max_bytes``.
+    copy.  Each entry is charged :func:`entry_size` of its key and value
+    against ``max_bytes``.
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
@@ -162,7 +176,7 @@ class SuffixMemo:
         A single value larger than the whole budget is rejected (a counted
         policy) instead of evicting everything else.
         """
-        size = entry_size(value)
+        size = entry_size(key, value)
         with self._lock:
             if size > self.max_bytes:
                 self._rejected += 1
@@ -245,6 +259,7 @@ def resolve_memo(options: Dict[str, Any]) -> Optional[SuffixMemo]:
 
 __all__ = [
     "DEFAULT_MEMO_BYTES",
+    "SLOT_BYTES",
     "MemoStats",
     "SuffixMemo",
     "clear_suffix_memo",

@@ -48,11 +48,14 @@ participate: the compiled targets, whose session API the group path
 drives.  The Python-level targets (mini_apache, mini_mysql, PBFT) declare
 nothing, so their runs are never shared or memoized.  The same
 determinism is what the suffix memo (:mod:`repro.core.controller.memo`)
-keys on, so one derivation per scenario object (:class:`ScenarioKeyParts`)
+keys on, so one derivation per scenario (:class:`ScenarioKeyParts`)
 serves two views: every deterministic run is memoizable, and those whose
 fault classes are also shareable may join a group.  Crash points and
 budget ramps are the first kind only: they run alone, but through the
-memo.
+memo.  Both the parts and the memo key are derived before any task
+exists and ride on the entry (:class:`Entry`): an exploration's come
+from its campaign plan (:mod:`repro.core.exploration.plan`), any other
+entry's from :func:`build_group_tasks`.
 
 :func:`iter_shared_runs` is the one pipeline every campaign, exploration
 and fabric shard runs through: :func:`build_group_tasks` turns the entries
@@ -69,8 +72,7 @@ bit-identical to unshared ones, serial and pooled.
 
 from __future__ import annotations
 
-import functools
-import weakref
+import hashlib
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -82,7 +84,7 @@ from repro.core.controller.monitor import (
 )
 from repro.core.controller.target import TargetAdapter, WorkloadRequest, make_gate
 from repro.core.faults import UNSHAREABLE_CLASSES, apply_fault_on_machine
-from repro.core.controller.memo import resolve_memo
+from repro.core.controller.memo import SuffixMemo, resolve_memo, suffix_memo
 from repro.core.scenario.model import Scenario
 from repro.coverage.tracker import CoverageTracker
 from repro.vm.dispatch import R0_SLOT
@@ -95,12 +97,12 @@ SAFE_TRIGGER_CLASSES = frozenset(
     {"CallStackTrigger", "CallCountTrigger", "SingletonTrigger"}
 )
 
-#: One scheduling entry: (submission index, scenario, derived run seed).
-Entry = Tuple[int, Optional[Scenario], Optional[int]]
-
 #: A group's identity: (base fingerprint, rank).  Members with equal base
 #: fingerprints form one group; the rank orders their divergence points.
 KeyParts = Tuple[str, Tuple[int, ...]]
+
+#: Bytes in a memo key: a ``blake2b`` digest of the run's canonical key.
+MEMO_KEY_BYTES = 16
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +141,13 @@ def _rankable_call_count(scenario: Scenario) -> Optional[str]:
 class ScenarioKeyParts(NamedTuple):
     """A scenario's trigger and plan fingerprint, read two ways.
 
-    Derived once per scenario object (:func:`_key_parts`).  *Determinism*:
-    a scenario that has key parts at all runs as a deterministic function
-    of them, its fault values and metadata (plus the target context), so
-    its run can be memoized (:func:`_member_key`).  *Shareability*: when,
-    on top of that, no plan's fault class is in
+    Derived once per scenario: by the campaign plan
+    (:mod:`repro.core.exploration.plan`) for an exploration's points, by
+    :func:`build_group_tasks` for any other entry.  *Determinism*: a
+    scenario that has key parts at all runs as a deterministic function of
+    them, its fault values and metadata (plus the target context), so its
+    run can be memoized (:func:`scenario_keys`).  *Shareability*: when, on
+    top of that, no plan's fault class is in
     :data:`~repro.core.faults.UNSHAREABLE_CLASSES`, it may also join a
     prefix group keyed by ``base`` and ordered by ``rank``.
     """
@@ -156,43 +160,32 @@ class ScenarioKeyParts(NamedTuple):
     shareable: bool
 
 
-#: Key parts cached per scenario object: ``id(scenario)`` maps to
-#: ``(weak reference, parts)``.  ``Scenario`` is an ``eq`` dataclass and
-#: therefore unhashable, so it cannot key a ``WeakKeyDictionary``; the
-#: weak reference's callback drops the entry when the scenario dies, and
-#: a lookup trusts an entry only while its reference still returns the
-#: very object asked about.  A per-object cache, not a content identity:
-#: scenarios are immutable once built (grouping already relies on that —
-#: parts are derived at submit time and must hold for the run), and the
-#: parts sit on every member's path three times (partitioning, memo keys,
-#: ranks).
-_KEY_PARTS_CACHE: Dict[int, Tuple["weakref.ref", Optional[ScenarioKeyParts]]] = {}
+class Entry(NamedTuple):
+    """One scheduling entry, with the keys the scheduler reads.
+
+    Callers submit ``(index, scenario, seed)`` triples: the submission
+    index, the scenario and its derived run seed.  An entry adds the
+    scenario's key parts (``None``: its run is not deterministic) and its
+    memo key under the task's memo context (``None``: not memoized).  Both
+    are derived once, before any task exists — from the campaign plan for
+    an exploration's points, by :func:`build_group_tasks` for other
+    triples — and travel with the entry, so partitioning, the memo and the
+    prefix tree read them and pool children derive nothing.
+    """
+
+    index: int
+    scenario: Optional[Scenario]
+    seed: Optional[int]
+    parts: Optional[ScenarioKeyParts]
+    memo_key: Optional[bytes]
 
 
-def _forget_key_parts(key: int, ref: "weakref.ref") -> None:
-    # No lock needed: the callback runs before the dying scenario is freed,
-    # so no other object can hold its id (and so write this key) meanwhile.
-    entry = _KEY_PARTS_CACHE.get(key)
-    if entry is not None and entry[0] is ref:
-        _KEY_PARTS_CACHE.pop(key, None)
-
-
-def _key_parts(scenario: Optional[Scenario]) -> Optional[ScenarioKeyParts]:
-    """The cached derivation of *scenario*'s key parts, or ``None`` when
-    its run is not a deterministic function of them."""
+def _derive_parts(scenario: Optional[Scenario]) -> Optional[ScenarioKeyParts]:
+    """*scenario*'s key parts, or ``None`` when its run is not a
+    deterministic function of them (or there is no scenario)."""
     if scenario is None:
         return None
-    key = id(scenario)
-    entry = _KEY_PARTS_CACHE.get(key)
-    if entry is not None and entry[0]() is scenario:
-        return entry[1]
-    parts = _scenario_group_key_parts(scenario)
-    # A stand-in that cannot be weakly referenced (a ``__slots__`` test
-    # double) is not cached: it is derived afresh on every call.
-    if type(scenario).__weakrefoffset__:
-        ref = weakref.ref(scenario, functools.partial(_forget_key_parts, key))
-        _KEY_PARTS_CACHE[key] = (ref, parts)
-    return parts
+    return _scenario_group_key_parts(scenario)
 
 
 def scenario_group_key_parts(scenario: Optional[Scenario]) -> Optional[KeyParts]:
@@ -208,7 +201,7 @@ def scenario_group_key_parts(scenario: Optional[Scenario]) -> Optional[KeyParts]
     empty rank means the scenarios diverge at the same point and differ
     only in the fault injected).
     """
-    parts = _key_parts(scenario)
+    parts = _derive_parts(scenario)
     if parts is None or not parts.shareable:
         return None
     return parts.base, parts.rank
@@ -225,7 +218,7 @@ def _count_threshold(value: Any) -> Optional[int]:
 
 
 def _scenario_group_key_parts(scenario: Scenario) -> Optional[ScenarioKeyParts]:
-    """Derive *scenario*'s key parts (uncached; see :func:`_key_parts`)."""
+    """Derive *scenario*'s key parts (see :class:`ScenarioKeyParts`)."""
     rank_id = _rankable_call_count(scenario)
     rank: Tuple[int, ...] = ()
     trigger_parts: List[tuple] = []
@@ -278,45 +271,56 @@ def scenario_group_rank(scenario: Optional[Scenario]) -> Tuple[int, ...]:
     return () if parts is None else parts[1]
 
 
+def _keyed_entry(entry: Sequence[Any], memo_context: Optional[bytes]) -> Entry:
+    """Key one submitted ``(index, scenario, seed)`` triple: its key parts
+    and, under *memo_context*, its memo key (one derivation each)."""
+    index, scenario, seed = entry
+    parts, member = scenario_keys(scenario)
+    memo_key = None
+    if memo_context is not None and member is not None:
+        memo_key = _memo_digest(memo_context, member)
+    return Entry(index, scenario, seed, parts, memo_key)
+
+
 def partition_entries(
-    entries: Sequence[Entry],
+    entries: Sequence[Any],
 ) -> Tuple[List[List[Entry]], List[Entry]]:
     """Split schedule entries into prefix groups and ungrouped leftovers.
 
     Groups come back in first-appearance order; members within a group are
     ordered by (rank, submission index) so the first member — the probe —
     is the one whose trigger fires earliest.  Ungrouped entries (no
-    scenario, unsafe triggers) keep their submission order.
+    scenario, unsafe triggers) keep their submission order.  Entries come
+    back keyed: a plain ``(index, scenario, seed)`` triple is keyed here,
+    without a memo key.
     """
-    groups: Dict[str, List[Tuple[Tuple[int, ...], Entry]]] = {}
-    ordered_keys: List[str] = []
+    groups: Dict[str, List[Entry]] = {}
     ungrouped: List[Entry] = []
     for entry in entries:
-        parts = scenario_group_key_parts(entry[1])
-        if parts is None:
+        if not isinstance(entry, Entry):
+            entry = _keyed_entry(entry, None)
+        parts = entry.parts
+        if parts is None or not parts.shareable:
             ungrouped.append(entry)
             continue
-        base, rank = parts
-        if base not in groups:
-            groups[base] = []
-            ordered_keys.append(base)
-        groups[base].append((rank, entry))
-    ordered_groups: List[List[Entry]] = []
-    for key in ordered_keys:
-        members = sorted(groups[key], key=lambda item: (item[0], item[1][0]))
-        ordered_groups.append([entry for _rank, entry in members])
+        groups.setdefault(parts.base, []).append(entry)
+    ordered_groups = [
+        sorted(members, key=lambda entry: (entry.parts.rank, entry.index))
+        for members in groups.values()
+    ]
     return ordered_groups, ungrouped
 
 
 def build_group_tasks(
     target: TargetAdapter,
     workload: str,
-    entries: Sequence[Entry],
+    entries: Sequence[Any],
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
     share: bool = True,
     publish_os: bool = True,
+    memo_context: Optional[bytes] = None,
 ) -> List["GroupTask"]:
     """Turn schedule entries into backend-ready tasks.
 
@@ -327,26 +331,35 @@ def build_group_tasks(
     first-appearance order, and the ungrouped entries follow as singleton
     groups — a memo lookup, one plain run on a miss, then a store when the
     run is deterministic (crash points and budget ramps are).  Without
-    *share* every entry is an unshared singleton, in submission order: the
-    per-scenario oracle, which never reaches the suffix memo or
+    *share* every entry is an unshared singleton, as given, in submission
+    order: the per-scenario oracle, which never reaches the suffix memo or
     :func:`run_entry_group`.
 
-    The memo context — everything in a memo key but the member's own
-    scenario — is the same for every task one call emits, so it is
-    derived here, once, and carried on each task (``None`` when the memo
-    is off or the target is not deterministic).
+    Entries arrive in one of two forms.  A keyed :class:`Entry` — what the
+    exploration engine builds from its campaign plan — already carries its
+    key parts and memo key, derived under *memo_context*.  A plain
+    ``(index, scenario, seed)`` triple is keyed here, once; when some
+    triple needs a memo context and none was given, the context —
+    everything in a memo key but the member's own scenario, the same for
+    every task one call emits — is derived here, once.  Every task carries
+    the context (``None`` when the memo is off or the target is not
+    deterministic).
     """
     from repro.core.controller.executor import GroupTask
 
     options = dict(options or {})
-    context: Optional[tuple] = None
+    context: Optional[bytes] = None
     if share:
-        groups, ungrouped = partition_entries(entries)
-        units = groups + [[entry] for entry in ungrouped]
-        if resolve_memo(options) is not None:
-            context = _memo_context(
+        context = memo_context
+        if context is None and not all(isinstance(entry, Entry) for entry in entries):
+            context = resolve_memo_context(
                 target, workload, collect_coverage, options, observe_only, publish_os
             )
+        groups, ungrouped = partition_entries([
+            entry if isinstance(entry, Entry) else _keyed_entry(entry, context)
+            for entry in entries
+        ])
+        units = groups + [[entry] for entry in ungrouped]
     else:
         units = [[entry] for entry in entries]
     return [
@@ -411,15 +424,16 @@ def _memo_context(
     options: Dict[str, Any],
     observe_only: bool,
     publish_os: bool,
-) -> Optional[tuple]:
+) -> Optional[bytes]:
     """The member-invariant part of a memo key, or ``None`` (uncacheable).
 
     Everything here is constant across one pipeline call's members —
     target and binary identity, workload, resolved engine/snapshot knobs,
     the libc spec fingerprint, whether runs collect coverage or publish
     their OS, and the conservative fold of unknown request options — so
-    :func:`build_group_tasks` computes it once per call instead of per
-    task (the fingerprint alone is a table scan).
+    it is derived once per call, never per task or member.  It comes back
+    canonical: the ``repr`` of the context tuple, as bytes, which every
+    member's digest starts from (:func:`_memo_digest`).
     """
     if not sharing_supported(target):
         return None
@@ -440,7 +454,7 @@ def _memo_context(
             if name not in _MEMO_NEUTRAL_OPTIONS
         )
     )
-    return (
+    return repr((
         getattr(target, "name", str(target)),
         # The compiled image's content identity, never its `id`: a
         # recompile after `_binary_cache` is cleared may reuse the address
@@ -454,18 +468,30 @@ def _memo_context(
         bool(observe_only),
         bool(publish_os),
         extra,
+    )).encode("utf-8")
+
+
+def resolve_memo_context(
+    target: TargetAdapter,
+    workload: str,
+    collect_coverage: bool,
+    options: Dict[str, Any],
+    observe_only: bool = False,
+    publish_os: bool = True,
+) -> Optional[bytes]:
+    """The memo context one pipeline call keys its runs under, or ``None``
+    when the memo is off (``options["memo"]``, ``REPRO_MEMO``) or the
+    target is not deterministic."""
+    if resolve_memo(options) is None:
+        return None
+    return _memo_context(
+        target, workload, collect_coverage, options, observe_only, publish_os
     )
 
 
-def _member_key(context: tuple, scenario: Optional[Scenario]) -> Optional[tuple]:
-    """One run's full memo key under *context*, or ``None``.
-
-    Built from strings, numbers and ``None`` only (parameters and
-    metadata by repr), so every key hashes.
-    """
-    parts = _key_parts(scenario)
-    if parts is None:
-        return None
+def _memo_member(scenario: Scenario, parts: ScenarioKeyParts) -> bytes:
+    """The member part of *scenario*'s memo keys, canonical: the ``repr``
+    of its group base and rank, every plan's fault and its metadata."""
     faults = tuple(
         None
         if plan.fault is None
@@ -478,11 +504,42 @@ def _member_key(context: tuple, scenario: Optional[Scenario]) -> Optional[tuple]
         )
         for plan in scenario.plans
     )
-    return context + (
+    return repr((
         parts.base,
         parts.rank,
         faults,
         repr(getattr(scenario, "metadata", None) or None),
+    )).encode("utf-8")
+
+
+def scenario_keys(
+    scenario: Optional[Scenario],
+) -> Tuple[Optional[ScenarioKeyParts], Optional[bytes]]:
+    """*scenario*'s key parts and the member part of its memo keys, one
+    derivation of each (``(None, None)``: its run is not deterministic)."""
+    parts = _derive_parts(scenario)
+    if parts is None:
+        return None, None
+    return parts, _memo_member(scenario, parts)
+
+
+def _memo_digest(context: bytes, member: bytes) -> bytes:
+    """One run's memo key: a digest of its canonical context and member
+    parts (both reprs, so the newline between them cannot occur inside
+    either)."""
+    return hashlib.blake2b(
+        context + b"\n" + member, digest_size=MEMO_KEY_BYTES
+    ).digest()
+
+
+def memo_keys_of(
+    context: bytes, members: Sequence[Optional[bytes]]
+) -> Tuple[Optional[bytes], ...]:
+    """The memo key of every member part under *context* (``None`` stays
+    ``None``: that run is not memoized)."""
+    return tuple(
+        None if member is None else _memo_digest(context, member)
+        for member in members
     )
 
 
@@ -494,7 +551,7 @@ def member_memo_key(
     options: Dict[str, Any],
     observe_only: bool,
     publish_os: bool = True,
-) -> Optional[tuple]:
+) -> Optional[bytes]:
     """The suffix-memo key of one run, or ``None`` (uncacheable).
 
     Every deterministic run is memoizable — only safe trigger classes, no
@@ -510,14 +567,17 @@ def member_memo_key(
     scenario metadata (a crash point's recovery workload) is folded in;
     the resolved engine/snapshot knobs pin the execution path, and any
     *other* request option is folded in conservatively by repr.  The
-    per-run seed stays out: safe triggers never read it.
+    per-run seed stays out: safe triggers never read it.  The key is a
+    :data:`MEMO_KEY_BYTES`-byte ``blake2b`` digest of all that, so every
+    memo entry's key has the same small size.
     """
     context = _memo_context(
         target, workload, collect_coverage, options, observe_only, publish_os
     )
     if context is None:
         return None
-    return _member_key(context, scenario)
+    _parts, member = scenario_keys(scenario)
+    return None if member is None else _memo_digest(context, member)
 
 
 # ----------------------------------------------------------------------
@@ -938,9 +998,9 @@ def _run_group_with_sessions(
     plan = target.workload_plan(workload)
     engine = options.get("engine")
     snapshots = options.get("snapshots")
-    ranks = [scenario_group_rank(entry[1]) for entry in members]
+    ranks = [() if entry.parts is None else entry.parts.rank for entry in members]
     ranked = len(set(ranks)) > 1
-    probe_index, probe_scenario, probe_seed = members[0]
+    probe_index, probe_scenario, probe_seed = members[0][:3]
 
     session = target.open_session(
         workload,
@@ -1010,8 +1070,8 @@ def _run_group_with_sessions(
             # fire later than the probe's, so no member's fault can apply
             # either and all runs are identical: every member's result is
             # the probe's value.
-            for index, _scenario, _seed in members[1:]:
-                results[index] = results[probe_index]
+            for entry in members[1:]:
+                results[entry.index] = results[probe_index]
             return results
 
         # The active divergence point: the capture, its record, the rank it
@@ -1050,7 +1110,9 @@ def _run_group_with_sessions(
         }
         dead = False  # a later-rank member never injected: the rest cannot
 
-        for position, (index, scenario, seed) in enumerate(members[1:], start=1):
+        for position, (index, scenario, seed, _parts, _key) in enumerate(
+            members[1:], start=1
+        ):
             if dead:
                 results[index] = results[active["source_index"]]
                 continue
@@ -1164,55 +1226,56 @@ def run_entry_group(
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
     publish_os: bool = True,
-    memo_context: Optional[tuple] = None,
+    memo_context: Optional[bytes] = None,
 ) -> Dict[int, RunResult]:
     """Execute one prefix group; the unit of work a shared task runs.
 
-    Members must share a group base key and be ordered by rank (what
-    :func:`partition_entries` produces), or be a single entry — an
-    ungrouped entry is a group of one.  A single-member group runs on the
-    plain per-scenario path, after its memo lookup.
+    Members are keyed :class:`Entry` values that share a group base key
+    and are ordered by rank (what :func:`partition_entries` produces), or
+    a single entry — an ungrouped entry is a group of one.  A
+    single-member group runs on the plain per-scenario path, after its
+    memo lookup.
 
     *memo_context* is the task's memo context (:func:`build_group_tasks`
-    derives it once per pipeline call); ``None`` bypasses the suffix memo
-    (:mod:`repro.core.controller.memo`) entirely, which is the
-    differential oracle path.  Otherwise the memo is consulted per member
-    before anything executes: a hit is the stored result itself — results
-    are immutable values, so nothing is copied — and only the missing
-    members, still a rank-ordered subset of the group that the prefix-tree
-    machinery executes bit-identically to the full group, actually run.
-    Their fresh results are stored on the way out.
+    derives it once per pipeline call, and only when the memo is on);
+    ``None`` bypasses the suffix memo (:mod:`repro.core.controller.memo`)
+    entirely, which is the differential oracle path.  Otherwise the memo —
+    the :class:`~repro.core.controller.memo.SuffixMemo` in
+    ``options["memo"]`` if there is one, else the process memo — is
+    consulted per member under the member's own memo key before anything
+    executes: a hit is the stored result itself — results are immutable
+    values, so nothing is copied — and only the missing members, still a
+    rank-ordered subset of the group that the prefix-tree machinery
+    executes bit-identically to the full group, actually run.  Their fresh
+    results are stored on the way out.
     """
     options = options or {}
-    memo = resolve_memo(options) if memo_context is not None else None
-    if memo is None:
+    if memo_context is None:
         return _run_entry_group_paths(
             target, workload, members, collect_coverage, options, observe_only,
             publish_os,
         )
+    knob = options.get("memo")
+    memo = knob if isinstance(knob, SuffixMemo) else suffix_memo()
     results: Dict[int, RunResult] = {}
     misses: List[Entry] = []
-    miss_keys: Dict[int, Optional[tuple]] = {}
     for entry in members:
-        index, scenario, _seed = entry
-        key = _member_key(memo_context, scenario)
-        if key is not None:
-            hit = memo.lookup(key)
+        if entry.memo_key is not None:
+            hit = memo.lookup(entry.memo_key)
             if hit is not None:
-                results[index] = hit
+                results[entry.index] = hit
                 continue
-        miss_keys[index] = key
         misses.append(entry)
     if misses:
         fresh = _run_entry_group_paths(
             target, workload, misses, collect_coverage, options, observe_only,
             publish_os,
         )
-        for index, result in fresh.items():
-            key = miss_keys.get(index)
-            if key is not None:
-                memo.store(key, result)
-            results[index] = result
+        for entry in misses:
+            result = fresh[entry.index]
+            if entry.memo_key is not None:
+                memo.store(entry.memo_key, result)
+            results[entry.index] = result
     return results
 
 
@@ -1226,7 +1289,7 @@ def _run_entry_group_paths(
     publish_os: bool = True,
 ) -> Dict[int, RunResult]:
     if len(members) == 1:
-        index, scenario, seed = members[0]
+        index, scenario, seed = members[0][:3]
         return {
             index: plain_run(
                 target, workload, scenario, seed, collect_coverage, options,
@@ -1242,13 +1305,14 @@ def _run_entry_group_paths(
 def iter_shared_runs(
     target: TargetAdapter,
     workload: str,
-    entries: Sequence[Entry],
+    entries: Sequence[Any],
     backend: "ExecutionBackend",
     share: bool = True,
     collect_coverage: bool = False,
     options: Optional[Dict[str, Any]] = None,
     observe_only: bool = False,
     publish_os: bool = True,
+    memo_context: Optional[bytes] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Run every entry on *backend*: the one execution pipeline.
 
@@ -1262,12 +1326,14 @@ def iter_shared_runs(
     exactly once, and each result is bit-identical to what the plain
     per-scenario path produces.  ``publish_os=False`` leaves the final OS
     out of every result's stats (explorations reduce each run to a stored
-    record and never read it).
+    record and never read it).  *entries* and *memo_context* are what
+    :func:`build_group_tasks` takes: ``(index, scenario, seed)`` triples,
+    or keyed :class:`Entry` values with the context they were keyed under.
     """
     tasks = build_group_tasks(
         target, workload, entries, collect_coverage=collect_coverage,
         options=options, observe_only=observe_only, share=share,
-        publish_os=publish_os,
+        publish_os=publish_os, memo_context=memo_context,
     )
     for _unit, results in backend.run_group_batches_iter(tasks):
         for index in sorted(results):
@@ -1275,21 +1341,26 @@ def iter_shared_runs(
 
 
 __all__ = [
+    "MEMO_KEY_BYTES",
     "SAFE_TRIGGER_CLASSES",
     "Entry",
+    "ScenarioKeyParts",
     "build_group_tasks",
     "errno_sibling_positions",
     "iter_shared_runs",
     "member_memo_key",
+    "memo_keys_of",
     "partition_entries",
     "patch_replica_errno",
     "plain_run",
     "rearm_member_triggers",
+    "resolve_memo_context",
     "resolve_sharing",
     "run_entry_group",
     "scenario_group_key",
     "scenario_group_key_parts",
     "scenario_group_rank",
+    "scenario_keys",
     "seeded_options",
     "sharing_supported",
 ]

@@ -30,6 +30,11 @@ planner session (``strategy.session().propose(frontier, feedback)``):
 The exhaustive strategy is a single-round planner, bit-identical to its
 historical ahead-of-time selection.
 
+**The plan** (:mod:`~repro.core.exploration.plan`).  A space's order,
+its points' scenarios and their group and memo keys are derived once per
+image into a frozen :class:`~repro.core.exploration.plan.CampaignPlan`,
+served from the artifact cache to every planner, engine and fabric role.
+
 **Resume semantics** (:mod:`~repro.core.exploration.store`).  Every
 completed run is appended to a JSON-lines
 :class:`~repro.core.exploration.store.ResultStore` and flushed before the
@@ -78,6 +83,7 @@ from repro.core.exploration.engine import (
     ExplorationReport,
     RoundPlanner,
 )
+from repro.core.exploration.plan import CampaignPlan, campaign_plan
 from repro.core.exploration.space import (
     CATEGORY_RANK,
     FaultPoint,
@@ -95,6 +101,7 @@ from repro.core.exploration.strategy import (
 
 __all__ = [
     "CATEGORY_RANK",
+    "CampaignPlan",
     "CoverageGuidedStrategy",
     "ExhaustiveStrategy",
     "ExplorationEngine",
@@ -109,6 +116,7 @@ __all__ = [
     "StoreCorruptError",
     "StoredResult",
     "UniqueFailure",
+    "campaign_plan",
     "enumerate_fault_space",
     "priority_order",
     "resolve_strategy",

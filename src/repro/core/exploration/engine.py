@@ -41,12 +41,13 @@ from repro.core.controller.executor import (
 from repro.core.controller.monitor import Outcome, RunResult
 from repro.core.controller.prefix import (
     iter_shared_runs,
+    resolve_memo_context,
     resolve_sharing,
-    scenario_group_key,
 )
 from repro.core.controller.target import TargetAdapter
 from repro.core.exploration.dedup import FailureDeduplicator, UniqueFailure, stack_fingerprint
-from repro.core.exploration.space import FaultPoint, priority_order
+from repro.core.exploration.plan import CampaignPlan, campaign_plan
+from repro.core.exploration.space import FaultPoint
 from repro.core.exploration.store import ResultStore, StoredResult
 from repro.core.exploration.strategy import (
     ExplorationStrategy,
@@ -316,55 +317,54 @@ class ExplorationEngine:
             recovery_lines=self._recovery_lines_of(result),
         )
 
-    def group_key_of(self, point: FaultPoint) -> Optional[str]:
-        """The prefix-group base key of one point (``None`` = solo).
-
-        Derived from the point alone — the same derivation on every node —
-        so a campaign coordinator can co-locate a planned round's group
-        members in one shard lease: the worker that drains them shares
-        their boot+prefix capture and suffix memo instead of probing the
-        same prefix on k machines.  Unshareable scenarios (or sharing off
-        entirely) map to ``None``.
-        """
-        if not resolve_sharing(self.share_prefixes, self.target):
-            return None
-        return scenario_group_key(point.scenario(once=self.once))
+    def campaign_plan(self, points: Sequence[FaultPoint]) -> CampaignPlan:
+        """The campaign plan of *points* under this engine's ``once``:
+        order, scenarios and keys, served from the artifact cache."""
+        return campaign_plan(self.target, points, self.once)
 
     def _run_wanted(
         self,
+        plan: CampaignPlan,
         wanted: Sequence[Tuple[int, FaultPoint]],
         parallelism: ParallelismSpec = None,
     ) -> Iterator[StoredResult]:
-        """Execute explicit ``(schedule index, point)`` pairs, yielding one
-        :class:`StoredResult` per completed run (in completion order).  The
-        engine's own store is neither consulted nor written — the caller
-        owns persistence."""
+        """Execute explicit ``(schedule index, point)`` pairs of *plan*,
+        yielding one :class:`StoredResult` per completed run (in completion
+        order).  Scenarios, key parts and memo keys come from the plan;
+        the engine's own store is neither consulted nor written — the
+        caller owns persistence."""
+        share = resolve_sharing(self.share_prefixes, self.target)
+        options = dict(self.request_options)
+        # An exploration reduces each run to a StoredResult, which never
+        # reads the final OS: runs skip capturing it.
+        context = (
+            resolve_memo_context(
+                self.target, self.workload, self.collects_coverage, options,
+                publish_os=False,
+            )
+            if share else None
+        )
+        memo_keys = plan.memo_keys(context) if context is not None else None
         points_by_index = dict(wanted)
-        scenarios_by_index = {
-            index: point.scenario(once=self.once) for index, point in wanted
-        }
         entries = [
-            (index, scenarios_by_index[index], derive_run_seed(self.seed, index))
-            for index, _ in wanted
+            plan.entry(index, point, derive_run_seed(self.seed, index), memo_keys)
+            for index, point in wanted
         ]
+        names_by_index = {entry.index: entry.scenario.name for entry in entries}
         backend, owned = backend_scope(
             parallelism if parallelism is not None else self.parallelism
         )
         try:
-            # An exploration reduces each run to a StoredResult, which
-            # never reads the final OS: runs skip capturing it.
             for index, result in iter_shared_runs(
                 self.target, self.workload, entries, backend,
-                share=resolve_sharing(self.share_prefixes, self.target),
+                share=share,
                 collect_coverage=self.collects_coverage,
-                options=dict(self.request_options),
+                options=options,
                 publish_os=False,
+                memo_context=context,
             ):
                 yield self.stored_result(
-                    index,
-                    points_by_index[index],
-                    scenarios_by_index[index].name,
-                    result,
+                    index, points_by_index[index], names_by_index[index], result,
                 )
         finally:
             if owned:
@@ -380,17 +380,23 @@ class ExplorationEngine:
 
         The fabric worker's entry point: the coordinator plans every round
         (it holds the feedback), so a lease names its points by key and
-        the worker looks them up in *points_by_key*, its fault space keyed
-        by :attr:`FaultPoint.key`.  Seeds derive from the shipped indices —
-        each point's position in the coordinator's cumulative planned
-        schedule — so records are byte-identical to the ones a serial
+        the worker looks them up in *points_by_key*: its campaign plan
+        (which maps point keys to points), or any mapping of its fault
+        space keyed by :attr:`FaultPoint.key`, whose plan is then looked
+        up by content.  Seeds derive from the shipped indices — each
+        point's position in the coordinator's cumulative planned schedule
+        — so records are byte-identical to the ones a serial
         :meth:`explore` checkpoints.  A repeated index runs once.
         """
+        if isinstance(points_by_key, CampaignPlan):
+            plan = points_by_key
+        else:
+            plan = self.campaign_plan(list(points_by_key.values()))
         wanted: List[Tuple[int, FaultPoint]] = []
         seen: Set[int] = set()
         for raw_index, key in assignments:
             index = int(raw_index)
-            point = points_by_key.get(key)
+            point = plan.get(key)
             if point is None:
                 raise KeyError(
                     f"assignment names unknown fault point {key!r} for this spec"
@@ -402,7 +408,7 @@ class ExplorationEngine:
             seen.add(index)
             wanted.append((index, point))
         wanted.sort(key=lambda pair: pair[0])
-        return self._run_wanted(wanted, parallelism)
+        return self._run_wanted(plan, wanted, parallelism)
 
     # ------------------------------------------------------------------
     def explore(
@@ -442,7 +448,7 @@ class ExplorationEngine:
                     budget -= len(pending)
                 # Checkpoint each result the moment it is available: a kill
                 # mid-campaign loses only in-flight work.
-                for stored in self._run_wanted(pending, backend):
+                for stored in self._run_wanted(planner.plan, pending, backend):
                     self.store.record(stored)
                     fresh.add(stored.index)
                     planner.record_result(
@@ -533,11 +539,12 @@ class RoundPlanner:
 
     def __init__(self, engine: ExplorationEngine, points: Sequence[FaultPoint]) -> None:
         self.engine = engine
-        ordered = priority_order(points)
-        self.space_size = len(ordered)
-        self._by_key: Dict[str, FaultPoint] = {point.key: point for point in ordered}
+        #: The space's campaign plan: the priority order, the key map and
+        #: every point's scenario and keys.
+        self.plan = engine.campaign_plan(points)
+        self.space_size = len(self.plan)
         self.session = engine.strategy.session()
-        self.frontier: List[FaultPoint] = list(ordered)
+        self.frontier: List[FaultPoint] = list(self.plan.points)
         #: The cumulative planned schedule; grows one round at a time.
         self.schedule: List[FaultPoint] = []
         #: Per-round stats, one dict per planned round.
@@ -579,7 +586,7 @@ class RoundPlanner:
                     f"planner proposed invalid or duplicate point key {key!r}"
                 )
             seen.add(key)
-            assignments.append((base + offset, self._by_key[key]))
+            assignments.append((base + offset, self.plan[key]))
         self.schedule.extend(point for _, point in assignments)
         self.frontier = [point for point in self.frontier if point.key not in seen]
         self.current = assignments
@@ -595,6 +602,20 @@ class RoundPlanner:
             }
         )
         return list(assignments)
+
+    def group_key_of(self, point: FaultPoint) -> Optional[str]:
+        """The prefix-group base key of one planned point (``None`` = solo).
+
+        Read from the campaign plan — the same derivation on every node —
+        so a campaign coordinator can co-locate a planned round's group
+        members in one shard lease: the worker that drains them shares
+        their boot+prefix capture and suffix memo instead of probing the
+        same prefix on k machines.  Unshareable scenarios (or sharing off
+        entirely) map to ``None``.
+        """
+        if not resolve_sharing(self.engine.share_prefixes, self.engine.target):
+            return None
+        return self.plan.group_key(point)
 
     def record_result(
         self, index: int, point: FaultPoint, stored: StoredResult, resumed: bool

@@ -19,7 +19,7 @@ repeat occurrences, so every distinct error behaviour is probed early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.analysis.classifier import ClassifiedSite, SiteClassification
@@ -34,9 +34,14 @@ from repro.oslib.errno_codes import errno_name
 CATEGORY_RANK: Dict[str, int] = {"unchecked": 0, "partial": 1, "checked": 2, "structured": 3}
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultPoint:
-    """One injectable (call site x error return x errno) combination."""
+    """One injectable (call site x error return x errno) combination.
+
+    A frozen value: campaign plans share their points between campaigns and
+    threads, and :attr:`key`, read on every scheduling path, is computed
+    once, at construction.
+    """
 
     binary: str
     function: str
@@ -47,15 +52,18 @@ class FaultPoint:
     #: Index of this fault within the function profile's candidate list
     #: (stable tiebreaker for sites with several faults).
     fault_index: int = 0
-    site: Optional[ClassifiedSite] = None
+    site: Optional[ClassifiedSite] = field(default=None, hash=False)
+    #: Stable identity of this point (result-store / resume key).
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self._derive_key())
 
     @property
     def errno_label(self) -> str:
         return errno_name(self.errno) if self.errno is not None else "none"
 
-    @property
-    def key(self) -> str:
-        """Stable identity of this point (result-store / resume key)."""
+    def _derive_key(self) -> str:
         return (
             f"{self.binary}:{self.function}@{self.address:#x}"
             f":rv={self.return_value}:errno={self.errno_label}"
@@ -85,7 +93,7 @@ class FaultPoint:
         return f"{self.key} [{self.category}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructuredFaultPoint(FaultPoint):
     """One injectable structured fault: (class x params x occurrence).
 
@@ -102,8 +110,7 @@ class StructuredFaultPoint(FaultPoint):
     #: point in ``params["budget"]`` instead and keep occurrence at 1).
     occurrence: int = 1
 
-    @property
-    def key(self) -> str:
+    def _derive_key(self) -> str:
         param_str = ",".join(f"{key}={value}" for key, value in self.params) or "-"
         return f"{self.binary}:{self.function}#{self.occurrence}:{self.klass}[{param_str}]"
 

@@ -29,13 +29,24 @@ This module computes each artifact **once per process** and shares it:
   :class:`BinaryImage` *instance* (weakly, like boot templates), so an entry
   lives exactly as long as its image and a recycled address never aliases
   it.  A cached report's ``analysis_seconds`` is the time of its first
-  computation.
+  computation;
+* :func:`cached_fault_space` — the fault points enumerated from such a
+  report: one tuple per (analysis key, category switches, the fault
+  candidates the profile gives the analyzed functions), held with the
+  report;
+* :func:`cached_campaign_plan` — the
+  :class:`~repro.core.exploration.plan.CampaignPlan` of one fault space:
+  keyed by content (the image's ``content_digest()``, the libc spec
+  fingerprint, ``once`` and the ordered points), held per image weakly and
+  at most :data:`PLANS_PER_IMAGE` per image, least recently used dropped
+  first.  An identical recompiled image finds the plans of the image it
+  replaces as long as that image lives.
 
 Library entries are keyed by ``(library name, spec fingerprint)`` where the
 fingerprint hashes the library's error-return specification, so a mutated
 spec (tests do this) transparently misses the cache instead of returning a
-stale artifact.  Cached objects — analysis reports included — are
-**shared**: treat them as immutable.
+stale artifact.  Cached objects — analysis reports, fault points and plans
+included — are **shared**: treat them as immutable.
 
 Sharing compounds with the VM's predecoded execution engine: the
 closure-threaded program and the bound superclosures that
@@ -60,6 +71,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,19 +104,21 @@ class CacheStats:
     boot_shared_hits: int = 0
     analysis_hits: int = 0
     analysis_misses: int = 0
+    plan_hits: int = 0
+    plan_misses: int = 0
 
     @property
     def hits(self) -> int:
         return (
             self.binary_hits + self.profile_hits + self.merged_hits + self.boot_hits
-            + self.analysis_hits
+            + self.analysis_hits + self.plan_hits
         )
 
     @property
     def misses(self) -> int:
         return (
             self.binary_misses + self.profile_misses + self.merged_misses
-            + self.boot_misses + self.analysis_misses
+            + self.boot_misses + self.analysis_misses + self.plan_misses
         )
 
 
@@ -122,11 +136,24 @@ _BOOT_CONTEXTS: "weakref.WeakKeyDictionary[Any, Dict[Tuple, set]]" = (
     weakref.WeakKeyDictionary()
 )
 #: Per binary image (weak: entries die with the image): the names of the
-#: imports it calls — the functions an unrestricted analysis reads — and
-#: its analysis reports by (budget, selection, error values).
+#: imports it calls — the functions an unrestricted analysis reads — its
+#: analysis reports by (budget, selection, error values), and the fault
+#: spaces enumerated from them by (analysis key, space options).
 _ANALYSES: (
-    "weakref.WeakKeyDictionary[BinaryImage, Tuple[Tuple[str, ...], Dict[Tuple, Any]]]"
+    "weakref.WeakKeyDictionary[BinaryImage, "
+    "Tuple[Tuple[str, ...], Dict[Tuple, Any], Dict[Tuple, Tuple[Any, ...]]]]"
 ) = weakref.WeakKeyDictionary()
+#: Campaign plans kept per image; a long-lived worker serving many specs
+#: of one image keeps at most this many of its plans.
+PLANS_PER_IMAGE = 8
+#: Per binary image (weak: plans die with their images): its campaign plans
+#: by content key, least recently used first.
+_PLANS_BY_IMAGE: "weakref.WeakKeyDictionary[BinaryImage, OrderedDict]" = (
+    weakref.WeakKeyDictionary()
+)
+#: Every live plan by content key, whichever image holds it: how an
+#: identical recompiled image finds the plans of the image it replaces.
+_PLANS: "weakref.WeakValueDictionary[Tuple, Any]" = weakref.WeakValueDictionary()
 _STATS = CacheStats()
 
 
@@ -157,9 +184,42 @@ def library_spec_fingerprint(library: str) -> str:
 # ----------------------------------------------------------------------
 # cached artifacts
 # ----------------------------------------------------------------------
+#: The libc spec table as last fingerprinted — its ``(name, spec)`` items —
+#: with its per-library fingerprints and their combined digest.  The live
+#: table's items are compared with ``==``: an unchanged table costs one
+#: identity check per entry (specs are frozen dataclasses, so a mutated
+#: spec is a replaced object), a replaced spec compares by content, and the
+#: snapshot holds the spec objects, so no ``id`` is ever recycled under it.
+_SPEC_SNAPSHOT: Tuple[Optional[tuple], Dict[str, str], str] = (None, {}, "")
+
+
+def _spec_fingerprints() -> Tuple[Dict[str, str], str]:
+    """Every known library's spec fingerprint and the combined digest,
+    recomputed only when the spec table's content changed."""
+    global _SPEC_SNAPSHOT
+    items = tuple(LIBC_FUNCTIONS.items())
+    snapshot, per_library, digest = _SPEC_SNAPSHOT
+    if items == snapshot:
+        return per_library, digest
+    per_library = {library: library_spec_fingerprint(library) for library in known_libraries()}
+    combined = hashlib.sha256()
+    for library, fingerprint in per_library.items():
+        combined.update(library.encode("utf-8"))
+        combined.update(fingerprint.encode("utf-8"))
+    digest = combined.hexdigest()
+    _SPEC_SNAPSHOT = (items, per_library, digest)
+    return per_library, digest
+
+
+def _library_fingerprint(library: str) -> str:
+    """:func:`library_spec_fingerprint`, served from the spec snapshot."""
+    fingerprint = _spec_fingerprints()[0].get(library)
+    return fingerprint if fingerprint is not None else library_spec_fingerprint(library)
+
+
 def cached_library_binary(library: str = "libc") -> BinaryImage:
     """The synthetic shared object for *library*, built at most once."""
-    key = (library, library_spec_fingerprint(library))
+    key = (library, _library_fingerprint(library))
     with _LOCK:
         binary = _BINARIES.get(key)
         if binary is not None:
@@ -181,7 +241,7 @@ def cached_all_library_binaries() -> Dict[str, BinaryImage]:
 
 def cached_library_profile(library: str = "libc") -> FaultProfile:
     """The static fault profile of *library*, inferred at most once."""
-    key = (library, library_spec_fingerprint(library))
+    key = (library, _library_fingerprint(library))
     with _LOCK:
         profile = _PROFILES.get(key)
         if profile is not None:
@@ -196,7 +256,7 @@ def cached_library_profile(library: str = "libc") -> FaultProfile:
 def cached_merged_profile(libraries: Optional[Sequence[str]] = None) -> FaultProfile:
     """Merged static profile of *libraries* (default: all known)."""
     names = list(libraries) if libraries is not None else known_libraries()
-    key = tuple((name, library_spec_fingerprint(name)) for name in names)
+    key = tuple((name, _library_fingerprint(name)) for name in names)
     with _LOCK:
         merged = _MERGED.get(key)
         if merged is not None:
@@ -208,38 +268,16 @@ def cached_merged_profile(libraries: Optional[Sequence[str]] = None) -> FaultPro
         return merged
 
 
-#: Memo for :func:`libc_spec_fingerprint`, keyed by the identity of every
-#: spec object: specs are frozen dataclasses, so any mutation of the table
-#: replaces entries and changes the key — recomputing the digest then, and
-#: only then, keeps the boot-template key honest at dict-scan cost.
-_LIBC_FINGERPRINT: Tuple[Optional[tuple], str] = (None, "")
-
-
 def libc_spec_fingerprint() -> str:
     """Combined digest of every known library's error-behaviour spec.
 
     Part of the boot-template key: a libc spec mutated by a test must miss
     the boot cache (the template's predecoded program and call semantics
     were built against the old spec) rather than serve stale boot state.
-    This sits on the per-run session-open path, so the digest is memoized
-    behind an identity key over the spec table.
+    This sits on the per-run session-open path, so the digest is served
+    from the spec snapshot (:func:`_spec_fingerprints`).
     """
-    global _LIBC_FINGERPRINT
-    # Insertion-order identity, no sort: replacing a spec changes its id,
-    # and adding/removing/renaming entries changes the name tuple.  Two
-    # orderings of the same table would merely recompute the same
-    # content-based digest — a spurious miss, never a stale hit.
-    identity = (tuple(LIBC_FUNCTIONS), tuple(map(id, LIBC_FUNCTIONS.values())))
-    cached_identity, cached_digest = _LIBC_FINGERPRINT
-    if identity == cached_identity:
-        return cached_digest
-    combined = hashlib.sha256()
-    for library in known_libraries():
-        combined.update(library.encode("utf-8"))
-        combined.update(library_spec_fingerprint(library).encode("utf-8"))
-    digest = combined.hexdigest()
-    _LIBC_FINGERPRINT = (identity, digest)
-    return digest
+    return _spec_fingerprints()[1]
 
 
 def _record_boot_context(owner: Any, key: Tuple, context: Any, fresh: bool) -> None:
@@ -297,6 +335,44 @@ def cached_boot_template(
         return per_owner.setdefault(key, template)
 
 
+def _analysis_slot(
+    analyzer: "CallSiteAnalyzer",
+    binary: BinaryImage,
+    functions: Optional[Sequence[str]],
+) -> Tuple[Tuple, Dict[Tuple, Any], Dict[Tuple, Tuple[Any, ...]], Tuple[str, ...]]:
+    """(analysis key, reports, fault spaces, analyzed names) of *binary*
+    for *analyzer* and *functions* (under the cache lock)."""
+    entry = _ANALYSES.get(binary)
+    if entry is None:
+        entry = (tuple(sorted(binary.called_imports())), {}, {})
+        _ANALYSES[binary] = entry
+    called, reports, spaces = entry
+    selection = None if functions is None else tuple(functions)
+    names = called if selection is None else selection
+    key = (
+        analyzer.max_instructions,
+        selection,
+        tuple((name, analyzer.profile.error_values(name)) for name in names),
+    )
+    return key, reports, spaces, names
+
+
+def _report(
+    analyzer: "CallSiteAnalyzer",
+    binary: BinaryImage,
+    key: Tuple,
+    reports: Dict[Tuple, Any],
+) -> "AnalysisReport":
+    report = reports.get(key)
+    if report is not None:
+        _STATS.analysis_hits += 1
+        return report
+    _STATS.analysis_misses += 1
+    report = analyzer.analyze(binary, functions=key[1])
+    reports[key] = report
+    return report
+
+
 def cached_analysis(
     analyzer: "CallSiteAnalyzer",
     binary: BinaryImage,
@@ -313,28 +389,77 @@ def cached_analysis(
     on one image share a single report.
     """
     with _LOCK:
-        entry = _ANALYSES.get(binary)
-        if entry is None:
-            entry = (tuple(sorted(binary.called_imports())), {})
-            _ANALYSES[binary] = entry
-        called, reports = entry
-        selection = None if functions is None else tuple(functions)
-        key = (
-            analyzer.max_instructions,
-            selection,
-            tuple(
-                (name, analyzer.profile.error_values(name))
-                for name in (called if selection is None else selection)
-            ),
-        )
-        report = reports.get(key)
-        if report is not None:
-            _STATS.analysis_hits += 1
-            return report
-        _STATS.analysis_misses += 1
-        report = analyzer.analyze(binary, functions=selection)
-        reports[key] = report
-        return report
+        key, reports, _spaces, _names = _analysis_slot(analyzer, binary, functions)
+        return _report(analyzer, binary, key, reports)
+
+
+def cached_fault_space(
+    analyzer: "CallSiteAnalyzer",
+    binary: BinaryImage,
+    functions: Optional[Sequence[str]],
+    options: Tuple,
+    enumerate_space: Callable[["AnalysisReport"], Sequence[Any]],
+) -> Tuple[Any, ...]:
+    """``enumerate_space(cached_analysis(...))`` as a tuple, at most once.
+
+    The key is the analysis key plus everything else the enumeration
+    reads: the caller's *options* (its category switches) and the fault
+    candidates — every ``(return value, errnos)`` pair — the analyzer's
+    profile gives each analyzed function.  Fault points are frozen values,
+    so every caller shares the same ones.  The analysis is looked up (and
+    counted) as :func:`cached_analysis` would.
+    """
+    profile = analyzer.profile
+    with _LOCK:
+        key, reports, spaces, names = _analysis_slot(analyzer, binary, functions)
+        report = _report(analyzer, binary, key, reports)
+        candidates = []
+        for name in names:
+            function_profile = profile.function(name)
+            candidates.append((name, None if function_profile is None else tuple(
+                (error.return_value, tuple(error.errnos))
+                for error in function_profile.error_returns
+            )))
+        space_key = (key, options, tuple(candidates))
+        points = spaces.get(space_key)
+        if points is None:
+            points = tuple(enumerate_space(report))
+            spaces[space_key] = points
+        return points
+
+
+def cached_campaign_plan(binary: BinaryImage, key: Tuple, build: Callable[[], Any]) -> Any:
+    """The campaign plan with content *key*, built at most once.
+
+    *key* is the plan's content (see
+    :func:`repro.core.exploration.plan.campaign_plan`).  The plan is held
+    by *binary*, weakly, among its :data:`PLANS_PER_IMAGE` most recently
+    used plans; a plan any live image holds under the same key — an
+    identical recompile's — is shared rather than rebuilt.  The build runs
+    under the cache lock, so a coordinator and a worker thread of one
+    process racing on a space build one plan.
+    """
+    with _LOCK:
+        held = _PLANS_BY_IMAGE.get(binary)
+        if held is None:
+            held = OrderedDict()
+            _PLANS_BY_IMAGE[binary] = held
+        plan = held.get(key)
+        if plan is not None:
+            held.move_to_end(key)
+            _STATS.plan_hits += 1
+            return plan
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _STATS.plan_hits += 1
+        else:
+            _STATS.plan_misses += 1
+            plan = build()
+            _PLANS[key] = plan
+        held[key] = plan
+        while len(held) > PLANS_PER_IMAGE:
+            held.popitem(last=False)
+        return plan
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +475,8 @@ def clear_artifact_cache() -> None:
         _BOOT_TEMPLATES.clear()
         _BOOT_CONTEXTS.clear()
         _ANALYSES.clear()
+        _PLANS_BY_IMAGE.clear()
+        _PLANS.clear()
         clear_block_code()
         global _STATS
         _STATS = CacheStats()
@@ -365,8 +492,11 @@ __all__ = [
     "CacheStats",
     "artifact_cache_stats",
     "cached_all_library_binaries",
+    "PLANS_PER_IMAGE",
     "cached_analysis",
     "cached_boot_template",
+    "cached_campaign_plan",
+    "cached_fault_space",
     "cached_library_binary",
     "cached_library_profile",
     "cached_merged_profile",

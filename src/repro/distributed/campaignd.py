@@ -227,11 +227,12 @@ class _Campaign:
             if key in self.store:
                 self.completed_count += 1
         if pending:
-            # No fallback: a group key that cannot be derived fails the
-            # submit (or the round close) instead of leasing blind.
+            # No fallback: a group key that cannot be read fails the
+            # submit (or the round close) instead of leasing blind.  The
+            # keys come from the campaign plan, which the worker shares.
             self.queue.extend(plan_lease_shards(
                 [index for index, _ in pending],
-                [engine.group_key_of(point) for _, point in pending],
+                [planner.group_key_of(point) for _, point in pending],
                 self.shard_size,
             ))
 

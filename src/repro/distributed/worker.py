@@ -108,9 +108,11 @@ class CampaignWorker:
         self._stream: Optional[MessageStream] = None
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
-        #: ``(engine, fault space keyed by point key)`` per spec
-        #: fingerprint: every shard of one campaign shares the target
-        #: artifacts, boot templates, and enumerated fault space.
+        #: ``(engine, campaign plan)`` per spec fingerprint: every shard
+        #: of one campaign shares the target artifacts, boot templates and
+        #: the plan — the fault space keyed by point key, with every
+        #: point's scenario and keys (shared with an in-process
+        #: coordinator through the artifact cache).
         self._engines: Dict[str, tuple] = {}
         #: Shards fully executed by this worker (observable for tests/CLI).
         self.shards_completed = 0
@@ -200,19 +202,18 @@ class CampaignWorker:
             # No store: the coordinator owns persistence; the worker-side
             # engine only executes.
             engine, points = build_engine(spec, store=None)
-            cached = (engine, {point.key: point for point in points})
+            cached = (engine, engine.campaign_plan(points))
             self._engines[fingerprint] = cached
         return cached
 
     def _execute_shard(self, shard: Dict[str, Any]) -> None:
         lease_id = shard["lease_id"]
         spec = CampaignSpec.from_dict(shard.get("spec"))
-        engine, points_by_key = self._engine_for(spec)
+        engine, plan = self._engine_for(spec)
         # Resolved before the heartbeat starts: a key outside this worker's
         # fault space raises here instead of running a wrong point.
         runs = engine.run_assignments(
-            points_by_key, shard.get("assignments", ()),
-            parallelism=self._backend,
+            plan, shard.get("assignments", ()), parallelism=self._backend,
         )
         lease_timeout = float(shard.get("lease_timeout", 30.0))
 

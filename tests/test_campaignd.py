@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.core.controller.executor import ProcessPoolBackend
-from repro.core.exploration.engine import ExplorationEngine
+from repro.core.exploration.engine import ExplorationEngine, RoundPlanner
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
 import repro.distributed.campaignd as campaignd_module
 from repro.distributed.campaignd import CampaignCoordinator
@@ -774,15 +774,16 @@ class TestCampaignFabric:
         self, fabric_factory, tmp_path, monkeypatch
     ):
         """No silent contiguous-shard fallback: a spec whose group keys
-        cannot be derived is refused, and the coordinator keeps serving."""
-        derive = ExplorationEngine.group_key_of
+        cannot be read from its campaign plan is refused, and the
+        coordinator keeps serving."""
+        derive = RoundPlanner.group_key_of
 
-        def failing(engine, point):
-            if engine.seed == 99:
+        def failing(planner, point):
+            if planner.engine.seed == 99:
                 raise RuntimeError("group keys unavailable")
-            return derive(engine, point)
+            return derive(planner, point)
 
-        monkeypatch.setattr(ExplorationEngine, "group_key_of", failing)
+        monkeypatch.setattr(RoundPlanner, "group_key_of", failing)
         fabric = fabric_factory()
         client = fabric.client()
         broken = dict(GIT_SPEC_KWARGS, seed=99)

@@ -41,7 +41,9 @@ from repro.oslib.facade import LibcFacade
 from repro.oslib.net import SimNetwork
 from repro.oslib.os_model import SimOS
 from repro.targets.mini_git import MiniGitTarget
+from repro.targets.mini_mysql import MiniMySQLTarget
 from repro.targets.mini_mysql.myisam import MyISAMEngine
+from repro.targets.mini_mysql.server import TABLE_PATH
 from repro.targets.pbft import PBFTTarget
 
 from test_campaignd import _Fabric
@@ -616,3 +618,56 @@ class TestShortWriteAudit:
         assert result.injections == 1
         assert result.outcome.kind is OutcomeKind.DATA_LOSS
         assert result.outcome.exit_code == 0  # mini_git exited "successfully"
+
+
+class TestFacadeShortIO:
+    """The short-I/O classes on the Python-level servers: the facade's
+    ``read`` and ``fwrite`` hand the gate a ``partial`` closure, which
+    performs the real call with the clamped count."""
+
+    def test_short_read_clamps_a_mini_mysql_row_read(self):
+        # Read 1 is startup's errmsg.sys load; read 2 is the first point
+        # query's 64-byte row read, and it gets half.
+        scenario = structured_scenario("short_read", "read", nth=2, params={"fraction": 0.5})
+        target = MiniMySQLTarget()
+        server = target.make_server(
+            WorkloadRequest(workload="sysbench-readonly", scenario=scenario)
+        )
+        server.startup()
+        assert len(server.error_messages) == 12
+        assert server.execute_read_query(0) == 32
+        assert server.execute_read_query(1) == 64  # one-shot
+        assert server.libc.gate.injected_calls == 1
+        # The file system served exactly the clamped count: the next read
+        # of the same descriptor starts where the short one stopped.
+        table = server.os.fs.file_contents(TABLE_PATH)
+        libc = LibcFacade(server.os, gate=make_gate(structured_scenario(
+            "short_read", "read", nth=1, params={"fraction": 0.5}
+        )))
+        fd = libc.open(TABLE_PATH)
+        assert libc.read(fd, 64) == table[:32]
+        assert libc.read(fd, 64) == table[32:96]
+        result = target.run(WorkloadRequest(
+            workload="sysbench-readonly", scenario=scenario,
+            options={"transactions": 2},
+        ))
+        assert result.injections == 1
+        assert result.outcome.kind is OutcomeKind.NORMAL
+
+    def test_partial_write_tears_one_pbft_checkpoint(self):
+        scenario = structured_scenario(
+            "partial_write", "fwrite", nth=1, params={"fraction": 0.5}
+        )
+        result = PBFTTarget().run(WorkloadRequest(workload="simple", scenario=scenario))
+        assert result.injections == 1
+        cluster = result.stats["cluster"]
+        contents = [
+            os.fs.file_contents(f"/var/pbft/{name}/checkpoint_16.ckp")
+            for name, os in cluster.oses.items()
+            if name.startswith("replica")
+        ]
+        full = max(contents, key=len)
+        assert full.startswith(b"view=") and full.endswith(b" executed=16\n")
+        # The first fwrite of the cluster reached the disk half written;
+        # every other checkpoint is whole.
+        assert sorted(contents, key=len) == [full[: len(full) // 2]] + [full] * 3

@@ -11,11 +11,12 @@ serial oracle on every backend and through the campaignd fabric, and the
 
 import collections
 import dataclasses
+import gc
+import hashlib
 import logging
 import pickle
 import sys
-import threading
-import weakref
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.core.controller.executor import (
     split_group_task,
 )
 from repro.core.controller.memo import (
+    SLOT_BYTES,
     SuffixMemo,
     clear_suffix_memo,
     default_memo_bytes,
@@ -40,6 +42,7 @@ from repro.core.controller.monitor import ENTRY_BYTES, Outcome, OutcomeKind, Run
 from repro.core.controller import prefix
 from repro.core.controller.target import WorkloadRequest
 from repro.core.controller.prefix import (
+    MEMO_KEY_BYTES,
     build_group_tasks,
     member_memo_key,
     scenario_group_key,
@@ -118,11 +121,11 @@ def _count_executions(monkeypatch):
 class TestSuffixMemoContainer:
     def test_lru_eviction_under_byte_budget(self):
         payload = "x" * 100
-        memo = SuffixMemo(max_bytes=3 * entry_size(payload))
+        memo = SuffixMemo(max_bytes=3 * entry_size("a", payload))
         for key in ("a", "b", "c"):
             assert memo.store(key, payload)
         assert len(memo) == 3
-        assert memo.stats().current_bytes == 3 * entry_size(payload)
+        assert memo.stats().current_bytes == 3 * entry_size("a", payload)
         # Refresh "a", then overflow: "b" is now the least recently used.
         assert memo.lookup("a") == payload
         assert memo.store("d", payload)
@@ -137,14 +140,14 @@ class TestSuffixMemoContainer:
 
     def test_oversized_results_are_rejected(self):
         result = RunResult(outcome=Outcome(kind=OutcomeKind.NORMAL))
-        memo = SuffixMemo(max_bytes=result.nbytes - 1)
+        memo = SuffixMemo(max_bytes=entry_size("big", result) - 1)
         assert memo.store("big", result) is False
         assert memo.store("bigger", "y" * 4096) is False
         assert len(memo) == 0
         assert memo.stats().rejected == 2
-        exact = SuffixMemo(max_bytes=result.nbytes)
+        exact = SuffixMemo(max_bytes=entry_size("fits", result))
         assert exact.store("fits", result)
-        assert exact.stats().current_bytes == result.nbytes
+        assert exact.stats().current_bytes == entry_size("fits", result)
 
     def test_hits_are_the_stored_value(self):
         # No serialization on either side: a hit is the object stored.
@@ -169,7 +172,9 @@ class TestSuffixMemoContainer:
         assert "os" not in bare.stats
         assert run(False).nbytes == bare.nbytes
         assert with_os.nbytes == bare.nbytes + with_os.stats["os"].nbytes + ENTRY_BYTES
-        assert entry_size(with_os) == with_os.nbytes
+        # An entry is charged its value, its key and its slot.
+        key = bytes(MEMO_KEY_BYTES)
+        assert entry_size(key, with_os) == with_os.nbytes + sys.getsizeof(key) + SLOT_BYTES
 
     def test_memo_bytes_env_rejects_what_it_cannot_parse(self, monkeypatch):
         for bad in ("64MB", "-1"):
@@ -183,12 +188,67 @@ class TestSuffixMemoContainer:
     def test_restore_same_key_replaces_without_leaking_bytes(self):
         memo = SuffixMemo(max_bytes=1 << 20)
         memo.store("k", "a" * 50)
-        assert memo.stats().current_bytes == entry_size("a" * 50)
+        assert memo.stats().current_bytes == entry_size("k", "a" * 50)
         memo.store("k", "a" * 50)
-        assert memo.stats().current_bytes == entry_size("a" * 50)
+        assert memo.stats().current_bytes == entry_size("k", "a" * 50)
         memo.store("k", "b" * 80)
-        assert memo.stats().current_bytes == entry_size("b" * 80)
+        assert memo.stats().current_bytes == entry_size("k", "b" * 80)
         assert len(memo) == 1
+
+    def test_charged_bytes_track_measured_bytes_keys_included(self):
+        # The tracemalloc calibration of the charge: a cold mini_git pass
+        # fills a memo that is charged at least what it holds, keys and
+        # slots included, and not far above it (a member replicating its
+        # probe shares the probe's result, yet each key is charged it).
+        target = MiniGitTarget()
+        classes = ("partial_write", "short_read", "fd_exhaustion", "heap_exhaustion",
+                   "crash_point", "clock_skew", "clock_jump")
+        points = LFIController(target).fault_space(include_checked=True) + list(
+            enumerate_structured_space("mini_git", classes)
+        )
+        # Results are engine-independent: pin the fast path, and build the
+        # image's plan and boot templates before measuring.
+        fast = {"engine": "compiled", "snapshots": True}
+        ExplorationEngine(
+            target, store=ResultStore(), workload="status",
+            request_options=dict(fast, memo=False),
+        ).explore(points)
+        memo = SuffixMemo()
+        tracemalloc.start()
+        try:
+            for workload in target.workloads():
+                ExplorationEngine(
+                    target, store=ResultStore(), workload=workload,
+                    request_options=dict(fast, memo=memo),
+                ).explore(points)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            stats = memo.stats()
+            memo.clear()
+            gc.collect()
+            measured = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert stats.entries > 500
+        assert measured <= stats.current_bytes <= 2.5 * measured
+
+    def test_keys_and_slots_are_charged_what_they_hold(self):
+        values = [
+            RunResult(outcome=Outcome(kind=OutcomeKind.NORMAL, detail=str(n)))
+            for n in range(2000)
+        ]
+        memo = SuffixMemo()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, value in enumerate(values):
+                memo.store(hashlib.blake2b(str(n).encode(), digest_size=16).digest(), value)
+            measured = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        charged = memo.stats().current_bytes - sum(value.nbytes for value in values)
+        assert charged == len(values) * (SLOT_BYTES + sys.getsizeof(bytes(MEMO_KEY_BYTES)))
+        assert 0.8 * measured <= charged <= 1.25 * measured
 
     def test_resolve_memo_knobs(self, monkeypatch):
         private = SuffixMemo()
@@ -524,12 +584,13 @@ class TestUngroupedRunsAreMemoized:
         entries = [(index, scenario, None) for index, scenario in enumerate(scenarios)]
         shared = build_group_tasks(target, "status", entries, share=True)
         assert all(task.shared for task in shared)
-        # The ungrouped entries follow the prefix groups, one task each.
+        # The ungrouped entries follow the prefix groups, one task each
+        # (keyed: an entry's first three fields are the submitted triple).
         ungrouped = [entry for entry in entries if scenario_group_key(entry[1]) is None]
         assert len(ungrouped) == len(scenarios) - 4
-        assert [task.entries for task in shared[-len(ungrouped):]] == [
-            [entry] for entry in ungrouped
-        ]
+        assert [
+            [entry[:3] for entry in task.entries] for task in shared[-len(ungrouped):]
+        ] == [[entry] for entry in ungrouped]
         unshared = build_group_tasks(target, "status", entries, share=False)
         assert [task.shared for task in unshared] == [False] * len(scenarios)
         assert [task.entries for task in unshared] == [[entry] for entry in entries]
@@ -588,7 +649,7 @@ class TestMemoContext:
 
 
 # ----------------------------------------------------------------------
-# key parts are derived once per scenario object
+# key parts are derived once per scenario per pipeline call
 # ----------------------------------------------------------------------
 class TestKeyPartsCache:
     @staticmethod
@@ -619,59 +680,6 @@ class TestKeyPartsCache:
         assert set(counts) == set(map(id, scenarios))
         assert set(counts.values()) == {1}
 
-    def test_entries_die_with_their_scenario(self):
-        scenario = structured_scenario("crash_point", "write", params={"torn": 0})
-        key = id(scenario)
-        assert prefix._key_parts(scenario) is not None
-        assert key in prefix._KEY_PARTS_CACHE
-        del scenario
-        assert key not in prefix._KEY_PARTS_CACHE
-
-    def test_an_entry_for_another_object_is_not_trusted(self, monkeypatch):
-        scenario = structured_scenario("short_read", "read", params={"fraction": 0.5})
-        other = structured_scenario("clock_skew", "time", params={"delta": 0.5})
-        monkeypatch.setitem(
-            prefix._KEY_PARTS_CACHE, id(scenario),
-            (weakref.ref(other), prefix._scenario_group_key_parts(other)),
-        )
-        assert prefix._key_parts(scenario) == prefix._scenario_group_key_parts(scenario)
-        assert prefix._KEY_PARTS_CACHE[id(scenario)][0]() is scenario
-
-    def test_concurrent_derivations_never_cross_objects(self):
-        # Threads derive key parts for short-lived scenarios while others
-        # die and free their ids: every answer must be the asking
-        # scenario's own, and no entry may outlive its scenario.
-        failures = []
-
-        def work(seed):
-            try:
-                for round_ in range(150):
-                    scenario = structured_scenario(
-                        "crash_point", "write", nth=1 + (seed + round_) % 7,
-                        params={"torn": round_ % 2},
-                    )
-                    expected = prefix._scenario_group_key_parts(scenario)
-                    for _ in range(2):
-                        if prefix._key_parts(scenario) != expected:
-                            failures.append(scenario.name)
-            except Exception as exc:  # a crashed thread fails the test
-                failures.append(repr(exc))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        entries = list(prefix._KEY_PARTS_CACHE.values())
-        assert all(ref() is not None for ref, _ in entries)
-
     def test_stand_ins_without_weak_references_are_derived_each_time(self, monkeypatch):
         class SlottedScenario:
             __slots__ = ("name", "triggers", "plans", "metadata")
@@ -685,7 +693,17 @@ class TestKeyPartsCache:
         assert first == scenario_group_key_parts(source)
         assert scenario_group_key_parts(stand_in) == first
         assert derived.count(stand_in) == 2
-        assert id(stand_in) not in prefix._KEY_PARTS_CACHE
+        # Keyed as an entry, it gets the key parts and memo key of the
+        # scenario it copies, from one more derivation.
+        target = MiniGitTarget()
+        tasks = build_group_tasks(
+            target, "status", [(0, stand_in, None), (1, source, None)],
+            options={"memo": SuffixMemo()},
+        )
+        keyed = {entry.index: entry for task in tasks for entry in task.entries}
+        assert keyed[0].parts == keyed[1].parts
+        assert keyed[0].memo_key == keyed[1].memo_key is not None
+        assert derived.count(stand_in) == 3
 
 
 # ----------------------------------------------------------------------
