@@ -11,9 +11,12 @@ categories:
 
 * ``product``     — reached by at least one product consumer;
 * ``tier-1 only`` — reached by the tier-1 tests, not by a product consumer;
-* ``oracle only`` — reached only by the oracle leg: code only the slow
-  differential paths run, such as ``CompiledTarget.restore_os_boundary``,
-  the snapshot-free group resume;
+* ``oracle only`` — reached only by the oracle leg: code that only the
+  slow differential paths (reference engine, snapshots off, memo off)
+  run.  An oracle that is one plain path, such as snapshots off running
+  a prefix group's members as ordinary runs, adds nothing here; a
+  function that turns up here is a second implementation kept alive by
+  the oracle alone;
 * ``unreached``   — reached by nothing the census ran.
 
 How it watches: it copies the checkout to a temporary directory and puts a

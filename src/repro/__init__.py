@@ -98,24 +98,25 @@ process-wide default (the CI oracle leg exports
 **Forkserver-style snapshots.** Every compiled-target run is served from a
 resident *boot template* by default (:mod:`repro.vm.snapshot`): the OS
 fixture, libc, and machine are built once per (target, workload), their
-boot state captured by :class:`~repro.vm.snapshot.MachineSnapshot`, and
+boot state captured by a :class:`~repro.vm.snapshot.MidRunCapture`, and
 each request restores it in **O(dirty words)** via the copy-on-write
 journal inside :class:`~repro.vm.memory.Memory` instead of rebuilding.  On
 top of that, campaigns and explorations share *prefixes*
 (:mod:`repro.core.controller.prefix`): scenarios that differ only in the
 injected fault — the analyzer's (site x errno) families — are grouped, the
-group's probe runs once while a
-:class:`~repro.vm.snapshot.MidRunCapture` snapshots the machine at the
-exact instruction where the trigger fires, and every sibling scenario
-resumes from that point with its own fault; scenarios whose trigger never
-fires under a workload are answered by replicating the probe.
+group's probe runs once while a second
+:class:`~repro.vm.snapshot.MidRunCapture` snapshots the machine inside
+the call where the trigger fires, and every sibling scenario resumes
+there by re-executing that call through its own gate, which injects its
+own fault; scenarios whose trigger never fires under a workload are
+answered by replicating the probe.
 
 **Prefix trees and parallel groups.** Groups are hierarchical: call-count
 variants of one site (replay-style scenarios differing only in a
 ``CallCountTrigger`` threshold) share the sub-prefix up to their earliest
-divergence — later variants resume from an earlier variant's capture with
-the call *passed through* and chain nested captures at their own injection
-points.  Suffixes that never read ``errno`` (tracked by a libc errno-read
+divergence — later variants re-execute an earlier variant's captured call
+through their own gates, which pass it through, and chain nested captures
+at their own injection points.  Suffixes that never read ``errno`` (tracked by a libc errno-read
 counter the compiled engine maintains for free via predecode
 specialization) make errno-only variants *suffix replicas*: one run, the
 logged errno patched per member.  Sharing also composes with every
@@ -169,7 +170,9 @@ the differential suite holds it to:
    capturing it.  Knobs: ``snapshots=`` / ``REPRO_SNAPSHOTS``.
 3. **Prefix trees** (:mod:`repro.core.controller.prefix`) — scenario
    groups run their common pre-trigger prefix once; siblings resume from
-   mid-run captures.  Entries that cannot share a prefix run alone, as
+   mid-run captures, each re-executing the captured call through its own
+   gate (snapshot-backed sessions only: without a boot template a group's
+   members run plain).  Entries that cannot share a prefix run alone, as
    groups of one behind the same suffix memo.  Knob: ``share_prefixes=``.
 4. **Run-to-completion pooled batches**
    (:mod:`repro.core.controller.executor`) — groups are packed into one
@@ -364,7 +367,7 @@ from repro.minicc.compiler import compile_source
 from repro.oslib.libc_binary import build_all_library_binaries, build_library_binary
 from repro.oslib.os_model import SimOS
 from repro.vm.machine import Machine
-from repro.vm.snapshot import BootTemplate, MachineSnapshot, MidRunCapture
+from repro.vm.snapshot import BootTemplate, MidRunCapture
 
 __version__ = "1.0.0"
 
@@ -387,7 +390,6 @@ __all__ = [
     "LibraryCallGate",
     "LibraryProfiler",
     "Machine",
-    "MachineSnapshot",
     "MidRunCapture",
     "ProbeFeedback",
     "ProcessPoolBackend",

@@ -16,9 +16,11 @@ fresh run.
 This module is that store: a process-wide LRU cache mapping *memo keys*
 to the results themselves.  A memo key is a 16-byte ``blake2b`` digest of
 the run's canonical key — the scenario's trigger and plan fingerprint, its
-fault values and metadata, and every behaviour-relevant execution knob
-(see :func:`~repro.core.controller.prefix.member_memo_key`).  Keys are
-derived before any task runs: an exploration's come from its campaign
+fault values and metadata
+(:func:`~repro.core.controller.prefix.scenario_keys`), and every
+behaviour-relevant execution knob, the memo context
+(:func:`~repro.core.controller.prefix.resolve_memo_context`, ``None``
+when the memo is off).  Keys are derived before any task runs: an exploration's come from its campaign
 plan (:mod:`repro.core.exploration.plan`), which derives each point's key
 once per memo context; other runs' from
 :func:`~repro.core.controller.prefix.build_group_tasks`, once per entry.

@@ -19,16 +19,19 @@ This module eliminates that redundancy at the schedule level:
    is a prefix *tree*, not just an errno family.
 2. **Probe + resume** — the group's first member (lowest rank) runs
    normally through the :class:`~repro.targets.base.CompiledTarget`
-   session API, which snapshots OS/gate/coverage state at the last
-   workload-step boundary before its trigger fires; every other member
-   restores that boundary (its own gate is grafted with the shared
-   interception state) and executes **only the post-trigger suffix**.
-   Snapshot-backed sessions sharpen the resume point to the exact
-   injection instruction (:class:`~repro.vm.snapshot.MidRunCapture`);
-   later-rank members resume from the same capture with the call
-   **passed through** instead of faulted and run on to their own (later)
-   injection point, where a *nested* capture serves their own rank — each
-   tree level pays only the suffix between divergence points.
+   session API, and a snapshot-backed session captures the machine at
+   the exact call where its trigger agrees to inject
+   (:class:`~repro.vm.snapshot.MidRunCapture`), together with the gate
+   state from before that call.  Every other member resumes one way: it
+   restores the capture, grafts the pre-call gate state onto its own
+   gate and **re-executes the call** through that gate, which injects the
+   member's own fault (same rank) or passes the call through and runs on
+   to the member's own, later injection point (a higher rank), where a
+   *nested* capture serves that rank — each tree level pays only the
+   suffix between divergence points.  The gate's inject branch, the stub
+   of the paper's §6, is the one place any fault is applied.  A session
+   without a boot template (snapshots off, the oracle) captures nothing,
+   and its members run plain.
 3. **Replication** — if the probe's trigger never fires, no member's fault
    can ever be injected either (ranks fire monotonically later), so every
    member's result *is* the probe's: results are immutable values
@@ -83,12 +86,11 @@ from repro.core.controller.monitor import (
     classify_exit_status,
 )
 from repro.core.controller.target import TargetAdapter, WorkloadRequest, make_gate
-from repro.core.faults import UNSHAREABLE_CLASSES, apply_fault_on_machine
+from repro.core.faults import UNSHAREABLE_CLASSES
 from repro.core.controller.memo import SuffixMemo, resolve_memo, suffix_memo
 from repro.core.scenario.model import Scenario
 from repro.coverage.tracker import CoverageTracker
-from repro.vm.dispatch import R0_SLOT
-from repro.vm.snapshot import MidRunCapture, capture_gate_state, graft_gate_state
+from repro.vm.snapshot import MidRunCapture, capture_gate_state
 
 #: Trigger classes whose behaviour is a deterministic function of the call
 #: stream (no randomness, no cross-run state): scenarios composed solely of
@@ -516,7 +518,20 @@ def scenario_keys(
     scenario: Optional[Scenario],
 ) -> Tuple[Optional[ScenarioKeyParts], Optional[bytes]]:
     """*scenario*'s key parts and the member part of its memo keys, one
-    derivation of each (``(None, None)``: its run is not deterministic)."""
+    derivation of each (``(None, None)``: its run is not deterministic).
+
+    Every deterministic run is memoizable — only safe trigger classes, no
+    ``@`` parameters — whether or not it may join a prefix group (crash
+    points and budget ramps may not, but are keyed all the same).  The
+    member part is the capture identity (group base key and rank: trigger
+    classes and parameters, a ramp's ``every`` and ``nth``, plan structure
+    with fault classes), every plan's ``(class, return value, errno,
+    params, side effects)`` and the scenario metadata (a crash point's
+    recovery workload).  The rest of a key is the pipeline call's memo
+    context (:func:`resolve_memo_context`), and a key is the
+    :data:`MEMO_KEY_BYTES`-byte digest of both (:func:`memo_keys_of`).  The
+    per-run seed stays out: safe triggers never read it.
+    """
     parts = _derive_parts(scenario)
     if parts is None:
         return None, None
@@ -541,43 +556,6 @@ def memo_keys_of(
         None if member is None else _memo_digest(context, member)
         for member in members
     )
-
-
-def member_memo_key(
-    target: TargetAdapter,
-    workload: str,
-    scenario: Optional[Scenario],
-    collect_coverage: bool,
-    options: Dict[str, Any],
-    observe_only: bool,
-    publish_os: bool = True,
-) -> Optional[bytes]:
-    """The suffix-memo key of one run, or ``None`` (uncacheable).
-
-    Every deterministic run is memoizable — only safe trigger classes, no
-    ``@`` parameters, a ``prefix_shareable`` target — whether or not it
-    may join a prefix group (crash points and budget ramps may not, but
-    are keyed all the same): the key is exactly what determines such a
-    run's observables.  Capture identity comes from the group base key
-    and rank (trigger classes and parameters, a ramp's ``every`` and
-    ``nth``, plan structure with fault classes) plus the binary/libc
-    fingerprints (a mutated libc spec or changed target source misses; an
-    identical recompile hits); the fault identity is every plan's
-    ``(class, return value, errno, params, side effects)`` tuple, and the
-    scenario metadata (a crash point's recovery workload) is folded in;
-    the resolved engine/snapshot knobs pin the execution path, and any
-    *other* request option is folded in conservatively by repr.  The
-    per-run seed stays out: safe triggers never read it.  The key is a
-    :data:`MEMO_KEY_BYTES`-byte ``blake2b`` digest of all that, so every
-    memo entry's key has the same small size.
-    """
-    context = _memo_context(
-        target, workload, collect_coverage, options, observe_only, publish_os
-    )
-    if context is None:
-        return None
-    _parts, member = scenario_keys(scenario)
-    return None if member is None else _memo_digest(context, member)
 
 
 # ----------------------------------------------------------------------
@@ -723,113 +701,73 @@ def rearm_member_triggers(gate: Any, scenario: Scenario) -> None:
 # ----------------------------------------------------------------------
 # group execution (session targets)
 # ----------------------------------------------------------------------
-def _install_capture_observers(
+class _Divergence(NamedTuple):
+    """Where a prefix tree's members resume: one injection point.
+
+    The machine captured inside the intercepted call at which a shared
+    prefix ends, the gate state snapshotted *before* that call was counted
+    or decided, and the workload step the call sits in with the outcome
+    accumulated before that step.
+    """
+
+    capture: MidRunCapture
+    gate_state: Dict[str, Any]
+    step: int
+    prior_outcome: Outcome
+
+
+def _arm_divergence_capture(
     session: Any,
     gate: Any,
-    scenario: Scenario,
-    step_ref: Dict[str, Any],
-    want_pre_call: bool,
-) -> Dict[str, Any]:
-    """Arm *gate* to capture the machine at its first injection point.
+    step: int = 0,
+    prior_outcome: Optional[Outcome] = None,
+) -> Tuple[Dict[str, Optional[_Divergence]], Any]:
+    """Arm *gate* to capture the run at its first injection.
 
-    Returns the ``mid`` mailbox the observers fill: ``capture`` (the
-    :class:`MidRunCapture`) and ``record`` (everything needed to replay or
-    pass through the intercepted call — including, when ``want_pre_call``,
-    the gate state snapshotted *before* the call was counted, which is what
-    lets a later-rank member re-execute the call through its own gate).
-    ``step_ref`` supplies the current workload-step index and the outcome
-    accumulated before it.
+    Returns the mailbox whose ``"point"`` the gate's observers fill with a
+    :class:`_Divergence`, and the ``execute_plan`` boundary hook that
+    tracks the step index and the outcome accumulated before each step
+    (*step* and *prior_outcome* seed both for a run resumed mid-step).
+    The call observer snapshots the gate before every handled call — cheap
+    by design, see :func:`~repro.vm.snapshot.capture_gate_state` — and the
+    inject observer pairs the latest snapshot with a
+    :class:`~repro.vm.snapshot.MidRunCapture`, then disarms both.  A
+    session without a boot template captures nothing: its group's members
+    run plain.
     """
-    mid: Dict[str, Any] = {"capture": None, "record": None}
-    template = session.template
-    if template is None:
-        return mid
-    pre: Dict[str, Any] = {"state": None}
-    # Pre-call capture cost is one deep copy of the trigger instances and
-    # counter dicts per intercepted call of the handled function(s) — O(1)
-    # in prefix length with the default injection-only log.  A pass-through-
-    # recording log would make each capture O(accumulated records); skip the
-    # observer there and let later-rank members take the plain-run fallback
-    # instead of paying a quadratic probe.
-    if want_pre_call and getattr(gate.log, "record_passthrough", False):
-        want_pre_call = False
-    if want_pre_call:
-        runtime = gate.runtime
-
-        def observe_call(name: str, args: tuple) -> None:
-            if mid["capture"] is not None:
-                return
-            if runtime is None or not runtime.handles(name):
-                return
-            pre["state"] = capture_gate_state(gate)
-
-        gate.call_observer = observe_call
-
-    def observe_injection(name, args, count, ctx, decision) -> None:
-        if mid["capture"] is not None:
-            return
-        machine = ctx.extras.get("machine")
-        if machine is not template.machine:
-            return
-        plan_index = next(
-            (
-                position
-                for position, candidate in enumerate(scenario.plans)
-                if candidate is decision.plan
-            ),
-            None,
-        )
-        if plan_index is None:
-            return
-        capture = MidRunCapture(machine, base_level=template.snapshot.memory_level)
-        if capture.gate_state is None:
-            return
-        clock = getattr(ctx.os, "clock", None)
-        mid["capture"] = capture
-        mid["record"] = {
-            "step": step_ref["index"],
-            "name": name,
-            "args": args,
-            "count": count,
-            "node": ctx.node,
-            "module": ctx.module,
-            "source": str(ctx.source) if ctx.source else "",
-            "stack": tuple(ctx.stack),
-            "sim_time": getattr(clock, "now", 0.0) if clock is not None else 0.0,
-            "fired": tuple(decision.fired_triggers),
-            "plan_index": plan_index,
-            "prior_outcome": step_ref["outcome"],
-            "pre_call_gate": pre["state"],
-        }
-
-    gate.inject_observer = observe_injection
-    return mid
-
-
-def _make_step_tracker(gate: Any) -> Tuple[Dict[str, Any], Any]:
-    """A boundary hook tracking (step index, pre-injection outcome).
-
-    The hook runs before each workload step; the outcome stops updating
-    once the gate injects (or observes an injection) so ``outcome`` is the
-    accumulated outcome *before* the divergence step — the prior every
-    resumed member starts from.
-    """
+    mailbox: Dict[str, Optional[_Divergence]] = {"point": None}
     track: Dict[str, Any] = {
-        "index": 0,
-        "outcome": Outcome(kind=OutcomeKind.NORMAL),
-        "locked": False,
+        "step": step,
+        "outcome": prior_outcome or Outcome(kind=OutcomeKind.NORMAL),
+        "gate": None,
     }
 
-    def hook(index: int, steps_run: int, outcome) -> None:
-        track["index"] = index
-        if track["locked"]:
-            return
-        if gate.injected_calls or gate.observed_injections:
-            track["locked"] = True
-            return
+    def hook(index: int, steps_run: int, outcome: Outcome) -> None:
+        track["step"] = index
         track["outcome"] = outcome
 
-    return track, hook
+    template = session.template
+    if template is None:
+        return mailbox, hook
+
+    def observe_call(name: str, args: tuple) -> None:
+        track["gate"] = capture_gate_state(gate)
+
+    def observe_injection(name, args, count, ctx, decision) -> None:
+        gate.call_observer = gate.inject_observer = None
+        machine = ctx.extras.get("machine")
+        if track["gate"] is None or machine is not template.machine:
+            return
+        mailbox["point"] = _Divergence(
+            MidRunCapture(machine, base_level=template.boot.base_level),
+            track["gate"],
+            track["step"],
+            track["outcome"],
+        )
+
+    gate.call_observer = observe_call
+    gate.inject_observer = observe_injection
+    return mailbox, hook
 
 
 def _complete_member_run(
@@ -862,91 +800,42 @@ def _complete_member_run(
     return target.finalize_run(session, gate, coverage, outcome, steps_run)
 
 
-def _resume_member_mid(
+def _resume_member(
     target: Any,
     session: Any,
     plan: Sequence[Any],
-    capture: MidRunCapture,
-    record: Dict[str, Any],
+    point: _Divergence,
     scenario: Scenario,
     seed: Optional[int],
     collect_coverage: bool,
     options: Dict[str, Any],
     observe_only: bool = False,
-) -> RunResult:
-    """Resume one same-rank member from the probe's injection-point capture.
+    nest: bool = False,
+) -> Tuple[RunResult, Optional[_Divergence]]:
+    """Run one group member from *point* through its own gate.
 
-    The capture holds machine state at the exact moment the shared trigger
-    agreed, *before* any fault was applied; the member's own fault is then
-    injected by replaying the gate's inject branch — side effect (errno),
-    log record, return-value write — and execution resumes at the next
-    instruction.  Every instruction of the common prefix is skipped.
+    The capture was taken inside the intercepted call at which a shared
+    prefix ends.  The machine is restored there with the gate state from
+    *before* that call, grafted onto the member's own gate and re-armed
+    with its own trigger parameters; then the machine is rolled back one
+    instruction and resumed, so the call **re-executes** through the
+    member's gate.  Counting, trigger evaluation, and the member's own
+    injection — at this call for a same-rank member, at a later one for a
+    member that advances the rank, which passes this call through — all
+    happen on the gate's normal path, which applies every fault class as a
+    full run does; that is what keeps the result bit-identical to one.
+    Every instruction of the common prefix is skipped.  With *nest*, the
+    member's own injection point is captured as well and returned beside
+    the result (``None`` without *nest* or without an injection): it
+    serves the member's rank siblings and the deeper ranks.
     """
     gate = make_gate(
         scenario, observe_only=observe_only,
         run_seed=seeded_options(options, seed).get("run_seed"),
     )
     coverage = CoverageTracker() if collect_coverage else None
-    machine = capture.restore(gate, coverage)
-    rearm_member_triggers(gate, scenario)
-
-    fault = scenario.plans[record["plan_index"]].fault
-    gate.injected_calls += 1
-    result = apply_fault_on_machine(fault, record["name"], record["args"], machine)
-    result.injected = True
-    gate.log.record(
-        function=record["name"],
-        args=record["args"],
-        injected=True,
-        call_count=record["count"],
-        node=record["node"],
-        module=record["module"],
-        fault=fault,
-        trigger_ids=record["fired"],
-        stack=record["stack"],
-        source=record["source"],
-        sim_time=record["sim_time"],
-    )
-    machine.regs[R0_SLOT] = int(result.value)
-    machine.pc = capture.pc + 1
-    status = machine.resume()
-    return _complete_member_run(
-        target, session, plan, gate, coverage, status,
-        record["step"], record["prior_outcome"],
-    )
-
-
-def _resume_member_passthrough(
-    target: Any,
-    session: Any,
-    plan: Sequence[Any],
-    capture: MidRunCapture,
-    record: Dict[str, Any],
-    scenario: Scenario,
-    seed: Optional[int],
-    collect_coverage: bool,
-    options: Dict[str, Any],
-    observe_only: bool = False,
-) -> Tuple[RunResult, Dict[str, Any]]:
-    """Resume a later-rank member from an earlier rank's capture.
-
-    The member's trigger has not fired yet at the capture point, so instead
-    of replaying the inject branch the intercepted **call instruction is
-    re-executed** through the member's own gate: the pre-call gate state
-    (snapshotted by the probe's call observer, before the call was counted
-    or decided) is grafted, the machine is rolled back one instruction, and
-    execution resumes — counting, trigger evaluation, pass-through, and the
-    member's own later injection all happen on the normal path, which is
-    what keeps the result bit-identical to a full run.  Returns the
-    member's result plus the *nested* capture mailbox taken at the member's
-    own injection point, which serves its rank siblings and deeper ranks.
-    """
-    gate = make_gate(
-        scenario, observe_only=observe_only,
-        run_seed=seeded_options(options, seed).get("run_seed"),
-    )
-    coverage = CoverageTracker() if collect_coverage else None
-    machine = capture.restore(gate, coverage, gate_state=record["pre_call_gate"])
+    capture = point.capture
+    machine = capture.restore(gate, coverage, point.gate_state)
     rearm_member_triggers(gate, scenario)
 
     # Roll the machine back to *before* the call instruction: the capture
@@ -959,20 +848,19 @@ def _resume_member_passthrough(
     if coverage is not None:
         coverage.unrecord(capture.pc)
 
-    step_ref, hook = _make_step_tracker(gate)
-    step_ref["index"] = record["step"]
-    step_ref["outcome"] = record["prior_outcome"]
-    nested = _install_capture_observers(
-        session, gate, scenario, step_ref, want_pre_call=True
-    )
+    mailbox: Dict[str, Optional[_Divergence]] = {"point": None}
+    hook = None
+    if nest:
+        mailbox, hook = _arm_divergence_capture(
+            session, gate, point.step, point.prior_outcome
+        )
     status = machine.resume()
     result = _complete_member_run(
         target, session, plan, gate, coverage, status,
-        record["step"], record["prior_outcome"], boundary_hook=hook,
+        point.step, point.prior_outcome, boundary_hook=hook,
     )
-    gate.inject_observer = None
-    gate.call_observer = None
-    return result, nested
+    gate.call_observer = gate.inject_observer = None
+    return result, mailbox["point"]
 
 
 def _run_group_with_sessions(
@@ -986,20 +874,21 @@ def _run_group_with_sessions(
 ) -> Dict[int, RunResult]:
     """Prefix-tree execution for session-capable (compiled) targets.
 
-    The probe (first member, lowest rank) runs in full; along the way it
-    captures the state every other member needs to skip the shared prefix —
-    preferring an instruction-level :class:`MidRunCapture` at the injection
-    point (available on snapshot-backed sessions) and falling back to the
-    last workload-step boundary before the trigger step.  Later ranks chain
-    nested captures (see :func:`_resume_member_passthrough`); errno-blind
-    suffixes replicate across errno siblings instead of re-running.
+    The probe (first member, lowest rank) runs in full and, on a
+    snapshot-backed session, captures its first injection point
+    (:func:`_arm_divergence_capture`).  Every other member is a replica —
+    of the probe when it never injected, of the rank that never fired, or
+    of an errno-blind sibling — or resumes from the active capture through
+    its own gate (:func:`_resume_member`); a member that advances the rank
+    nests a capture at its own injection point for the members after it.
+    A session without a boot template (snapshots off) captures nothing,
+    so its members run plain.
     """
     results: Dict[int, RunResult] = {}
     plan = target.workload_plan(workload)
     engine = options.get("engine")
     snapshots = options.get("snapshots")
     ranks = [() if entry.parts is None else entry.parts.rank for entry in members]
-    ranked = len(set(ranks)) > 1
     probe_index, probe_scenario, probe_seed = members[0][:3]
 
     session = target.open_session(
@@ -1015,51 +904,11 @@ def _run_group_with_sessions(
             run_seed=seeded_options(options, probe_seed).get("run_seed"),
         )
         probe_coverage = CoverageTracker() if collect_coverage else None
-
-        step_ref, step_hook = _make_step_tracker(probe_gate)
-        light_boundaries = session.template is not None
-        boundary: Dict[str, Any] = {"state": None, "locked": False}
-
-        # The hook runs before each workload step and keeps overwriting the
-        # boundary until an injection is observed: once step K injects, the
-        # last capture is exactly the state before step K — where members
-        # resume when no instruction-level capture is available.  On
-        # snapshot-backed sessions the instruction-level capture is the
-        # resume point, so only the step tracker runs (full per-step
-        # OS/gate/coverage captures would be paid on every probe for
-        # nothing).
-        def capture_boundary(index: int, steps_run: int, outcome) -> None:
-            step_hook(index, steps_run, outcome)
-            if light_boundaries or boundary["locked"]:
-                return
-            if probe_gate.injected_calls or probe_gate.observed_injections:
-                boundary["locked"] = True
-                return
-            gate_state = capture_gate_state(probe_gate)
-            if gate_state is None:  # non-standard gate: give up on resuming
-                boundary["state"] = None
-                boundary["locked"] = True
-                return
-            boundary["state"] = {
-                "index": index,
-                "outcome": outcome,
-                "os": session.capture_os_boundary(),
-                "gate": gate_state,
-                "coverage": (
-                    probe_coverage.capture_state()
-                    if probe_coverage is not None
-                    else None
-                ),
-            }
-
-        mid = _install_capture_observers(
-            session, probe_gate, probe_scenario, step_ref, want_pre_call=ranked
-        )
+        mailbox, hook = _arm_divergence_capture(session, probe_gate)
         outcome, steps_run = target.execute_plan(
-            session, plan, probe_gate, probe_coverage, boundary_hook=capture_boundary
+            session, plan, probe_gate, probe_coverage, boundary_hook=hook
         )
-        probe_gate.inject_observer = None
-        probe_gate.call_observer = None
+        probe_gate.call_observer = probe_gate.inject_observer = None
         results[probe_index] = target.finalize_run(
             session, probe_gate, probe_coverage, outcome, steps_run
         )
@@ -1074,9 +923,9 @@ def _run_group_with_sessions(
                 results[entry.index] = results[probe_index]
             return results
 
-        # The active divergence point: the capture, its record, the rank it
-        # belongs to, and — for errno-blind suffix replication — the run
-        # whose suffix it anchors plus that suffix's errno-read delta.
+        # The active divergence point, the rank it belongs to, and — for
+        # errno-blind suffix replication — the run whose suffix it anchors
+        # plus that suffix's errno-read delta.
         libc = getattr(session, "libc", None)
         reads_end = _errno_read_counter(libc) if libc is not None else None
         # The compiled engine counts errno reads via predecode-specialized
@@ -1089,24 +938,21 @@ def _run_group_with_sessions(
             binary, "errno_address_taken", True
         )
 
-        def suffix_blind(capture: MidRunCapture) -> bool:
-            if not counter_reliable:
+        def suffix_blind(point: Optional[_Divergence]) -> bool:
+            if point is None or not counter_reliable:
                 return False
-            if reads_end is None or capture.libc_errno_reads is None:
+            captured = point.capture.libc_errno_reads
+            if reads_end is None or captured is None:
                 return False
-            return reads_end == capture.libc_errno_reads
+            return reads_end == captured
 
+        point = mailbox["point"]
         active = {
-            "capture": mid["capture"],
-            "record": mid["record"],
+            "point": point,
             "rank": ranks[0],
             "source_index": probe_index,
             "source_scenario": probe_scenario,
-            "source_blind": (
-                mid["capture"] is not None
-                and probe_gate.injected_calls == 1
-                and suffix_blind(mid["capture"])
-            ),
+            "source_blind": probe_gate.injected_calls == 1 and suffix_blind(point),
         }
         dead = False  # a later-rank member never injected: the rest cannot
 
@@ -1116,99 +962,51 @@ def _run_group_with_sessions(
             if dead:
                 results[index] = results[active["source_index"]]
                 continue
-            if active["capture"] is None:
-                # No instruction-level capture: resume from the last full
-                # workload-step boundary, or run plainly when even that is
-                # unavailable.  (The boundary path re-runs the whole
-                # divergence step through the member's own gate, so it is
-                # rank-agnostic by construction.)
-                state = boundary["state"]
-                if state is None:
-                    results[index] = plain_run(
-                        target, workload, scenario, seed, collect_coverage,
-                        options, observe_only=observe_only, publish_os=publish_os,
-                    )
-                    continue
-                gate = make_gate(
-                    scenario,
-                    observe_only=observe_only,
-                    run_seed=seeded_options(options, seed).get("run_seed"),
-                )
-                graft_gate_state(state["gate"], gate)
-                rearm_member_triggers(gate, scenario)
-                coverage = CoverageTracker() if collect_coverage else None
-                if coverage is not None and state["coverage"] is not None:
-                    coverage.restore_state(state["coverage"])
-                session.restore_os_boundary(state["os"])
-                member_outcome, member_steps = target.execute_plan(
-                    session, plan, gate, coverage,
-                    start_index=state["index"],
-                    outcome=state["outcome"],
-                )
-                results[index] = target.finalize_run(
-                    session, gate, coverage, member_outcome, member_steps
-                )
-                continue
-
-            if ranks[position] == active["rank"]:
-                if active["source_blind"]:
-                    replica = patch_replica_errno(
-                        results[active["source_index"]],
-                        active["source_scenario"],
-                        scenario,
-                    )
-                    if replica is not None:
-                        results[index] = replica
-                        continue
-                results[index] = _resume_member_mid(
-                    target, session, plan,
-                    active["capture"], active["record"],
-                    scenario, seed, collect_coverage, options,
-                    observe_only=observe_only,
-                )
-                if not active["source_blind"]:
-                    reads_end = _errno_read_counter(libc) if libc is not None else None
-                    active.update(
-                        source_index=index,
-                        source_scenario=scenario,
-                        source_blind=suffix_blind(active["capture"]),
-                    )
-                continue
-
-            # Rank advance: this member's trigger fires after the active
-            # capture point — pass the call through and run on to its own
-            # injection, nesting a fresh capture there for its siblings.
-            if active["record"]["pre_call_gate"] is None:
+            if active["point"] is None:
                 results[index] = plain_run(
                     target, workload, scenario, seed, collect_coverage,
                     options, observe_only=observe_only, publish_os=publish_os,
                 )
                 continue
-            result, nested = _resume_member_passthrough(
-                target, session, plan,
-                active["capture"], active["record"],
+            advances = ranks[position] != active["rank"]
+            if not advances and active["source_blind"]:
+                replica = patch_replica_errno(
+                    results[active["source_index"]],
+                    active["source_scenario"],
+                    scenario,
+                )
+                if replica is not None:
+                    results[index] = replica
+                    continue
+            result, nested = _resume_member(
+                target, session, plan, active["point"],
                 scenario, seed, collect_coverage, options,
-                observe_only=observe_only,
+                observe_only=observe_only, nest=advances,
             )
             results[index] = result
             reads_end = _errno_read_counter(libc) if libc is not None else None
+            if not advances:
+                if not active["source_blind"]:
+                    active.update(
+                        source_index=index,
+                        source_scenario=scenario,
+                        source_blind=suffix_blind(active["point"]),
+                    )
+                continue
             if result.injections == 0:
                 # This member's (earliest-remaining) trigger never fired,
                 # so no later member's can either: replicate from here on.
                 dead = True
                 active.update(source_index=index, source_scenario=scenario)
                 continue
+            # Rank advance: this member's injection point, captured on the
+            # way, is where its rank siblings and the deeper ranks resume.
             active = {
-                "capture": nested["capture"],
-                "record": nested["record"],
+                "point": nested,
                 "rank": ranks[position],
                 "source_index": index,
                 "source_scenario": scenario,
-                "source_blind": (
-                    nested["capture"] is not None
-                    and result.injections == 1
-                    and suffix_blind(nested["capture"])
-                ),
+                "source_blind": result.injections == 1 and suffix_blind(nested),
             }
         return results
     finally:
@@ -1348,7 +1146,6 @@ __all__ = [
     "build_group_tasks",
     "errno_sibling_positions",
     "iter_shared_runs",
-    "member_memo_key",
     "memo_keys_of",
     "partition_entries",
     "patch_replica_errno",

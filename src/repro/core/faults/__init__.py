@@ -39,10 +39,9 @@ new classes under the exact determinism contract errno faults already have
 (serial == pooled == distributed, compiled == reference engine).
 """
 
-from repro.core.faults.apply import apply_fault_on_machine, apply_structured_fault
+from repro.core.faults.apply import apply_structured_fault
 from repro.core.faults.classes import (
     FAULT_CLASSES,
-    MID_RESUMABLE_CLASSES,
     UNSHAREABLE_CLASSES,
     FaultClassDef,
     class_names,
@@ -54,12 +53,10 @@ from repro.core.faults.netfx import DropAllHook, PartitionHook
 
 __all__ = [
     "FAULT_CLASSES",
-    "MID_RESUMABLE_CLASSES",
     "UNSHAREABLE_CLASSES",
     "DropAllHook",
     "FaultClassDef",
     "PartitionHook",
-    "apply_fault_on_machine",
     "apply_structured_fault",
     "class_names",
     "is_structured_class",

@@ -1,21 +1,16 @@
-"""Applying structured faults at the gate and at mid-run resume.
+"""Applying structured faults at the gate.
 
-Two entry points:
-
-* :func:`apply_structured_fault` — called by the library-call gate when the
-  injection decision carries a non-errno fault class.  It receives the same
-  machinery the gate has (the pass-through thunk, the VM's apply-fault
-  callback, the call context) and produces the faulted
-  :class:`~repro.oslib.libc.LibcResult`, or unwinds the world for
-  ``crash_point``.
-* :func:`apply_fault_on_machine` — called by the prefix-sharing scheduler
-  when a sibling scenario resumes from a mid-run capture: it replays the
-  class's semantics directly against the restored machine (its libc,
-  memory, and simulated OS), mirroring what the gate would have done at the
-  captured call.
-
-Both depend only on simulated state, so replayed and straight-line
-executions are bit-identical — the property the differential tests pin.
+One entry point, :func:`apply_structured_fault`: the library-call gate
+calls it when the injection decision carries a non-errno fault class.  It
+receives the same machinery the gate has (the pass-through thunk, the VM's
+apply-fault callback, the call context) and produces the faulted
+:class:`~repro.oslib.libc.LibcResult`, or unwinds the world for
+``crash_point``.  The gate is the only place any fault is applied: a
+prefix-group member resumed from a mid-run capture re-executes the
+intercepted call through its own gate
+(:mod:`repro.core.controller.prefix`), so resumed and straight-line runs
+take this same path.  Application depends only on simulated state, so
+both are bit-identical — the property the differential tests pin.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.core.faults.netfx import PartitionHook
 from repro.core.injection.context import CallContext
-from repro.core.injection.faults import ERRNO_CLASS, FaultSpec
+from repro.core.injection.faults import FaultSpec
 from repro.oslib.errors import WorldCrash
 from repro.oslib.libc import LibcResult
 
@@ -165,30 +160,4 @@ def apply_structured_fault(
     raise ValueError(f"unknown structured fault class {klass!r}")
 
 
-def apply_fault_on_machine(
-    fault: FaultSpec,
-    name: str,
-    args: Tuple[Any, ...],
-    machine: Any,
-) -> LibcResult:
-    """Replay one injection against a restored machine (prefix mid-resume).
-
-    Only suffix-only classes are legal here; classes that perturb global
-    delivery order or kill the world are excluded from prefix groups by
-    :func:`repro.core.controller.prefix.scenario_group_key_parts`.
-    """
-    klass = fault.fault_class
-    if klass == ERRNO_CLASS or klass in _RAMP_CLASSES:
-        return machine.libc.apply_injected_fault(
-            name, fault.return_value, fault.errno, machine.memory
-        )
-    if klass in ("partial_write", "short_read"):
-        clamped = _clamped_count(name, args, fault)
-        return machine.libc.call(name, _clamped_args(args, clamped), machine.memory)
-    if klass in _CLOCK_CLASSES:
-        machine.os.clock.advance(float(fault.param("delta", 0.0)))
-        return machine.libc.call(name, tuple(args), machine.memory)
-    raise ValueError(f"fault class {klass!r} cannot resume from a mid-run capture")
-
-
-__all__ = ["apply_fault_on_machine", "apply_structured_fault"]
+__all__ = ["apply_structured_fault"]

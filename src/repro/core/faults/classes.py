@@ -38,9 +38,6 @@ class FaultClassDef:
     functions: Tuple[str, ...]
     #: Deterministic parameter grid (each entry a sorted key/value tuple).
     grid: Tuple[Tuple[Tuple[str, Any], ...], ...]
-    #: True when the class only perturbs the post-injection suffix, so a
-    #: mid-run prefix capture can be resumed under it.
-    suffix_only: bool
     #: True when scenarios of this class may join prefix scenario-groups.
     shareable: bool
     #: True for budget ramps: the trigger re-fires on every call after the
@@ -61,7 +58,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="partial_write",
             functions=("write", "fwrite"),
             grid=_grid({"fraction": 0.5}, {"fraction": 0.0}),
-            suffix_only=True,
             shareable=True,
             description="the write performs a truncated real write and returns the short count",
         ),
@@ -69,7 +65,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="short_read",
             functions=("read", "fread"),
             grid=_grid({"fraction": 0.5}, {"fraction": 0.0}),
-            suffix_only=True,
             shareable=True,
             description="the read returns fewer bytes than requested",
         ),
@@ -77,7 +72,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="fd_exhaustion",
             functions=("open", "socket"),
             grid=_grid({"budget": 0}, {"budget": 2}),
-            suffix_only=True,
             shareable=False,
             ramp=True,
             description="descriptor budget counts down, then every open fails EMFILE",
@@ -86,7 +80,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="heap_exhaustion",
             functions=("malloc",),
             grid=_grid({"budget": 0}, {"budget": 4}),
-            suffix_only=True,
             shareable=False,
             ramp=True,
             description="allocation budget counts down, then every malloc fails ENOMEM",
@@ -95,7 +88,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="clock_skew",
             functions=("time",),
             grid=_grid({"delta": 0.5}, {"delta": 5.0}),
-            suffix_only=True,
             shareable=True,
             description="the clock drifts forward a small delta before the call",
         ),
@@ -103,7 +95,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="clock_jump",
             functions=("time",),
             grid=_grid({"delta": 3600.0}, {"delta": 86400.0}),
-            suffix_only=True,
             shareable=True,
             description="the clock leaps forward (NTP step / suspend-resume) before the call",
         ),
@@ -111,7 +102,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="net_drop",
             functions=("sendto",),
             grid=_grid({}),
-            suffix_only=True,
             shareable=False,
             description="the triggered datagram vanishes; the sender sees a full count",
         ),
@@ -119,7 +109,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="net_partition",
             functions=("sendto",),
             grid=_grid({"scope": "dst"}),
-            suffix_only=True,
             shareable=False,
             description="from the triggered send on, the destination is partitioned off",
         ),
@@ -127,7 +116,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="net_reorder",
             functions=("sendto",),
             grid=_grid({}),
-            suffix_only=True,
             shareable=False,
             description="the triggered datagram jumps ahead of the queued ones",
         ),
@@ -135,7 +123,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
             name="crash_point",
             functions=("write", "fwrite"),
             grid=_grid({"torn": 0}, {"fraction": 0.5, "torn": 1}),
-            suffix_only=False,
             shareable=False,
             description="the world is killed at the call (optionally after a torn write)",
         ),
@@ -146,11 +133,6 @@ FAULT_CLASSES: Dict[str, FaultClassDef] = {
 UNSHAREABLE_CLASSES = frozenset(
     definition.name for definition in FAULT_CLASSES.values() if not definition.shareable
 )
-
-#: Classes a mid-run capture can be resumed under (suffix-only semantics).
-MID_RESUMABLE_CLASSES = frozenset(
-    definition.name for definition in FAULT_CLASSES.values() if definition.suffix_only
-) | {ERRNO_CLASS}
 
 
 def class_names() -> Tuple[str, ...]:
@@ -227,7 +209,6 @@ def structured_scenario(
 
 __all__ = [
     "FAULT_CLASSES",
-    "MID_RESUMABLE_CLASSES",
     "UNSHAREABLE_CLASSES",
     "FaultClassDef",
     "class_names",

@@ -154,16 +154,18 @@ class LibraryCallGate:
         #: Called as ``observer(name, args, count, ctx, decision)`` at the
         #: moment an injection decision is made, *before* the fault is
         #: applied, counted, or logged.  The prefix-sharing scheduler
-        #: installs this on a probe gate to snapshot machine state at the
-        #: exact divergence point; ``None`` (the default) costs one
-        #: attribute check per injection.
+        #: installs this on the gate of a group's probe (and of a member
+        #: that advances the rank) to snapshot machine state at the exact
+        #: divergence point; ``None`` (the default) costs one attribute
+        #: check per injection.
         self.inject_observer: Optional[Callable[..., None]] = None
-        #: Called as ``observer(name, args)`` at the top of :meth:`call`,
-        #: *before* the call is counted or decided.  The prefix-sharing
-        #: scheduler uses it to snapshot the pre-call gate state of the
-        #: call an injection lands on, so later-rank scenario-group members
-        #: can re-execute that call through their own gates; ``None`` (the
-        #: default) costs one attribute check per gated call.
+        #: Called as ``observer(name, args)`` for every call the runtime
+        #: handles, *before* the call is counted or decided.  The
+        #: prefix-sharing scheduler uses it to snapshot the pre-call gate
+        #: state of the call an injection lands on: every resumed member
+        #: of a scenario group re-executes that call through its own gate
+        #: from there.  ``None`` (the default) costs one attribute check
+        #: per handled call.
         self.call_observer: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
@@ -205,13 +207,13 @@ class LibraryCallGate:
         apply_fault: Optional[Callable[[int, Optional[int]], LibcResult]] = None,
         context: Optional[Dict[str, Any]] = None,
     ) -> LibcResult:
+        runtime = self.runtime
+        if runtime is None or not runtime.handles(name):
+            self.count_call(name)
+            return invoke()
         if self.call_observer is not None:
             self.call_observer(name, args)
         count = self.count_call(name)
-
-        runtime = self.runtime
-        if runtime is None or not runtime.handles(name):
-            return invoke()
         self.intercepted_calls += 1
 
         ctx = self._build_context(name, args, count, context or {})

@@ -62,6 +62,24 @@ class Trigger(ABC):
         return self.trigger_name or type(self).__name__
 
 
+class ScalarStateTrigger(Trigger):
+    """A trigger whose every attribute holds an immutable value: counters,
+    thresholds, frozen frame specs.
+
+    A deep copy of one shares nothing mutable once it has its own attribute
+    dict, so that is all :meth:`__deepcopy__` copies.  The prefix scheduler
+    snapshots its probe's trigger instances before every call the probe
+    handles (:func:`repro.vm.snapshot.capture_gate_state`), which this
+    keeps cheap; a trigger with mutable state (a random generator, a set of
+    held mutexes) derives from :class:`Trigger` and is deep-copied in full.
+    """
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "ScalarStateTrigger":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
+
 def declare_trigger(name: Optional[str] = None):
     """Class decorator mirroring the paper's ``DECLARE_TRIGGER`` macro.
 
@@ -84,4 +102,4 @@ def declare_trigger(name: Optional[str] = None):
     return decorate
 
 
-__all__ = ["Trigger", "TriggerError", "declare_trigger"]
+__all__ = ["ScalarStateTrigger", "Trigger", "TriggerError", "declare_trigger"]

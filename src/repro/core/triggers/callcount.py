@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.injection.context import CallContext
-from repro.core.triggers.base import Trigger, TriggerError, declare_trigger
+from repro.core.triggers.base import ScalarStateTrigger, TriggerError, declare_trigger
 
 
 @declare_trigger("CallCountTrigger")
-class CallCountTrigger(Trigger):
+class CallCountTrigger(ScalarStateTrigger):
     """Inject on the n-th call (and optionally periodically afterwards)."""
 
     def __init__(self) -> None:

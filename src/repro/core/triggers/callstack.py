@@ -13,11 +13,11 @@ the injection happens exactly at the suspicious site.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.frames import StackFrame
 from repro.core.injection.context import CallContext
-from repro.core.triggers.base import Trigger, TriggerError, declare_trigger
+from repro.core.triggers.base import ScalarStateTrigger, TriggerError, declare_trigger
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class FrameSpec:
 
 
 @declare_trigger("CallStackTrigger")
-class CallStackTrigger(Trigger):
+class CallStackTrigger(ScalarStateTrigger):
     """Match the caller's stack against a set of frame specifications.
 
     ``mode`` selects how specs are applied:
@@ -74,7 +74,7 @@ class CallStackTrigger(Trigger):
     """
 
     def __init__(self, frames: Optional[Sequence[FrameSpec]] = None, mode: str = "contains") -> None:
-        self.frames: List[FrameSpec] = list(frames or [])
+        self.frames: Tuple[FrameSpec, ...] = tuple(frames or ())
         self.mode = mode
         self.evaluations = 0
         self.matches = 0
@@ -93,7 +93,7 @@ class CallStackTrigger(Trigger):
             else:
                 raise TriggerError(f"cannot interpret frame spec {raw!r}")
         if parsed:
-            self.frames = parsed
+            self.frames = tuple(parsed)
         self.mode = str(params.get("mode", self.mode))
         if self.mode not in ("contains", "top"):
             raise TriggerError(f"unknown call-stack match mode {self.mode!r}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.injection.context import CallContext
-from repro.core.triggers.base import Trigger, TriggerError, declare_trigger
+from repro.core.triggers.base import ScalarStateTrigger, TriggerError, declare_trigger
 
 
 @declare_trigger("SingletonTrigger")
-class SingletonTrigger(Trigger):
+class SingletonTrigger(ScalarStateTrigger):
     """Return True at most ``max_injections`` times."""
 
     def __init__(self) -> None:

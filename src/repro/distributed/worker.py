@@ -34,6 +34,8 @@ from __future__ import annotations
 import logging
 import threading
 import uuid
+from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.controller.executor import ParallelismSpec, backend_scope
@@ -56,6 +58,14 @@ logger = logging.getLogger("repro.campaignd.worker")
 #: it, so a lost lease forfeits at most the unflushed tail, which the
 #: re-queued lease re-executes.
 RESULT_BATCH_SIZE = 8
+
+#: Engines a worker keeps, least recently used dropped first.  One engine
+#: holds a target with its boot templates and the campaign plan, a few
+#: hundred KB on the bundled targets.  The coordinator leases round-robin
+#: across its running campaigns, so a worker serving more distinct running
+#: campaigns than this rebuilds an engine, and its target's boot
+#: templates, on every lease.
+ENGINES_PER_WORKER = 8
 
 
 def _cache_stats_snapshot() -> Dict[str, float]:
@@ -108,12 +118,13 @@ class CampaignWorker:
         self._stream: Optional[MessageStream] = None
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
-        #: ``(engine, campaign plan)`` per spec fingerprint: every shard
-        #: of one campaign shares the target artifacts, boot templates and
-        #: the plan — the fault space keyed by point key, with every
-        #: point's scenario and keys (shared with an in-process
-        #: coordinator through the artifact cache).
-        self._engines: Dict[str, tuple] = {}
+        #: ``(engine, campaign plan)`` per executed spec (see
+        #: :meth:`_engine_for`), at most :data:`ENGINES_PER_WORKER`, least
+        #: recently used first: every shard of one campaign shares the
+        #: target artifacts, boot templates and the plan — the fault space
+        #: keyed by point key, with every point's scenario and keys (shared
+        #: with an in-process coordinator through the artifact cache).
+        self._engines: "OrderedDict[str, tuple]" = OrderedDict()
         #: Shards fully executed by this worker (observable for tests/CLI).
         self.shards_completed = 0
         self.results_streamed = 0
@@ -196,14 +207,21 @@ class CampaignWorker:
     # shard execution
     # ------------------------------------------------------------------
     def _engine_for(self, spec: CampaignSpec):
-        fingerprint = spec_fingerprint(spec)
-        cached = self._engines.get(fingerprint)
+        # The store path and shard size are the coordinator's: specs that
+        # differ only in them execute alike and share one engine.
+        fingerprint = spec_fingerprint(replace(spec, store_path=None, shard_size=None))
+        engines = self._engines
+        cached = engines.get(fingerprint)
         if cached is None:
             # No store: the coordinator owns persistence; the worker-side
             # engine only executes.
             engine, points = build_engine(spec, store=None)
             cached = (engine, engine.campaign_plan(points))
-            self._engines[fingerprint] = cached
+            engines[fingerprint] = cached
+            while len(engines) > ENGINES_PER_WORKER:
+                engines.popitem(last=False)
+        else:
+            engines.move_to_end(fingerprint)
         return cached
 
     def _execute_shard(self, shard: Dict[str, Any]) -> None:
@@ -285,4 +303,4 @@ class CampaignWorker:
                 return
 
 
-__all__ = ["CampaignWorker", "RESULT_BATCH_SIZE"]
+__all__ = ["CampaignWorker", "ENGINES_PER_WORKER", "RESULT_BATCH_SIZE"]

@@ -191,23 +191,6 @@ class ExecutionSession:
             coverage=coverage, engine=self.engine,
         )
 
-    # -- boundary support for the prefix-sharing scheduler ---------------
-    def capture_os_boundary(self) -> tuple:
-        """OS + libc state at a workload-step boundary (machine-free)."""
-        return (
-            self.os.capture_state(),
-            self.libc.errno,
-            list(self.libc.assert_messages),
-            self.libc.errno_reads,
-        )
-
-    def restore_os_boundary(self, boundary: tuple) -> None:
-        os_state, errno, assert_messages, errno_reads = boundary
-        self.os.restore_state(os_state)
-        self.libc.errno = errno
-        self.libc.assert_messages[:] = list(assert_messages)
-        self.libc.errno_reads = errno_reads
-
     def published_os(self):
         """The OS to hand out in run stats, for sessions that publish one.
 
@@ -361,9 +344,9 @@ class CompiledTarget:
         """Run *plan* (from *start_index*) inside *session*.
 
         ``boundary_hook(index, steps_run, outcome)`` fires before each step
-        — the prefix-sharing scheduler uses it to snapshot OS/gate state at
-        the last boundary before a scenario's trigger fires, which is where
-        the group's other scenarios later resume.
+        — the prefix-sharing scheduler uses it only to track the step index
+        and the outcome accumulated before it, which a mid-run capture
+        records beside the machine state for the members that resume there.
         """
         outcome = outcome if outcome is not None else Outcome(kind=OutcomeKind.NORMAL)
         steps_run = start_index

@@ -17,10 +17,10 @@ running group batches bind superclosure code their parent generated);
 oracle for differential testing.
 
 Snapshot/restore: :mod:`repro.vm.snapshot` adds forkserver-style execution
-on top — :class:`MachineSnapshot` captures full run state (registers, pc,
-flags, copy-on-write memory, OS, coverage, gate counters) and restores it
-in O(dirty words), and :class:`BootTemplate` keeps a resident machine whose
-boot snapshot replaces per-request target rebuilds.
+on top — :class:`MidRunCapture` captures run state at one point
+(registers, pc, flags, frames, copy-on-write memory, OS, libc, coverage)
+and restores it in O(dirty words), and :class:`BootTemplate` keeps a
+resident machine whose boot capture replaces per-request target rebuilds.
 """
 
 from repro.vm.dispatch import (
@@ -34,7 +34,6 @@ from repro.vm.memory import Memory
 from repro.vm.outcome import ExitKind, ExitStatus
 from repro.vm.snapshot import (
     BootTemplate,
-    MachineSnapshot,
     MidRunCapture,
     capture_gate_state,
     graft_gate_state,
@@ -46,7 +45,6 @@ __all__ = [
     "ExitStatus",
     "Frame",
     "Machine",
-    "MachineSnapshot",
     "Memory",
     "MidRunCapture",
     "RegisterFile",

@@ -6,17 +6,20 @@ up to the armed trigger — before the injection diverges.  This module makes
 that prefix a one-time cost, the same amortization a forkserver gives a
 fuzzing harness:
 
-* :class:`MachineSnapshot` captures the **complete** observable state of a
-  run — registers, pc, flags, call frames, step counter, trace, memory
-  (copy-on-write: the :class:`~repro.vm.memory.Memory` journal makes the
-  restore O(dirty words), not O(image)), the whole
+* :class:`MidRunCapture` captures the observable state of a run at one
+  point — registers, pc, flags, call frames, step counter, trace, memory
+  (as a delta over a copy-on-write checkpoint of the
+  :class:`~repro.vm.memory.Memory` journal, so a restore is O(dirty
+  words), not O(image)), the whole
   :class:`~repro.oslib.os_model.SimOS` (filesystem, heap, network, clock,
   environment, mutexes, streams, counters), libc errno, and — when present
-  — coverage counts and gate/injection-runtime state.  ``restore()``
-  produces a machine observably identical to a freshly built one, which the
-  differential suite (``tests/test_snapshot.py``) pins down.
+  — coverage counts.  Taken at boot it is a resident machine's boot state;
+  taken inside a gated library call it is a prefix group's divergence
+  point.  Restores are observably identical to a fresh build (or to a run
+  of exactly the captured prefix), which the differential suite
+  (``tests/test_snapshot.py``) pins down.
 * :class:`BootTemplate` keeps one resident machine per (target, workload)
-  whose boot snapshot is restored per request instead of rebuilding the OS
+  whose boot capture is restored per request instead of rebuilding the OS
   fixture, libc, and machine from scratch —
   :func:`repro.core.profiler.cache.cached_boot_template` memoizes these
   process-wide.
@@ -24,8 +27,8 @@ fuzzing harness:
   library-call gate (counters, injection log, lazily instantiated trigger
   state) so the prefix-sharing campaign scheduler
   (:mod:`repro.core.controller.prefix`) can hand a shared prefix's
-  interception state to each scenario's own gate before running only the
-  post-trigger suffix.
+  interception state to each scenario's own gate before it re-executes the
+  divergence call.
 
 Everything here is duck-typed against the gate/runtime/coverage interfaces
 rather than importing them: the VM layer stays importable without the
@@ -41,7 +44,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.vm.dispatch import Frame
-from repro.vm.machine import Machine, _NO_RUNTIME
+from repro.vm.machine import Machine
 
 #: Gate attributes that must exist for its state to be capturable.
 _GATE_COUNTERS = (
@@ -61,6 +64,14 @@ def capture_gate_state(gate: Any) -> Optional[Dict[str, Any]]:
     ``None`` means the gate (or its runtime) does not expose the standard
     interface and cannot be captured — callers must then treat the run as
     unshareable and fall back to fresh execution.
+
+    Trigger instances are deep-copied, so the snapshot shares no mutable
+    state with the live run.  The prefix scheduler captures before every
+    call its probe handles; its probes hold only the deterministic trigger
+    classes, whose state is immutable values and whose deep copy copies
+    just the attribute dict
+    (:class:`~repro.core.triggers.base.ScalarStateTrigger`), so that stays
+    cheap.
     """
     if gate is None:
         return None
@@ -127,124 +138,24 @@ def graft_gate_state(state: Dict[str, Any], gate: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# the machine snapshot
+# the capture
 # ----------------------------------------------------------------------
-class MachineSnapshot:
-    """Full-state capture of a resident :class:`~repro.vm.machine.Machine`.
-
-    The snapshot is bound to the machine it was taken from: memory is
-    captured as a copy-on-write checkpoint inside the machine's own
-    :class:`~repro.vm.memory.Memory` (restore = journal rewind, O(dirty
-    words)), and ``restore()`` rewrites that same machine in place —
-    every reference to the machine, its OS, and its libc stays valid.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        include_gate: bool = True,
-        include_coverage: bool = True,
-    ) -> None:
-        self.machine = machine
-        self.memory_level = machine.memory.checkpoint()
-        self.regs: List[int] = list(machine.regs)
-        self.zero_flag = machine.zero_flag
-        self.sign_flag = machine.sign_flag
-        self.pc = machine.pc
-        self.steps = machine.steps
-        self.frames: List[Tuple[str, Optional[int], int]] = [
-            (frame.function, frame.call_address, frame.return_address)
-            for frame in machine.frames
-        ]
-        self.trace: Optional[List[int]] = (
-            list(machine.trace) if machine.trace is not None else None
-        )
-        self.local_call_counts = dict(machine._local_call_counts)
-        self.os_state = machine.os.capture_state()
-        self.libc_errno = machine.libc.errno
-        self.libc_errno_reads = getattr(machine.libc, "errno_reads", None)
-        self.libc_assert_messages = list(machine.libc.assert_messages)
-        self.coverage_state = (
-            machine.coverage.capture_state()
-            if include_coverage and hasattr(machine.coverage, "capture_state")
-            else None
-        )
-        self.gate_state = capture_gate_state(machine.gate) if include_gate else None
-
-    @classmethod
-    def capture(cls, machine: Machine, **kwargs) -> "MachineSnapshot":
-        return cls(machine, **kwargs)
-
-    # ------------------------------------------------------------------
-    def restore_execution_state(self) -> Machine:
-        """Restore the machine core only: memory, registers, pc, frames.
-
-        This is the per-fork hot path (one journal rewind plus a few list
-        copies); OS/libc/gate/coverage state is left alone so a caller can
-        restore those at a coarser cadence (once per request rather than
-        once per workload step).
-        """
-        machine = self.machine
-        machine.memory.rewind(self.memory_level)
-        machine.regs[:] = self.regs
-        machine.zero_flag = self.zero_flag
-        machine.sign_flag = self.sign_flag
-        machine.pc = self.pc
-        machine.steps = self.steps
-        machine.frames = [
-            Frame(function=function, call_address=call_address, return_address=return_address)
-            for function, call_address, return_address in self.frames
-        ]
-        machine.trace = list(self.trace) if self.trace is not None else None
-        machine._local_call_counts = dict(self.local_call_counts)
-        machine._mask_runtime = _NO_RUNTIME
-        machine._handled_mask = frozenset()
-        return machine
-
-    def restore(self) -> Machine:
-        """Full restore: machine core, OS, libc, and captured gate/coverage.
-
-        Produces a machine observably identical to a freshly built one (or,
-        for mid-run snapshots, to one that executed exactly the captured
-        prefix) — the contract the differential suite enforces.
-        """
-        machine = self.restore_execution_state()
-        machine.os.restore_state(self.os_state)
-        machine.libc.errno = self.libc_errno
-        if self.libc_errno_reads is not None:
-            machine.libc.errno_reads = self.libc_errno_reads
-        machine.libc.assert_messages[:] = list(self.libc_assert_messages)
-        if self.coverage_state is not None and machine.coverage is not None:
-            machine.coverage.restore_state(self.coverage_state)
-        if self.gate_state is not None and machine.gate is not None:
-            graft_gate_state(self.gate_state, machine.gate)
-        return machine
-
-
-# ----------------------------------------------------------------------
-# mid-run captures (instruction-level prefix sharing)
-# ----------------------------------------------------------------------
-#: Sentinel distinguishing "graft the capture's own gate state" from an
-#: explicit ``gate_state=None`` (graft nothing).
-_DEFAULT_GATE_STATE = object()
-
-
 class MidRunCapture:
-    """Machine state at an arbitrary mid-run point, restorable repeatedly.
+    """Machine state at one point of a run, restorable repeatedly.
 
-    Where :class:`MachineSnapshot` anchors a live journal checkpoint (and
-    therefore dies when an outer checkpoint is rewound), a mid-run capture
-    materializes the **delta** against a base checkpoint: the current value
-    of every word dirtied since boot (O(dirty words), by construction of
-    the copy-on-write journal).  Restoring rewinds to the base and replays
-    the delta, so the same capture can be restored any number of times, in
-    any order with other forks of the same resident machine.
+    A capture materializes memory as a **delta** against a base checkpoint
+    of the machine's copy-on-write journal: the current value of every word
+    dirtied since that checkpoint (O(dirty words), by construction of the
+    journal).  Restoring rewinds to the base and replays the delta, so the
+    same capture can be restored any number of times, in any order with
+    other forks of the same resident machine.
 
-    This is what lets the prefix-sharing scheduler capture the machine at
-    the exact moment a scenario's trigger fires — mid-instruction-stream,
-    inside a library call — and later resume each sibling scenario from
-    that point with its own fault, skipping every instruction of the
-    common prefix.
+    Taken right after the base checkpoint, the delta is empty and the
+    capture is the machine's boot state (:class:`BootTemplate`).  Taken
+    inside a gated library call — the moment a scenario's trigger agrees
+    to inject — it is where the prefix-sharing scheduler resumes each
+    member of the scenario's group, which re-executes that call through
+    its own gate and so skips every instruction of the common prefix.
     """
 
     def __init__(self, machine: Machine, base_level: int = 0) -> None:
@@ -276,20 +187,15 @@ class MidRunCapture:
             if hasattr(machine.coverage, "capture_state")
             else None
         )
-        self.gate_state = capture_gate_state(machine.gate)
 
-    def restore(
-        self, gate: Any, coverage: Any, gate_state: Any = _DEFAULT_GATE_STATE
-    ) -> Machine:
-        """Put the resident machine back at the capture point, for *gate*.
+    def restore_core(self) -> Machine:
+        """Put the machine core back: memory, registers, pc, flags, frames,
+        step counter, trace and its gate-less call counts.
 
-        The fork's own gate receives the captured interception state via
-        :func:`graft_gate_state`; a fresh coverage tracker (when given) is
-        loaded with the captured counts.  ``gate_state`` substitutes a
-        different captured gate state for the graft — the prefix-sharing
-        scheduler passes the *pre-call* state when a later-rank member will
-        re-execute the intercepted call through its own gate instead of
-        replaying the probe's injection.
+        The OS, libc, gate and coverage are left alone, so a caller can
+        restore those at a coarser cadence (:meth:`BootTemplate.fork_step`
+        rewinds the core before every workload step, the OS once per
+        request).
         """
         machine = self.machine
         memory = machine.memory
@@ -308,19 +214,36 @@ class MidRunCapture:
             for function, call_address, return_address in self.frames
         ]
         machine.trace = list(self.trace) if self.trace is not None else None
+        machine._local_call_counts = dict(self.local_call_counts)
+        return machine
+
+    def restore_os(self) -> None:
+        """Put the OS and libc back (errno, its read counter, assertion
+        messages)."""
+        machine = self.machine
         machine.os.restore_state(self.os_state)
         machine.libc.errno = self.libc_errno
         if self.libc_errno_reads is not None:
             machine.libc.errno_reads = self.libc_errno_reads
         machine.libc.assert_messages[:] = list(self.libc_assert_messages)
+
+    def restore(
+        self, gate: Any, coverage: Any, gate_state: Optional[Dict[str, Any]]
+    ) -> Machine:
+        """Put the resident machine back at the capture point, for *gate*.
+
+        The fork's own gate receives *gate_state* (a
+        :func:`capture_gate_state` result) via :func:`graft_gate_state`; a
+        fresh coverage tracker (when given) is loaded with the captured
+        counts.
+        """
+        machine = self.restore_core()
+        self.restore_os()
         if coverage is not None and self.coverage_state is not None:
             coverage.restore_state(self.coverage_state)
-        if gate_state is _DEFAULT_GATE_STATE:
-            gate_state = self.gate_state
         if gate is not None and gate_state is not None:
             graft_gate_state(gate_state, gate)
         machine.rebind(gate=gate, coverage=coverage)
-        machine._local_call_counts = dict(self.local_call_counts)
         return machine
 
 
@@ -328,11 +251,11 @@ class MidRunCapture:
 # boot templates (the forkserver residents)
 # ----------------------------------------------------------------------
 class BootTemplate:
-    """One resident machine plus its boot snapshot, reused across requests.
+    """One resident machine plus its boot capture, reused across requests.
 
     The template is built once per (target, workload): OS fixture, libc,
     machine construction, and instruction predecoding are all paid a single
-    time, then every request restores the boot snapshot (O(dirty words))
+    time, then every request restores the boot capture (O(dirty words))
     instead of rebuilding.  Templates are **not** concurrency-safe — a
     campaign thread takes the template with :meth:`try_acquire` and anyone
     who loses the race falls back to the fresh-build path, which is
@@ -341,7 +264,7 @@ class BootTemplate:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.snapshot = MachineSnapshot.capture(machine)
+        self.boot = MidRunCapture(machine, base_level=machine.memory.checkpoint())
         self.restores = 0
         self._lock = threading.Lock()
 
@@ -354,7 +277,9 @@ class BootTemplate:
     def restore_boot(self) -> Machine:
         """Rewind OS, libc, and machine to the boot state (request start)."""
         self.restores += 1
-        return self.snapshot.restore()
+        machine = self.boot.restore_core()
+        self.boot.restore_os()
+        return machine
 
     def fork_step(self, gate: Any, coverage: Any) -> Machine:
         """Hand out the resident machine for one workload step.
@@ -365,14 +290,13 @@ class BootTemplate:
         OS/libc state carries across steps as it does in a real test-suite
         process.
         """
-        machine = self.snapshot.restore_execution_state()
+        machine = self.boot.restore_core()
         machine.rebind(gate=gate, coverage=coverage)
         return machine
 
 
 __all__ = [
     "BootTemplate",
-    "MachineSnapshot",
     "MidRunCapture",
     "capture_gate_state",
     "graft_gate_state",

@@ -37,7 +37,8 @@ from repro.distributed.protocol import (
     connect,
 )
 from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
-from repro.distributed.worker import CampaignWorker
+import repro.distributed.worker as worker_module
+from repro.distributed.worker import ENGINES_PER_WORKER, CampaignWorker
 from repro.targets import register_target, unregister_target
 from repro.targets.mini_git import MiniGitTarget
 
@@ -753,6 +754,121 @@ class TestCampaignFabric:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+    @staticmethod
+    def _count_engine_builds(monkeypatch):
+        builds = []
+        build = worker_module.build_engine
+
+        def counted(spec, store=None):
+            builds.append(spec)
+            return build(spec, store=store)
+
+        monkeypatch.setattr(worker_module, "build_engine", counted)
+        return builds
+
+    def test_worker_shares_one_engine_across_store_paths(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        # The store path and shard size are the coordinator's: forty
+        # campaigns that differ only in them execute alike, so a
+        # long-lived worker builds one engine for all of them.
+        builds = self._count_engine_builds(monkeypatch)
+        fabric = fabric_factory(shard_size=2, durable_stores=False)
+        client = fabric.client()
+        worker = fabric.worker(worker_id="long-lived")
+        kwargs = dict(target="mini_git", workload="status", seed=7, functions=["close"])
+        leases = 0
+        for number in range(40):
+            spec = CampaignSpec(
+                store_path=str(tmp_path / f"spec{number}.jsonl"),
+                shard_size=2 + number % 2,
+                **kwargs,
+            )
+            campaign_id = client.submit(spec)["campaign_id"]
+            while worker.run_once():
+                leases += 1
+            assert client.status(campaign_id)["state"] == "complete"
+        assert leases > 40
+        assert len(builds) == 1 and len(worker._engines) == 1
+        records = client.results(campaign_id)
+        assert _signature_from_records(records) == _serial_signature(kwargs)
+
+    def test_worker_keeps_a_bounded_number_of_engines(
+        self, fabric_factory, monkeypatch
+    ):
+        # Specs that differ in their seed execute differently, so each
+        # needs an engine; a long-lived worker keeps only the most recently
+        # used few.
+        builds = self._count_engine_builds(monkeypatch)
+        fabric = fabric_factory(shard_size=2, durable_stores=False)
+        client = fabric.client()
+        worker = fabric.worker(worker_id="long-lived")
+        specs = [
+            CampaignSpec(
+                target="mini_git", workload="status", seed=seed, functions=["close"],
+            )
+            for seed in range(2 * ENGINES_PER_WORKER + 1)
+        ]
+        leases = 0
+        for spec in specs:
+            campaign_id = client.submit(spec)["campaign_id"]
+            while worker.run_once():
+                leases += 1
+                assert len(worker._engines) <= ENGINES_PER_WORKER
+            assert client.status(campaign_id)["state"] == "complete"
+        # Every spec took several leases but one build: its later leases
+        # found the engine its first one built.
+        assert leases > len(specs)
+        assert builds == specs
+        assert len(worker._engines) == ENGINES_PER_WORKER
+        # A spec inside the bound builds nothing and becomes the most
+        # recently used, so it outlives the next build; an evicted spec
+        # builds again.
+        oldest = specs[-ENGINES_PER_WORKER]
+        cached = worker._engine_for(oldest)
+        assert len(builds) == len(specs)
+        worker._engine_for(specs[0])
+        assert builds[len(specs):] == [specs[0]]
+        assert worker._engine_for(oldest) is cached
+        assert len(builds) == len(specs) + 1
+        assert len(worker._engines) == ENGINES_PER_WORKER
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_round_robin_leases_across_running_campaigns(
+        self, fabric_factory, monkeypatch, extra
+    ):
+        # The coordinator leases round-robin across its running campaigns,
+        # so one worker serving them touches each in turn.  Up to the bound
+        # it builds each campaign's engine once; one campaign more and
+        # every lease finds its engine evicted by the leases since, and
+        # rebuilds it (bar a few in the last rotation, as campaigns finish
+        # and drop out of it).  Records are the same either way.
+        builds = self._count_engine_builds(monkeypatch)
+        fabric = fabric_factory(shard_size=2, durable_stores=False)
+        client = fabric.client()
+        worker = fabric.worker(worker_id="round-robin")
+        kwargs = [
+            dict(target="mini_git", workload="status", seed=seed, functions=["close"])
+            for seed in range(ENGINES_PER_WORKER + extra)
+        ]
+        campaign_ids = [
+            client.submit(CampaignSpec(**spec_kwargs))["campaign_id"]
+            for spec_kwargs in kwargs
+        ]
+        leases = 0
+        while worker.run_once():
+            leases += 1
+            assert len(worker._engines) <= ENGINES_PER_WORKER
+        assert leases > 2 * len(kwargs)
+        if extra:
+            assert leases - len(kwargs) < len(builds) <= leases
+        else:
+            assert len(builds) == len(kwargs)
+        for campaign_id, spec_kwargs in zip(campaign_ids, kwargs):
+            assert client.status(campaign_id)["state"] == "complete"
+            records = client.results(campaign_id)
+            assert _signature_from_records(records) == _serial_signature(spec_kwargs)
 
     def test_submit_is_idempotent_per_spec(self, fabric_factory, tmp_path):
         fabric = fabric_factory()

@@ -24,7 +24,6 @@ from repro.core.exploration.space import (
 )
 from repro.core.faults import (
     FAULT_CLASSES,
-    MID_RESUMABLE_CLASSES,
     UNSHAREABLE_CLASSES,
     DropAllHook,
     PartitionHook,
@@ -111,8 +110,6 @@ class TestFaultClassRegistry:
         assert not is_structured_class("errno")
         assert "crash_point" in UNSHAREABLE_CLASSES
         assert "partial_write" not in UNSHAREABLE_CLASSES
-        assert "crash_point" not in MID_RESUMABLE_CLASSES
-        assert "partial_write" in MID_RESUMABLE_CLASSES
 
     def test_make_fault_carries_class_and_ramp_errnos(self):
         fault = make_fault("fd_exhaustion", {"budget": 2})

@@ -27,6 +27,7 @@ from repro.core.controller.prefix import (
 )
 from repro.core.controller.target import WorkloadRequest
 from repro.core.exploration.engine import ExplorationEngine
+from repro.core.exploration.space import enumerate_structured_space
 from repro.core.exploration.store import ResultStore
 from repro.core.scenario.builder import ScenarioBuilder
 from repro.targets.mini_apache.target import MiniApacheTarget
@@ -197,10 +198,11 @@ class TestSharingGuard:
         for make_target in UNSHAREABLE_TARGETS:
             target = make_target()
             assert resolve_sharing(None, target) is False
-            # Unshared runs are unmemoized too: no deterministic scenario
-            # gets a memo key on such a target.
-            assert prefix.member_memo_key(
-                target, target.workloads()[0], deterministic, False, {}, False
+            # Unshared runs are unmemoized too: such a target has no memo
+            # context, so no deterministic scenario gets a memo key on it.
+            assert prefix.scenario_keys(deterministic)[1] is not None
+            assert prefix.resolve_memo_context(
+                target, target.workloads()[0], False, {"memo": True}, False
             ) is None
             # None on an unshareable target quietly takes the per-scenario path.
             campaign = Campaign(target)
@@ -282,10 +284,11 @@ class TestExecutorFixes:
 
 
 # ----------------------------------------------------------------------
-# observe-only propagation (bugfix: _resume_member_mid dropped the flag)
+# observe-only propagation (a resumed member's gate must observe too)
 # ----------------------------------------------------------------------
 class TestObserveOnlyPropagation:
     def test_resume_member_mid_threads_observe_only(self, monkeypatch):
+        # The one resume function builds each resumed member's gate.
         class _Stop(Exception):
             pass
 
@@ -297,8 +300,8 @@ class TestObserveOnlyPropagation:
 
         monkeypatch.setattr(prefix, "make_gate", spy)
         with pytest.raises(_Stop):
-            prefix._resume_member_mid(
-                None, None, [], None, {}, ScenarioBuilder("s").build(),
+            prefix._resume_member(
+                None, None, [], None, ScenarioBuilder("s").build(),
                 None, False, {}, observe_only=True,
             )
         assert seen["observe_only"] is True
@@ -432,6 +435,111 @@ class TestParallelSharedDifferential:
 
 
 # ----------------------------------------------------------------------
+# the one resume path: every resumed member re-executes its divergence
+# call through its own gate, whatever the fault class
+# ----------------------------------------------------------------------
+def _resume_case(klass):
+    """A target, workload and scenarios whose groups resume same-rank
+    members under *klass*: the structured classes on mini_git's
+    ``default-tests``; errno on mini_bind's, whose suffixes read errno (on
+    mini_git an errno family collapses onto blind replicas instead)."""
+    if klass == "errno":
+        target = MiniBindTarget()
+        return target, "default-tests", _fault_space_scenarios(target)
+    target = MiniGitTarget()
+    scenarios = [
+        point.scenario() for point in enumerate_structured_space("mini_git", (klass,))
+    ]
+    return target, "default-tests", scenarios
+
+
+class TestOneResumePath:
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "klass", ["errno", "partial_write", "short_read", "clock_skew", "clock_jump"]
+    )
+    def test_every_shareable_class_resumes_through_the_gate(
+        self, monkeypatch, klass, engine
+    ):
+        target, workload, scenarios = _resume_case(klass)
+        resumes = {"same_rank": 0, "rank_advance": 0}
+        resume = prefix._resume_member
+
+        def counting(*args, **kwargs):
+            resumes["rank_advance" if kwargs.get("nest") else "same_rank"] += 1
+            return resume(*args, **kwargs)
+
+        monkeypatch.setattr(prefix, "_resume_member", counting)
+        campaign = Campaign(target, workload=workload)
+        plain = campaign.run(
+            scenarios, seed=3, include_baseline=False, share_prefixes=False,
+            engine=engine,
+        )
+        assert resumes == {"same_rank": 0, "rank_advance": 0}
+        # Captures need a boot template, and a memo hit would skip the run:
+        # pin both so the oracle leg's defaults still take the resume path.
+        shared = campaign.run(
+            scenarios, seed=3, include_baseline=False, share_prefixes=True,
+            engine=engine, snapshots=True, memo=False,
+        )
+        assert resumes["same_rank"] > 0
+        assert [o.result for o in shared.outcomes] == [o.result for o in plain.outcomes]
+        assert any(o.result.injections for o in shared.outcomes)
+
+    def test_snapshot_free_groups_run_members_plain(self, monkeypatch):
+        # mini_git's status workload reads through read() but never calls
+        # time(): short_read groups inject (their members must run plain),
+        # clock groups never do (their members are the probe's replicas).
+        target = MiniGitTarget()
+        scenarios = [
+            point.scenario()
+            for point in enumerate_structured_space(
+                "mini_git", ("short_read", "clock_skew")
+            )
+        ]
+        ran_plain = []
+        resumes = []
+        original = prefix.plain_run
+
+        def recording(target, workload, scenario, *args, **kwargs):
+            ran_plain.append(scenario)
+            return original(target, workload, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(prefix, "plain_run", recording)
+        monkeypatch.setattr(
+            prefix, "_resume_member", lambda *a, **k: resumes.append(a)
+        )
+        campaign = Campaign(target, workload="status")
+        shared = campaign.run(
+            scenarios, include_baseline=False, share_prefixes=True,
+            snapshots=False, memo=False,
+        )
+        assert resumes == []
+        results = [outcome.result for outcome in shared.outcomes]
+        groups, _ungrouped = partition_entries(
+            [(index, scenario, None) for index, scenario in enumerate(scenarios)]
+        )
+        assert groups
+        plain_members = replicas = 0
+        for group in groups:
+            probe = results[group[0].index]
+            for entry in group[1:]:
+                replica = results[entry.index] is probe
+                assert replica != any(s is entry.scenario for s in ran_plain)
+                if replica:
+                    assert probe.injections == 0
+                    replicas += 1
+                else:
+                    plain_members += 1
+        assert plain_members and replicas
+        oracle = campaign.run(
+            scenarios, include_baseline=False, share_prefixes=False,
+            snapshots=False,
+        )
+        assert results == [outcome.result for outcome in oracle.outcomes]
+
+
+# ----------------------------------------------------------------------
 # prefix trees + errno-blind suffix replication
 # ----------------------------------------------------------------------
 class TestPrefixTrees:
@@ -451,8 +559,12 @@ class TestPrefixTrees:
             return original(self, request)
 
         monkeypatch.setattr(MiniGitTarget, "run", counting_run)
+        # Snapshots pinned on: only a boot template captures, so only a
+        # snapshot-backed group resumes its members (without one they run
+        # plain, the oracle leg's default).
         shared = campaign.run(
-            scenarios, seed=7, include_baseline=False, share_prefixes=True
+            scenarios, seed=7, include_baseline=False, share_prefixes=True,
+            snapshots=True,
         )
         assert _campaign_observables(shared) == _campaign_observables(plain)
         # Every member ran via probe/resume/replication — the tree never

@@ -44,9 +44,11 @@ from repro.core.controller.target import WorkloadRequest
 from repro.core.controller.prefix import (
     MEMO_KEY_BYTES,
     build_group_tasks,
-    member_memo_key,
+    memo_keys_of,
+    resolve_memo_context,
     scenario_group_key,
     scenario_group_key_parts,
+    scenario_keys,
 )
 from repro.core.exploration.engine import ExplorationEngine
 from repro.core.exploration.space import enumerate_structured_space
@@ -70,6 +72,19 @@ import repro.targets.base as targets_base
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
+def _pipeline_memo_key(target, workload, scenario, options=None):
+    """One run's memo key, derived as the pipeline derives it: the memo
+    context of the call (memo forced on) plus the scenario's member part
+    (``None`` when either is missing: the run is not memoized)."""
+    context = resolve_memo_context(
+        target, workload, False, dict(options or {}, memo=True), False
+    )
+    _parts, member = scenario_keys(scenario)
+    if context is None or member is None:
+        return None
+    return memo_keys_of(context, [member])[0]
+
+
 def _campaign_observables(campaign):
     return [
         {
@@ -271,9 +286,7 @@ class TestMemberMemoKey:
         scenarios = _fault_space_scenarios(target)[:2]
 
         def key(scenario, workload="status", options=None):
-            return member_memo_key(
-                target, workload, scenario, False, dict(options or {}), False
-            )
+            return _pipeline_memo_key(target, workload, scenario, options)
 
         first, second = key(scenarios[0]), key(scenarios[1])
         assert first is not None and second is not None
@@ -296,7 +309,7 @@ class TestMemberMemoKey:
                 return super().source() + "\nint unused_helper() { return 0; }\n"
 
         monkeypatch.setattr(targets_base.CompiledTarget, "_binary_cache", {})
-        edited = member_memo_key(EditedGit(), "status", scenarios[0], False, {}, False)
+        edited = _pipeline_memo_key(EditedGit(), "status", scenarios[0])
         assert edited is not None and edited != first
 
     def test_unshareable_scenarios_get_no_key(self):
@@ -305,15 +318,15 @@ class TestMemberMemoKey:
         builder.trigger("r", "RandomTrigger", probability=0.5)
         builder.inject("read", ["r"], return_value=-1, errno="EIO")
         assert (
-            member_memo_key(target, "status", builder.build(), False, {}, False)
+            _pipeline_memo_key(target, "status", builder.build())
             is None
         )
-        assert member_memo_key(target, "status", None, False, {}, False) is None
+        assert _pipeline_memo_key(target, "status", None) is None
         shared = ScenarioBuilder("shared-object")
         shared.trigger("c", "CallCountTrigger", nth=1, peer="@lock")
         shared.inject("read", ["c"], return_value=-1, errno="EIO")
         assert (
-            member_memo_key(target, "status", shared.build(), False, {}, False)
+            _pipeline_memo_key(target, "status", shared.build())
             is None
         )
 
@@ -329,14 +342,14 @@ class TestMemberMemoKey:
             )
             assert scenario_group_key(scenario) is None, klass
             assert scenario_group_key_parts(scenario) is None, klass
-            key = member_memo_key(target, "status", scenario, False, {}, False)
+            key = _pipeline_memo_key(target, "status", scenario)
             assert key is not None, klass
 
     def test_keys_separate_count_crash_parameter_and_errno(self):
         target = MiniGitTarget()
 
         def key(scenario):
-            return member_memo_key(target, "default-tests", scenario, False, {}, False)
+            return _pipeline_memo_key(target, "default-tests", scenario)
 
         def errno_scenario(errno, nth=1):
             builder = ScenarioBuilder("errno")
@@ -377,7 +390,7 @@ class TestMemberMemoKey:
         odd.metadata["notes"] = ["a", {"b": 1}]
         scenarios.append(odd)
         keys = [
-            member_memo_key(target, "status", scenario, False, {"requests": [1]}, False)
+            _pipeline_memo_key(target, "status", scenario, {"requests": [1]})
             for scenario in scenarios
         ]
         for key in keys:

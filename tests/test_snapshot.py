@@ -27,7 +27,7 @@ from repro.oslib.os_model import SimOS
 from repro.targets.mini_bind import MiniBindTarget
 from repro.targets.mini_git import MiniGitTarget
 from repro.targets.pbft import PBFTCheckpointTarget
-from repro.vm import Machine, MachineSnapshot, Memory
+from repro.vm import Machine, Memory, MidRunCapture, capture_gate_state
 
 COMPILED_TARGETS = (MiniBindTarget, MiniGitTarget, PBFTCheckpointTarget)
 
@@ -380,7 +380,8 @@ class TestSimOSState:
 
 
 # ----------------------------------------------------------------------
-# MachineSnapshot fidelity
+# machine snapshot fidelity: a capture taken right after a fresh memory
+# checkpoint is a machine's boot state, what a BootTemplate restores
 # ----------------------------------------------------------------------
 class TestMachineSnapshot:
     SOURCE = """
@@ -420,25 +421,61 @@ class TestMachineSnapshot:
                     if machine.gate is not None else None),
         }
 
+    def _capture(self, machine):
+        capture = MidRunCapture(machine, base_level=machine.memory.checkpoint())
+        gate_state = capture_gate_state(machine.gate)
+
+        def restore():
+            capture.restore(machine.gate, machine.coverage, gate_state)
+
+        return restore
+
     @pytest.mark.parametrize("armed", [False, True])
     def test_restore_reproduces_run_exactly(self, armed):
         scenario = _fault_scenario() if armed else None
         machine = self._machine(scenario)
-        snapshot = MachineSnapshot.capture(machine)
+        restore = self._capture(machine)
         first = self._observe(machine, machine.run())
-        snapshot.restore()
+        restore()
         second = self._observe(machine, machine.run())
         assert second == first
 
     def test_restore_matches_fresh_build(self):
         machine = self._machine(_fault_scenario())
-        snapshot = MachineSnapshot.capture(machine)
+        restore = self._capture(machine)
         machine.run()
-        snapshot.restore()
+        restore()
         replay = self._observe(machine, machine.run())
         fresh_machine = self._machine(_fault_scenario())
         fresh = self._observe(fresh_machine, fresh_machine.run())
         assert replay == fresh
+
+
+class TestGateStateCapture:
+    def test_capture_shares_no_mutable_trigger_state(self):
+        # A gate snapshot must not move with the live run: a random
+        # trigger's generator is copied with it, and a scalar-state
+        # trigger gets its own attribute dict.
+        scenario = (
+            ScenarioBuilder("detached")
+            .trigger("coin", "RandomTrigger", probability=0.5)
+            .inject("read", ["coin"], return_value=-1, errno="EIO")
+            .trigger("second_close", "CallCountTrigger", nth=2)
+            .inject("close", ["second_close"], return_value=-1, errno="EIO")
+            .build()
+        )
+        gate = make_gate(scenario, run_seed=7)
+        live = [gate.runtime.trigger_instance(name) for name in ("coin", "second_close")]
+        captured = capture_gate_state(gate)["runtime"]["instances"]
+        rng_state = captured["coin"]._rng.getstate()
+        for instance in live:
+            instance.eval(None)
+        assert live[0]._rng.getstate() != rng_state
+        assert captured["coin"]._rng.getstate() == rng_state
+        assert captured["coin"].evaluations == 0
+        assert live[1]._observed == 1
+        assert captured["second_close"]._observed == 0
+        assert type(captured["second_close"]) is type(live[1])
 
 
 # ----------------------------------------------------------------------
@@ -581,18 +618,19 @@ class TestPrefixSharingDifferentials:
 
     def test_rank_advance_resume_identical_with_coverage(self, monkeypatch):
         # Structured short-read/partial-write points rank call-count variants
-        # of one site, so later ranks resume through the passthrough path,
-        # which rolls the re-executed call's coverage hit back.
+        # of one site, so later ranks resume by re-executing the captured
+        # call, which rolls that call's coverage hit back first.
         from repro.core.controller import prefix
 
         resumes = {"n": 0}
-        passthrough = prefix._resume_member_passthrough
+        resume = prefix._resume_member
 
-        def counting_passthrough(*args, **kwargs):
-            resumes["n"] += 1
-            return passthrough(*args, **kwargs)
+        def counting_resume(*args, **kwargs):
+            if kwargs.get("nest"):
+                resumes["n"] += 1
+            return resume(*args, **kwargs)
 
-        monkeypatch.setattr(prefix, "_resume_member_passthrough", counting_passthrough)
+        monkeypatch.setattr(prefix, "_resume_member", counting_resume)
         target = MiniGitTarget()
         scenarios = [
             point.scenario()
