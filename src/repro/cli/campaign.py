@@ -60,7 +60,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--store", default=None,
         help="coordinator-side JSON-lines checkpoint path (enables resume)",
     )
-    submit.add_argument("--shard-size", type=int, default=None)
+    submit.add_argument(
+        "--shard-size", type=int, default=None,
+        help="most schedule points per worker shard lease (default: the "
+        "coordinator's cap, if any; leases are sized by the round)",
+    )
     submit.add_argument(
         "--wait", action="store_true",
         help="block until the campaign completes, then print final status",

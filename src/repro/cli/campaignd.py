@@ -37,8 +37,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve = sub.add_parser("serve", help="run the resident coordinator")
     _add_common(serve)
     serve.add_argument(
-        "--shard-size", type=int, default=8,
-        help="schedule points per worker shard lease",
+        "--shard-size", type=int, default=None,
+        help="most schedule points per worker shard lease (default: no cap; "
+        "each lease is sized by what its round has left per connected worker)",
     )
     serve.add_argument(
         "--lease-timeout", type=float, default=30.0,

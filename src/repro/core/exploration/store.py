@@ -161,7 +161,7 @@ class StoredResult:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "StoredResult":
-        known = {name for name in cls.__dataclass_fields__}  # type: ignore[attr-defined]
+        known = cls.__dataclass_fields__  # type: ignore[attr-defined]
         fields = {key: value for key, value in payload.items() if key in known}
         extra = {key: value for key, value in payload.items() if key not in known}
         if extra:

@@ -17,10 +17,16 @@ Every link opens with a ``hello`` naming
 :data:`~repro.distributed.protocol.PROTOCOL_VERSION`; a peer of any other
 version is answered ``error`` and disconnected.
 
-Shard leases are *group-aware*: :func:`plan_lease_shards` co-locates a
-prefix group's members in one lease, so the worker that drains them shares
-their boot+prefix capture and suffix memo locally instead of k machines
-each probing the same prefix.
+Shard leases are *group-aware* and *sized by the round*.  A round's
+pending points wait in the campaign's queue as group buckets
+(:func:`group_buckets`: a prefix family, or one ungrouped point) in
+schedule order, and each ``fetch`` cuts its lease off the front
+(:func:`cut_lease`): whole buckets, so the worker that drains a family
+shares its boot+prefix capture and suffix memo instead of k machines each
+probing the same prefix, up to :func:`lease_size` points, half a connected
+worker's share of what the round has left.  Leases are large while a round
+has much left, which spreads a lease's fixed cost over many points, and
+small at its end, so the last points do not wait behind one big lease.
 
 Design points, in the order they matter for correctness:
 
@@ -32,7 +38,7 @@ which is exactly what the determinism contract needs ("spec + completed
 results ⇒ next round", ``doc/ADAPTIVE.md``).  A lease names its points
 explicitly as ``(schedule index, point key)`` pairs and only ever covers
 the *current* round; when the round's last record lands, the next round is
-planned under the lock and its shards enqueue immediately.  A worker needs
+planned under the lock and its points enqueue immediately.  A worker needs
 to agree with the coordinator only on the fault space (see
 :mod:`repro.distributed.spec`): it looks each key up in its own space and
 derives the run seed from the index.  No scenario objects or pickled
@@ -45,7 +51,7 @@ checked whole, then written to the campaign's JSON-lines
 acknowledged or streamed to tailing clients.  Coordinator crash-safety is
 therefore resume, not replication: restart the daemon, resubmit the same
 spec (same ``store_path``), and the planner replays the store and
-re-shards only unfinished points — the same story as a locally
+re-leases only unfinished points — the same story as a locally
 interrupted ``explore()``.
 
 **Leases expire; records are idempotent.**  A shard lease carries a
@@ -64,7 +70,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.exploration.engine import RoundPlanner
 from repro.core.exploration.store import ResultStore, StoredResult
@@ -85,60 +91,73 @@ from repro.distributed.spec import (
 
 logger = logging.getLogger("repro.campaignd")
 
-#: Default points per shard lease.
-DEFAULT_SHARD_SIZE = 8
+#: The smallest lease a ``fetch`` cuts while the round has that many
+#: points queued (the fixed lease size before leases were sized by the
+#: round).
+MIN_LEASE_POINTS = 8
 #: Default seconds a lease may go silent before its shard is re-queued.
 DEFAULT_LEASE_TIMEOUT = 30.0
 
 
-def plan_lease_shards(
-    pending_indices: List[int],
-    group_keys: List[Optional[str]],
-    shard_size: int,
-) -> List[List[int]]:
-    """Partition pending schedule indices into lease-sized shards.
+def lease_size(queued: int, workers: int, cap: Optional[int] = None) -> int:
+    """Points the next lease may take.
 
-    ``group_keys[i]`` is the base prefix-group key of
-    ``pending_indices[i]`` (``None`` marks a solo point).  A group's
-    members land in the same shard so the executing worker shares their
-    boot+prefix capture and suffix memo.  Groups larger than *shard_size*
-    are split into ``shard_size`` chunks — each chunk's first member
-    re-probes the shared prefix locally, and the subset invariant of the
-    prefix scheduler keeps every chunk's results identical to the unsplit
-    run.  Small groups and solo points are packed together up to
-    *shard_size*, preserving schedule order within and across shards as
-    far as grouping allows; all-``None`` keys give contiguous chunks.
+    Half a worker's share of the *queued* points the round has left,
+    ``ceil(queued / (2 * workers))`` with *workers* counted as at least 1,
+    never below :data:`MIN_LEASE_POINTS` and never above *cap* (``None``:
+    no cap).  This is factoring (Flynn Hummel, Schonberg and Flynn, CACM
+    1992): each lease's fixed cost (its ``fetch``, heartbeat and
+    ``shard_done``) spreads over many points while the round has much
+    left, and the round ends on small leases that every worker can share.
     """
-    shard_size = max(1, int(shard_size))
-    # Bucket by group key in first-appearance order; None points are solo.
+    size = max(MIN_LEASE_POINTS, -(-queued // (2 * max(1, workers))))
+    return size if cap is None else min(cap, size)
+
+
+def group_buckets(
+    indices: Sequence[int], group_keys: Sequence[Optional[str]]
+) -> List[List[int]]:
+    """Bucket schedule indices by prefix group, in schedule order.
+
+    ``group_keys[i]`` is the base prefix-group key of ``indices[i]``;
+    ``None`` marks an ungrouped point, which is a bucket of its own.  A
+    family's bucket sits where its first member does and holds its members
+    in the order given; all-``None`` keys give one bucket per point.
+    """
     buckets: List[List[int]] = []
     by_key: Dict[str, List[int]] = {}
-    for index, key in zip(pending_indices, group_keys, strict=True):
+    for index, key in zip(indices, group_keys, strict=True):
         if key is None:
             buckets.append([index])
             continue
         bucket = by_key.get(key)
         if bucket is None:
-            bucket = []
-            by_key[key] = bucket
+            bucket = by_key[key] = []
             buckets.append(bucket)
         bucket.append(index)
-    shards: List[List[int]] = []
-    current: List[int] = []
-    for bucket in buckets:
-        while len(bucket) > shard_size:
-            shards.append(bucket[:shard_size])
-            bucket = bucket[shard_size:]
-        if current and len(current) + len(bucket) > shard_size:
-            shards.append(current)
-            current = []
-        current.extend(bucket)
-        if len(current) >= shard_size:
-            shards.append(current)
-            current = []
-    if current:
-        shards.append(current)
-    return shards
+    return buckets
+
+
+def cut_lease(queue: Deque[List[int]], size: int) -> List[int]:
+    """Take one lease of at most *size* points off the front of *queue*.
+
+    Whole buckets go in queue order until the queue is empty or the next
+    bucket would take the lease past *size*.  Only a family larger than
+    *size* is split: at the front of an empty lease it gives its first
+    *size* members and keeps the rest at the front of the queue.  Each
+    chunk re-probes the shared prefix on its worker, and the prefix
+    scheduler's subset invariant keeps every chunk's records identical to
+    the unsplit family's.  The lease lists its points in schedule order.
+    """
+    lease: List[int] = []
+    while queue and len(lease) + len(queue[0]) <= size:
+        lease.extend(queue.popleft())
+    if not lease and queue:
+        bucket = queue[0]
+        lease = bucket[:size]
+        queue[0] = bucket[size:]
+    lease.sort()
+    return lease
 
 
 class _Lease:
@@ -164,7 +183,7 @@ class _Lease:
 class _Campaign:
     """Coordinator-side state of one submitted campaign.
 
-    Construction replays the store through *planner* and leases the first
+    Construction replays the store through *planner* and queues the first
     round with unfinished points, so a resubmitted campaign resumes.
     """
 
@@ -174,7 +193,7 @@ class _Campaign:
         fingerprint: str,
         store: ResultStore,
         planner: RoundPlanner,
-        shard_size: int,
+        cap: Optional[int],
     ) -> None:
         self.id = ""  # assigned when the campaign is registered
         self.spec = spec
@@ -184,19 +203,26 @@ class _Campaign:
         #: driver: it replays feedback from the authoritative store and
         #: plans each next round under the lock.
         self.planner = planner
-        self.shard_size = max(1, int(shard_size))
+        #: Most points one lease may take; ``None`` sizes leases by the
+        #: round alone (:func:`lease_size`).
+        self.cap = None if cap is None else max(1, int(cap))
         #: Store key of every planned schedule position, synced from the
         #: planner by :meth:`advance`.
         self.schedule_keys: List[str] = []
         self.key_to_index: Dict[str, int] = {}
         self.completed_count = 0
         self.executed = 0  # fresh records accepted over the fabric
+        #: The open round's unleased points as group buckets, in schedule
+        #: order; every ``fetch`` cuts its lease off the front.
         self.queue: Deque[List[int]] = deque()
+        self.queued = 0  # points in ``queue``
         self.leases: Dict[str, _Lease] = {}
         #: Summed worker-reported cache deltas (``shard_done`` stats).
         self.worker_cache_stats: Dict[str, float] = {}
-        #: Fresh results in arrival order, for `tail` streaming.
-        self.events: List[Dict[str, Any]] = []
+        #: Fresh records in arrival order, for `tail` streaming: the
+        #: store's own objects, made into ``result`` events as they are
+        #: sent, so the coordinator holds each record once.
+        self.fresh: List[StoredResult] = []
         self.workers_seen: Set[str] = set()
         self.advance()
         self.resumed_at_submit = self.completed_count
@@ -207,14 +233,14 @@ class _Campaign:
         return len(self.schedule_keys)
 
     def advance(self) -> None:
-        """Replay the store through the planner and lease what it leaves.
+        """Replay the store through the planner and queue what it leaves.
 
         Serves both submit and round close.  ``replay_from_store`` may
         advance through several rounds at once when the store already
         answers them (a resumed campaign); every newly planned position is
         synced into the campaign's coordinate system — schedule keys,
-        key→index map, completed count — before the pending
-        points of the open round are cut into shard leases.
+        key→index map, completed count — before the pending points of the
+        open round are queued.
         """
         planner = self.planner
         engine = planner.engine
@@ -227,17 +253,32 @@ class _Campaign:
             if key in self.store:
                 self.completed_count += 1
         if pending:
-            # No fallback: a group key that cannot be read fails the
-            # submit (or the round close) instead of leasing blind.  The
-            # keys come from the campaign plan, which the worker shares.
-            self.queue.extend(plan_lease_shards(
-                [index for index, _ in pending],
-                [planner.group_key_of(point) for _, point in pending],
-                self.shard_size,
-            ))
+            self.enqueue([index for index, _ in pending])
 
-    def queued_count(self) -> int:
-        return sum(len(shard) for shard in self.queue)
+    def enqueue(self, indices: List[int], front: bool = False) -> None:
+        """Queue schedule *indices* as group buckets: at the back when a
+        round opens, at the front when a lease gives them back (expired
+        work is the oldest work).
+
+        No fallback: a group key that cannot be read fails the submit (or
+        the round close) instead of leasing blind.  The keys come from the
+        campaign plan, which the worker shares.
+        """
+        planner = self.planner
+        buckets = group_buckets(
+            indices, [planner.group_key_of(planner.schedule[i]) for i in indices]
+        )
+        if front:
+            self.queue.extendleft(reversed(buckets))
+        else:
+            self.queue.extend(buckets)
+        self.queued += len(indices)
+
+    def cut(self, workers: int) -> List[int]:
+        """Cut the next lease for a fleet of *workers* connected workers."""
+        indices = cut_lease(self.queue, lease_size(self.queued, workers, self.cap))
+        self.queued -= len(indices)
+        return indices
 
     def leased_count(self) -> int:
         return sum(len(lease.indices) for lease in self.leases.values())
@@ -254,7 +295,7 @@ class _Campaign:
             "completed": self.completed_count,
             "resumed_at_submit": self.resumed_at_submit,
             "executed": self.executed,
-            "queued": self.queued_count(),
+            "queued": self.queued,
             "leased": self.leased_count(),
             "active_leases": len(self.leases),
             "workers_seen": sorted(self.workers_seen),
@@ -270,14 +311,16 @@ class CampaignCoordinator:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        shard_size: int = DEFAULT_SHARD_SIZE,
+        shard_size: Optional[int] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         durable_stores: bool = True,
         max_message_bytes: int = MAX_MESSAGE_BYTES,
     ) -> None:
         self.host = host
         self.port = port
-        self.shard_size = max(1, int(shard_size))
+        #: Default cap on points per lease; ``None`` sizes leases by the
+        #: round alone.  A spec's own ``shard_size`` overrides it.
+        self.shard_size = None if shard_size is None else max(1, int(shard_size))
         self.lease_timeout = float(lease_timeout)
         self.durable_stores = durable_stores
         self.max_message_bytes = max_message_bytes
@@ -293,6 +336,12 @@ class CampaignCoordinator:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._streams: Set[MessageStream] = set()
+        #: Open connections that said ``hello`` as a worker: the fleet a
+        #: lease is sized for.  Counted by connection, not by recent
+        #: fetches, because a fleet connects before a campaign is
+        #: submitted and the first worker to poll must not take half of
+        #: every round.
+        self._worker_streams: Set[MessageStream] = set()
         self._running = False
         self._stopped = threading.Event()
 
@@ -402,6 +451,8 @@ class CampaignCoordinator:
                     break
         finally:
             self._streams.discard(stream)
+            with self._lock:
+                self._worker_streams.discard(stream)
             stream.close()
 
     @staticmethod
@@ -426,6 +477,9 @@ class CampaignCoordinator:
                     f"refused; this coordinator speaks {PROTOCOL_VERSION}",
                 })
                 return True
+            if message.get("role") == "worker":
+                with self._lock:
+                    self._worker_streams.add(stream)
             stream.send({
                 "type": "welcome",
                 "server": "repro-campaignd",
@@ -598,7 +652,7 @@ class CampaignCoordinator:
         (or immediately after catching up when ``follow`` is false)."""
         campaign_id = message.get("campaign_id")
         follow = bool(message.get("follow", True))
-        seq = int(message.get("from_seq", 0))
+        seq = max(0, int(message.get("from_seq", 0)))
         with self._lock:
             campaign = self._campaign_for(message)
         while True:
@@ -606,15 +660,20 @@ class CampaignCoordinator:
                 while (
                     self._running
                     and follow
-                    and seq >= len(campaign.events)
+                    and seq >= len(campaign.fresh)
                     and campaign.state == "running"
                 ):
                     self._cond.wait(timeout=0.5)
-                batch = campaign.events[seq:]
+                batch = campaign.fresh[seq:]
                 state = campaign.state
                 running = self._running
-            for event in batch:
-                stream.send(event)
+            for record in batch:
+                stream.send({
+                    "type": "result",
+                    "campaign_id": campaign.id,
+                    "seq": seq,
+                    "record": record.to_dict(),
+                })
                 seq += 1
             if not running or not follow or state != "running":
                 stream.send({
@@ -630,6 +689,7 @@ class CampaignCoordinator:
             if campaign.state == "running":
                 campaign.state = "cancelled"
                 campaign.queue.clear()
+                campaign.queued = 0
                 campaign.leases.clear()
                 self._cond.notify_all()
                 logger.info("campaign %s cancelled", campaign.id)
@@ -656,8 +716,7 @@ class CampaignCoordinator:
                     if campaign.schedule_keys[index] not in campaign.store
                 ]
                 if remaining:
-                    # Front of the queue: expired work is the oldest work.
-                    campaign.queue.appendleft(remaining)
+                    campaign.enqueue(remaining, front=True)
                     logger.info(
                         "lease %s (worker %s) expired; re-queued %d points",
                         lease.lease_id, lease.worker_id, len(remaining),
@@ -676,14 +735,14 @@ class CampaignCoordinator:
             # Round-robin across campaigns so many clients share the fleet.
             campaign = running[self._fetch_rotor % len(running)]
             self._fetch_rotor += 1
-            indices = campaign.queue.popleft()
+            indices = campaign.cut(len(self._worker_streams))
             lease_id = f"l{self._next_lease}"
             self._next_lease += 1
             lease = _Lease(
                 lease_id,
                 campaign.id,
                 worker_id,
-                list(indices),
+                indices,
                 time.monotonic() + self.lease_timeout,
             )
             campaign.leases[lease_id] = lease
@@ -721,12 +780,7 @@ class CampaignCoordinator:
         if fresh:
             campaign.completed_count += 1
             campaign.executed += 1
-            campaign.events.append({
-                "type": "result",
-                "campaign_id": campaign.id,
-                "seq": len(campaign.events),
-                "record": record.to_dict(),
-            })
+            campaign.fresh.append(record)
         # Feed the round planner.  Duplicate deliveries (stale leases
         # re-executing a member) are ignored by the planner itself — only
         # the first record per index counts, mirroring the store's
@@ -814,7 +868,7 @@ class CampaignCoordinator:
                 # A worker declaring done with unfinished indices is a
                 # worker bug, but the campaign must still terminate:
                 # re-queue rather than lose the points.
-                campaign.queue.appendleft(leftover)
+                campaign.enqueue(leftover, front=True)
                 logger.warning(
                     "lease %s done with %d unfinished points; re-queued",
                     lease.lease_id, len(leftover),
@@ -841,6 +895,8 @@ class CampaignCoordinator:
 __all__ = [
     "CampaignCoordinator",
     "DEFAULT_LEASE_TIMEOUT",
-    "DEFAULT_SHARD_SIZE",
-    "plan_lease_shards",
+    "MIN_LEASE_POINTS",
+    "cut_lease",
+    "group_buckets",
+    "lease_size",
 ]

@@ -52,7 +52,9 @@ class CampaignSpec:
     #: ``None`` keeps the campaign in coordinator memory only — it then
     #: does not survive a coordinator restart.
     store_path: Optional[str] = None
-    #: Points per worker shard lease; ``None`` uses the coordinator default.
+    #: Most points per worker shard lease; ``None`` uses the coordinator's
+    #: cap, and when that is ``None`` too, leases are sized by the round
+    #: alone (``repro.distributed.campaignd.lease_size``).
     shard_size: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -117,13 +119,18 @@ def spec_fingerprint(spec: CampaignSpec) -> str:
 
 
 def build_engine(
-    spec: CampaignSpec, store: Optional[ResultStore] = None
+    spec: CampaignSpec,
+    store: Optional[ResultStore] = None,
+    target: Any = None,
 ) -> Tuple[ExplorationEngine, List[FaultPoint]]:
     """Materialise (engine, fault space) from a spec.
 
     Both fabric roles call this: the coordinator (with its authoritative
     store) to plan rounds and resume, each worker (with no store — the
     coordinator owns persistence) to execute shard assignments.
+    *target* is the instance of ``spec.target`` to run on (``None``
+    resolves a fresh one); a worker passes the one it keeps per target
+    name, so its engines share that target's boot templates.
     The call-site analysis comes from the process-wide artifact cache, so
     two roles in one process analyze the target image once.
     Imports are local because this is the one place the distributed layer
@@ -133,7 +140,8 @@ def build_engine(
     from repro.core.exploration.space import enumerate_structured_space
     from repro.targets import resolve_target
 
-    target = resolve_target(spec.target)
+    if target is None:
+        target = resolve_target(spec.target)
     controller = LFIController(target)
     try:
         points = controller.fault_space(

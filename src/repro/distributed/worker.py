@@ -60,11 +60,10 @@ logger = logging.getLogger("repro.campaignd.worker")
 RESULT_BATCH_SIZE = 8
 
 #: Engines a worker keeps, least recently used dropped first.  One engine
-#: holds a target with its boot templates and the campaign plan, a few
-#: hundred KB on the bundled targets.  The coordinator leases round-robin
-#: across its running campaigns, so a worker serving more distinct running
-#: campaigns than this rebuilds an engine, and its target's boot
-#: templates, on every lease.
+#: holds the campaign plan and runs on the worker's one instance of its
+#: target, whose boot templates outlive the engine.  The coordinator leases
+#: round-robin across its running campaigns, so a worker serving more
+#: distinct running campaigns than this rebuilds an engine on every lease.
 ENGINES_PER_WORKER = 8
 
 
@@ -125,6 +124,11 @@ class CampaignWorker:
         #: keyed by point key, with every point's scenario and keys (shared
         #: with an in-process coordinator through the artifact cache).
         self._engines: "OrderedDict[str, tuple]" = OrderedDict()
+        #: One target instance per target name, shared by every engine this
+        #: worker builds: boot templates are cached per target instance, so
+        #: campaigns of one target (any workload or seed) share them.
+        #: Bounded by the registry's target names.
+        self._targets: Dict[str, Any] = {}
         #: Shards fully executed by this worker (observable for tests/CLI).
         self.shards_completed = 0
         self.results_streamed = 0
@@ -213,9 +217,14 @@ class CampaignWorker:
         engines = self._engines
         cached = engines.get(fingerprint)
         if cached is None:
+            target = self._targets.get(spec.target)
+            if target is None:
+                from repro.targets import resolve_target
+
+                target = self._targets[spec.target] = resolve_target(spec.target)
             # No store: the coordinator owns persistence; the worker-side
             # engine only executes.
-            engine, points = build_engine(spec, store=None)
+            engine, points = build_engine(spec, store=None, target=target)
             cached = (engine, engine.campaign_plan(points))
             engines[fingerprint] = cached
             while len(engines) > ENGINES_PER_WORKER:

@@ -11,6 +11,7 @@ thread-safe.
 """
 
 import json
+import math
 import os
 import signal
 import socket
@@ -22,10 +23,12 @@ import time
 import pytest
 
 from repro.core.controller.executor import ProcessPoolBackend
+from repro.core.controller.memo import clear_suffix_memo
 from repro.core.exploration.engine import ExplorationEngine, RoundPlanner
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
+from repro.core.profiler.cache import artifact_cache_stats
 import repro.distributed.campaignd as campaignd_module
-from repro.distributed.campaignd import CampaignCoordinator
+from repro.distributed.campaignd import MIN_LEASE_POINTS, CampaignCoordinator
 from repro.distributed.client import CampaignClient, CampaignServerError
 from repro.distributed.central_controller import CentralController, Policy
 from repro.distributed.protocol import (
@@ -74,22 +77,36 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _child_pids(pid):
-    """The pids of *pid*'s children, from /proc (Linux)."""
+    """The pids of *pid*'s children, from /proc (Linux).
+
+    A thread that exits between the listing and the read is skipped: a
+    fabric worker ends one heartbeat thread per lease, and its task
+    directory can vanish under the loop.  A pool's children belong to the
+    thread that forked them, the worker's main thread, which lives on.
+    """
     children = set()
     for task in os.listdir(f"/proc/{pid}/task"):
-        with open(f"/proc/{pid}/task/{task}/children", encoding="ascii") as handle:
-            children.update(int(child) for child in handle.read().split())
+        try:
+            with open(f"/proc/{pid}/task/{task}/children", encoding="ascii") as handle:
+                children.update(int(child) for child in handle.read().split())
+        except FileNotFoundError:
+            continue
     return children
+
+
+def _state(pid):
+    """Process *pid*'s state letter from /proc (``R``, ``S``, ``Z``, ...),
+    or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
 
 
 def _running(pid):
     """Whether process *pid* still runs: it exists and is not a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-            state = handle.read().rsplit(")", 1)[1].split()[0]
-    except OSError:
-        return False
-    return state != "Z"
+    return _state(pid) not in (None, "Z")
 
 
 class _Fabric:
@@ -656,6 +673,25 @@ class TestCampaignSpec:
 # ----------------------------------------------------------------------
 # the fabric end to end
 # ----------------------------------------------------------------------
+class _DyingWorker(CampaignWorker):
+    """A worker that crashes mid-lease: after *die_after* acked
+    ``result_batch`` messages it drops its link, with no ``shard_done`` and
+    no further traffic."""
+
+    def __init__(self, address, die_after, **kwargs):
+        super().__init__(address, **kwargs)
+        self._result_budget = die_after
+
+    def _rpc(self, message):
+        if message.get("type") == "result_batch":
+            if self._result_budget <= 0:
+                self.stop()
+                self._drop_stream()
+                raise ConnectionClosed("simulated worker crash")
+            self._result_budget -= 1
+        return super()._rpc(message)
+
+
 class TestCampaignFabric:
     def test_multi_worker_campaign_is_bit_identical_to_serial(
         self, fabric_factory, tmp_path
@@ -724,27 +760,41 @@ class TestCampaignFabric:
         spec = CampaignSpec(store_path=str(tmp_path / "git.jsonl"), **GIT_SPEC_KWARGS)
         campaign_id = client.submit(spec)["campaign_id"]
         host, port = fabric.address
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli.campaignd", "worker",
-             "--host", host, "--port", str(port), "--poll-interval", "0.05",
-             "--parallelism", "processes:2"],
-            env={**os.environ, "PYTHONPATH": SRC},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        log_path = tmp_path / "worker.log"
+        with open(log_path, "wb") as log:
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli.campaignd", "worker",
+                 "--host", host, "--port", str(port), "--poll-interval", "0.05",
+                 "--parallelism", "processes:2"],
+                env={**os.environ, "PYTHONPATH": SRC},
+                stdout=subprocess.DEVNULL, stderr=log,
+            )
         children = set()
+
+        def seen():
+            """What the test saw: the worker, its pool children with their
+            states, and the worker's stderr."""
+            states = {pid: _state(pid) for pid in sorted(children)}
+            return (
+                f"worker pid {worker.pid} exit code {worker.poll()}; "
+                f"children and states {states}; worker stderr:\n"
+                + log_path.read_text(encoding="utf-8", errors="replace")
+            )
+
         try:
             deadline = time.monotonic() + 60
             while not client.status(campaign_id)["completed"]:
-                assert worker.poll() is None and time.monotonic() < deadline
+                assert worker.poll() is None, seen()
+                assert time.monotonic() < deadline, seen()
                 time.sleep(0.05)
             children = _child_pids(worker.pid)
-            assert len(children) == 2  # the pool the first lease forked
+            assert len(children) == 2, seen()  # the pool the first lease forked
             worker.kill()
             worker.wait(timeout=10)
             deadline = time.monotonic() + 10
             while any(map(_running, children)) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not any(map(_running, children))
+            assert not any(map(_running, children)), seen()
         finally:
             if worker.poll() is None:
                 worker.kill()
@@ -760,9 +810,9 @@ class TestCampaignFabric:
         builds = []
         build = worker_module.build_engine
 
-        def counted(spec, store=None):
+        def counted(spec, store=None, target=None):
             builds.append(spec)
-            return build(spec, store=store)
+            return build(spec, store=store, target=target)
 
         monkeypatch.setattr(worker_module, "build_engine", counted)
         return builds
@@ -870,6 +920,35 @@ class TestCampaignFabric:
             records = client.results(campaign_id)
             assert _signature_from_records(records) == _serial_signature(spec_kwargs)
 
+    def test_worker_runs_every_campaign_of_a_target_on_one_instance(
+        self, fabric_factory, monkeypatch
+    ):
+        # Boot templates are cached per target instance, and a worker
+        # resolves each target name once: campaigns of two workloads that
+        # share a boot scope boot the target once between them.
+        monkeypatch.setenv("REPRO_SNAPSHOTS", "1")  # templates are the snapshot path's
+        clear_suffix_memo()  # a memo hit would boot nothing
+        fabric = fabric_factory(durable_stores=False)
+        client = fabric.client()
+        worker = fabric.worker(worker_id="one-target")
+        kwargs = [
+            dict(GIT_SPEC_KWARGS, workload=workload) for workload in ("status", "commit")
+        ]
+        before = artifact_cache_stats()
+        campaign_ids = []
+        for spec_kwargs in kwargs:
+            campaign_ids.append(client.submit(CampaignSpec(**spec_kwargs))["campaign_id"])
+            while worker.run_once():
+                pass
+        after = artifact_cache_stats()
+        assert after.boot_misses - before.boot_misses == 1
+        assert after.boot_shared_hits > before.boot_shared_hits
+        assert list(worker._targets) == ["mini_git"] and len(worker._engines) == 2
+        for campaign_id, spec_kwargs in zip(campaign_ids, kwargs):
+            assert client.status(campaign_id)["state"] == "complete"
+            records = client.results(campaign_id)
+            assert _signature_from_records(records) == _serial_signature(spec_kwargs)
+
     def test_submit_is_idempotent_per_spec(self, fabric_factory, tmp_path):
         fabric = fabric_factory()
         client = fabric.client()
@@ -936,25 +1015,8 @@ class TestCampaignFabric:
     ):
         """Kill one of two workers mid-shard: its lease expires, the shard
         re-queues, and the merged results are still bit-identical."""
-
-        class DyingWorker(CampaignWorker):
-            def __init__(self, address, die_after, **kwargs):
-                super().__init__(address, **kwargs)
-                self._result_budget = die_after
-
-            def _rpc(self, message):
-                if message.get("type") == "result_batch":
-                    if self._result_budget <= 0:
-                        # Simulated crash: drop the link mid-shard, no
-                        # shard_done, no further traffic.
-                        self.stop()
-                        self._drop_stream()
-                        raise ConnectionClosed("simulated worker crash")
-                    self._result_budget -= 1
-                return super()._rpc(message)
-
         fabric = fabric_factory(shard_size=4, lease_timeout=0.5)
-        dying = DyingWorker(
+        dying = _DyingWorker(
             fabric.address, die_after=1, worker_id="doomed", poll_interval=0.01
         )
         fabric.workers.append(dying)
@@ -1088,6 +1150,139 @@ class TestCampaignFabric:
         assert client.status(reply["campaign_id"])["completed"] == completed
 
 
+#: A static mini_git campaign of a few dozen points, so that leases sized
+#: by the round differ from the floor.
+SIZED_SPEC_KWARGS = dict(target="mini_git", workload="status", seed=7)
+
+
+class TestLeaseSizing:
+    """Leases of a default coordinator (no ``shard_size``): each ``fetch``
+    takes half a connected worker's share of what the round has left, at
+    least ``MIN_LEASE_POINTS``."""
+
+    @staticmethod
+    def _record_leases(monkeypatch):
+        """``(worker id, schedule indices)`` of every lease a worker runs."""
+        leases = []
+        execute = CampaignWorker._execute_shard
+
+        def recorded(worker, shard):
+            leases.append(
+                (worker.worker_id, [index for index, _ in shard["assignments"]])
+            )
+            return execute(worker, shard)
+
+        monkeypatch.setattr(CampaignWorker, "_execute_shard", recorded)
+        return leases
+
+    @staticmethod
+    def _submit(fabric, tmp_path):
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / "sized.jsonl"), **SIZED_SPEC_KWARGS)
+        return client, client.submit(spec)["campaign_id"]
+
+    @staticmethod
+    def _assert_serial_records(client, campaign_id):
+        status = client.status(campaign_id)
+        assert status["state"] == "complete" and status["executed"] == status["total"]
+        records = client.results(campaign_id)
+        assert _signature_from_records(records) == _serial_signature(SIZED_SPEC_KWARGS)
+
+    def test_one_worker_takes_a_round_in_logarithmically_many_leases(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        leases = self._record_leases(monkeypatch)
+        fabric = fabric_factory()
+        worker = fabric.worker(worker_id="alone")
+        assert worker.run_once() is False  # connected before the submit
+        client, campaign_id = self._submit(fabric, tmp_path)
+        while worker.run_once():
+            pass
+        total = client.status(campaign_id)["total"]
+        assert total > 4 * MIN_LEASE_POINTS
+        assert len(leases) <= math.ceil(math.log2(total / MIN_LEASE_POINTS)) + 2
+        # Every point leased once, each lease in schedule order, and the
+        # first one half the round.
+        indices = [index for _, lease in leases for index in lease]
+        assert sorted(indices) == list(range(total))
+        assert all(lease == sorted(lease) for _, lease in leases)
+        assert len(leases[0][1]) <= math.ceil(total / 2) < 2 * len(leases[0][1])
+        self._assert_serial_records(client, campaign_id)
+
+    def test_a_connected_fleet_splits_the_round_finely(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        leases = self._record_leases(monkeypatch)
+        fabric = fabric_factory()
+        workers = [fabric.worker(worker_id=f"w{n}") for n in range(3)]
+        for worker in workers:
+            assert worker.run_once() is False  # the fleet connects first
+        client, campaign_id = self._submit(fabric, tmp_path)
+        worked = True
+        while worked:
+            worked = False
+            for worker in workers:
+                worked |= worker.run_once()
+        total = client.status(campaign_id)["total"]
+        assert len(leases[0][1]) <= max(MIN_LEASE_POINTS, math.ceil(total / 6))
+        assert {worker_id for worker_id, _ in leases} == {"w0", "w1", "w2"}
+        self._assert_serial_records(client, campaign_id)
+
+    def test_a_killed_workers_unfinished_points_go_to_another_worker(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        leases = self._record_leases(monkeypatch)
+        fabric = fabric_factory(lease_timeout=0.5)
+        client, campaign_id = self._submit(fabric, tmp_path)
+        # Alone on the fabric, the doomed worker leases half the round and
+        # crashes after streaming its first result batch.
+        doomed = _DyingWorker(fabric.address, die_after=1, worker_id="doomed")
+        fabric.workers.append(doomed)
+        with pytest.raises(ConnectionClosed):
+            doomed.run_once()
+        [(_, doomed_lease)] = leases
+        stored = {record["index"] for record in client.results(campaign_id)}
+        unfinished = set(doomed_lease) - stored
+        assert len(stored) == doomed.results_streamed > 0 and unfinished
+
+        survivor = fabric.worker(worker_id="survivor")
+        deadline = time.monotonic() + 60
+        while client.status(campaign_id)["state"] == "running":
+            assert time.monotonic() < deadline
+            if not survivor.run_once():
+                time.sleep(0.05)  # until the doomed lease expires
+        assert all(worker_id == "survivor" for worker_id, _ in leases[1:])
+        assert unfinished <= {index for _, lease in leases[1:] for index in lease}
+        self._assert_serial_records(client, campaign_id)
+
+    def test_concurrent_workers_lease_every_point_once(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        # More workers than cores, one thread each, with a short switch
+        # interval: their hellos and fetches interleave, and a lost update
+        # to the queue, its point count or the fleet would lease a point
+        # twice or never.
+        leases = self._record_leases(monkeypatch)
+        fabric = fabric_factory()
+        client, campaign_id = self._submit(fabric, tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in range(4):
+                fabric.spawn(fabric.worker(worker_id=f"t{n}", poll_interval=0.01))
+            deadline = time.monotonic() + 60
+            while client.status(campaign_id)["state"] == "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            sys.setswitchinterval(interval)
+        status = client.status(campaign_id)
+        assert status["queued"] == 0 and status["leased"] == 0
+        indices = [index for _, lease in leases for index in lease]
+        assert sorted(indices) == list(range(status["total"]))
+        self._assert_serial_records(client, campaign_id)
+
+
 class TestCoordinatorRestart:
     @pytest.mark.parametrize("strategy", [None, "coverage:round=4,patience=2"],
                              ids=["static", "coverage"])
@@ -1171,6 +1366,58 @@ class TestCoordinatorRestart:
             assert _signature_from_records(records) == serial
         finally:
             unregister_target("counting_git")
+
+    def test_tail_of_a_resubmitted_campaign_starts_at_its_first_fresh_record(
+        self, tmp_path
+    ):
+        """A resumed campaign's `tail` streams only the records this
+        coordinator accepted: the first is seq 0, and the records served
+        from the store at submit are not tailed."""
+        store_path = str(tmp_path / "tail.jsonl")
+        spec = CampaignSpec(store_path=store_path, **GIT_SPEC_KWARGS)
+        coordinator = CampaignCoordinator(port=0, shard_size=4)
+        address = coordinator.start()
+        try:
+            with CampaignClient(address) as client:
+                client.submit(spec)
+            worker = CampaignWorker(address, worker_id="w-phase1")
+            assert worker.run_once()
+            worker.close()
+        finally:
+            coordinator.stop()
+        resumed = {record.key for record in ResultStore(store_path)}
+        assert len(resumed) == 4
+
+        coordinator = CampaignCoordinator(port=0)
+        address = coordinator.start()
+        try:
+            with CampaignClient(address) as client:
+                reply = client.submit(spec)
+                assert reply["resumed"] == len(resumed)
+                worker = CampaignWorker(address, worker_id="w-phase2")
+                while worker.run_once():
+                    pass
+                worker.close()
+                campaign_id = reply["campaign_id"]
+                events = list(client.tail(campaign_id, follow=False, timeout=60))
+                later = list(client.tail(campaign_id, from_seq=2, follow=False, timeout=60))
+                records = client.results(campaign_id)
+        finally:
+            coordinator.stop()
+        results = events[:-1]
+        assert [event["seq"] for event in results] == list(range(len(results)))
+        assert {event["type"] for event in results} == {"result"}
+        assert events[-1] == {
+            "type": "campaign_complete", "campaign_id": campaign_id, "seq": len(results),
+        }
+        tailed = [event["record"]["key"] for event in results]
+        assert len(tailed) == len(records) - len(resumed)
+        assert set(tailed) == {record["key"] for record in records} - resumed
+        # Each event carries its record as the store holds it, and
+        # from_seq picks the numbering up where it says.
+        by_key = {record["key"]: record for record in records}
+        assert all(event["record"] == by_key[event["record"]["key"]] for event in results)
+        assert later == results[2:] + [dict(events[-1])]
 
     def test_resubmit_against_mismatched_seed_store_is_rejected(
         self, fabric_factory, tmp_path

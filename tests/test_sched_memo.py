@@ -19,6 +19,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
@@ -60,7 +62,13 @@ from repro.core.profiler.cache import (
     libc_spec_fingerprint,
 )
 from repro.core.scenario.builder import ScenarioBuilder
-from repro.distributed.campaignd import CampaignCoordinator, plan_lease_shards
+from repro.distributed.campaignd import (
+    MIN_LEASE_POINTS,
+    CampaignCoordinator,
+    cut_lease,
+    group_buckets,
+    lease_size,
+)
 from repro.distributed.client import CampaignClient
 from repro.distributed.spec import CampaignSpec, build_engine
 from repro.distributed.worker import CampaignWorker
@@ -946,15 +954,29 @@ GIT_SPEC_KWARGS = dict(
 )
 
 
+def _drain_round(keys, cap=None, workers=(1,)):
+    """Every lease a round of points with group *keys* goes out as, one
+    ``fetch`` after another; fetch n sees ``workers[n % len(workers)]``
+    connected workers."""
+    queue = collections.deque(group_buckets(list(range(len(keys))), keys))
+    queued = len(keys)
+    leases = []
+    while queue:
+        lease = cut_lease(queue, lease_size(queued, workers[len(leases) % len(workers)], cap))
+        queued -= len(lease)
+        leases.append(lease)
+    return leases
+
+
 class TestLeasePlanning:
     def test_without_keys_degrades_to_contiguous_chunks(self):
-        plan = plan_lease_shards(list(range(7)), [None] * 7, 3)
-        assert plan == [[0, 1, 2], [3, 4, 5], [6]]
-        assert plan_lease_shards([], [], 3) == []
+        assert _drain_round([None] * 7, cap=3) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert group_buckets([], []) == []
+        assert cut_lease(collections.deque(), 3) == []
 
     def test_group_members_are_colocated(self):
         keys = ["a", "b", "a", None, "b", "a"]
-        plan = plan_lease_shards(list(range(6)), keys, 4)
+        plan = _drain_round(keys, cap=4)
         shard_of = {i: n for n, shard in enumerate(plan) for i in shard}
         assert shard_of[0] == shard_of[2] == shard_of[5]  # the "a" family
         assert shard_of[1] == shard_of[4]  # the "b" family
@@ -962,10 +984,57 @@ class TestLeasePlanning:
         assert all(len(shard) <= 4 for shard in plan)
 
     def test_oversized_groups_split_at_shard_size(self):
-        keys = ["a"] * 10
-        plan = plan_lease_shards(list(range(10)), keys, 4)
+        plan = _drain_round(["a"] * 10, cap=4)
         assert [len(shard) for shard in plan] == [4, 4, 2]
         assert [i for shard in plan for i in shard] == list(range(10))
+
+    def test_lease_size_is_half_a_workers_share_of_the_round(self):
+        assert lease_size(142, workers=1) == 71
+        assert lease_size(142, workers=3) == 24
+        # The fleet counts as at least one worker; the floor holds at a
+        # round's end, and a cap bounds every size.
+        assert lease_size(142, workers=0) == 71
+        assert lease_size(15, workers=1) == MIN_LEASE_POINTS
+        assert lease_size(0, workers=4) == MIN_LEASE_POINTS
+        assert lease_size(142, workers=1, cap=16) == 16
+        assert lease_size(20, workers=1, cap=3) == 3
+        # One worker takes a 142-point round of singletons in five leases.
+        assert [len(lease) for lease in _drain_round([None] * 142)] == [71, 36, 18, 9, 8]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.one_of(st.none(), st.sampled_from("abcdef")), max_size=90),
+        workers=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        cap=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_a_drained_round_leases_every_point_once(self, keys, workers, cap):
+        queue = collections.deque(group_buckets(list(range(len(keys))), keys))
+        queued = len(keys)
+        leased = []
+        while queue:
+            size = lease_size(queued, workers[len(leased) % len(workers)], cap)
+            order = [index for bucket in queue for index in bucket]
+            family_size = {
+                keys[bucket[0]]: len(bucket) for bucket in queue if keys[bucket[0]]
+            }
+            front = list(queue[0])
+            lease = cut_lease(queue, size)
+            queued -= len(lease)
+            left = [index for bucket in queue for index in bucket]
+            # Taken off the front of the queue, in schedule order, and
+            # never past the size, so never past the cap.
+            assert 0 < len(lease) <= size and (cap is None or size <= cap)
+            assert lease == sorted(order[:len(lease)])
+            assert left == order[len(lease):] and queued == len(left)
+            # It stops only when the queue is empty or the next bucket
+            # would take it past the size.
+            assert not queue or len(lease) + len(queue[0]) > size
+            # Only a family larger than the size is split, and then the
+            # lease is that family's first chunk alone.
+            for family in {keys[index] for index in lease} & {keys[i] for i in left} - {None}:
+                assert family_size[family] > size and lease == front[:size]
+            leased.append(lease)
+        assert sorted(index for lease in leased for index in lease) == list(range(len(keys)))
 
 
 class TestFabricIntegration:
