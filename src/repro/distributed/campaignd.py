@@ -26,7 +26,8 @@ shares its boot+prefix capture and suffix memo instead of k machines each
 probing the same prefix, up to :func:`lease_size` points, half a connected
 worker's share of what the round has left.  Leases are large while a round
 has much left, which spreads a lease's fixed cost over many points, and
-small at its end, so the last points do not wait behind one big lease.
+shrink as it drains; a lease that would leave fewer than
+:data:`MIN_LEASE_POINTS` queued takes them too.
 
 Design points, in the order they matter for correctness:
 
@@ -70,6 +71,7 @@ import socket
 import threading
 import time
 from collections import deque
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.exploration.engine import RoundPlanner
@@ -104,13 +106,16 @@ def lease_size(queued: int, workers: int, cap: Optional[int] = None) -> int:
 
     Half a worker's share of the *queued* points the round has left,
     ``ceil(queued / (2 * workers))`` with *workers* counted as at least 1,
-    never below :data:`MIN_LEASE_POINTS` and never above *cap* (``None``:
-    no cap).  This is factoring (Flynn Hummel, Schonberg and Flynn, CACM
-    1992): each lease's fixed cost (its ``fetch``, heartbeat and
-    ``shard_done``) spreads over many points while the round has much
-    left, and the round ends on small leases that every worker can share.
+    never below :data:`MIN_LEASE_POINTS`; when that would leave fewer than
+    :data:`MIN_LEASE_POINTS` queued, all of them, so no round ends on a
+    stub lease.  Never above *cap* (``None``: no cap).  This is factoring
+    (Flynn Hummel, Schonberg and Flynn, CACM 1992): each lease's fixed cost
+    (its ``fetch``, heartbeat and ``shard_done``) spreads over many points
+    while the round has much left, and leases shrink as the round drains.
     """
     size = max(MIN_LEASE_POINTS, -(-queued // (2 * max(1, workers))))
+    if queued - size < MIN_LEASE_POINTS:
+        size = max(size, queued)
     return size if cap is None else min(cap, size)
 
 
@@ -147,7 +152,10 @@ def cut_lease(queue: Deque[List[int]], size: int) -> List[int]:
     *size* members and keeps the rest at the front of the queue.  Each
     chunk re-probes the shared prefix on its worker, and the prefix
     scheduler's subset invariant keeps every chunk's records identical to
-    the unsplit family's.  The lease lists its points in schedule order.
+    the unsplit family's.  The lease lists its points bucket by bucket;
+    the worker runs them in schedule order
+    (:meth:`~repro.core.exploration.engine.ExplorationEngine.run_assignments`
+    sorts them).
     """
     lease: List[int] = []
     while queue and len(lease) + len(queue[0]) <= size:
@@ -156,7 +164,6 @@ def cut_lease(queue: Deque[List[int]], size: int) -> List[int]:
         bucket = queue[0]
         lease = bucket[:size]
         queue[0] = bucket[size:]
-    lease.sort()
     return lease
 
 
@@ -215,14 +222,13 @@ class _Campaign:
         #: The open round's unleased points as group buckets, in schedule
         #: order; every ``fetch`` cuts its lease off the front.
         self.queue: Deque[List[int]] = deque()
-        self.queued = 0  # points in ``queue``
         self.leases: Dict[str, _Lease] = {}
         #: Summed worker-reported cache deltas (``shard_done`` stats).
         self.worker_cache_stats: Dict[str, float] = {}
-        #: Fresh records in arrival order, for `tail` streaming: the
-        #: store's own objects, made into ``result`` events as they are
-        #: sent, so the coordinator holds each record once.
-        self.fresh: List[StoredResult] = []
+        #: Records the store held at submit.  The store keeps records in
+        #: arrival order, so `tail` streams the fresh ones from here, made
+        #: into ``result`` events as they are sent.
+        self.stored_at_submit = len(store)
         self.workers_seen: Set[str] = set()
         self.advance()
         self.resumed_at_submit = self.completed_count
@@ -272,13 +278,13 @@ class _Campaign:
             self.queue.extendleft(reversed(buckets))
         else:
             self.queue.extend(buckets)
-        self.queued += len(indices)
+
+    def queued(self) -> int:
+        return sum(len(bucket) for bucket in self.queue)
 
     def cut(self, workers: int) -> List[int]:
         """Cut the next lease for a fleet of *workers* connected workers."""
-        indices = cut_lease(self.queue, lease_size(self.queued, workers, self.cap))
-        self.queued -= len(indices)
-        return indices
+        return cut_lease(self.queue, lease_size(self.queued(), workers, self.cap))
 
     def leased_count(self) -> int:
         return sum(len(lease.indices) for lease in self.leases.values())
@@ -295,7 +301,7 @@ class _Campaign:
             "completed": self.completed_count,
             "resumed_at_submit": self.resumed_at_submit,
             "executed": self.executed,
-            "queued": self.queued,
+            "queued": self.queued(),
             "leased": self.leased_count(),
             "active_leases": len(self.leases),
             "workers_seen": sorted(self.workers_seen),
@@ -660,11 +666,13 @@ class CampaignCoordinator:
                 while (
                     self._running
                     and follow
-                    and seq >= len(campaign.fresh)
+                    and seq >= campaign.executed
                     and campaign.state == "running"
                 ):
                     self._cond.wait(timeout=0.5)
-                batch = campaign.fresh[seq:]
+                batch = list(
+                    islice(campaign.store, campaign.stored_at_submit + seq, None)
+                )
                 state = campaign.state
                 running = self._running
             for record in batch:
@@ -689,7 +697,6 @@ class CampaignCoordinator:
             if campaign.state == "running":
                 campaign.state = "cancelled"
                 campaign.queue.clear()
-                campaign.queued = 0
                 campaign.leases.clear()
                 self._cond.notify_all()
                 logger.info("campaign %s cancelled", campaign.id)
@@ -780,7 +787,6 @@ class CampaignCoordinator:
         if fresh:
             campaign.completed_count += 1
             campaign.executed += 1
-            campaign.fresh.append(record)
         # Feed the round planner.  Duplicate deliveries (stale leases
         # re-executing a member) are ignored by the planner itself — only
         # the first record per index counts, mirroring the store's

@@ -994,12 +994,23 @@ class TestLeasePlanning:
         # The fleet counts as at least one worker; the floor holds at a
         # round's end, and a cap bounds every size.
         assert lease_size(142, workers=0) == 71
-        assert lease_size(15, workers=1) == MIN_LEASE_POINTS
+        assert lease_size(16, workers=1) == MIN_LEASE_POINTS
         assert lease_size(0, workers=4) == MIN_LEASE_POINTS
         assert lease_size(142, workers=1, cap=16) == 16
         assert lease_size(20, workers=1, cap=3) == 3
-        # One worker takes a 142-point round of singletons in five leases.
+        # A lease that would leave fewer than the floor queued takes the
+        # rest, unless the cap forbids it.
+        assert lease_size(9, workers=1) == 9
+        assert lease_size(15, workers=3) == 15
+        assert lease_size(9, workers=1, cap=8) == 8
+        # One worker takes a 142-point round of singletons in five leases,
+        # and a 41-point one in three: the last takes the 2 points a floor
+        # lease would have left.
         assert [len(lease) for lease in _drain_round([None] * 142)] == [71, 36, 18, 9, 8]
+        assert [len(lease) for lease in _drain_round([None] * 41)] == [21, 10, 10]
+        # Two families that fill a floor lease and one more point go out
+        # together, not as a lease of 5 and a lease of 4.
+        assert _drain_round(["a"] * 5 + ["b"] * 4) == [list(range(9))]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1010,6 +1021,10 @@ class TestLeasePlanning:
     def test_a_drained_round_leases_every_point_once(self, keys, workers, cap):
         queue = collections.deque(group_buckets(list(range(len(keys))), keys))
         queued = len(keys)
+        # The queue holds the round's buckets in schedule order.
+        firsts = [bucket[0] for bucket in queue]
+        assert firsts == sorted(firsts)
+        initial = [index for bucket in queue for index in bucket]
         leased = []
         while queue:
             size = lease_size(queued, workers[len(leased) % len(workers)], cap)
@@ -1021,20 +1036,24 @@ class TestLeasePlanning:
             lease = cut_lease(queue, size)
             queued -= len(lease)
             left = [index for bucket in queue for index in bucket]
-            # Taken off the front of the queue, in schedule order, and
-            # never past the size, so never past the cap.
+            # Taken off the front of the queue, in queue order, and never
+            # past the size, so never past the cap.
             assert 0 < len(lease) <= size and (cap is None or size <= cap)
-            assert lease == sorted(order[:len(lease)])
+            assert lease == order[:len(lease)]
             assert left == order[len(lease):] and queued == len(left)
             # It stops only when the queue is empty or the next bucket
             # would take it past the size.
             assert not queue or len(lease) + len(queue[0]) > size
+            # Uncapped, it leaves nothing or at least a floor lease.
+            assert cap is not None or not left or len(left) >= MIN_LEASE_POINTS
             # Only a family larger than the size is split, and then the
             # lease is that family's first chunk alone.
             for family in {keys[index] for index in lease} & {keys[i] for i in left} - {None}:
                 assert family_size[family] > size and lease == front[:size]
             leased.append(lease)
-        assert sorted(index for lease in leased for index in lease) == list(range(len(keys)))
+        # Every point leased once, the round's buckets in schedule order.
+        assert [index for lease in leased for index in lease] == initial
+        assert sorted(initial) == list(range(len(keys)))
 
 
 class TestFabricIntegration:
