@@ -12,10 +12,12 @@ crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
 prefix, repair the torn tail, and re-run only the remainder — ending with
-results identical to the first pass.  It does this twice, each spec with
-its own store: once for the exhaustive strategy and once for a
-coverage-guided one, whose resubmit replays its rounds through the
-coordinator's planner.
+results identical to the first pass.  It does this three times, each spec
+with its own store: for the exhaustive strategy and a coverage-guided one,
+whose resubmit replays its rounds through the coordinator's planner, on
+coordinators that cap leases at four points, and for the exhaustive
+strategy again on a default coordinator, whose leases are sized by the
+round alone, so a lease reports back tens of records in one batch.
 
 Everything the daemons print lands in ``--log-dir`` (uploaded as a CI
 artifact).  Exits non-zero on any failed assertion.
@@ -36,13 +38,18 @@ ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 
 SPEC_ARGS = ["--target", "mini_git", "--workload", "status", "--seed", "7"]
 #: (name, extra submit arguments, whether both workers must take leases in
-#: phase 1) of every spec the smoke runs.  The static spec leases the whole
-#: checked ``status`` space (104 points) one point at a time, so the pooled
-#: worker is still draining it when it is paused.
+#: phase 1, extra coordinator arguments) of every spec the smoke runs.  The
+#: static spec leases the whole checked ``status`` space (104 points) one
+#: point at a time, so the pooled worker is still draining it when it is
+#: paused.  The uncapped spec's first lease is half of that space, and the
+#: pooled worker may drain the campaign alone.
 SPECS = [
-    ("static", ["--include-checked", "--shard-size", "1"], True),
+    ("static", ["--include-checked", "--shard-size", "1"], True,
+     ["--shard-size", "4"]),
     ("coverage", ["--functions", "close,malloc",
-                  "--strategy", "coverage:round=4,patience=1"], False),
+                  "--strategy", "coverage:round=4,patience=1"], False,
+     ["--shard-size", "4"]),
+    ("uncapped", ["--include-checked"], False, []),
 ]
 
 
@@ -96,7 +103,9 @@ def wait_until(condition, what: str, timeout: float = 300.0):
         time.sleep(0.1)
 
 
-def smoke(name: str, extra_args: list, mixed: bool, log_dir: str) -> None:
+def smoke(
+    name: str, extra_args: list, mixed: bool, coordinator_args: list, log_dir: str
+) -> None:
     """Run, kill, tear and resume one spec's campaign."""
     spec_args = SPEC_ARGS + extra_args
     store = os.path.abspath(os.path.join(log_dir, f"{name}-store.jsonl"))
@@ -111,7 +120,7 @@ def smoke(name: str, extra_args: list, mixed: bool, log_dir: str) -> None:
 
     def coordinator_cmd():
         return ["repro.cli.campaignd", "serve", "--port", "0",
-                "--port-file", port_file, "--shard-size", "4", "-v"]
+                "--port-file", port_file, *coordinator_args, "-v"]
 
     try:
         # ------------------------------------------------------------------
@@ -242,8 +251,8 @@ def main() -> int:
     parser.add_argument("--log-dir", default="campaignd-logs")
     options = parser.parse_args()
     os.makedirs(options.log_dir, exist_ok=True)
-    for name, extra_args, mixed in SPECS:
-        smoke(name, extra_args, mixed, options.log_dir)
+    for name, extra_args, mixed, coordinator_args in SPECS:
+        smoke(name, extra_args, mixed, coordinator_args, options.log_dir)
     return 0
 
 

@@ -165,7 +165,8 @@ class TestCampaign:
         # Snapshot the process-wide cache counters so the run's stats carry
         # *deltas* — what this campaign hit and missed, not process history.
         # Pool-children counters are invisible here (they live in the forked
-        # workers); fabric workers report their own deltas via shard_done.
+        # workers); fabric workers report their own deltas on each lease's
+        # final result_batch.
         cache_before = artifact_cache_stats()
         # Whichever memo this run resolves (process-wide, a private instance
         # passed via ``memo=``, or none at all on the oracle path) is the one

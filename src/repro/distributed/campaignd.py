@@ -11,7 +11,9 @@ kinds of peers:
 * **workers** (`repro-campaignd worker`) pull *shard leases* — batches of
   ``(schedule index, point key)`` assignments — execute them on their
   local engine/pool stack, and stream result records back in
-  ``result_batch`` messages.
+  ``result_batch`` messages: one per lease, or two when the lease's first
+  failure goes out at once, the last marked ``done``, which settles the
+  lease.
 
 Every link opens with a ``hello`` naming
 :data:`~repro.distributed.protocol.PROTOCOL_VERSION`; a peer of any other
@@ -62,6 +64,8 @@ to the front of the queue for the next ``fetch``.  A *slow* (not dead)
 worker whose lease was reassigned keeps streaming records — they are
 acknowledged as ``stale_lease`` and ignored, and even a racing duplicate
 record is harmless because the store keeps first-completion-wins per key.
+Open leases and running campaigns are indexed, so a request's lookups do
+not walk every campaign the coordinator has run.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def lease_size(queued: int, workers: int, cap: Optional[int] = None) -> int:
     :data:`MIN_LEASE_POINTS` queued, all of them, so no round ends on a
     stub lease.  Never above *cap* (``None``: no cap).  This is factoring
     (Flynn Hummel, Schonberg and Flynn, CACM 1992): each lease's fixed cost
-    (its ``fetch``, heartbeat and ``shard_done``) spreads over many points
+    (its ``fetch``, heartbeat and ``done`` batch) spreads over many points
     while the round has much left, and leases shrink as the round drains.
     """
     size = max(MIN_LEASE_POINTS, -(-queued // (2 * max(1, workers))))
@@ -170,18 +174,18 @@ def cut_lease(queue: Deque[List[int]], size: int) -> List[int]:
 class _Lease:
     """One worker's claim on a batch of planned schedule positions."""
 
-    __slots__ = ("lease_id", "campaign_id", "worker_id", "indices", "deadline")
+    __slots__ = ("lease_id", "campaign", "worker_id", "indices", "deadline")
 
     def __init__(
         self,
         lease_id: str,
-        campaign_id: str,
+        campaign: "_Campaign",
         worker_id: str,
         indices: List[int],
         deadline: float,
     ) -> None:
         self.lease_id = lease_id
-        self.campaign_id = campaign_id
+        self.campaign = campaign
         self.worker_id = worker_id
         self.indices = indices  # not yet completed
         self.deadline = deadline
@@ -204,6 +208,8 @@ class _Campaign:
     ) -> None:
         self.id = ""  # assigned when the campaign is registered
         self.spec = spec
+        #: The spec as every ``shard`` reply carries it, built once.
+        self.spec_payload = spec.to_dict()
         self.fingerprint = fingerprint
         self.store = store
         #: The campaign's round planner.  The coordinator is its only
@@ -223,7 +229,7 @@ class _Campaign:
         #: order; every ``fetch`` cuts its lease off the front.
         self.queue: Deque[List[int]] = deque()
         self.leases: Dict[str, _Lease] = {}
-        #: Summed worker-reported cache deltas (``shard_done`` stats).
+        #: Summed worker-reported cache deltas (``done`` batch stats).
         self.worker_cache_stats: Dict[str, float] = {}
         #: Records the store held at submit.  The store keeps records in
         #: arrival order, so `tail` streams the fresh ones from here, made
@@ -334,6 +340,11 @@ class CampaignCoordinator:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._campaigns: Dict[str, _Campaign] = {}
+        #: The campaigns in state ``running``, in submit order: the only
+        #: ones a ``fetch`` leases from.
+        self._running_campaigns: Dict[str, _Campaign] = {}
+        #: Every open lease, by lease id, across campaigns.
+        self._leases: Dict[str, _Lease] = {}
         self._by_fingerprint: Dict[str, str] = {}
         self._next_campaign = 1
         self._next_lease = 1
@@ -523,9 +534,6 @@ class CampaignCoordinator:
         if kind == "heartbeat":
             stream.send(self._handle_heartbeat(message))
             return False
-        if kind == "shard_done":
-            stream.send(self._handle_shard_done(message))
-            return False
         if kind == "shutdown":
             stream.send({"type": "ack"})
             threading.Thread(target=self.stop, daemon=True).start()
@@ -587,6 +595,8 @@ class CampaignCoordinator:
             self._next_campaign += 1
             self._campaigns[campaign.id] = campaign
             self._by_fingerprint[fingerprint] = campaign.id
+            if campaign.state == "running":
+                self._running_campaigns[campaign.id] = campaign
             self._cond.notify_all()
             logger.info(
                 "campaign %s submitted: %s total=%d resumed=%d",
@@ -696,8 +706,10 @@ class CampaignCoordinator:
             campaign = self._campaign_for(message)
             if campaign.state == "running":
                 campaign.state = "cancelled"
+                del self._running_campaigns[campaign.id]
                 campaign.queue.clear()
-                campaign.leases.clear()
+                for lease in list(campaign.leases.values()):
+                    self._drop_lease(lease)
                 self._cond.notify_all()
                 logger.info("campaign %s cancelled", campaign.id)
             return {"type": "cancelled", "campaign_id": campaign.id,
@@ -706,36 +718,45 @@ class CampaignCoordinator:
     # ------------------------------------------------------------------
     # worker handlers
     # ------------------------------------------------------------------
+    def _drop_lease(self, lease: _Lease) -> None:
+        """Close *lease* in the index and in its campaign (under the lock)."""
+        del self._leases[lease.lease_id]
+        del lease.campaign.leases[lease.lease_id]
+
+    @staticmethod
+    def _unfinished(lease: _Lease) -> List[int]:
+        """The lease's indices whose records the store does not hold."""
+        campaign = lease.campaign
+        return [
+            index for index in lease.indices
+            if campaign.schedule_keys[index] not in campaign.store
+        ]
+
     def _reap_expired_leases(self) -> None:
         """Re-queue the unfinished indices of every expired lease (called
         under the lock)."""
         now = time.monotonic()
-        for campaign in self._campaigns.values():
-            expired = [
-                lease for lease in campaign.leases.values() if lease.deadline < now
-            ]
-            for lease in expired:
-                del campaign.leases[lease.lease_id]
-                if campaign.state != "running":
-                    continue
-                remaining = [
-                    index for index in lease.indices
-                    if campaign.schedule_keys[index] not in campaign.store
-                ]
-                if remaining:
-                    campaign.enqueue(remaining, front=True)
-                    logger.info(
-                        "lease %s (worker %s) expired; re-queued %d points",
-                        lease.lease_id, lease.worker_id, len(remaining),
-                    )
+        expired = [lease for lease in self._leases.values() if lease.deadline < now]
+        for lease in expired:
+            self._drop_lease(lease)
+            campaign = lease.campaign
+            if campaign.state != "running":
+                continue
+            remaining = self._unfinished(lease)
+            if remaining:
+                campaign.enqueue(remaining, front=True)
+                logger.info(
+                    "lease %s (worker %s) expired; re-queued %d points",
+                    lease.lease_id, lease.worker_id, len(remaining),
+                )
 
     def _handle_fetch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         worker_id = str(message.get("worker_id", "anonymous"))
         with self._lock:
             self._reap_expired_leases()
             running = [
-                campaign for campaign in self._campaigns.values()
-                if campaign.state == "running" and campaign.queue
+                campaign for campaign in self._running_campaigns.values()
+                if campaign.queue
             ]
             if not running:
                 return {"type": "idle", "retry_after": 0.2}
@@ -747,31 +768,25 @@ class CampaignCoordinator:
             self._next_lease += 1
             lease = _Lease(
                 lease_id,
-                campaign.id,
+                campaign,
                 worker_id,
                 indices,
                 time.monotonic() + self.lease_timeout,
             )
             campaign.leases[lease_id] = lease
+            self._leases[lease_id] = lease
             campaign.workers_seen.add(worker_id)
             return {
                 "type": "shard",
                 "campaign_id": campaign.id,
                 "lease_id": lease_id,
                 "lease_timeout": self.lease_timeout,
-                "spec": campaign.spec.to_dict(),
+                "spec": campaign.spec_payload,
                 "assignments": [
                     [index, campaign.planner.schedule[index].key]
                     for index in indices
                 ],
             }
-
-    def _find_lease(self, lease_id: Optional[str]) -> Optional[Tuple[_Campaign, _Lease]]:
-        for campaign in self._campaigns.values():
-            lease = campaign.leases.get(lease_id)
-            if lease is not None:
-                return campaign, lease
-        return None
 
     def _accept_record(
         self, campaign: _Campaign, lease: _Lease, record: StoredResult
@@ -807,9 +822,12 @@ class CampaignCoordinator:
         Every record is parsed, and its key checked against the lease's
         campaign, *before* any is stored, so a bad record rejects the whole
         batch instead of leaving it half-ingested under one unacknowledged
-        message."""
+        message.  A ``done`` batch, the lease's last, then settles the
+        lease in the same call (:meth:`_settle_lease`); only a ``done``
+        batch may carry no records, and those are not fsynced."""
         payload = message.get("records")
-        if not isinstance(payload, list) or not payload:
+        done = message.get("done") is True
+        if not isinstance(payload, list) or not (payload or done):
             raise ValueError("result_batch message carries no records list")
         records = []
         for item in payload:
@@ -817,10 +835,10 @@ class CampaignCoordinator:
                 raise ValueError("result_batch records must be objects")
             records.append(StoredResult.from_dict(item))
         with self._lock:
-            found = self._find_lease(message.get("lease_id"))
-            if found is None:
+            lease = self._leases.get(message.get("lease_id"))
+            if lease is None:
                 return {"type": "stale_lease"}
-            campaign, lease = found
+            campaign = lease.campaign
             for record in records:
                 if record.key not in campaign.key_to_index:
                     raise ValueError(
@@ -828,9 +846,12 @@ class CampaignCoordinator:
                     )
             for record in records:
                 self._accept_record(campaign, lease, record)
-            if self.durable_stores:
+            if records and self.durable_stores:
                 campaign.store.sync()
-            lease.deadline = time.monotonic() + self.lease_timeout
+            if done:
+                self._settle_lease(lease, message.get("stats"))
+            else:
+                lease.deadline = time.monotonic() + self.lease_timeout
             self._check_complete(campaign)
             self._cond.notify_all()
             return {
@@ -839,49 +860,39 @@ class CampaignCoordinator:
                 "remaining": len(lease.indices),
             }
 
+    def _settle_lease(self, lease: _Lease, stats: Any) -> None:
+        """Close a lease whose worker sent its ``done`` batch (under the
+        lock): sum the worker's cache deltas into the campaign and re-queue
+        any index the lease left unfinished."""
+        self._drop_lease(lease)
+        campaign = lease.campaign
+        if isinstance(stats, dict):
+            # Cache deltas, summed per campaign for `repro-campaign status`.
+            for key, value in stats.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    continue
+                campaign.worker_cache_stats[key] = (
+                    campaign.worker_cache_stats.get(key, 0) + value
+                )
+        leftover = self._unfinished(lease)
+        if leftover and campaign.state == "running":
+            # A worker declaring done with unfinished indices is a worker
+            # bug, but the campaign must still terminate: re-queue rather
+            # than lose the points.
+            campaign.enqueue(leftover, front=True)
+            logger.warning(
+                "lease %s done with %d unfinished points; re-queued",
+                lease.lease_id, len(leftover),
+            )
+
     def _handle_heartbeat(self, message: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
             self._reap_expired_leases()
-            found = self._find_lease(message.get("lease_id"))
-            if found is None:
+            lease = self._leases.get(message.get("lease_id"))
+            if lease is None:
                 return {"type": "stale_lease"}
-            _campaign, lease = found
             lease.deadline = time.monotonic() + self.lease_timeout
             return {"type": "ack", "remaining": len(lease.indices)}
-
-    def _handle_shard_done(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            found = self._find_lease(message.get("lease_id"))
-            if found is None:
-                return {"type": "stale_lease"}
-            campaign, lease = found
-            del campaign.leases[lease.lease_id]
-            stats = message.get("stats")
-            if isinstance(stats, dict):
-                # Cache deltas, summed per campaign for
-                # `repro-campaign status`.
-                for key, value in stats.items():
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        continue
-                    campaign.worker_cache_stats[key] = (
-                        campaign.worker_cache_stats.get(key, 0) + value
-                    )
-            leftover = [
-                index for index in lease.indices
-                if campaign.schedule_keys[index] not in campaign.store
-            ]
-            if leftover and campaign.state == "running":
-                # A worker declaring done with unfinished indices is a
-                # worker bug, but the campaign must still terminate:
-                # re-queue rather than lose the points.
-                campaign.enqueue(leftover, front=True)
-                logger.warning(
-                    "lease %s done with %d unfinished points; re-queued",
-                    lease.lease_id, len(leftover),
-                )
-            self._check_complete(campaign)
-            self._cond.notify_all()
-            return {"type": "ack"}
 
     def _check_complete(self, campaign: _Campaign) -> None:
         """Flip a running campaign to complete when its planner is
@@ -891,6 +902,7 @@ class CampaignCoordinator:
             return
         if campaign.completed_count >= campaign.total:
             campaign.state = "complete"
+            del self._running_campaigns[campaign.id]
             logger.info(
                 "campaign %s complete: %d points (%d executed here, %d resumed)",
                 campaign.id, campaign.total, campaign.executed,

@@ -41,7 +41,7 @@ MAX_MESSAGE_BYTES = 1 << 20
 #: Protocol revision carried in every ``hello`` and ``welcome``.  The
 #: coordinator, workers and clients ship in one package, so there is no
 #: negotiation: a peer speaking any other version is refused.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 
 class ProtocolError(Exception):

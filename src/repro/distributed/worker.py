@@ -6,25 +6,30 @@ space it enumerates from the spec (see :mod:`repro.distributed.spec`),
 executes them through the local engine/pool stack (boot-template cache,
 prefix sharing, and the one backend ``parallelism`` selects for the
 worker's lifetime, so a pool spec forks one pool), and streams the result
-records back over the same connection, :data:`RESULT_BATCH_SIZE` records
-per ``result_batch`` message.  The coordinator plans every round, so a
-worker agrees with it only on the fault space, never on how a schedule is
-derived.
+records back over the same connection in ``result_batch`` messages
+(:func:`lease_batches`): a lease's records go back in one batch, marked
+``done`` and carrying the lease's cache counters, when its runs end; a
+batch goes out earlier only to send the lease's first failing record at
+once or to stay under :data:`RESULT_BATCH_RECORDS`.  The coordinator plans
+every round, so a worker agrees with it only on the fault space, never on
+how a schedule is derived.
 
 Failure behaviour, which is most of what a worker *is*:
 
 * **Link loss** — every RPC goes through one retry-with-backoff path; a
   dropped connection is redialed (:func:`repro.distributed.protocol.connect`
   does the backoff) and the current shard is abandoned — its lease will
-  expire on the coordinator and the unfinished points re-queue.  Records
-  already streamed stay completed (the store is idempotent per key), so
-  nothing is lost and nothing runs twice.
+  expire on the coordinator and every point not yet acked re-queues,
+  which is up to the whole lease, since most leases report in one batch.
+  Records already acked stay completed (the store is idempotent per key),
+  so nothing is lost.
 * **Stale leases** — any RPC answered ``stale_lease`` (the coordinator
   re-assigned the shard after a silence, or the campaign was cancelled)
   makes the worker drop the shard immediately and fetch fresh work.
 * **Heartbeats** — while a shard is executing, a background thread
   heartbeats the lease at a third of the advertised lease timeout, so a
-  worker grinding through one slow scenario is not mistaken for dead.
+  worker grinding through a long lease, which sends no batch until its
+  runs end, is not mistaken for dead.
   The send path is shared with the executor loop; each RPC is one
   lock-protected send/receive pair, so replies always match requests.
 """
@@ -36,15 +41,17 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.controller.executor import ParallelismSpec, backend_scope
 from repro.core.controller.memo import suffix_memo_stats
+from repro.core.exploration.store import StoredResult
 from repro.core.profiler.cache import artifact_cache_stats
 from repro.distributed.protocol import (
     MAX_MESSAGE_BYTES,
     ConnectionClosed,
     MessageStream,
+    MessageTooLarge,
     ProtocolError,
     connect,
     handshake,
@@ -53,11 +60,12 @@ from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
 
 logger = logging.getLogger("repro.campaignd.worker")
 
-#: Records per ``result_batch`` message.  The coordinator stores every
-#: record, and with durable stores fsyncs the batch once, before acking
-#: it, so a lost lease forfeits at most the unflushed tail, which the
-#: re-queued lease re-executes.
-RESULT_BATCH_SIZE = 8
+#: Most records in one ``result_batch``.  Records are a few hundred bytes
+#: on the wire (the largest an e2ebench campaign produces is about 0.7 KB),
+#: so a full batch stays well under the default 1 MiB
+#: ``MAX_MESSAGE_BYTES``; a batch that still passes a link's cap goes out
+#: in halves.
+RESULT_BATCH_RECORDS = 256
 
 #: Engines a worker keeps, least recently used dropped first.  One engine
 #: holds the campaign plan and runs on the worker's one instance of its
@@ -67,10 +75,43 @@ RESULT_BATCH_SIZE = 8
 ENGINES_PER_WORKER = 8
 
 
+def lease_batches(
+    records: Iterable[StoredResult],
+    expected: int,
+    cap: int = RESULT_BATCH_RECORDS,
+) -> Iterator[Tuple[List[StoredResult], bool]]:
+    """Group a lease's *records*, in completion order, into result batches.
+
+    Yields ``(batch, done)`` pairs.  Records accumulate until the lease's
+    runs end — the *expected* count (its assignments, an upper bound) has
+    arrived, or *records* runs dry — and that batch is the one ``done``.
+    A batch goes out early only when it holds the lease's first failing
+    record, so the news a tailing user waits for never waits behind its
+    lease, or when it holds *cap* records.  The batches concatenate to
+    *records*; only the ``done`` batch may be empty, when fewer than
+    *expected* records came.
+    """
+    batch: List[StoredResult] = []
+    sent = 0
+    failed = done = False
+    for record in records:
+        batch.append(record)
+        flush = len(batch) >= cap or sent + len(batch) >= expected
+        if not failed and record.outcome_kind.is_failure:
+            failed = flush = True
+        if flush:
+            sent += len(batch)
+            done = sent >= expected
+            yield batch, done
+            batch = []
+    if not done:
+        yield batch, True
+
+
 def _cache_stats_snapshot() -> Dict[str, float]:
     """Current boot-template and suffix-memo counters of this process.
 
-    Shard deltas of these are reported on ``shard_done`` so the
+    A lease's deltas of these ride on its ``done`` batch, so the
     coordinator can explain fabric throughput (memo hit rates, template
     reuse) without any extra round trips.
     """
@@ -237,11 +278,10 @@ class CampaignWorker:
         lease_id = shard["lease_id"]
         spec = CampaignSpec.from_dict(shard.get("spec"))
         engine, plan = self._engine_for(spec)
+        assignments = shard.get("assignments", ())
         # Resolved before the heartbeat starts: a key outside this worker's
         # fault space raises here instead of running a wrong point.
-        runs = engine.run_assignments(
-            plan, shard.get("assignments", ()), parallelism=self._backend,
-        )
+        runs = engine.run_assignments(plan, assignments, parallelism=self._backend)
         lease_timeout = float(shard.get("lease_timeout", 30.0))
 
         lost = threading.Event()
@@ -253,50 +293,62 @@ class CampaignWorker:
         )
         heartbeat.start()
         stats_before = _cache_stats_snapshot()
-        batch: List[Dict[str, Any]] = []
 
-        def flush() -> None:
-            if not batch:
-                return
-            reply = self._rpc({
-                "type": "result_batch",
-                "lease_id": lease_id,
-                "campaign_id": shard.get("campaign_id"),
-                "records": list(batch),
-            })
-            if reply.get("type") == "stale_lease":
-                raise _LeaseLost()
-            if reply.get("type") != "ack":
-                raise ProtocolError(f"unexpected result_batch reply: {reply!r}")
-            self.results_streamed += len(batch)
-            batch.clear()
-
-        try:
+        def watched() -> Iterator[StoredResult]:
             for record in runs:
                 if lost.is_set() or self._stop.is_set():
                     raise _LeaseLost()
-                batch.append(record.to_dict())
-                if len(batch) >= RESULT_BATCH_SIZE:
-                    flush()
-            flush()
-            lost.set()
-            heartbeat.join()
-            stats_after = _cache_stats_snapshot()
-            reply = self._rpc({
-                "type": "shard_done",
-                "lease_id": lease_id,
-                "stats": {
-                    key: stats_after[key] - stats_before[key]
-                    for key in stats_after
-                },
-            })
-            if reply.get("type") == "ack":
-                self.shards_completed += 1
+                yield record
+
+        try:
+            for batch, done in lease_batches(watched(), len(assignments)):
+                message: Dict[str, Any] = {
+                    "type": "result_batch",
+                    "lease_id": lease_id,
+                    "campaign_id": shard.get("campaign_id"),
+                    "records": [record.to_dict() for record in batch],
+                }
+                if done:
+                    lost.set()  # the lease's runs are over: stop heartbeating
+                    stats_after = _cache_stats_snapshot()
+                    message["done"] = True
+                    message["stats"] = {
+                        key: stats_after[key] - stats_before[key]
+                        for key in stats_after
+                    }
+                self._send_batch(message)
+            self.shards_completed += 1
         except _LeaseLost:
             logger.info("lease %s lost; abandoning shard", lease_id)
         finally:
             lost.set()
+            heartbeat.join()
             runs.close()  # cancel any outstanding pooled work
+
+    def _send_batch(self, message: Dict[str, Any]) -> None:
+        """Send one ``result_batch`` and read its ack.
+
+        A batch whose encoding passes this link's ``max_message_bytes``
+        raises :class:`MessageTooLarge` before a byte is sent, and goes out
+        as two batches instead, the ``done`` mark and stats on the second.
+        """
+        records = message["records"]
+        try:
+            reply = self._rpc(message)
+        except MessageTooLarge:
+            if len(records) < 2:
+                raise
+            half = len(records) // 2
+            head = {key: value for key, value in message.items()
+                    if key not in ("done", "stats")}
+            self._send_batch(dict(head, records=records[:half]))
+            self._send_batch(dict(message, records=records[half:]))
+            return
+        if reply.get("type") == "stale_lease":
+            raise _LeaseLost()
+        if reply.get("type") != "ack":
+            raise ProtocolError(f"unexpected result_batch reply: {reply!r}")
+        self.results_streamed += len(records)
 
     def _heartbeat_loop(
         self, lease_id: str, interval: float, lost: threading.Event
@@ -312,4 +364,9 @@ class CampaignWorker:
                 return
 
 
-__all__ = ["CampaignWorker", "ENGINES_PER_WORKER", "RESULT_BATCH_SIZE"]
+__all__ = [
+    "CampaignWorker",
+    "ENGINES_PER_WORKER",
+    "RESULT_BATCH_RECORDS",
+    "lease_batches",
+]

@@ -21,9 +21,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller.executor import ProcessPoolBackend
 from repro.core.controller.memo import clear_suffix_memo
+from repro.core.controller.monitor import OutcomeKind
 from repro.core.exploration.engine import ExplorationEngine, RoundPlanner
 from repro.core.exploration.store import ResultStore, StoreCorruptError, StoredResult
 from repro.core.profiler.cache import artifact_cache_stats
@@ -41,7 +44,12 @@ from repro.distributed.protocol import (
 )
 from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
 import repro.distributed.worker as worker_module
-from repro.distributed.worker import ENGINES_PER_WORKER, CampaignWorker
+from repro.distributed.worker import (
+    ENGINES_PER_WORKER,
+    RESULT_BATCH_RECORDS,
+    CampaignWorker,
+    lease_batches,
+)
 from repro.targets import register_target, unregister_target
 from repro.targets.mini_git import MiniGitTarget
 
@@ -177,6 +185,29 @@ def _shard_engine(spec_kwargs=GIT_SPEC_KWARGS):
     """A worker-side engine and its fault space keyed by point key."""
     engine, points = build_engine(CampaignSpec(**spec_kwargs))
     return engine, {point.key: point for point in points}
+
+
+def _greet(fabric, worker_id):
+    """A raw worker link to *fabric*, past its ``hello``."""
+    stream = connect(fabric.address)
+    stream.send({"type": "hello", "role": "worker", "worker_id": worker_id,
+                 "version": PROTOCOL_VERSION})
+    assert stream.recv()["type"] == "welcome"
+    return stream
+
+
+def _fetch(stream, worker_id):
+    stream.send({"type": "fetch", "worker_id": worker_id})
+    shard = stream.recv()
+    assert shard["type"] == "shard", shard
+    return shard
+
+
+def _done_batch(shard, records, **fields):
+    return {"type": "result_batch", "lease_id": shard["lease_id"],
+            "campaign_id": shard["campaign_id"],
+            "records": [record.to_dict() for record in records],
+            "done": True, **fields}
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +646,8 @@ class TestProtocolVersion:
     @pytest.mark.parametrize("hello", [
         {"type": "hello", "role": "worker", "version": PROTOCOL_VERSION - 1},
         {"type": "hello", "role": "worker"},
-    ], ids=["old-version", "no-version"])
+        {"type": "hello", "role": "worker", "version": 5},
+    ], ids=["old-version", "no-version", "version-5"])
     def test_coordinator_refuses_other_versions_and_closes(
         self, fabric_factory, hello
     ):
@@ -674,9 +706,12 @@ class TestCampaignSpec:
 # the fabric end to end
 # ----------------------------------------------------------------------
 class _DyingWorker(CampaignWorker):
-    """A worker that crashes mid-lease: after *die_after* acked
-    ``result_batch`` messages it drops its link, with no ``shard_done`` and
-    no further traffic."""
+    """A worker that crashes mid-lease, whatever its outcomes: once
+    *die_after* of its records are acked it drops its link, with no
+    ``done`` batch and no further traffic.  A batch that would stream past
+    that many records goes out cut to them, without ``done``, so the crash
+    loses the rest of the lease even when the lease would report back in
+    one batch."""
 
     def __init__(self, address, die_after, **kwargs):
         super().__init__(address, **kwargs)
@@ -684,11 +719,20 @@ class _DyingWorker(CampaignWorker):
 
     def _rpc(self, message):
         if message.get("type") == "result_batch":
-            if self._result_budget <= 0:
+            records = message["records"]
+            if len(records) > self._result_budget:
+                if self._result_budget:
+                    head = {key: value for key, value in message.items()
+                            if key not in ("done", "stats")}
+                    reply = super()._rpc(
+                        dict(head, records=records[: self._result_budget])
+                    )
+                    assert reply["type"] == "ack", reply
+                    self.results_streamed += self._result_budget
                 self.stop()
                 self._drop_stream()
                 raise ConnectionClosed("simulated worker crash")
-            self._result_budget -= 1
+            self._result_budget -= len(records)
         return super()._rpc(message)
 
 
@@ -1013,8 +1057,9 @@ class TestCampaignFabric:
     def test_worker_killed_mid_campaign_shard_is_requeued(
         self, fabric_factory, tmp_path
     ):
-        """Kill one of two workers mid-shard: its lease expires, the shard
-        re-queues, and the merged results are still bit-identical."""
+        """Kill one of two workers mid-shard, one record into its first
+        lease: its lease expires, the shard re-queues, and the merged
+        results are still bit-identical."""
         fabric = fabric_factory(shard_size=4, lease_timeout=0.5)
         dying = _DyingWorker(
             fabric.address, die_after=1, worker_id="doomed", poll_interval=0.01
@@ -1033,6 +1078,7 @@ class TestCampaignFabric:
         status = client.status(reply["campaign_id"])
         assert status["completed"] == status["total"]
         assert "doomed" in status["workers_seen"]
+        assert dying.results_streamed == 1 and dying.shards_completed == 0
         records = client.results(reply["campaign_id"])
         assert _signature_from_records(records) == _serial_signature()
 
@@ -1076,7 +1122,10 @@ class TestCampaignFabric:
             "records": [record.to_dict()],
         })
         assert stream.recv()["type"] == "stale_lease"
-        stream.send({"type": "shard_done", "lease_id": shard["lease_id"]})
+        stream.send({
+            "type": "result_batch", "lease_id": shard["lease_id"],
+            "records": [record.to_dict()], "done": True, "stats": {"memo_hits": 1},
+        })
         assert stream.recv()["type"] == "stale_lease"
         stream.close()
         other.close()
@@ -1236,7 +1285,7 @@ class TestLeaseSizing:
         fabric = fabric_factory(lease_timeout=0.5)
         client, campaign_id = self._submit(fabric, tmp_path)
         # Alone on the fabric, the doomed worker leases half the round and
-        # crashes after streaming its first result batch.
+        # crashes once its first record is acked.
         doomed = _DyingWorker(fabric.address, die_after=1, worker_id="doomed")
         fabric.workers.append(doomed)
         with pytest.raises(ConnectionClosed):
@@ -1244,7 +1293,7 @@ class TestLeaseSizing:
         [(_, doomed_lease)] = leases
         stored = {record["index"] for record in client.results(campaign_id)}
         unfinished = set(doomed_lease) - stored
-        assert len(stored) == doomed.results_streamed > 0 and unfinished
+        assert len(stored) == doomed.results_streamed == 1 and unfinished
 
         survivor = fabric.worker(worker_id="survivor")
         deadline = time.monotonic() + 60
@@ -1282,6 +1331,251 @@ class TestLeaseSizing:
         indices = [index for _, lease in leases for index in lease]
         assert sorted(indices) == list(range(status["total"]))
         self._assert_serial_records(client, campaign_id)
+
+
+class TestResultBatches:
+    """A worker reports a lease back in one or two ``result_batch``
+    messages: the last one ``done``, an earlier one only for the lease's
+    first failure or a full batch (``lease_batches``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        outcomes=st.lists(st.sampled_from([kind.value for kind in OutcomeKind]),
+                          max_size=40),
+        missing=st.integers(0, 3),
+        cap=st.integers(1, 50),
+    )
+    def test_batches_keep_order_cap_first_failure_and_one_done(
+        self, outcomes, missing, cap
+    ):
+        records = [_stored(f"k{n}", outcome, index=n) for n, outcome in enumerate(outcomes)]
+        # *missing* > 0: fewer records came than the lease assigned.
+        batches = list(lease_batches(iter(records), len(records) + missing, cap))
+        assert [record for batch, _ in batches for record in batch] == records
+        assert all(len(batch) <= cap for batch, _ in batches)
+        assert [done for _, done in batches] == [False] * (len(batches) - 1) + [True]
+        failures = [n for n, record in enumerate(records) if record.outcome_kind.is_failure]
+        ends = []
+        for batch, _ in batches:
+            ends.append((ends[-1] if ends else 0) + len(batch))
+        if failures:
+            # The lease's first failure is the last record of its batch.
+            assert failures[0] + 1 in ends
+        for batch, _ in batches[:-1]:
+            assert len(batch) == cap or batch[-1] is records[failures[0]]
+        if not missing:
+            assert batches[-1][0] or not records
+            if len(records) <= cap:
+                early = bool(failures) and failures[0] < len(records) - 1
+                assert len(batches) == (2 if early else 1)
+
+    def test_a_full_batch_of_the_largest_e2ebench_record_fits_a_default_link(self):
+        path = os.path.join(os.path.dirname(SRC), "e2ebench", "reference.jsonl")
+        with open(path, encoding="utf-8") as handle:
+            records = [
+                StoredResult.from_dict(json.loads(line)).to_dict()
+                for line in handle if line.strip()
+            ]
+        largest = max(records, key=lambda record: len(json.dumps(record)))
+        left, right = socket.socketpair()
+        sender, receiver = MessageStream(left), MessageStream(right)
+        try:
+            # Twice the cap still fits: a full batch is well under the link's
+            # max_message_bytes.
+            for count in (RESULT_BATCH_RECORDS, 2 * RESULT_BATCH_RECORDS):
+                message = {"type": "result_batch", "lease_id": "l1",
+                           "campaign_id": "c1", "records": [largest] * count,
+                           "done": True, "stats": {"memo_hits": 1}}
+                received = []
+                reader = threading.Thread(target=lambda: received.append(receiver.recv()))
+                reader.start()
+                sender.send(message)
+                reader.join(timeout=10)
+                assert not reader.is_alive() and received == [message]
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_a_worker_with_a_small_message_cap_splits_its_batches(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        batches = []
+        real_send = MessageStream.send
+
+        def send(stream, message):
+            real_send(stream, message)
+            if message["type"] == "result_batch":
+                batches.append((len(message["records"]), message.get("done", False)))
+
+        monkeypatch.setattr(MessageStream, "send", send)
+        fabric = fabric_factory()
+        worker = fabric.worker(max_message_bytes=4096)
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / "small.jsonl"), **SIZED_SPEC_KWARGS)
+        campaign_id = client.submit(spec)["campaign_id"]
+        while worker.run_once():
+            pass
+        status = client.status(campaign_id)
+        assert status["state"] == "complete" and status["executed"] == status["total"]
+        assert sum(count for count, _ in batches) == status["total"]
+        per_lease, sent = [], 0
+        for _, done in batches:
+            sent += 1
+            if done:
+                per_lease.append(sent)
+                sent = 0
+        assert len(per_lease) == worker.shards_completed and sent == 0
+        # Without the split a lease goes out in at most two batches.
+        assert max(per_lease) > 2
+        records = client.results(campaign_id)
+        assert _signature_from_records(records) == _serial_signature(SIZED_SPEC_KWARGS)
+
+
+class TestDoneBatch:
+    """The lease's last ``result_batch`` carries ``done``: the coordinator
+    stores, fsyncs and acks it like any batch, then settles the lease."""
+
+    @staticmethod
+    def _submit(fabric, tmp_path, name):
+        client = fabric.client()
+        spec = CampaignSpec(store_path=str(tmp_path / name), **GIT_SPEC_KWARGS)
+        return client, client.submit(spec)["campaign_id"]
+
+    def test_a_done_batch_settles_its_lease(self, fabric_factory, tmp_path):
+        fabric = fabric_factory(shard_size=4)
+        client, campaign_id = self._submit(fabric, tmp_path, "settle.jsonl")
+        stream = _greet(fabric, "settler")
+        try:
+            shard = _fetch(stream, "settler")
+            assert len(shard["assignments"]) == 4
+            engine, by_key = _shard_engine()
+            records = list(engine.run_assignments(by_key, shard["assignments"][:2]))
+            done = _done_batch(shard, records, stats={
+                "memo_hits": 3, "boot_hits": 1, "note": "x", "flag": True,
+            })
+            stream.send(done)
+            assert stream.recv() == {"type": "ack", "accepted": 2, "remaining": 2}
+            status = client.status(campaign_id)
+            assert status["active_leases"] == 0 and status["leased"] == 0
+            assert status["completed"] == status["resumed_at_submit"] + 2
+            assert status["cache"] == {"memo_hits": 3, "boot_hits": 1}
+            # A settled lease is stale, and its unfinished points lead the queue.
+            stream.send(done)
+            assert stream.recv() == {"type": "stale_lease"}
+            again = _fetch(stream, "settler")
+            assert again["assignments"][:2] == shard["assignments"][2:]
+            stream.send(_done_batch(again, [], stats={"memo_hits": 2}))
+            assert stream.recv()["type"] == "ack"
+            assert client.status(campaign_id)["cache"] == {"memo_hits": 5, "boot_hits": 1}
+        finally:
+            stream.close()
+
+    def test_an_empty_batch_is_accepted_only_with_done_and_not_fsynced(
+        self, fabric_factory, tmp_path, monkeypatch
+    ):
+        fabric = fabric_factory(shard_size=4)
+        client, campaign_id = self._submit(fabric, tmp_path, "empty.jsonl")
+        stream = _greet(fabric, "empty")
+        try:
+            shard = _fetch(stream, "empty")
+            fsyncs = []
+            real_fsync = os.fsync
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+            )
+            empty = {"type": "result_batch", "lease_id": shard["lease_id"], "records": []}
+            stream.send(empty)
+            rejected = stream.recv()
+            assert rejected["type"] == "error" and "no records" in rejected["error"]
+            assert client.status(campaign_id)["active_leases"] == 1
+            stream.send(dict(empty, done=True))
+            assert stream.recv() == {"type": "ack", "accepted": 0, "remaining": 4}
+            assert fsyncs == []
+            status = client.status(campaign_id)
+            assert status["active_leases"] == 0 and status["executed"] == 0
+            assert status["queued"] == status["total"] - status["completed"]
+        finally:
+            stream.close()
+
+    def test_shard_done_is_an_unknown_message_type(self, fabric_factory, tmp_path):
+        fabric = fabric_factory(shard_size=4)
+        client, campaign_id = self._submit(fabric, tmp_path, "gone.jsonl")
+        stream = _greet(fabric, "old")
+        try:
+            shard = _fetch(stream, "old")
+            stream.send({"type": "shard_done", "lease_id": shard["lease_id"], "stats": {}})
+            reply = stream.recv()
+            assert reply["type"] == "error"
+            assert "unknown message type 'shard_done'" in reply["error"]
+            assert client.status(campaign_id)["active_leases"] == 1
+            stream.send({"type": "ping"})
+            assert stream.recv()["type"] == "pong"
+        finally:
+            stream.close()
+
+
+class TestLeaseIndex:
+    """The coordinator indexes open leases and running campaigns, so a
+    request finds its lease, and a ``fetch`` its campaigns, without walking
+    every campaign it has run."""
+
+    def test_later_leases_settle_and_cancel_and_expiry_drop_them(
+        self, fabric_factory, tmp_path
+    ):
+        fabric = fabric_factory(shard_size=4, lease_timeout=0.3)
+        coordinator = fabric.coordinator
+        client = fabric.client()
+        worker = fabric.worker()
+
+        def submit(name):
+            spec = CampaignSpec(store_path=str(tmp_path / name), **GIT_SPEC_KWARGS)
+            return client.submit(spec)["campaign_id"]
+
+        earlier = []
+        for n in range(3):
+            earlier.append(submit(f"early-{n}.jsonl"))
+            while worker.run_once():
+                pass
+        assert {client.status(c)["state"] for c in earlier} == {"complete"}
+        assert coordinator._running_campaigns == {} and coordinator._leases == {}
+
+        later = submit("later.jsonl")
+        assert list(coordinator._running_campaigns) == [later]
+        stream = _greet(fabric, "raw")
+        try:
+            shard = _fetch(stream, "raw")
+            assert shard["campaign_id"] == later
+            assert list(coordinator._leases) == [shard["lease_id"]]
+            engine, by_key = _shard_engine()
+            records = list(engine.run_assignments(by_key, shard["assignments"]))
+            stream.send(_done_batch(shard, records))
+            assert stream.recv() == {
+                "type": "ack", "accepted": len(records), "remaining": 0,
+            }
+            assert coordinator._leases == {}
+
+            # Cancel drops the campaign's open leases with the campaign.
+            shard = _fetch(stream, "raw")
+            assert list(coordinator._leases) == [shard["lease_id"]]
+            client.cancel(later)
+            assert coordinator._leases == {} and coordinator._running_campaigns == {}
+            stream.send(_done_batch(shard, []))
+            assert stream.recv() == {"type": "stale_lease"}
+
+            # Expiry drops a silent lease and re-queues its points.
+            expiring = submit("expiring.jsonl")
+            shard = _fetch(stream, "raw")
+            assert shard["campaign_id"] == expiring
+            time.sleep(0.5)
+            status = client.status(expiring)  # reaps expired leases
+            assert coordinator._leases == {}
+            assert status["active_leases"] == 0
+            assert status["queued"] == status["total"] - status["completed"]
+            stream.send({"type": "heartbeat", "lease_id": shard["lease_id"]})
+            assert stream.recv() == {"type": "stale_lease"}
+            assert list(coordinator._running_campaigns) == [expiring]
+        finally:
+            stream.close()
 
 
 class TestCoordinatorRestart:
